@@ -15,7 +15,7 @@ use louvain_core::heuristic::{EpsilonSchedule, ScheduleForm};
 use louvain_core::parallel::{ParallelConfig, ParallelLouvain};
 use louvain_core::refine::refine_partition;
 use louvain_core::seq::{SeqConfig, SequentialLouvain, VertexOrder};
-use louvain_core::smp::{SmpConfig, SmpLouvain};
+use louvain_core::smp::SmpLouvain;
 
 /// ε-schedule sweep.
 pub fn epsilon(quick: bool) {
@@ -113,11 +113,7 @@ pub fn order(quick: bool) {
     ];
     for (label, order) in orders {
         let t0 = std::time::Instant::now();
-        let r = SequentialLouvain::new(SeqConfig {
-            order,
-            ..SeqConfig::default()
-        })
-        .run(&csr);
+        let r = SequentialLouvain::new(SeqConfig { order }).run(&csr);
         t.row(&[
             label.to_string(),
             f(r.final_modularity, 4),
@@ -155,9 +151,7 @@ pub fn refine(quick: bool) {
         let q_seq = SequentialLouvain::new(SeqConfig::default())
             .run(&csr)
             .final_modularity;
-        let q_smp = SmpLouvain::new(SmpConfig::default())
-            .run(&csr)
-            .final_modularity;
+        let q_smp = SmpLouvain.run(&csr).final_modularity;
         let par = ParallelLouvain::new(ParallelConfig::with_ranks(4)).run(&g.edges);
         let polished = refine_partition(&csr, &par.result.final_partition, 32);
         t.row(&[
@@ -177,7 +171,7 @@ pub fn refine(quick: bool) {
 /// Louvain solver on the same runtime (Section VI — LP-based methods are
 /// the main competing family).
 pub fn baseline_lp(quick: bool) {
-    use louvain_core::labelprop::{LabelPropConfig, LabelPropagation};
+    use louvain_core::labelprop::LabelPropagation;
     use louvain_metrics::{modularity, similarity::nmi};
     let graphs: &[&str] = if quick {
         &["amazon"]
@@ -199,7 +193,7 @@ pub fn baseline_lp(quick: bool) {
         let g = workload(name, SEED);
         let csr = g.edges.to_csr();
         let lv = ParallelLouvain::new(ParallelConfig::with_ranks(4)).run(&g.edges);
-        let lp = LabelPropagation::new(LabelPropConfig::with_ranks(4)).run(&g.edges);
+        let lp = LabelPropagation::new(4).run(&g.edges);
         let q_lp = modularity(&csr, &lp.partition);
         t.row(&[
             name.to_string(),

@@ -11,7 +11,7 @@
 use crate::experiments::{run_par, run_par_naive, run_seq, workload};
 use crate::report::{f, Csv, Table};
 use crate::SEED;
-use louvain_core::smp::{SmpConfig, SmpLouvain};
+use louvain_core::smp::SmpLouvain;
 
 const GRAPHS: [&str; 5] = ["amazon", "dblp", "ndweb", "youtube", "livejournal"];
 const RANKS: usize = 4;
@@ -41,7 +41,7 @@ pub fn run(quick: bool) {
     for name in graphs {
         let g = workload(name, SEED);
         let seq = run_seq(&g.edges);
-        let smp = SmpLouvain::new(SmpConfig::default()).run(&g.edges.to_csr());
+        let smp = SmpLouvain.run(&g.edges.to_csr());
         let par = run_par(&g.edges, RANKS);
         let naive = run_par_naive(&g.edges, RANKS);
 

@@ -26,7 +26,7 @@
 //!   each mover, whose label change invalidates its cached scan.
 //!
 //! - the **eligibility ledger** — a bitset recording which vertices'
-//!   cached gain clears `min_gain_threshold`. An ε-throttled vertex may
+//!   cached gain is positive. An ε-throttled vertex may
 //!   migrate in a *later* iteration with no further input change, so it
 //!   must stay reachable by the UPDATE sweep — but since its inputs are
 //!   unchanged, its cached decision is still exact and **re-scanning it

@@ -6,7 +6,7 @@
 //! ε(iter) as a *move budget*: only the top-ε fraction of vertices (ranked
 //! by their best modularity gain `m_u`) are allowed to migrate in a given
 //! inner iteration. That throttling is what prevents the oscillation of
-//! the naive synchronous algorithm.
+//! the unthrottled synchronous algorithm.
 //!
 //! Two schedule forms are provided:
 //!
@@ -16,6 +16,19 @@
 //! * [`ScheduleForm::PaperReciprocal`] — `ε = p1 · exp(1 / (p2 · iter))`,
 //!   the literal typography of Equation 7 (decreasing toward `p1` as
 //!   `iter → ∞`). Kept for fidelity experiments.
+//!
+//! The stopping thresholds below are shared by the sequential, SMP and
+//! distributed solvers.
+
+/// A level (or, for the throttled solvers, an inner iteration) that
+/// improves modularity by less than this ends its loop.
+pub(crate) const MIN_Q_IMPROVEMENT: f64 = 1e-7;
+
+/// The throttled solvers leave the inner loop once fewer than this
+/// fraction of vertices moved. The tail iterations move almost nobody but
+/// cost two full state propagations each; the paper's UK-2007 runs use ~8
+/// inner loops (Figure 8b).
+pub(crate) const MIN_MOVE_FRACTION: f64 = 5e-3;
 
 /// Functional form of the ε schedule.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]

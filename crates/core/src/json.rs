@@ -306,13 +306,15 @@ fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
                 *pos += 1;
             }
             _ => {
-                // Consume one UTF-8 scalar (input is a &str, so this is
-                // always at a char boundary).
-                let rest = &b[*pos..];
-                let s = std::str::from_utf8(rest).map_err(|e| e.to_string())?;
-                let c = s.chars().next().ok_or("unterminated string")?;
-                out.push(c);
-                *pos += c.len_utf8();
+                // Copy the run up to the next quote or backslash. Both are
+                // ASCII and never occur inside a multi-byte sequence, so
+                // the run is whole UTF-8 scalars, and decoding only the
+                // run keeps parsing linear in the document length.
+                let start = *pos;
+                while *pos < b.len() && !matches!(b[*pos], b'"' | b'\\') {
+                    *pos += 1;
+                }
+                out.push_str(std::str::from_utf8(&b[start..*pos]).map_err(|e| e.to_string())?);
             }
         }
     }
@@ -365,6 +367,21 @@ mod tests {
         let text = v.render();
         let back = Json::parse(&text).expect("parse");
         assert_eq!(back, v);
+    }
+
+    #[test]
+    fn multibyte_text_mixed_with_escapes_round_trips() {
+        let text = "ß\"é\\ñ\n日本\t語\u{1}𝄞/end";
+        let v = Json::Obj(vec![
+            ("κλειδί \"q\"".into(), Json::Str(text.into())),
+            ("𝄞".into(), Json::Arr(vec![Json::Str("→\\←".into())])),
+        ]);
+        let rendered = v.render();
+        assert_eq!(Json::parse(&rendered).expect("parse"), v);
+        // Escapes the renderer never emits still decode next to
+        // multi-byte text.
+        let parsed = Json::parse(r#""ü\u00e9\/ü""#).expect("parse");
+        assert_eq!(parsed, Json::Str("üé/ü".into()));
     }
 
     #[test]

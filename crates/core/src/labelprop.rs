@@ -25,46 +25,11 @@ use std::time::Duration;
 use crate::parallel::Msg;
 use crate::timing::Stopwatch;
 
-/// Label-propagation configuration.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct LabelPropConfig {
-    /// Simulated ranks.
-    pub ranks: usize,
-    /// Messaging coalescing capacity.
-    pub coalesce_capacity: usize,
-    /// Iteration cap.
-    pub max_iterations: usize,
-    /// Stop once fewer than this fraction of vertices change labels.
-    pub min_change_fraction: f64,
-    /// BSP cost-model constants (see `louvain-runtime`).
-    pub sync_latency_units: f64,
-    /// BSP per-message charge.
-    pub charge_per_message: f64,
-}
+/// Iteration cap.
+const MAX_ITERATIONS: usize = 32;
 
-impl Default for LabelPropConfig {
-    fn default() -> Self {
-        Self {
-            ranks: 4,
-            coalesce_capacity: 1024,
-            max_iterations: 32,
-            min_change_fraction: 1e-3,
-            sync_latency_units: 5000.0,
-            charge_per_message: 1.0,
-        }
-    }
-}
-
-impl LabelPropConfig {
-    /// Default configuration on `ranks` ranks.
-    #[must_use]
-    pub fn with_ranks(ranks: usize) -> Self {
-        Self {
-            ranks,
-            ..Self::default()
-        }
-    }
-}
+/// Stop once fewer than this fraction of vertices change labels.
+const MIN_CHANGE_FRACTION: f64 = 1e-3;
 
 /// Label-propagation output.
 #[derive(Clone, Debug)]
@@ -84,36 +49,31 @@ pub struct LabelPropResult {
 }
 
 /// The distributed label-propagation solver.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Copy, Debug)]
 pub struct LabelPropagation {
-    cfg: LabelPropConfig,
+    /// Simulated ranks.
+    ranks: usize,
 }
 
 impl LabelPropagation {
-    /// Creates a solver with the given configuration.
+    /// Creates a solver on `ranks` simulated ranks.
     #[must_use]
-    pub fn new(cfg: LabelPropConfig) -> Self {
-        assert!(cfg.ranks >= 1);
-        Self { cfg }
+    pub fn new(ranks: usize) -> Self {
+        assert!(ranks >= 1);
+        Self { ranks }
     }
 
     /// Runs synchronous label propagation on `edges`.
     #[must_use]
     pub fn run(&self, edges: &EdgeList) -> LabelPropResult {
-        let cfg = self.cfg;
         let n = edges.num_vertices();
         let t0 = Stopwatch::start();
         let (rank_outputs, comm) = run_with_config::<Msg, (Vec<u32>, usize, Vec<f64>, f64), _>(
-            RuntimeConfig {
-                coalesce_capacity: cfg.coalesce_capacity,
-                sync_latency_units: cfg.sync_latency_units,
-                charge_per_message: cfg.charge_per_message,
-                ..RuntimeConfig::new(cfg.ranks)
-            },
-            |ctx| rank_main(ctx, edges, &cfg),
+            RuntimeConfig::new(self.ranks),
+            |ctx| rank_main(ctx, edges, self.ranks),
         );
         let total_time = t0.elapsed();
-        let part = ModuloPartition::new(n, cfg.ranks);
+        let part = ModuloPartition::new(n, self.ranks);
         let mut raw = vec![0u32; n];
         for (r, (labels, _, _, _)) in rank_outputs.iter().enumerate() {
             for (i, v) in part.local_vertices(r).enumerate() {
@@ -134,15 +94,15 @@ impl LabelPropagation {
 fn rank_main(
     ctx: &mut RankCtx<'_, Msg>,
     edges: &EdgeList,
-    cfg: &LabelPropConfig,
+    ranks: usize,
 ) -> (Vec<u32>, usize, Vec<f64>, f64) {
     let n = edges.num_vertices();
     let rank = ctx.rank();
-    let part = ModuloPartition::new(n, cfg.ranks);
+    let part = ModuloPartition::new(n, ranks);
     let local_n = part.local_count(rank);
 
     // In-Table: in-edges of local vertices, identical layout to Louvain.
-    let mut in_table = EdgeTable::new((2 * edges.num_edges() / cfg.ranks).max(8));
+    let mut in_table = EdgeTable::new((2 * edges.num_edges() / ranks).max(8));
     for e in edges.edges() {
         if e.u == e.v {
             continue; // self-loops don't vote
@@ -163,7 +123,7 @@ fn rank_main(
     let mut fractions = Vec::new();
     let mut iterations = 0usize;
 
-    for iter in 0..cfg.max_iterations {
+    for iter in 0..MAX_ITERATIONS {
         iterations += 1;
         // Propagate labels: identical exchange shape to Algorithm 3.
         out_table.reset_for(in_table.len().max(8));
@@ -199,7 +159,7 @@ fn rank_main(
                 best_l[li] = l;
             }
         }
-        ctx.charge((out_table.len() + local_n) as f64 * cfg.charge_per_message);
+        ctx.charge((out_table.len() + local_n) as f64);
         let mut changes = 0u64;
         for li in 0..local_n {
             // Parity alternation: only half the vertices may change per
@@ -219,7 +179,7 @@ fn rank_main(
         let global_changes = ctx.allreduce_sum_u64(changes);
         let fraction = global_changes as f64 / n.max(1) as f64;
         fractions.push(fraction);
-        if fraction < cfg.min_change_fraction {
+        if fraction < MIN_CHANGE_FRACTION {
             break;
         }
     }
@@ -245,7 +205,7 @@ mod tests {
             },
             3,
         );
-        let r = LabelPropagation::new(LabelPropConfig::with_ranks(4)).run(&el);
+        let r = LabelPropagation::new(4).run(&el);
         let sim = nmi(&P::from_labels(&truth), &r.partition);
         assert!(sim > 0.9, "NMI {sim}");
         assert!(r.partition.is_valid());
@@ -262,7 +222,7 @@ mod tests {
             },
             5,
         );
-        let r = LabelPropagation::new(LabelPropConfig::with_ranks(2)).run(&el);
+        let r = LabelPropagation::new(2).run(&el);
         assert!(r.iterations <= 32);
         assert_eq!(r.change_fractions.len(), r.iterations);
         assert!(*r.change_fractions.last().unwrap() < 1e-3);
@@ -290,7 +250,7 @@ mod tests {
             7,
         );
         let csr = g.edges.to_csr();
-        let lp = LabelPropagation::new(LabelPropConfig::with_ranks(4)).run(&g.edges);
+        let lp = LabelPropagation::new(4).run(&g.edges);
         let louvain =
             crate::parallel::ParallelLouvain::new(crate::parallel::ParallelConfig::with_ranks(4))
                 .run(&g.edges);
@@ -313,8 +273,8 @@ mod tests {
             },
             9,
         );
-        let a = LabelPropagation::new(LabelPropConfig::with_ranks(3)).run(&el);
-        let b = LabelPropagation::new(LabelPropConfig::with_ranks(3)).run(&el);
+        let a = LabelPropagation::new(3).run(&el);
+        let b = LabelPropagation::new(3).run(&el);
         assert_eq!(a.partition.labels(), b.partition.labels());
     }
 
@@ -323,7 +283,7 @@ mod tests {
         let mut b = EdgeListBuilder::new(2);
         b.add_edge(0, 1, 1.0);
         let el = b.build();
-        let r = LabelPropagation::new(LabelPropConfig::with_ranks(2)).run(&el);
+        let r = LabelPropagation::new(2).run(&el);
         // Min-label tie-break merges the pair.
         assert_eq!(r.partition.num_communities(), 1);
     }

@@ -9,23 +9,21 @@
 
 //! The Louvain algorithms of Que et al. (IPDPS 2015).
 //!
-//! Three solvers over the same graph substrate:
+//! Two solvers over the same graph substrate:
 //!
 //! * [`seq`] — the sequential Louvain algorithm (Algorithm 1 of the paper;
 //!   Blondel et al. 2008). The baseline for every quality comparison and
 //!   the source of the vertex-migration traces that train the convergence
 //!   heuristic (Figure 2).
-//! * [`naive`] — a synchronous parallel variant *without* the heuristic:
-//!   every vertex moves greedily on a stale snapshot. This is the
-//!   "Parallel without Heuristic" line of Figure 4 that oscillates and
-//!   fails to converge.
 //! * [`parallel`] — the paper's contribution: the distributed-memory
 //!   parallel Louvain built on hash-based In/Out tables
 //!   (Algorithms 2–5), the exponential-decay move threshold
 //!   ([`heuristic`], Equation 7), community state propagation,
 //!   all-to-all graph reconstruction, and a frontier-scheduled
 //!   local-move phase ([`frontier`]) that scans only vertices whose
-//!   best-move decision could have changed.
+//!   best-move decision could have changed. With
+//!   `use_heuristic: false` it is the "Parallel without Heuristic" line
+//!   of Figure 4 that oscillates and fails to converge.
 //!
 //! Shared pieces: the ΔQ kernel ([`dq`], Equation 4), hierarchy/result
 //! types ([`result`]), and per-phase timers ([`timing`], Figure 8).
@@ -38,7 +36,6 @@ pub mod frontier;
 pub mod heuristic;
 pub mod json;
 pub mod labelprop;
-pub mod naive;
 pub mod parallel;
 pub mod refine;
 pub mod result;
@@ -51,11 +48,10 @@ pub use dendrogram::Dendrogram;
 pub use frontier::FrontierStats;
 pub use heuristic::{EpsilonSchedule, ScheduleForm};
 pub use json::Json;
-pub use labelprop::{LabelPropConfig, LabelPropResult, LabelPropagation};
-pub use naive::{NaiveConfig, NaiveParallelLouvain};
+pub use labelprop::{LabelPropResult, LabelPropagation};
 pub use parallel::{ParallelConfig, ParallelLouvain, ParallelResult};
 pub use refine::{refine_partition, Refinement};
 pub use result::{LevelInfo, LouvainResult};
 pub use seq::{SeqConfig, SequentialLouvain};
-pub use smp::{SmpConfig, SmpLouvain};
+pub use smp::SmpLouvain;
 pub use timing::{Phase, PhaseTimers};

@@ -71,7 +71,7 @@
 use crate::checkpoint::{Checkpoint, CheckpointStore, LevelSnapshot};
 use crate::dq;
 use crate::frontier::{Frontier, FrontierStats};
-use crate::heuristic::EpsilonSchedule;
+use crate::heuristic::{EpsilonSchedule, MIN_MOVE_FRACTION, MIN_Q_IMPROVEMENT};
 use crate::result::{LevelInfo, LouvainResult};
 use crate::timing::{
     CommBreakdown, InnerIterationTiming, Phase, PhaseTimers, SimBreakdown, Stopwatch,
@@ -90,6 +90,9 @@ use louvain_runtime::{
 use louvain_trace::{Event, RankTrace};
 use std::collections::{BTreeMap, BTreeSet};
 use std::time::Duration;
+
+/// Bins of the global gain histogram that translates ε into `ΔQ̂`.
+const HISTOGRAM_BINS: usize = 64;
 
 /// 16-byte POD message: two ids and a weight. The meaning of `(a, b, w)`
 /// depends on the phase (edge, state triple, or Σ_tot delta).
@@ -113,15 +116,18 @@ pub struct Msg {
 /// use louvain_core::parallel::ParallelConfig;
 ///
 /// let cfg = ParallelConfig::with_ranks(8);
-/// assert_eq!(cfg.min_gain_threshold, 0.0); // bit-identical to the full scan
+/// assert!(cfg.use_heuristic); // the ε throttle of Equation 7
 /// assert!(!cfg.full_rescan); // frontier scheduling on
 ///
-/// // Trade a little quality for fewer sweeps: ignore gains below 1e-6.
-/// let coarse = ParallelConfig {
-///     min_gain_threshold: 1e-6,
+/// // The Figure-4 strawman: the same solver without the heuristic,
+/// // iteration-capped so its oscillation terminates.
+/// let strawman = ParallelConfig {
+///     use_heuristic: false,
+///     max_inner_iterations: 12,
+///     max_levels: 6,
 ///     ..ParallelConfig::with_ranks(8)
 /// };
-/// assert!(coarse.min_gain_threshold > cfg.min_gain_threshold);
+/// assert_ne!(strawman, cfg);
 /// ```
 #[derive(Clone, Debug, PartialEq)]
 pub struct ParallelConfig {
@@ -138,24 +144,6 @@ pub struct ParallelConfig {
     pub max_inner_iterations: usize,
     /// Maximum hierarchy levels.
     pub max_levels: usize,
-    /// Inner loop stops once a full iteration improves Q by less than
-    /// this (heuristic mode only; the naive mode must be allowed to
-    /// oscillate).
-    pub min_improvement: f64,
-    /// Outer loop stops once a level improves Q by less than this.
-    pub min_level_improvement: f64,
-    /// Bins of the global gain histogram used to translate ε into `ΔQ̂`.
-    pub histogram_bins: usize,
-    /// Inner loop exits once the global move fraction drops below this
-    /// (heuristic mode only). The tail iterations move almost nobody but
-    /// cost two full state propagations each; the paper's UK-2007 runs
-    /// use ~8 inner loops (Figure 8b).
-    pub min_move_fraction: f64,
-    /// BSP cost model: units per synchronization (see `louvain-runtime`'s
-    /// simulated clock).
-    pub sync_latency_units: f64,
-    /// BSP cost model: units per message sent/delivered.
-    pub charge_per_message: f64,
     /// Schedule-perturbation seed forwarded to the runtime (see
     /// [`louvain_runtime::RuntimeConfig::perturb_seed`]): `Some(seed)`
     /// adversarially permutes message delivery order in every exchange
@@ -174,18 +162,6 @@ pub struct ParallelConfig {
     /// this to prove the volume verifier rejects the regression
     /// (DESIGN.md §12).
     pub v1_state_rebuild: bool,
-    /// Minimum modularity gain a vertex must see before it may migrate —
-    /// and before it is kept on the eligibility ledger between scans
-    /// (DESIGN.md §13). The default `0.0` keeps the exact semantics of
-    /// the unscheduled algorithm (`m_u > 0` moves), so solver output is
-    /// bit-identical to the seed behavior. A positive threshold prunes
-    /// near-zero-gain churn: vertices whose best gain never exceeds it
-    /// drop off the ledger, trading a bounded amount of modularity
-    /// (at most `threshold` per suppressed move) for fewer moves and
-    /// deltas. Gains below the threshold still enter the ε-histogram —
-    /// the knob composes with, and is applied after, the Equation-7
-    /// schedule.
-    pub min_gain_threshold: f64,
     /// Ablation knob: when `true`, every vertex is re-activated every
     /// iteration, reducing the frontier scheduler to the full scan the
     /// paper describes. Output is bit-identical either way (the frontier
@@ -233,16 +209,9 @@ impl Default for ParallelConfig {
             use_heuristic: true,
             max_inner_iterations: 32,
             max_levels: 16,
-            min_improvement: 1e-7,
-            min_level_improvement: 1e-7,
-            histogram_bins: 64,
-            min_move_fraction: 5e-3,
-            sync_latency_units: 5000.0,
-            charge_per_message: 1.0,
             perturb_seed: None,
             record_protocol: false,
             v1_state_rebuild: false,
-            min_gain_threshold: 0.0,
             full_rescan: false,
             checkpoint_every_level: 0,
             fault_plan: None,
@@ -708,7 +677,6 @@ impl ParallelLouvain {
     #[must_use]
     pub fn new(cfg: ParallelConfig) -> Self {
         assert!(cfg.ranks >= 1);
-        assert!(cfg.histogram_bins >= 2);
         Self { cfg }
     }
 
@@ -744,8 +712,6 @@ impl ParallelLouvain {
         let input = &input;
         let rt_cfg = RuntimeConfig {
             coalesce_capacity: cfg.coalesce_capacity,
-            sync_latency_units: cfg.sync_latency_units,
-            charge_per_message: cfg.charge_per_message,
             perturb_seed: cfg.perturb_seed,
             record_protocol: cfg.record_protocol,
             ..RuntimeConfig::new(cfg.ranks)
@@ -1068,7 +1034,7 @@ fn rank_main(
         level_orig_comms.push(orig_comm.to_vec());
 
         let no_reduction = n_next == lvl.n;
-        let improved = q - q_prev_level > cfg.min_level_improvement;
+        let improved = q - q_prev_level > MIN_Q_IMPROVEMENT;
         q_prev_level = q;
         lvl = next;
         if matches!(lvl.part, AnyPartition::Balanced(_)) {
@@ -1892,7 +1858,7 @@ fn refine(
     // the next collective.
     let t_prop0 = Stopwatch::start();
     build_out_table_local(lvl, out_table);
-    ctx.charge(lvl.in_table.len() as f64 * cfg.charge_per_message);
+    ctx.charge(lvl.in_table.len() as f64);
     sim_lap(ctx, &mut sim.state_propagation, &mut work.state_propagation);
     let prop0 = t_prop0.elapsed();
     timers.add(Phase::StatePropagation, prop0);
@@ -2049,7 +2015,7 @@ fn refine(
                     summ[li] = f;
                     // A patch fold keeps the cached decision exact, so
                     // eligibility routes through the ledger as usual.
-                    frontier.set_eligible(li, m_u[li] > cfg.min_gain_threshold);
+                    frontier.set_eligible(li, m_u[li] > 0.0);
                 }
             }
             pi = pj;
@@ -2129,7 +2095,7 @@ fn refine(
             // would be waste, though: with unchanged inputs the cached
             // decision is already exact, so the ledger — not the scan
             // frontier — carries it forward.
-            frontier.set_eligible(li, m_u[li] > cfg.min_gain_threshold);
+            frontier.set_eligible(li, m_u[li] > 0.0);
         }
         // The UPDATE sweep below consumes the rebuilt (ascending)
         // eligible list: freshly scanned vertices contribute their new
@@ -2139,9 +2105,7 @@ fn refine(
         // patched plus one per active vertex (the remove-gain pass). The
         // frontier is schedule-invariant, so the charge — and the
         // simulated clock — remain deterministic.
-        ctx.charge(
-            (rows_scanned + rows_patched + frontier.worklist.len()) as f64 * cfg.charge_per_message,
-        );
+        ctx.charge((rows_scanned + rows_patched + frontier.worklist.len()) as f64);
         timers.add(Phase::FindBestCommunity, t_find.elapsed());
         it_timing.find_best = t_find.elapsed();
 
@@ -2153,8 +2117,9 @@ fn refine(
         };
         // The find-best bucket closes at the threshold reductions (the
         // scan itself has no collective; its compute charge is accounted
-        // by the sync that follows). In naive mode there is no threshold
-        // collective, so the scan charge folds into the update bucket.
+        // by the sync that follows). Without the heuristic there is no
+        // threshold collective, so the scan charge folds into the update
+        // bucket.
         sim_lap(ctx, &mut sim.find_best, &mut work.find_best);
 
         // --- UPDATE COMMUNITY INFORMATION ---
@@ -2188,13 +2153,13 @@ fn refine(
             // the pending set of the same frontier mid-sweep.
             for ei in 0..frontier.eligible_list.len() {
                 let li = frontier.eligible_list[ei] as usize;
-                if m_u[li] > cfg.min_gain_threshold && m_u[li] >= threshold {
+                if m_u[li] > 0.0 && m_u[li] >= threshold {
                     let c_old = label[li];
                     let c_new = best[li];
                     let u = part.global(rank, li);
                     let k_u = k[li];
-                    // Re-vet only with the heuristic enabled; the naive
-                    // ablation applies snapshot decisions blindly, which
+                    // Re-vet only with the heuristic enabled; the
+                    // no-heuristic ablation applies snapshot decisions blindly, which
                     // is exactly the chaotic motion of Section III.
                     if cfg.use_heuristic {
                         let a_uu = in_table.get(pack_key(u, u)).unwrap_or(0.0);
@@ -2238,7 +2203,7 @@ fn refine(
                         m_u[li] = 0.0;
                         best[li] = c_new;
                         summ[li] = CandSummary::sentinel_only(c_new);
-                        frontier.set_eligible(li, m_u[li] > cfg.min_gain_threshold);
+                        frontier.set_eligible(li, m_u[li] > 0.0);
                     } else {
                         frontier.wake(li);
                     }
@@ -2330,7 +2295,7 @@ fn refine(
         let fraction = moves as f64 / lvl.n.max(1) as f64;
         if cfg.use_heuristic
             && iter > 1
-            && (q - q_prev < cfg.min_improvement || fraction < cfg.min_move_fraction)
+            && (q - q_prev < MIN_Q_IMPROVEMENT || fraction < MIN_MOVE_FRACTION)
         {
             break;
         }
@@ -2356,7 +2321,7 @@ fn compute_threshold(
     if global_max <= 0.0 {
         return 0.0; // nobody wants to move
     }
-    let bins = cfg.histogram_bins;
+    let bins = HISTOGRAM_BINS;
     let hi = global_max;
     let lo = hi * 1e-9;
     let log_span = (hi / lo).ln();
@@ -3086,32 +3051,6 @@ mod tests {
     }
 
     #[test]
-    fn positive_min_gain_threshold_prunes_with_bounded_quality_cost() {
-        let (el, _) = planted_graph(5);
-        let g = el.to_csr();
-        let exact = ParallelLouvain::new(ParallelConfig::with_ranks(4)).run(&el);
-        let pruned = ParallelLouvain::new(ParallelConfig {
-            min_gain_threshold: 1e-4,
-            ..ParallelConfig::with_ranks(4)
-        })
-        .run(&el);
-        assert!(pruned.result.final_partition.is_valid());
-        let q = modularity(&g, &pruned.result.final_partition);
-        assert!(
-            (q - pruned.result.final_modularity).abs() <= 1e-9 * (1.0 + q.abs()),
-            "reported {} vs recomputed {q}",
-            pruned.result.final_modularity
-        );
-        // Pruning near-zero gains may cost a little quality, never much.
-        assert!(
-            pruned.result.final_modularity >= exact.result.final_modularity - 0.05,
-            "pruned {} vs exact {}",
-            pruned.result.final_modularity,
-            exact.result.final_modularity
-        );
-    }
-
-    #[test]
     fn without_heuristic_struggles_on_mixed_graphs() {
         use louvain_graph::gen::lfr::{generate_lfr, LfrConfig};
         let el = generate_lfr(&LfrConfig::standard(2000, 0.5), 7).edges;
@@ -3124,7 +3063,7 @@ mod tests {
         .run(&el);
         assert!(
             with.result.final_modularity > without.result.final_modularity,
-            "heuristic {} vs naive {}",
+            "heuristic {} vs without {}",
             with.result.final_modularity,
             without.result.final_modularity
         );

@@ -8,6 +8,7 @@
 
 use crate::coarsen::induced_edge_list;
 use crate::dq::insert_gain_scaled;
+use crate::heuristic::MIN_Q_IMPROVEMENT;
 use crate::result::{LevelInfo, LouvainResult};
 use louvain_graph::csr::CsrGraph;
 use louvain_metrics::{modularity, Partition};
@@ -33,30 +34,18 @@ pub enum VertexOrder {
     DegreeAscending,
 }
 
+/// Inner sweeps per level are capped here (the algorithm normally stops
+/// much earlier when no vertex moves).
+const MAX_INNER_ITERATIONS: usize = 128;
+
+/// Maximum hierarchy levels.
+const MAX_LEVELS: usize = 32;
+
 /// Sequential solver configuration.
-#[derive(Clone, Copy, Debug, PartialEq)]
+#[derive(Clone, Copy, Debug, PartialEq, Default)]
 pub struct SeqConfig {
-    /// Outer loop stops when a level improves modularity by less than
-    /// this.
-    pub min_level_improvement: f64,
-    /// Inner sweeps per level are capped here (the algorithm normally
-    /// stops much earlier when no vertex moves).
-    pub max_inner_iterations: usize,
-    /// Maximum hierarchy levels.
-    pub max_levels: usize,
     /// Vertex traversal order (Section V-B order dependence).
     pub order: VertexOrder,
-}
-
-impl Default for SeqConfig {
-    fn default() -> Self {
-        Self {
-            min_level_improvement: 1e-7,
-            max_inner_iterations: 128,
-            max_levels: 32,
-            order: VertexOrder::Natural,
-        }
-    }
 }
 
 /// The sequential Louvain solver.
@@ -112,7 +101,7 @@ impl SequentialLouvain {
         let mut level_partitions: Vec<Partition> = Vec::new();
         let mut q_prev = modularity(g, &Partition::singletons(n));
 
-        for level in 0..self.cfg.max_levels {
+        for level in 0..MAX_LEVELS {
             let lvl = self.one_level(&current, level as u64);
             if lvl.total_moves == 0 {
                 break; // nothing merged: hierarchy is stable
@@ -132,7 +121,7 @@ impl SequentialLouvain {
                 q_trace: Vec::new(),
             });
             level_partitions.push(Partition::from_labels(&orig_labels));
-            let improved = q_after - q_prev > self.cfg.min_level_improvement;
+            let improved = q_after - q_prev > MIN_Q_IMPROVEMENT;
             q_prev = q_after;
             if !improved || lvl.num_communities == current.num_vertices() {
                 break;
@@ -191,7 +180,7 @@ impl SequentialLouvain {
             };
         }
 
-        for _sweep in 0..self.cfg.max_inner_iterations {
+        for _sweep in 0..MAX_INNER_ITERATIONS {
             inner_iterations += 1;
             let mut moves = 0usize;
             for &u in &order {
@@ -405,11 +394,7 @@ mod tests {
             VertexOrder::DegreeAscending,
         ];
         for order in orders {
-            let r = SequentialLouvain::new(SeqConfig {
-                order,
-                ..SeqConfig::default()
-            })
-            .run(&g);
+            let r = SequentialLouvain::new(SeqConfig { order }).run(&g);
             assert_eq!(r.final_partition.num_communities(), 2, "{order:?}");
         }
     }
@@ -436,12 +421,9 @@ mod tests {
         ]
         .into_iter()
         .map(|order| {
-            SequentialLouvain::new(SeqConfig {
-                order,
-                ..SeqConfig::default()
-            })
-            .run(&g)
-            .final_modularity
+            SequentialLouvain::new(SeqConfig { order })
+                .run(&g)
+                .final_modularity
         })
         .collect();
         let max = qs.iter().copied().fold(f64::NEG_INFINITY, f64::max);

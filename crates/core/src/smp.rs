@@ -15,55 +15,24 @@
 
 use crate::coarsen::induced_edge_list;
 use crate::dq::{insert_gain_scaled, move_gain};
-use crate::heuristic::EpsilonSchedule;
+use crate::heuristic::{EpsilonSchedule, MIN_MOVE_FRACTION, MIN_Q_IMPROVEMENT};
 use crate::result::{LevelInfo, LouvainResult};
 use louvain_graph::csr::CsrGraph;
 use louvain_metrics::{modularity, Partition};
 use rayon::prelude::*;
 
-/// Shared-memory solver configuration.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct SmpConfig {
-    /// ε schedule of the move budget (Equation 7).
-    pub schedule: EpsilonSchedule,
-    /// Inner-iteration cap per level.
-    pub max_inner_iterations: usize,
-    /// Maximum hierarchy levels.
-    pub max_levels: usize,
-    /// Inner loop stops when an iteration improves Q by less than this.
-    pub min_improvement: f64,
-    /// Outer loop stops when a level improves Q by less than this.
-    pub min_level_improvement: f64,
-    /// Inner loop stops when the move fraction drops below this.
-    pub min_move_fraction: f64,
-}
+/// Inner-iteration cap per level.
+const MAX_INNER_ITERATIONS: usize = 32;
 
-impl Default for SmpConfig {
-    fn default() -> Self {
-        Self {
-            schedule: EpsilonSchedule::default(),
-            max_inner_iterations: 32,
-            max_levels: 16,
-            min_improvement: 1e-7,
-            min_level_improvement: 1e-7,
-            min_move_fraction: 5e-3,
-        }
-    }
-}
+/// Maximum hierarchy levels.
+const MAX_LEVELS: usize = 16;
 
-/// The shared-memory parallel solver.
-#[derive(Clone, Debug, Default)]
-pub struct SmpLouvain {
-    cfg: SmpConfig,
-}
+/// The shared-memory parallel solver. Its move budget follows the
+/// default ε schedule (Equation 7).
+#[derive(Clone, Copy, Debug, Default)]
+pub struct SmpLouvain;
 
 impl SmpLouvain {
-    /// Creates a solver with the given configuration.
-    #[must_use]
-    pub fn new(cfg: SmpConfig) -> Self {
-        Self { cfg }
-    }
-
     /// Runs hierarchical shared-memory Louvain on `g`.
     #[must_use]
     pub fn run(&self, g: &CsrGraph) -> LouvainResult {
@@ -74,7 +43,7 @@ impl SmpLouvain {
         let mut level_partitions: Vec<Partition> = Vec::new();
         let mut q_prev = modularity(g, &Partition::singletons(n));
 
-        for _ in 0..self.cfg.max_levels {
+        for _ in 0..MAX_LEVELS {
             let lvl = self.one_level(&current);
             if lvl.total_moves == 0 {
                 break;
@@ -93,7 +62,7 @@ impl SmpLouvain {
                 q_trace: lvl.q_trace,
             });
             level_partitions.push(Partition::from_labels(&orig_labels));
-            let improved = q_after - q_prev > self.cfg.min_level_improvement;
+            let improved = q_after - q_prev > MIN_Q_IMPROVEMENT;
             q_prev = q_after;
             if !improved || lvl.num_communities == current.num_vertices() {
                 break;
@@ -140,7 +109,8 @@ impl SmpLouvain {
         let mut size: Vec<u32> = vec![1; n];
         let mut q_prev = f64::NEG_INFINITY;
 
-        for iter in 1..=self.cfg.max_inner_iterations {
+        let schedule = EpsilonSchedule::default();
+        for iter in 1..=MAX_INNER_ITERATIONS {
             iterations = iter;
             // --- find best moves in parallel against the snapshot ---
             let labels_snap = &labels;
@@ -191,7 +161,7 @@ impl SmpLouvain {
                 .collect();
 
             // --- exact top-ε threshold ---
-            let eps = self.cfg.schedule.epsilon(iter);
+            let eps = schedule.epsilon(iter);
             let keep = ((eps * n as f64).ceil() as usize).max(1);
             let mut gains: Vec<f64> = proposals
                 .iter()
@@ -257,9 +227,7 @@ impl SmpLouvain {
             let q = modularity(g, &Partition::from_labels(&labels));
             q_trace.push(q);
             let fraction = moves as f64 / n as f64;
-            if iter > 1
-                && (q - q_prev < self.cfg.min_improvement || fraction < self.cfg.min_move_fraction)
-            {
+            if iter > 1 && (q - q_prev < MIN_Q_IMPROVEMENT || fraction < MIN_MOVE_FRACTION) {
                 break;
             }
             q_prev = q;
@@ -307,7 +275,7 @@ mod tests {
             5,
         );
         let g = el.to_csr();
-        let r = SmpLouvain::new(SmpConfig::default()).run(&g);
+        let r = SmpLouvain.run(&g);
         let sim = nmi(&Partition::from_labels(&truth), &r.final_partition);
         assert!(sim > 0.95, "NMI {sim}");
     }
@@ -320,7 +288,7 @@ mod tests {
         let q_seq = SequentialLouvain::new(SeqConfig::default())
             .run(&g)
             .final_modularity;
-        let r = SmpLouvain::new(SmpConfig::default()).run(&g);
+        let r = SmpLouvain.run(&g);
         assert!(
             (q_seq - r.final_modularity).abs() < 0.05,
             "smp {} vs seq {q_seq}",
@@ -333,7 +301,7 @@ mod tests {
         let g = generate_lfr(&LfrConfig::standard(2000, 0.3), 4)
             .edges
             .to_csr();
-        let r = SmpLouvain::new(SmpConfig::default()).run(&g);
+        let r = SmpLouvain.run(&g);
         let q = modularity(&g, &r.final_partition);
         assert!((q - r.final_modularity).abs() < 1e-9);
         assert!(r.final_partition.is_valid());
@@ -345,14 +313,14 @@ mod tests {
         let mut b = EdgeListBuilder::new(2);
         b.add_edge(0, 1, 1.0);
         let g = b.build_csr();
-        let r = SmpLouvain::new(SmpConfig::default()).run(&g);
+        let r = SmpLouvain.run(&g);
         assert_eq!(r.final_partition.num_communities(), 1);
     }
 
     #[test]
     fn empty_and_tiny_graphs() {
         let g = EdgeListBuilder::new(3).build_csr();
-        let r = SmpLouvain::new(SmpConfig::default()).run(&g);
+        let r = SmpLouvain.run(&g);
         assert_eq!(r.num_levels(), 0);
         assert_eq!(r.final_partition.num_communities(), 3);
     }

@@ -203,7 +203,7 @@ impl CommBreakdown {
 /// are bit-identical across runs and perturb seeds. Attribution caveats:
 /// FIND BEST COMMUNITY performs no collective of its own — its compute
 /// charge is accounted at the threshold reduction that follows it — and
-/// in naive mode (no ε heuristic) that bucket is folded into `update`.
+/// without the ε heuristic that bucket is folded into `update`.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct SimBreakdown {
     /// Initial graph loading / distribution supersteps.

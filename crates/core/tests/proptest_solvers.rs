@@ -1,10 +1,11 @@
-//! Property-based tests across all four solvers on random small graphs.
+//! Property-based tests across the sequential, SMP and distributed
+//! solvers (with and without the convergence heuristic) on random small
+//! graphs.
 
-use louvain_core::naive::{NaiveConfig, NaiveParallelLouvain};
 use louvain_core::parallel::{ParallelConfig, ParallelLouvain};
 use louvain_core::refine::refine_partition;
 use louvain_core::seq::{SeqConfig, SequentialLouvain};
-use louvain_core::smp::{SmpConfig, SmpLouvain};
+use louvain_core::smp::SmpLouvain;
 use louvain_core::Dendrogram;
 use louvain_graph::edgelist::{EdgeList, EdgeListBuilder};
 use louvain_metrics::{modularity, Partition};
@@ -33,15 +34,27 @@ proptest! {
         let q0 = modularity(&g, &Partition::singletons(g.num_vertices()));
 
         let seq = SequentialLouvain::new(SeqConfig::default()).run(&g);
-        let smp = SmpLouvain::new(SmpConfig::default()).run(&g);
+        let smp = SmpLouvain.run(&g);
         let par = ParallelLouvain::new(ParallelConfig::with_ranks(3)).run(&el);
-        let naive = NaiveParallelLouvain::new(NaiveConfig::default()).run(&g);
+        // The Figure-4 strawman: the distributed solver without the ε
+        // throttle, iteration-capped so its oscillation terminates.
+        let unthrottled = ParallelLouvain::new(ParallelConfig {
+            use_heuristic: false,
+            max_inner_iterations: 12,
+            max_levels: 6,
+            ..ParallelConfig::with_ranks(3)
+        })
+        .run(&el);
 
         for (name, p, q) in [
             ("seq", &seq.final_partition, seq.final_modularity),
             ("smp", &smp.final_partition, smp.final_modularity),
             ("par", &par.result.final_partition, par.result.final_modularity),
-            ("naive", &naive.final_partition, naive.final_modularity),
+            (
+                "par-no-heuristic",
+                &unthrottled.result.final_partition,
+                unthrottled.result.final_modularity,
+            ),
         ] {
             prop_assert!(p.is_valid(), "{name}");
             prop_assert_eq!(p.num_vertices(), g.num_vertices(), "{}", name);

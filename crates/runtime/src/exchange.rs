@@ -66,10 +66,10 @@ pub struct Exchange<'a, 'w, M: Send> {
     /// Fault layer: packets held back by a `Delay` decision, per
     /// destination — re-wired after the next packet to that destination
     /// (reordering them) or at [`Exchange::finish`].
-    delayed: Vec<Vec<Vec<M>>>,
+    delayed: Vec<Vec<Packet<M>>>,
     /// Fault layer: packets swallowed by a `Drop` decision, retransmitted
     /// at [`Exchange::finish`] before the quiescence counts post.
-    dropped: Vec<(usize, Vec<M>)>,
+    dropped: Vec<(usize, Packet<M>)>,
     /// Call site of `ctx.exchange()`, reported by protocol diagnostics.
     loc: &'static Location<'static>,
 }
@@ -205,28 +205,23 @@ impl<'a, 'w, M: Send> Exchange<'a, 'w, M> {
     /// invisible to quiescence and to [`CommStats`](crate::CommStats) —
     /// faults perturb the wire, never the bookkeeping.
     fn transmit(&mut self, dest: usize, msgs: Vec<M>) {
-        let decision = self.ctx.packet_fault(dest, self.phase, self.xmit_ordinal);
+        let seq = self.xmit_ordinal;
+        let decision = self.ctx.packet_fault(dest, self.phase, seq);
         self.xmit_ordinal += 1;
+        let packet = Packet {
+            redundant: false,
+            src: self.self_rank,
+            seq,
+            msgs,
+        };
         match decision {
             None => {
-                self.wire(
-                    dest,
-                    Packet {
-                        redundant: false,
-                        msgs,
-                    },
-                );
+                self.wire(dest, packet);
                 self.release_delayed(dest);
             }
             Some(PacketFault::Duplicate) => {
                 self.ctx.fault_dups.set(self.ctx.fault_dups.get() + 1);
-                self.wire(
-                    dest,
-                    Packet {
-                        redundant: false,
-                        msgs,
-                    },
-                );
+                self.wire(dest, packet);
                 // The injected copy is tagged and empty: receivers
                 // discard it unread (`M` need not be `Clone`), so a
                 // duplicate can never re-deliver its messages.
@@ -234,6 +229,8 @@ impl<'a, 'w, M: Send> Exchange<'a, 'w, M> {
                     dest,
                     Packet {
                         redundant: true,
+                        src: self.self_rank,
+                        seq,
                         msgs: Vec::new(),
                     },
                 );
@@ -241,11 +238,11 @@ impl<'a, 'w, M: Send> Exchange<'a, 'w, M> {
             }
             Some(PacketFault::Delay) => {
                 self.ctx.fault_delays.set(self.ctx.fault_delays.get() + 1);
-                self.delayed[dest].push(msgs);
+                self.delayed[dest].push(packet);
             }
             Some(PacketFault::Drop) => {
                 self.ctx.fault_drops.set(self.ctx.fault_drops.get() + 1);
-                self.dropped.push((dest, msgs));
+                self.dropped.push((dest, packet));
             }
         }
     }
@@ -253,14 +250,8 @@ impl<'a, 'w, M: Send> Exchange<'a, 'w, M> {
     /// Re-wires packets held by earlier `Delay` decisions for `dest`,
     /// now that a later packet has overtaken them.
     fn release_delayed(&mut self, dest: usize) {
-        for msgs in std::mem::take(&mut self.delayed[dest]) {
-            self.wire(
-                dest,
-                Packet {
-                    redundant: false,
-                    msgs,
-                },
-            );
+        for packet in std::mem::take(&mut self.delayed[dest]) {
+            self.wire(dest, packet);
         }
     }
 
@@ -272,14 +263,8 @@ impl<'a, 'w, M: Send> Exchange<'a, 'w, M> {
         for dest in 0..self.delayed.len() {
             self.release_delayed(dest);
         }
-        for (dest, msgs) in std::mem::take(&mut self.dropped) {
-            self.wire(
-                dest,
-                Packet {
-                    redundant: false,
-                    msgs,
-                },
-            );
+        for (dest, packet) in std::mem::take(&mut self.dropped) {
+            self.wire(dest, packet);
         }
     }
 
@@ -378,8 +363,8 @@ impl<'a, 'w, M: Send> Exchange<'a, 'w, M> {
         }
         while received < expected {
             let packet = self.recv_packet();
-            received += packet.len() as u64;
-            for m in packet {
+            received += packet.msgs.len() as u64;
+            for m in packet.msgs {
                 handler(m);
             }
         }
@@ -389,35 +374,45 @@ impl<'a, 'w, M: Send> Exchange<'a, 'w, M> {
     /// The adversarial delivery path: collects every inbound packet
     /// (treating the self-send buffer as one more packet), then invokes
     /// the handler in a seeded pseudo-random packet order with a
-    /// pseudo-random message order inside each packet. The simulated
-    /// clock is untouched — only the interleaving observable to the
-    /// handler changes.
+    /// pseudo-random message order inside each packet. The packets are
+    /// first put in their canonical `(src, seq)` order, so the shuffle —
+    /// and hence the handler order — is a function of the seed alone,
+    /// not of channel arrival order. The simulated clock is untouched —
+    /// only the interleaving observable to the handler changes.
     fn drain_perturbed<F: FnMut(M)>(&mut self, expected: u64, seed: u64, handler: &mut F) -> u64 {
         let mut received = self.self_buf.len() as u64;
-        let mut packets: Vec<Vec<M>> = Vec::new();
+        let mut packets: Vec<Packet<M>> = Vec::new();
         let self_packet = std::mem::take(&mut self.self_buf);
         if !self_packet.is_empty() {
-            packets.push(self_packet);
+            // Self-sends never touch the channel, so `src` alone keys
+            // this packet uniquely.
+            packets.push(Packet {
+                redundant: false,
+                src: self.self_rank,
+                seq: 0,
+                msgs: self_packet,
+            });
         }
         while received < expected {
             let packet = self.recv_packet();
-            received += packet.len() as u64;
+            received += packet.msgs.len() as u64;
             packets.push(packet);
         }
+        packets.sort_unstable_by_key(|p| (p.src, p.seq));
         let mut rng = PerturbRng::new(seed, self.self_rank as u64, self.phase);
         rng.shuffle(&mut packets);
         for packet in &mut packets {
-            rng.shuffle(packet);
+            rng.shuffle(&mut packet.msgs);
         }
         for packet in packets {
-            for m in packet {
+            for m in packet.msgs {
                 handler(m);
             }
         }
         received
     }
 
-    fn recv_packet(&mut self) -> Vec<M> {
+    fn recv_packet(&mut self) -> Packet<M> {
         loop {
             let packet = self
                 .ctx
@@ -431,7 +426,7 @@ impl<'a, 'w, M: Send> Exchange<'a, 'w, M> {
                 // it.
                 continue;
             }
-            return packet.msgs;
+            return packet;
         }
     }
 

@@ -240,6 +240,12 @@ pub enum RunOutcome<R> {
 /// unlikely.
 pub(crate) struct Packet<M> {
     pub(crate) redundant: bool,
+    /// Sending rank and that rank's transmit ordinal within the phase:
+    /// a canonical order over one phase's packets that does not depend
+    /// on channel arrival order (or on fault-layer delays), so perturbed
+    /// delivery can replay a seed exactly.
+    pub(crate) src: usize,
+    pub(crate) seq: u64,
     pub(crate) msgs: Vec<M>,
 }
 

@@ -14,7 +14,7 @@
 #                                  first failed command
 #
 # Steps (in quick-gate order): fmt clippy lint protocol cost docs tests
-# race chaos. Full-gate extras: race8 chaos-full bench-drift.
+# perf race chaos. Full-gate extras: race8 chaos-full bench-drift.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -67,6 +67,12 @@ run_step() {
       cargo test --workspace -q
       cargo test --workspace --doc -q
       ;;
+    perf)
+      # The louvain-perf benchmark is a package of its own (empty
+      # [workspace]), so no workspace step compiles it; build and test it
+      # here so a louvain-core API change cannot break it unnoticed.
+      cargo test --release --offline --manifest-path crates/bench/src/bin/louvain-perf/Cargo.toml
+      ;;
     race)
       # Schedule-perturbation race harness: bit-identical output under
       # permuted message-delivery orders (2/4 ranks in the PR gate).
@@ -103,7 +109,7 @@ run_step() {
   esac
 }
 
-QUICK_STEPS=(fmt clippy lint protocol cost docs tests race chaos)
+QUICK_STEPS=(fmt clippy lint protocol cost docs tests perf race chaos)
 FULL_EXTRAS=(race8 chaos-full bench-drift)
 
 quick=0

@@ -19,7 +19,7 @@ use parallel_louvain::core::dendrogram::Dendrogram;
 use parallel_louvain::core::parallel::{ParallelConfig, ParallelLouvain};
 use parallel_louvain::core::result::LouvainResult;
 use parallel_louvain::core::seq::{SeqConfig, SequentialLouvain};
-use parallel_louvain::core::smp::{SmpConfig, SmpLouvain};
+use parallel_louvain::core::smp::SmpLouvain;
 use parallel_louvain::graph::edgelist::EdgeList;
 use parallel_louvain::graph::gen;
 use parallel_louvain::graph::io::read_edge_list_file;
@@ -145,7 +145,7 @@ fn main() {
     let t0 = std::time::Instant::now();
     let mut result: LouvainResult = match o.solver.as_str() {
         "seq" => SequentialLouvain::new(SeqConfig::default()).run(&edges.to_csr()),
-        "smp" => SmpLouvain::new(SmpConfig::default()).run(&edges.to_csr()),
+        "smp" => SmpLouvain.run(&edges.to_csr()),
         "parallel" => {
             ParallelLouvain::new(ParallelConfig::with_ranks(o.ranks))
                 .run(&edges)

@@ -13,9 +13,10 @@
 //!   coalescing message exchange, collectives) substituting for MPI/BG-Q.
 //! * [`metrics`] — modularity, evolution ratio, size distributions and the
 //!   partition-similarity metrics (NMI, F-measure, NVD, RI, ARI, JI).
-//! * [`core`] — the sequential Louvain baseline (Algorithm 1), the naive
-//!   synchronous parallel variant, and the distributed parallel Louvain with
-//!   the exponential-decay convergence heuristic (Algorithms 2–5).
+//! * [`core`] — the sequential Louvain baseline (Algorithm 1) and the
+//!   distributed parallel Louvain with the exponential-decay convergence
+//!   heuristic (Algorithms 2–5), which runs without it as the Figure-4
+//!   strawman.
 //!
 //! ## Quickstart
 //!
@@ -50,12 +51,11 @@ pub use louvain_runtime as runtime;
 pub mod prelude {
     pub use louvain_core::dendrogram::Dendrogram;
     pub use louvain_core::heuristic::EpsilonSchedule;
-    pub use louvain_core::labelprop::{LabelPropConfig, LabelPropagation};
-    pub use louvain_core::naive::{NaiveConfig, NaiveParallelLouvain};
+    pub use louvain_core::labelprop::LabelPropagation;
     pub use louvain_core::parallel::{ParallelConfig, ParallelLouvain};
     pub use louvain_core::refine::refine_partition;
     pub use louvain_core::seq::{SeqConfig, SequentialLouvain, VertexOrder};
-    pub use louvain_core::smp::{SmpConfig, SmpLouvain};
+    pub use louvain_core::smp::SmpLouvain;
     pub use louvain_graph::csr::CsrGraph;
     pub use louvain_graph::edgelist::{EdgeList, EdgeListBuilder};
     pub use louvain_metrics::modularity::modularity;
