@@ -1,13 +1,17 @@
-//! Per-phase timers (Figure 8 of the paper): wall-clock accumulation for
-//! the host-machine view and simulated-clock deltas for the BSP cost
-//! model view.
+//! Per-phase measurement (Figure 8 of the paper): wall-clock time for the
+//! host-machine view, message counts, and simulated-clock and charged-work
+//! deltas for the BSP cost model view. A rank's `PhaseMeter` takes all
+//! four readings at the same points, so every view splits a run into the
+//! same phases.
 //!
 //! This module is the workspace's **only sanctioned wall-clock reader**
 //! on solver/runtime paths: lint rule T1 bans `Instant::now` everywhere
 //! else in `crates/{core,runtime,trace}/src`, so that no wall-clock value
 //! can leak into a deterministic output (traces, `BENCH_*.json`). Code
-//! that needs an elapsed-time measurement goes through [`Stopwatch`].
+//! that needs an elapsed-time measurement goes through [`Stopwatch`] or
+//! a `PhaseMeter`.
 
+use louvain_runtime::RankCtx;
 use std::time::{Duration, Instant};
 
 /// A wall-clock stopwatch — the single sanctioned `Instant` wrapper on
@@ -28,20 +32,10 @@ impl Stopwatch {
         }
     }
 
-    /// Wall-clock time elapsed since [`Stopwatch::start`] (or the last
-    /// [`Stopwatch::lap`]).
+    /// Wall-clock time elapsed since [`Stopwatch::start`].
     #[must_use]
     pub fn elapsed(&self) -> Duration {
         self.start.elapsed()
-    }
-
-    /// Returns the time elapsed since the last lap (or start) and
-    /// restarts the interval.
-    pub fn lap(&mut self) -> Duration {
-        let now = Instant::now();
-        let d = now - self.start;
-        self.start = now;
-        d
     }
 }
 
@@ -114,15 +108,6 @@ impl PhaseTimers {
         Self::default()
     }
 
-    /// Times `f` and charges the elapsed time to `phase`. Returns `f`'s
-    /// output.
-    pub fn time<R>(&mut self, phase: Phase, f: impl FnOnce() -> R) -> R {
-        let t0 = Instant::now();
-        let out = f();
-        self.totals[phase.index()] += t0.elapsed();
-        out
-    }
-
     /// Adds `d` to `phase` (for externally measured intervals).
     pub fn add(&mut self, phase: Phase, d: Duration) {
         self.totals[phase.index()] += d;
@@ -141,16 +126,6 @@ impl PhaseTimers {
         let mut out = PhaseTimers::new();
         for (i, t) in out.totals.iter_mut().enumerate() {
             *t = self.totals[i].max(other.totals[i]);
-        }
-        out
-    }
-
-    /// Element-wise sum.
-    #[must_use]
-    pub fn sum(&self, other: &PhaseTimers) -> PhaseTimers {
-        let mut out = PhaseTimers::new();
-        for (i, t) in out.totals.iter_mut().enumerate() {
-            *t = self.totals[i] + other.totals[i];
         }
         out
     }
@@ -190,11 +165,25 @@ impl CommBreakdown {
             reconstruction: self.reconstruction + other.reconstruction,
         }
     }
+
+    /// The cell a [`PhaseMeter::lap`] of `phase` adds to. FIND BEST sends
+    /// no point-to-point messages (its snapshot and threshold traffic are
+    /// collectives), so it has no cell.
+    fn cell(&mut self, phase: Phase) -> Option<&mut u64> {
+        match phase {
+            Phase::StatePropagation => Some(&mut self.state_propagation),
+            Phase::UpdateCommunity => Some(&mut self.update),
+            Phase::ComputeModularity => Some(&mut self.modularity),
+            Phase::Reconstruction => Some(&mut self.reconstruction),
+            Phase::FindBestCommunity | Phase::Refine => None,
+        }
+    }
 }
 
 /// Per-phase **simulated-clock** deltas for one run, in BSP work units —
 /// the deterministic counterpart of [`PhaseTimers`] and the basis of the
-/// Fig. 8-style breakdown in `BENCH_louvain.json`.
+/// Fig. 8-style breakdown in `BENCH_louvain.json`. The same type holds a
+/// rank's own charged work per phase.
 ///
 /// Deltas are measured by reading the global simulated clock right after
 /// the collective that closes each phase (no extra syncs are inserted, so
@@ -203,7 +192,7 @@ impl CommBreakdown {
 /// are bit-identical across runs and perturb seeds. Attribution caveats:
 /// FIND BEST COMMUNITY performs no collective of its own — its compute
 /// charge is accounted at the threshold reduction that follows it — and
-/// without the ε heuristic that bucket is folded into `update`.
+/// without the ε heuristic that clock delta is folded into `update`.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct SimBreakdown {
     /// Initial graph loading / distribution supersteps.
@@ -245,6 +234,18 @@ impl SimBreakdown {
             reconstruction: self.reconstruction.max(other.reconstruction),
         }
     }
+
+    /// The cell a [`PhaseMeter::lap`] of `phase` adds to.
+    fn cell(&mut self, phase: Phase) -> &mut f64 {
+        match phase {
+            Phase::StatePropagation => &mut self.state_propagation,
+            Phase::FindBestCommunity => &mut self.find_best,
+            Phase::UpdateCommunity => &mut self.update,
+            Phase::ComputeModularity => &mut self.modularity,
+            Phase::Reconstruction => &mut self.reconstruction,
+            Phase::Refine => unreachable!("REFINE spans its sub-phase laps and is never lapped"),
+        }
+    }
 }
 
 /// Timing of a single inner iteration of the first outer loop
@@ -259,24 +260,131 @@ pub struct InnerIterationTiming {
     pub state_propagation: Duration,
 }
 
+impl InnerIterationTiming {
+    fn cell(&mut self, phase: Phase) -> Option<&mut Duration> {
+        match phase {
+            Phase::StatePropagation => Some(&mut self.state_propagation),
+            Phase::FindBestCommunity => Some(&mut self.find_best),
+            Phase::UpdateCommunity => Some(&mut self.update),
+            _ => None,
+        }
+    }
+}
+
+/// One reading of every quantity a [`PhaseMeter`] attributes.
+#[derive(Clone, Copy, Debug)]
+struct Reading {
+    wall: Instant,
+    sent: u64,
+    clock: f64,
+    charged: f64,
+}
+
+impl Reading {
+    fn of<M: Send>(ctx: &RankCtx<'_, M>) -> Self {
+        Self {
+            wall: Instant::now(),
+            sent: ctx.sent_messages(),
+            clock: ctx.sim_clock_units(),
+            charged: ctx.charged_units(),
+        }
+    }
+}
+
+/// One rank's per-phase bookkeeping. Each [`PhaseMeter::lap`] reads the
+/// wall clock, the sent-message counter, the simulated clock and the
+/// charged-work ledger once each, and adds all four deltas since the
+/// previous lap to the same phase — so the wall, message, clock and work
+/// buckets of a phase close at the same point.
+///
+/// Laps chain: closing one phase opens the next. A lap taken right after
+/// the collective that closes a phase reads the same clock delta on every
+/// rank, because the clock only moves at globally ordered syncs. The
+/// message and work deltas are this rank's own.
+#[derive(Clone, Debug)]
+pub(crate) struct PhaseMeter {
+    /// Wall time per phase. [`Phase::Refine`] is a span over its sub-phase
+    /// laps, which the caller times and adds.
+    pub(crate) timers: PhaseTimers,
+    /// Remote messages per phase.
+    pub(crate) comm: CommBreakdown,
+    /// Simulated-clock deltas per phase (identical on every rank).
+    pub(crate) sim: SimBreakdown,
+    /// This rank's own charged work per phase.
+    pub(crate) work: SimBreakdown,
+    /// One entry per inner iteration ended with `record` set.
+    pub(crate) inner: Vec<InnerIterationTiming>,
+    /// The wall laps of the current inner iteration.
+    iteration: InnerIterationTiming,
+    last: Reading,
+}
+
+impl PhaseMeter {
+    /// Starts metering once the loading superstep is done. Every counter
+    /// of a world starts at zero, so everything sent, clocked and charged
+    /// so far is loading.
+    pub(crate) fn after_loading<M: Send>(ctx: &RankCtx<'_, M>) -> Self {
+        let last = Reading::of(ctx);
+        Self {
+            timers: PhaseTimers::new(),
+            comm: CommBreakdown {
+                loading: last.sent,
+                ..CommBreakdown::default()
+            },
+            sim: SimBreakdown {
+                loading: last.clock,
+                ..SimBreakdown::default()
+            },
+            work: SimBreakdown {
+                loading: last.charged,
+                ..SimBreakdown::default()
+            },
+            inner: Vec::new(),
+            iteration: InnerIterationTiming::default(),
+            last,
+        }
+    }
+
+    /// Starts a new chain of laps. Whatever happened since the last lap
+    /// (cache builds, checkpoints, level bookkeeping) belongs to no phase.
+    pub(crate) fn restart<M: Send>(&mut self, ctx: &RankCtx<'_, M>) {
+        self.last = Reading::of(ctx);
+    }
+
+    /// Closes `phase`: adds everything since the previous lap (or
+    /// restart) to it. `phase` must not be [`Phase::Refine`].
+    pub(crate) fn lap<M: Send>(&mut self, ctx: &RankCtx<'_, M>, phase: Phase) {
+        let now = Reading::of(ctx);
+        let wall = now.wall - self.last.wall;
+        self.timers.add(phase, wall);
+        if let Some(t) = self.iteration.cell(phase) {
+            *t += wall;
+        }
+        if let Some(c) = self.comm.cell(phase) {
+            *c += now.sent - self.last.sent;
+        }
+        *self.sim.cell(phase) += now.clock - self.last.clock;
+        *self.work.cell(phase) += now.charged - self.last.charged;
+        self.last = now;
+    }
+
+    /// Ends an inner iteration, keeping its FIND BEST, UPDATE and STATE
+    /// PROPAGATION laps as one [`PhaseMeter::inner`] entry if `record`.
+    pub(crate) fn end_iteration(&mut self, record: bool) {
+        let it = std::mem::take(&mut self.iteration);
+        if record {
+            self.inner.push(it);
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use louvain_runtime::{run_with_config, RuntimeConfig};
 
     #[test]
-    fn time_accumulates() {
-        let mut t = PhaseTimers::new();
-        let out = t.time(Phase::Refine, || {
-            std::thread::sleep(Duration::from_millis(5));
-            42
-        });
-        assert_eq!(out, 42);
-        assert!(t.get(Phase::Refine) >= Duration::from_millis(5));
-        assert_eq!(t.get(Phase::Reconstruction), Duration::ZERO);
-    }
-
-    #[test]
-    fn max_and_sum_elementwise() {
+    fn max_elementwise() {
         let mut a = PhaseTimers::new();
         a.add(Phase::Refine, Duration::from_millis(10));
         let mut b = PhaseTimers::new();
@@ -285,8 +393,6 @@ mod tests {
         let m = a.max(&b);
         assert_eq!(m.get(Phase::Refine), Duration::from_millis(10));
         assert_eq!(m.get(Phase::Reconstruction), Duration::from_millis(7));
-        let s = a.sum(&b);
-        assert_eq!(s.get(Phase::Refine), Duration::from_millis(14));
     }
 
     #[test]
@@ -302,6 +408,57 @@ mod tests {
         let b = a.sum(&a);
         assert_eq!(b.total(), 40);
         assert_eq!(b.state_propagation, 20);
+    }
+
+    /// Sends `k` messages to the other rank of a 2-rank world and closes
+    /// the exchange.
+    fn send_to_peer(ctx: &mut RankCtx<'_, u32>, k: u32) {
+        let peer = 1 - ctx.rank();
+        let mut ex = ctx.exchange();
+        for i in 0..k {
+            ex.send(peer, i);
+        }
+        ex.finish(|_| ());
+    }
+
+    #[test]
+    fn lap_puts_messages_clock_and_work_into_one_phase() {
+        const K: u32 = 7;
+        const C: f64 = 250.0;
+        // Messages and syncs cost nothing, so every clock and work unit
+        // is an explicit charge.
+        let cfg = RuntimeConfig {
+            charge_per_message: 0.0,
+            sync_latency_units: 0.0,
+            ..RuntimeConfig::new(2)
+        };
+        let (out, _) = run_with_config::<u32, _, _>(cfg, |ctx| {
+            ctx.charge(100.0);
+            ctx.sim_sync();
+            let mut meter = PhaseMeter::after_loading(ctx);
+            // Sent, charged and synced before the restart: no phase's.
+            send_to_peer(ctx, 3);
+            ctx.charge(1000.0);
+            ctx.sim_sync();
+            meter.restart(ctx);
+            send_to_peer(ctx, K);
+            ctx.charge(C);
+            ctx.sim_sync();
+            meter.lap(ctx, Phase::UpdateCommunity);
+            meter
+        });
+        for meter in out {
+            assert_eq!(
+                (meter.comm.update, meter.comm.total()),
+                (u64::from(K), u64::from(K))
+            );
+            assert_eq!((meter.work.loading, meter.work.update), (100.0, C));
+            assert_eq!((meter.sim.loading, meter.sim.update), (100.0, C));
+            assert_eq!(meter.work.total(), 100.0 + C);
+            assert_eq!(meter.sim.total(), 100.0 + C);
+            assert!(meter.timers.get(Phase::UpdateCommunity) > Duration::ZERO);
+            assert_eq!(meter.timers.get(Phase::FindBestCommunity), Duration::ZERO);
+        }
     }
 
     #[test]

@@ -2,8 +2,9 @@
 //!
 //! Format: one edge per line, `u v [w]`, whitespace separated; `#` and `%`
 //! prefix comments (SNAP / Matrix-Market-adjacent conventions). Weight
-//! defaults to 1. The vertex count is `max id + 1` unless a larger `n` is
-//! given by a `# n <count>` header line.
+//! defaults to 1 and must be finite and non-negative. The vertex count is
+//! `max id + 1` unless a `# n <count>` header line gives it; a header
+//! count must cover every id and fit the `u32` id space.
 
 use crate::edgelist::{EdgeList, EdgeListBuilder};
 use std::io::{BufRead, BufReader, BufWriter, Read, Write};
@@ -14,7 +15,8 @@ use std::path::Path;
 pub enum IoError {
     /// Underlying I/O failure.
     Io(std::io::Error),
-    /// Malformed line with its 1-based number and content.
+    /// Malformed or inconsistent line: its 1-based number, and its
+    /// content or what is wrong with it.
     Parse(usize, String),
 }
 
@@ -39,8 +41,8 @@ impl From<std::io::Error> for IoError {
 pub fn read_edge_list<R: Read>(reader: R) -> Result<EdgeList, IoError> {
     let mut edges: Vec<(u32, u32, f64)> = Vec::new();
     let mut declared_n: Option<usize> = None;
-    let mut max_id: u32 = 0;
-    let mut any = false;
+    // The largest vertex id and the 1-based line that first names it.
+    let mut max_id: Option<(u32, usize)> = None;
     let br = BufReader::new(reader);
     for (idx, line) in br.lines().enumerate() {
         let line = line?;
@@ -52,6 +54,9 @@ pub fn read_edge_list<R: Read>(reader: R) -> Result<EdgeList, IoError> {
             let mut it = rest.split_whitespace();
             if it.next() == Some("n") {
                 if let Some(Ok(n)) = it.next().map(str::parse::<usize>) {
+                    if u32::try_from(n).is_err() {
+                        return Err(IoError::Parse(idx + 1, line.clone()));
+                    }
                     declared_n = Some(n);
                 }
             }
@@ -68,15 +73,25 @@ pub fn read_edge_list<R: Read>(reader: R) -> Result<EdgeList, IoError> {
         };
         let w = match it.next() {
             None => 1.0,
-            Some(s) => s
-                .parse::<f64>()
-                .map_err(|_| IoError::Parse(idx + 1, line.clone()))?,
+            Some(s) => match s.parse::<f64>() {
+                Ok(w) if w.is_finite() && w >= 0.0 => w,
+                _ => return Err(IoError::Parse(idx + 1, line.clone())),
+            },
         };
-        max_id = max_id.max(u).max(v);
-        any = true;
+        if max_id.is_none_or(|(m, _)| u.max(v) > m) {
+            max_id = Some((u.max(v), idx + 1));
+        }
         edges.push((u, v, w));
     }
-    let n = declared_n.unwrap_or(if any { max_id as usize + 1 } else { 0 });
+    let n = match (declared_n, max_id) {
+        (Some(n), Some((m, line))) if n <= m as usize => {
+            let msg = format!("vertex {m} is out of range for the `# n {n}` header");
+            return Err(IoError::Parse(line, msg));
+        }
+        (Some(n), _) => n,
+        (None, Some((m, _))) => m as usize + 1,
+        (None, None) => 0,
+    };
     let mut b = EdgeListBuilder::with_capacity(n, edges.len());
     for (u, v, w) in edges {
         b.add_edge(u, v, w);
@@ -135,6 +150,36 @@ mod tests {
             IoError::Parse(line, _) => assert_eq!(line, 2),
             other => panic!("unexpected error {other}"),
         }
+    }
+
+    fn parse_error_line(text: &str) -> usize {
+        match read_edge_list(text.as_bytes()) {
+            Err(IoError::Parse(line, _)) => line,
+            other => panic!("expected a parse error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn header_smaller_than_max_id_is_rejected() {
+        assert_eq!(parse_error_line("# n 3\n0 1\n1 7\n2 0\n"), 3);
+        // The header may follow the edges it must cover.
+        assert_eq!(parse_error_line("0 1\n1 3\n# n 3\n"), 2);
+    }
+
+    #[test]
+    fn non_finite_and_negative_weights_are_rejected() {
+        for w in ["NaN", "inf", "-inf", "-1.5"] {
+            assert_eq!(
+                parse_error_line(&format!("0 1\n1 2 {w}\n")),
+                2,
+                "weight {w}"
+            );
+        }
+    }
+
+    #[test]
+    fn header_beyond_the_id_space_is_rejected() {
+        assert_eq!(parse_error_line("0 1\n# n 4294967296\n"), 2);
     }
 
     #[test]

@@ -1,5 +1,5 @@
-//! Deterministic collectives: allreduce (scalar and element-wise vector),
-//! allgather of f64 vectors, and logical reductions.
+//! Deterministic collectives: allreduce (scalar and element-wise vector)
+//! and allgather of f64 vectors.
 //!
 //! Protocol: every rank writes its contribution into its slot, a barrier
 //! guarantees all writes are visible, every rank reads/folds in rank order
@@ -25,39 +25,11 @@ impl<'w, M: Send> RankCtx<'w, M> {
         self.reduce_f64(x, f64::max, f64::NEG_INFINITY, Location::caller())
     }
 
-    /// Minimum of every rank's `x`.
-    #[must_use]
-    #[track_caller]
-    pub fn allreduce_min(&self, x: f64) -> f64 {
-        self.reduce_f64(x, f64::min, f64::INFINITY, Location::caller())
-    }
-
     /// Sum of every rank's `x` (integer).
     #[must_use]
     #[track_caller]
     pub fn allreduce_sum_u64(&self, x: u64) -> u64 {
         self.reduce_u64(x, |acc, v| acc + v, 0, Location::caller())
-    }
-
-    /// Maximum of every rank's `x` (integer).
-    #[must_use]
-    #[track_caller]
-    pub fn allreduce_max_u64(&self, x: u64) -> u64 {
-        self.reduce_u64(x, u64::max, 0, Location::caller())
-    }
-
-    /// `true` iff any rank passed `true`.
-    #[must_use]
-    #[track_caller]
-    pub fn allreduce_any(&self, b: bool) -> bool {
-        self.allreduce_sum_u64(u64::from(b)) > 0
-    }
-
-    /// `true` iff every rank passed `true`.
-    #[must_use]
-    #[track_caller]
-    pub fn allreduce_all(&self, b: bool) -> bool {
-        self.allreduce_sum_u64(u64::from(b)) == self.num_ranks() as u64
     }
 
     /// Element-wise sum of equal-length vectors across ranks. Every rank
@@ -119,20 +91,6 @@ impl<'w, M: Send> RankCtx<'w, M> {
         out
     }
 
-    /// Rank 0's value, broadcast to everyone.
-    #[must_use]
-    #[track_caller]
-    pub fn broadcast_f64(&self, x: f64) -> f64 {
-        {
-            let mut slots = self.world.f64_slots.lock();
-            slots[self.rank] = x;
-        }
-        self.enter_collective(CollectiveKind::BroadcastF64, Location::caller());
-        let out = self.world.f64_slots.lock()[0];
-        self.sim_sync();
-        out
-    }
-
     fn reduce_f64(
         &self,
         x: f64,
@@ -186,27 +144,13 @@ mod tests {
     }
 
     #[test]
-    fn allreduce_minmax() {
+    fn allreduce_max_and_u64_sum() {
         let out = run::<(), _, _>(5, |ctx| {
             let max = ctx.allreduce_max(ctx.rank() as f64);
-            let min = ctx.allreduce_min(ctx.rank() as f64);
-            (min, max)
+            let sum = ctx.allreduce_sum_u64(ctx.rank() as u64);
+            (max, sum)
         });
-        assert!(out.iter().all(|&(lo, hi)| lo == 0.0 && hi == 4.0));
-    }
-
-    #[test]
-    fn allreduce_u64_and_logical() {
-        let out = run::<(), _, _>(4, |ctx| {
-            let s = ctx.allreduce_sum_u64(ctx.rank() as u64);
-            let any = ctx.allreduce_any(ctx.rank() == 2);
-            let all = ctx.allreduce_all(ctx.rank() == 2);
-            let all_true = ctx.allreduce_all(true);
-            (s, any, all, all_true)
-        });
-        assert!(out
-            .iter()
-            .all(|&(s, any, all, at)| { s == 6 && any && !all && at }));
+        assert!(out.iter().all(|&(hi, s)| hi == 4.0 && s == 10));
     }
 
     #[test]
@@ -229,14 +173,6 @@ mod tests {
         for v in out {
             assert_eq!(v, vec![0.0, 0.0, 1.0, 0.0, 1.0, 2.0]);
         }
-    }
-
-    #[test]
-    fn broadcast_from_root() {
-        let out = run::<(), _, _>(4, |ctx| {
-            ctx.broadcast_f64(if ctx.rank() == 0 { 42.0 } else { -1.0 })
-        });
-        assert!(out.iter().all(|&x| x == 42.0));
     }
 
     #[test]

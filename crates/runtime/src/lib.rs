@@ -37,7 +37,6 @@ pub mod collectives;
 pub mod envflag;
 pub mod exchange;
 pub mod fault;
-pub mod scan;
 pub mod sim;
 pub mod world;
 

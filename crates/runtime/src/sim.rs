@@ -1,10 +1,9 @@
 //! The BSP (bulk-synchronous) simulated clock.
 //!
-//! The host machine may have fewer cores than simulated ranks (in this
-//! repository's CI environment: a single core), in which case wall-clock
-//! time cannot exhibit parallel speedup — the ranks timeshare. The
-//! simulated clock provides the scaling signal instead, using the classic
-//! BSP cost model:
+//! The host machine may have fewer cores than simulated ranks (a 2-core
+//! host running 4 or 8 ranks, say), in which case wall-clock time cannot
+//! exhibit parallel speedup — the ranks timeshare. The simulated clock
+//! provides the scaling signal instead, using the classic BSP cost model:
 //!
 //! > at every synchronization point, the global clock advances by the
 //! > *maximum* work any rank accumulated since the previous

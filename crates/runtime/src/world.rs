@@ -73,20 +73,15 @@ pub enum CollectiveKind {
     Idle,
     /// [`RankCtx::barrier`].
     Barrier,
-    /// [`RankCtx::allreduce_sum`] / [`RankCtx::allreduce_max`] /
-    /// [`RankCtx::allreduce_min`] (scalar f64 reductions).
+    /// [`RankCtx::allreduce_sum`] / [`RankCtx::allreduce_max`] (scalar
+    /// f64 reductions).
     ReduceF64,
-    /// [`RankCtx::allreduce_sum_u64`] / [`RankCtx::allreduce_max_u64`]
-    /// and the logical reductions built on them.
+    /// [`RankCtx::allreduce_sum_u64`].
     ReduceU64,
     /// [`RankCtx::allreduce_sum_vec`].
     AllreduceSumVec,
     /// [`RankCtx::allgather_f64`].
     AllgatherF64,
-    /// [`RankCtx::broadcast_f64`].
-    BroadcastF64,
-    /// [`RankCtx::exscan_sum_u64`] / [`RankCtx::scan_sum_u64`].
-    ExscanSumU64,
     /// [`RankCtx::sim_sync`] / [`RankCtx::sim_time_units`].
     SimSync,
     /// An [`Exchange`](crate::Exchange) phase completing in `finish`.
@@ -116,8 +111,6 @@ impl CollectiveKind {
             Self::ReduceU64 => "ReduceU64",
             Self::AllreduceSumVec => "AllreduceSumVec",
             Self::AllgatherF64 => "AllgatherF64",
-            Self::BroadcastF64 => "BroadcastF64",
-            Self::ExscanSumU64 => "ExscanSumU64",
             Self::SimSync => "SimSync",
             Self::Exchange => "Exchange",
             Self::Shutdown => "Shutdown",
@@ -134,8 +127,6 @@ impl CollectiveKind {
             "ReduceU64" => Self::ReduceU64,
             "AllreduceSumVec" => Self::AllreduceSumVec,
             "AllgatherF64" => Self::AllgatherF64,
-            "BroadcastF64" => Self::BroadcastF64,
-            "ExscanSumU64" => Self::ExscanSumU64,
             "SimSync" => Self::SimSync,
             "Exchange" => Self::Exchange,
             "Shutdown" => Self::Shutdown,

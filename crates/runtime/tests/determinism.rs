@@ -79,9 +79,9 @@ fn whole_surface_deterministic() {
             }
             let s = ctx.allreduce_sum(rank as f64 * 0.25);
             let v = ctx.allreduce_sum_vec(&[rank as f64, 1.0])[0];
-            let ex_scan = ctx.exscan_sum_u64(rank + 1) as f64;
-            let bc = ctx.broadcast_f64(s + v);
-            (received, bc, ex_scan)
+            let total = ctx.allreduce_sum_u64(rank + 1) as f64;
+            let first = ctx.allgather_f64(&[s + v])[0];
+            (received, first, total)
         })
         .0
     }

@@ -202,8 +202,6 @@ fn collective_kind_names_round_trip() {
         CollectiveKind::ReduceU64,
         CollectiveKind::AllreduceSumVec,
         CollectiveKind::AllgatherF64,
-        CollectiveKind::BroadcastF64,
-        CollectiveKind::ExscanSumU64,
         CollectiveKind::SimSync,
         CollectiveKind::Exchange,
         CollectiveKind::Shutdown,

@@ -277,21 +277,13 @@ enum CNode {
 /// `phasegraph::BUILTIN_EFFECTS` names minus the structural
 /// `exchange`/`finish` pair, plus the point-to-point sends). Each entry
 /// carries whether its first argument is a payload buffer.
-const SITE_OPS: [(&str, bool); 18] = [
+const SITE_OPS: [(&str, bool); 10] = [
     ("barrier", false),
     ("allreduce_sum", false),
     ("allreduce_max", false),
-    ("allreduce_min", false),
     ("allreduce_sum_u64", false),
-    ("allreduce_max_u64", false),
-    ("allreduce_any", false),
-    ("allreduce_all", false),
     ("allreduce_sum_vec", true),
     ("allgather_f64", true),
-    ("gather_f64", true),
-    ("broadcast_f64", true),
-    ("exscan_sum_u64", false),
-    ("scan_sum_u64", false),
     ("sim_sync", false),
     ("sim_time_units", false),
     ("send", false),

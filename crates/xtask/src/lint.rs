@@ -902,14 +902,10 @@ fn check_exchange_discipline(stream: &[(char, usize)]) -> Vec<(usize, String)> {
 
 /// The collective entry points of the runtime's `RankCtx`/`Exchange`
 /// surface, as method-call prefixes.
-const COLLECTIVE_CALLS: [&str; 11] = [
+const COLLECTIVE_CALLS: [&str; 7] = [
     ".barrier(",
     ".allreduce_",
     ".allgather_",
-    ".broadcast_",
-    ".exscan_",
-    ".scan_sum_",
-    ".gather_f64(",
     ".sim_sync(",
     ".sim_time_units(",
     ".exchange(",

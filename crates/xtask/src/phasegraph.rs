@@ -71,21 +71,13 @@ const SPEC_DIRS: [&str; 6] = [
 /// kind is one `enter_collective`, confirmed against the runtime
 /// source). `exchange` opens a phase but records nothing; `finish`
 /// records the `Exchange` plus the closing `SimSync`.
-pub(crate) const BUILTIN_EFFECTS: [(&str, &[&str]); 18] = [
+pub(crate) const BUILTIN_EFFECTS: [(&str, &[&str]); 10] = [
     ("barrier", &["Barrier"]),
     ("allreduce_sum", &["ReduceF64", "SimSync"]),
     ("allreduce_max", &["ReduceF64", "SimSync"]),
-    ("allreduce_min", &["ReduceF64", "SimSync"]),
     ("allreduce_sum_u64", &["ReduceU64", "SimSync"]),
-    ("allreduce_max_u64", &["ReduceU64", "SimSync"]),
-    ("allreduce_any", &["ReduceU64", "SimSync"]),
-    ("allreduce_all", &["ReduceU64", "SimSync"]),
     ("allreduce_sum_vec", &["AllreduceSumVec", "SimSync"]),
     ("allgather_f64", &["AllgatherF64", "SimSync"]),
-    ("gather_f64", &["AllgatherF64", "SimSync"]),
-    ("broadcast_f64", &["BroadcastF64", "SimSync"]),
-    ("exscan_sum_u64", &["ExscanSumU64", "SimSync"]),
-    ("scan_sum_u64", &["ExscanSumU64", "SimSync"]),
     ("sim_sync", &["SimSync"]),
     ("sim_time_units", &["SimSync"]),
     ("finish", &["Exchange", "SimSync"]),
@@ -1872,7 +1864,7 @@ mod tests {
     #[test]
     fn call_results_are_replicated_by_fiat() {
         let src = "fn f(ctx: &C) {\n\
-                   let rounds = ctx.allreduce_max_u64(3);\n\
+                   let rounds = ctx.allreduce_sum_u64(3);\n\
                    if rounds > 0 { ctx.barrier(); }\n\
                    }\n";
         let nodes = nodes_of(src);
@@ -1966,7 +1958,7 @@ mod tests {
     #[test]
     fn r5_quiet_on_replicated_trip_count_and_op_free_body() {
         let src = "fn a(ctx: &C) {\n\
-                   let rounds = ctx.allreduce_max_u64(3);\n\
+                   let rounds = ctx.allreduce_sum_u64(3);\n\
                    for _ in 0..rounds { ctx.barrier(); }\n\
                    }\n\
                    fn b(ctx: &C) {\n\

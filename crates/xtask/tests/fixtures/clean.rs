@@ -90,7 +90,7 @@ pub fn symmetric_arms(ctx: &Ctx) {
 /// near-miss(R5): the trip count comes from an allreduce — replicated on
 /// every rank, so all ranks run the same number of barrier rounds.
 pub fn replicated_rounds(ctx: &Ctx) {
-    let rounds = ctx.allreduce_max_u64(3);
+    let rounds = ctx.allreduce_sum_u64(3);
     for _ in 0..rounds {
         ctx.barrier();
     }
