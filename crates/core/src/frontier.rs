@@ -17,8 +17,8 @@
 //!
 //!   maintained by two deterministic wake rules: W1 — a received
 //!   state-propagation delta wakes the local neighbors of the migrated
-//!   vertex (the remote piggyback, via the `RemoteCache` transpose
-//!   view) — and W2 — a bitwise change in a community's replicated
+//!   vertex (the remote piggyback, via the `RemoteCache` source
+//!   index) — and W2 — a bitwise change in a community's replicated
 //!   `Σ_tot`/size snapshot wakes everyone with a live Out-Table row
 //!   into it and every member holding an external candidate row
 //!   (interior members' scans are constants, so they sleep through
@@ -43,7 +43,7 @@
 //! (DESIGN.md §8) holds for the frontier-scheduled solver exactly as it
 //! did for the full scan.
 
-use std::collections::BTreeSet;
+use crate::parallel::RowIndex;
 
 /// Frontier counters of one solver run, summed over ranks, levels and
 /// inner iterations (also exported as the trace counters
@@ -312,8 +312,8 @@ impl Frontier {
     /// full re-scan.
     ///
     /// (b) for every local non-member with a live Out-Table row into `c`
-    /// (via the `(community, vertex)` transpose `comm_adj` maintained by
-    /// the delta patcher): only the single candidate sum for `c` moved,
+    /// (one pass over the live rows of `rows`, the delta patcher's row
+    /// index): only the single candidate sum for `c` moved,
     /// so the vertex gets a **scan patch** — the solver re-folds just
     /// that candidate over the cached incumbent, `O(changed rows)`
     /// instead of `O(degree)`, escalating to a full re-scan only when
@@ -325,7 +325,6 @@ impl Frontier {
     /// snapshot diff cannot observe) through the same classification:
     /// own-community row touched → full re-scan unless interior,
     /// anything else → scan patch.
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn wake_snapshot_changes(
         &mut self,
         prev_tot: &[f64],
@@ -333,10 +332,7 @@ impl Frontier {
         prev_size: &[f64],
         size: &[f64],
         label: &[u32],
-        vert_adj: &BTreeSet<(u32, u32)>,
-        comm_adj: &BTreeSet<(u32, u32)>,
-        global: impl Fn(usize) -> u32,
-        local_index: impl Fn(u32) -> usize,
+        rows: &RowIndex,
     ) {
         debug_assert_eq!(prev_tot.len(), tot.len());
         debug_assert_eq!(prev_size.len(), size.len());
@@ -357,17 +353,13 @@ impl Frontier {
             }
         }
         // (a) members of changed communities, interior members excluded.
-        // The probe examines at most two set entries: rows are keyed by
-        // community, so only `(u, c)` itself can equal the own label.
+        // The probe examines at most two row entries: rows are distinct
+        // communities, so only `(li, c)` itself can equal the own label.
         // Skipped entirely (an O(n_local) sweep) when no snapshot moved.
         if !self.changed_ids.is_empty() {
             for (li, &c) in label.iter().enumerate() {
-                if self.changed.contains(c as usize) {
-                    let u = global(li);
-                    let external = vert_adj.range((u, 0)..=(u, u32::MAX)).any(|&(_, e)| e != c);
-                    if external {
-                        self.pending.set(li);
-                    }
+                if self.changed.contains(c as usize) && rows.has_external(li, c) {
+                    self.pending.set(li);
                 }
             }
         }
@@ -381,8 +373,7 @@ impl Frontier {
                 // term of every candidate sum, so the whole cached fold
                 // is stale — unless the vertex is interior (no live
                 // external row), whose scan is the constant `(0, c_u)`.
-                let u = global(li);
-                if vert_adj.range((u, 0)..=(u, u32::MAX)).any(|&(_, e)| e != c) {
+                if rows.has_external(li, c) {
                     self.pending.set(li);
                 }
             } else if !self.pending.contains(li) {
@@ -396,19 +387,23 @@ impl Frontier {
             }
         }
         self.row_dirty.clear();
-        // (b) vertices adjacent to changed communities. Index-based loop:
-        // `changed_ids` and `pending` are both fields of self. A member's
-        // own-community row was already decided (with the interior test)
-        // by the membership scan above; any other row is an external
-        // candidate whose gain term moved — hand it to the patch pass.
-        for i in 0..self.changed_ids.len() {
-            let c = self.changed_ids[i];
-            for &(_, d) in comm_adj.range((c, 0)..=(c, u32::MAX)) {
-                let li = local_index(d);
-                if label[li] == c || self.pending.contains(li) {
+        // (b) vertices adjacent to changed communities: one pass over the
+        // live rows of every vertex not already due for a full re-scan.
+        // A member's own-community row was already decided (with the
+        // interior test) by the membership scan above; any other row
+        // into a changed community is an external candidate whose gain
+        // term moved — hand it to the patch pass. Skipped when no
+        // snapshot moved.
+        if !self.changed_ids.is_empty() {
+            for (li, &own) in label.iter().enumerate() {
+                if self.pending.contains(li) {
                     continue;
                 }
-                self.patches.push((li as u32, c));
+                for &(c, _) in rows.rows(li) {
+                    if c != own && self.changed.contains(c as usize) {
+                        self.patches.push((li as u32, c));
+                    }
+                }
             }
         }
         // Ascending (vertex, community), deduplicated: W1 and W2 can
@@ -503,36 +498,30 @@ mod tests {
         assert_eq!(f.stats.reactivations, 2);
     }
 
-    /// Transposes a `(community, vertex)` adjacency into the
-    /// `(vertex, community)` view the production cache maintains.
-    fn transpose(comm_adj: &BTreeSet<(u32, u32)>) -> BTreeSet<(u32, u32)> {
-        comm_adj.iter().map(|&(c, v)| (v, c)).collect()
+    /// A row index over local vertices `0..rows.len()`: vertex `li`
+    /// holds one live row into each community of `rows[li]` (ascending).
+    fn index(rows: &[&[u32]]) -> RowIndex {
+        let mut offsets = vec![0];
+        let mut flat = Vec::new();
+        for r in rows {
+            flat.extend_from_slice(r);
+            offsets.push(flat.len());
+        }
+        RowIndex::identity(offsets, &flat)
     }
 
     #[test]
     fn snapshot_diff_wakes_members_and_patches_adjacent_vertices() {
-        // 4 local vertices (identity local_index), labels over 6 communities.
+        // 4 local vertices, labels over 6 communities.
         let label = vec![2u32, 2, 4, 5];
-        let mut adj: BTreeSet<(u32, u32)> = BTreeSet::new();
-        adj.insert((3, 2)); // vertex 2 has a live row into community 3
-        adj.insert((5, 0)); // vertex 0 has a live row into community 5
-        let vadj = transpose(&adj);
+        // Vertex 0 has a live row into community 5, vertex 2 into 3.
+        let rows = index(&[&[5], &[], &[3], &[]]);
         let prev = vec![1.0f64, 1.0, 1.0, 1.0, 1.0, 1.0];
         let mut tot = prev.clone();
         tot[3] = 2.0; // community 3 changed
         let size = prev.clone();
         let mut f = Frontier::new(4, 6);
-        f.wake_snapshot_changes(
-            &prev,
-            &tot,
-            &prev,
-            &size,
-            &label,
-            &vadj,
-            &adj,
-            |li| li as u32,
-            |d| d as usize,
-        );
+        f.wake_snapshot_changes(&prev, &tot, &prev, &size, &label, &rows);
         // Nobody is labelled 3; only vertex 2 is adjacent to it — a
         // single candidate sum moved, so it gets a patch, not a wake
         // (the solver's patch pass escalates if 3 was its winner).
@@ -546,17 +535,7 @@ mod tests {
         let mut size2 = prev.clone();
         size2[2] = 3.0;
         let mut f = Frontier::new(4, 6);
-        f.wake_snapshot_changes(
-            &prev,
-            &prev,
-            &prev,
-            &size2,
-            &label,
-            &vadj,
-            &adj,
-            |li| li as u32,
-            |d| d as usize,
-        );
+        f.wake_snapshot_changes(&prev, &prev, &prev, &size2, &label, &rows);
         f.commit(false);
         assert_eq!(f.worklist, vec![0]);
         assert!(f.patches.is_empty());
@@ -566,27 +545,14 @@ mod tests {
     fn candidate_changes_become_grouped_sorted_patches() {
         // Vertex 0 holds rows into communities 2 and 3.
         let label = vec![0u32, 0];
-        let mut adj: BTreeSet<(u32, u32)> = BTreeSet::new();
-        adj.insert((2, 0));
-        adj.insert((3, 0));
-        let vadj = transpose(&adj);
+        let rows = index(&[&[2, 3], &[]]);
         let prev = vec![1.0f64, 1.0, 1.0, 1.0];
 
         // One candidate changes: one patch, no wake.
         let mut tot = prev.clone();
         tot[3] = 2.0;
         let mut f = Frontier::new(2, 4);
-        f.wake_snapshot_changes(
-            &prev,
-            &tot,
-            &prev,
-            &prev,
-            &label,
-            &vadj,
-            &adj,
-            |li| li as u32,
-            |d| d as usize,
-        );
+        f.wake_snapshot_changes(&prev, &tot, &prev, &prev, &label, &rows);
         f.commit(false);
         assert!(f.worklist.is_empty());
         assert_eq!(f.patches, vec![(0, 3)]);
@@ -598,17 +564,7 @@ mod tests {
         tot[2] = 2.0;
         tot[3] = 2.0;
         let mut f = Frontier::new(2, 4);
-        f.wake_snapshot_changes(
-            &prev,
-            &tot,
-            &prev,
-            &prev,
-            &label,
-            &vadj,
-            &adj,
-            |li| li as u32,
-            |d| d as usize,
-        );
+        f.wake_snapshot_changes(&prev, &tot, &prev, &prev, &label, &rows);
         assert_eq!(f.patches, vec![(0, 2), (0, 3)]);
         assert!(!f.is_pending(0));
 
@@ -617,17 +573,7 @@ mod tests {
         let mut f = Frontier::new(2, 4);
         f.wake(0);
         f.mark_row_dirty(0, 3);
-        f.wake_snapshot_changes(
-            &prev,
-            &prev,
-            &prev,
-            &prev,
-            &label,
-            &vadj,
-            &adj,
-            |li| li as u32,
-            |d| d as usize,
-        );
+        f.wake_snapshot_changes(&prev, &prev, &prev, &prev, &label, &rows);
         assert!(f.patches.is_empty(), "pending vertices are not patched");
         assert!(f.is_pending(0));
         f.commit(false);
@@ -639,28 +585,14 @@ mod tests {
         // Vertex 0 straddles (own row into 0, candidate row into 2);
         // vertex 1 is interior (only its own row is live).
         let label = vec![0u32, 1];
-        let mut adj: BTreeSet<(u32, u32)> = BTreeSet::new();
-        adj.insert((0, 0));
-        adj.insert((1, 1));
-        adj.insert((2, 0));
-        let vadj = transpose(&adj);
+        let rows = index(&[&[0, 2], &[1]]);
         let snap = vec![1.0f64, 1.0, 1.0];
 
         // Own-community row moved: the remove term of every candidate
         // sum is stale — full re-scan for the straddler.
         let mut f = Frontier::new(2, 3);
         f.mark_row_dirty(0, 0);
-        f.wake_snapshot_changes(
-            &snap,
-            &snap,
-            &snap,
-            &snap,
-            &label,
-            &vadj,
-            &adj,
-            |li| li as u32,
-            |d| d as usize,
-        );
+        f.wake_snapshot_changes(&snap, &snap, &snap, &snap, &label, &rows);
         assert!(f.patches.is_empty());
         f.commit(false);
         assert_eq!(f.worklist, vec![0]);
@@ -669,17 +601,7 @@ mod tests {
         // own-row change leaves the cached decision exact.
         let mut f = Frontier::new(2, 3);
         f.mark_row_dirty(1, 1);
-        f.wake_snapshot_changes(
-            &snap,
-            &snap,
-            &snap,
-            &snap,
-            &label,
-            &vadj,
-            &adj,
-            |li| li as u32,
-            |d| d as usize,
-        );
+        f.wake_snapshot_changes(&snap, &snap, &snap, &snap, &label, &rows);
         f.commit(false);
         assert!(f.worklist.is_empty());
         assert!(f.patches.is_empty());
@@ -687,17 +609,7 @@ mod tests {
         // Candidate row moved (all snapshots cancelled bitwise): patch.
         let mut f = Frontier::new(2, 3);
         f.mark_row_dirty(0, 2);
-        f.wake_snapshot_changes(
-            &snap,
-            &snap,
-            &snap,
-            &snap,
-            &label,
-            &vadj,
-            &adj,
-            |li| li as u32,
-            |d| d as usize,
-        );
+        f.wake_snapshot_changes(&snap, &snap, &snap, &snap, &label, &rows);
         assert_eq!(f.patches, vec![(0, 2)]);
         f.commit(false);
         assert!(f.worklist.is_empty());
@@ -709,26 +621,12 @@ mod tests {
         // interior (its only live row is into its own community); vertex
         // 1 straddles (own row plus a row into community 3).
         let label = vec![2u32, 2];
-        let mut adj: BTreeSet<(u32, u32)> = BTreeSet::new();
-        adj.insert((2, 0));
-        adj.insert((2, 1));
-        adj.insert((3, 1));
-        let vadj = transpose(&adj);
+        let rows = index(&[&[2], &[2, 3]]);
         let prev = vec![1.0f64, 1.0, 1.0, 1.0];
         let mut tot = prev.clone();
         tot[2] = 5.0; // the vertices' own community breathes
         let mut f = Frontier::new(2, 4);
-        f.wake_snapshot_changes(
-            &prev,
-            &tot,
-            &prev,
-            &prev,
-            &label,
-            &vadj,
-            &adj,
-            |li| li as u32,
-            |d| d as usize,
-        );
+        f.wake_snapshot_changes(&prev, &tot, &prev, &prev, &label, &rows);
         f.commit(false);
         assert_eq!(
             f.worklist,
@@ -740,20 +638,10 @@ mod tests {
     #[test]
     fn unchanged_snapshots_wake_nobody() {
         let label = vec![0u32; 8];
-        let adj: BTreeSet<(u32, u32)> = BTreeSet::new();
+        let rows = index(&[&[] as &[u32]; 8]);
         let snap = vec![0.25f64; 8];
         let mut f = Frontier::new(8, 8);
-        f.wake_snapshot_changes(
-            &snap,
-            &snap,
-            &snap,
-            &snap,
-            &label,
-            &adj,
-            &adj,
-            |li| li as u32,
-            |d| d as usize,
-        );
+        f.wake_snapshot_changes(&snap, &snap, &snap, &snap, &label, &rows);
         f.commit(false);
         assert!(f.worklist.is_empty());
         assert_eq!(f.stats.skipped_scans, 8);

@@ -27,8 +27,9 @@
 //! persistent Out-Table through a per-level `RemoteCache` instead of
 //! rebuilding it: deltas are applied in sorted vertex order (never in
 //! delivery order), and row liveness is tracked structurally via
-//! per-row contributor counts — a vacated row is overwritten with exact
-//! 0.0 instead of trusting FP cancellation. The cache is invalidated
+//! per-row contributor counts in a flat per-vertex row index — a
+//! vacated row is overwritten with exact 0.0 instead of trusting FP
+//! cancellation. The cache is invalidated
 //! (rebuilt) at every GRAPH RECONSTRUCTION. An iteration in which no
 //! vertex migrates anywhere exchanges zero state-propagation messages —
 //! the inner loop then terminates through the modularity collective
@@ -40,7 +41,7 @@
 //! re-scans only vertices whose scan *inputs* could have changed —
 //! local neighbors of received state-propagation deltas (remote
 //! re-activation piggybacked on the §10 protocol via the `RemoteCache`
-//! transpose view) and vertices whose own or adjacent community changed
+//! source index) and vertices whose own or adjacent community changed
 //! in the replicated `Σ_tot`/size snapshots. Everyone else's cached
 //! `m_u`/`best` decision is bitwise what a fresh scan would compute, so
 //! an ε-throttled vertex waits on the *eligibility ledger* — reachable
@@ -88,7 +89,7 @@ use louvain_runtime::{
     FaultPlan, FaultStats, RankCtx, RunOutcome, RuntimeConfig,
 };
 use louvain_trace::{Event, RankTrace};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::time::Duration;
 
 /// Bins of the global gain histogram that translates ε into `ΔQ̂`.
@@ -432,6 +433,103 @@ impl RankLevel {
     }
 }
 
+/// Live Out-Table rows of each local vertex, as one flat slab
+/// (DESIGN.md §10).
+///
+/// Vertex `li` owns the slab segment `offsets[li]..offsets[li + 1]`,
+/// sized by its neighbor sources: a row `(li, c)` is live while at least
+/// one of those sources carries cached label `c`, so a vertex never has
+/// more live rows than sources and the slab never grows. The first
+/// `len[li]` entries of the segment are its live rows as `(community,
+/// contributor count)` pairs, ascending by community — the candidate
+/// order of the FIND BEST scan.
+///
+/// Row liveness is this count, not the row's accumulated weight: FP
+/// cancellation of patches need not return a vacated row to exactly 0.0
+/// (e.g. `(1e16 + 1.0) - 1e16 - 1.0 == -1.0`), so when a count hits zero
+/// [`RemoteCache::apply_deltas`] overwrites the residue with exact 0.0
+/// to keep the consumers' `w != 0.0` sentinel sound for arbitrary
+/// weights.
+pub(crate) struct RowIndex {
+    /// Segment bounds, one slice per local vertex (`local_n + 1` entries).
+    offsets: Vec<usize>,
+    /// Live rows per local vertex: the used prefix of each segment.
+    len: Vec<u32>,
+    /// `(community, contributor count)` entries, sorted by community
+    /// within each segment's used prefix.
+    slab: Vec<(u32, u32)>,
+}
+
+impl RowIndex {
+    /// The index at the identity labelling that starts every level: each
+    /// neighbor source `s` of vertex `li` (`sources[offsets[li]..
+    /// offsets[li + 1]]`, sorted and distinct) is the one contributor of
+    /// the live row `(li, s)`.
+    pub(crate) fn identity(offsets: Vec<usize>, sources: &[u32]) -> Self {
+        debug_assert_eq!(offsets.last().copied(), Some(sources.len()));
+        let len = offsets.windows(2).map(|w| (w[1] - w[0]) as u32).collect();
+        Self {
+            offsets,
+            len,
+            slab: sources.iter().map(|&s| (s, 1)).collect(),
+        }
+    }
+
+    /// Slab range reserved for local vertex `li`.
+    fn segment(&self, li: usize) -> std::ops::Range<usize> {
+        self.offsets[li]..self.offsets[li + 1]
+    }
+
+    /// Live rows of local vertex `li`, ascending by community.
+    pub(crate) fn rows(&self, li: usize) -> &[(u32, u32)] {
+        let start = self.offsets[li];
+        &self.slab[start..start + self.len[li] as usize]
+    }
+
+    /// Whether local vertex `li` holds a live row into a community other
+    /// than `c` — false exactly when `li` is interior to `c` (or has no
+    /// rows). Rows are distinct, so at most two entries are examined.
+    pub(crate) fn has_external(&self, li: usize, c: u32) -> bool {
+        self.rows(li).iter().any(|&(e, _)| e != c)
+    }
+
+    /// Adds one contributor to row `(li, c)`, creating the row if absent.
+    fn add(&mut self, li: usize, c: u32) {
+        let start = self.offsets[li];
+        let len = self.len[li] as usize;
+        match self.slab[start..start + len].binary_search_by_key(&c, |&(e, _)| e) {
+            Ok(i) => self.slab[start + i].1 += 1,
+            Err(i) => {
+                assert!(
+                    start + len < self.offsets[li + 1],
+                    "row index segment overflow"
+                );
+                self.slab.copy_within(start + i..start + len, start + i + 1);
+                self.slab[start + i] = (c, 1);
+                self.len[li] += 1;
+            }
+        }
+    }
+
+    /// Removes one contributor from row `(li, c)`; returns whether that
+    /// was the last one (the row is dropped from the index).
+    fn remove(&mut self, li: usize, c: u32) -> bool {
+        let start = self.offsets[li];
+        let len = self.len[li] as usize;
+        let Ok(i) = self.slab[start..start + len].binary_search_by_key(&c, |&(e, _)| e) else {
+            panic!("contributor count underflow on row ({li}, {c})");
+        };
+        let entry = &mut self.slab[start + i].1;
+        *entry -= 1;
+        if *entry > 0 {
+            return false;
+        }
+        self.slab.copy_within(start + i + 1..start + len, start + i);
+        self.len[li] -= 1;
+        true
+    }
+}
+
 /// Per-level index over the local In-Table that makes delta-based state
 /// propagation O(migrations), plus the community cache it patches
 /// against (DESIGN.md §10).
@@ -439,10 +537,10 @@ impl RankLevel {
 /// `srcs`/`labels`/`offsets`/`pairs` serve the *receiver* side: a delta
 /// `(u, c_new)` is applied by looking up `u` in `srcs` and re-pointing
 /// every affected Out-Table row `(d, labels[u]) → (d, c_new)` by weight.
-/// `out_offsets`/`out_srcs` serve the *sender* side: the sorted neighbor
-/// sources of each local vertex, i.e. exactly the rows other ranks hold
-/// for it, so a migration is announced to precisely the owners that need
-/// the patch.
+/// `out_srcs` serves the *sender* side: the sorted neighbor sources of
+/// each local vertex, i.e. exactly the rows other ranks hold for it, so
+/// a migration is announced to precisely the owners that need the
+/// patch. Its per-vertex segments are the [`RowIndex`] segments.
 ///
 /// The whole structure is derived from the In-Table, which is immutable
 /// within a level — so the cache's epoch *is* the level, and GRAPH
@@ -456,36 +554,19 @@ struct RemoteCache {
     labels: Vec<u32>,
     /// CSR offsets into `pairs`, one slice per entry of `srcs`.
     offsets: Vec<usize>,
-    /// `(local vertex, weight)` Out-Table rows affected by each source,
-    /// sorted by (source, vertex) — deterministic regardless of the
-    /// In-Table's arrival-order-dependent slot layout.
-    pairs: Vec<(u32, f64)>,
-    /// CSR offsets into `out_srcs`, one slice per local vertex.
-    out_offsets: Vec<usize>,
-    /// Sorted neighbor sources of each local vertex (the transpose view).
+    /// `(vertex, local index, weight)` Out-Table rows affected by each
+    /// source, sorted by (source, vertex) — deterministic regardless of
+    /// the In-Table's arrival-order-dependent slot layout.
+    pairs: Vec<(u32, u32, f64)>,
+    /// Sorted neighbor sources of each local vertex, one
+    /// [`RowIndex::segment`] each.
     out_srcs: Vec<u32>,
-    /// Live-contributor count per Out-Table row: `counts[(d, c)]` is the
-    /// number of In-Table sources adjacent to `d` whose cached label is
-    /// `c` (exact small-integer f64s). Row liveness is this count, not
-    /// the row's accumulated weight: FP cancellation of patches need not
-    /// return a vacated row to exactly 0.0 (e.g. `(1e16 + 1.0) - 1e16 -
-    /// 1.0 == -1.0`), so when a count hits zero [`Self::apply_deltas`]
-    /// overwrites the residue with exact 0.0 to keep the consumers'
-    /// `w != 0.0` sentinel sound for arbitrary weights.
-    counts: EdgeTable,
-    /// Live Out-Table rows as `(local vertex, community)` (global ids),
-    /// kept in lockstep with [`Self::counts`]: a row is present exactly
-    /// while its contributor count is positive. The frontier-scheduled
-    /// FIND BEST sweep enumerates an active vertex's candidate
-    /// communities with a range query over this set — in ascending
-    /// community order, deterministically — instead of sweeping the
-    /// whole Out-Table (DESIGN.md §13).
-    vert_adj: BTreeSet<(u32, u32)>,
-    /// Transpose of [`Self::vert_adj`]: `(community, local vertex)`.
-    /// Serves the snapshot-diff wake rule — a bitwise change in a
-    /// community's replicated `Σ_tot`/size entry re-activates every
-    /// local vertex holding a live row into it.
-    comm_adj: BTreeSet<(u32, u32)>,
+    /// Live Out-Table rows per local vertex with their contributor
+    /// counts. The FIND BEST scan enumerates a vertex's candidate
+    /// communities from it in ascending order instead of sweeping the
+    /// whole Out-Table, and the interior tests and wake rule W2 read it
+    /// too (DESIGN.md §13).
+    live: RowIndex,
 }
 
 impl RemoteCache {
@@ -504,13 +585,13 @@ impl RemoteCache {
         triples.sort_unstable_by_key(|&(s, d, _)| (s, d));
         let mut srcs: Vec<u32> = Vec::new();
         let mut offsets: Vec<usize> = Vec::new();
-        let mut pairs: Vec<(u32, f64)> = Vec::with_capacity(triples.len());
+        let mut pairs: Vec<(u32, u32, f64)> = Vec::with_capacity(triples.len());
         for &(s, d, w) in &triples {
             if srcs.last() != Some(&s) {
                 srcs.push(s);
                 offsets.push(pairs.len());
             }
-            pairs.push((d, w));
+            pairs.push((d, part.local_index(d) as u32, w));
         }
         offsets.push(pairs.len());
         let labels = srcs.clone();
@@ -536,31 +617,20 @@ impl RemoteCache {
         }
         // At the identity labelling every Out-Table row (d, s) has
         // exactly one contributor: the In-Table entry (s, d).
-        let mut counts = EdgeTable::new(triples.len().max(8));
-        // The adjacency views start at the same identity rows: Out-Table
-        // row (d, s) is live for every In-Table entry (s, d).
-        let mut vert_adj: BTreeSet<(u32, u32)> = BTreeSet::new();
-        let mut comm_adj: BTreeSet<(u32, u32)> = BTreeSet::new();
-        for &(s, d, _) in &triples {
-            counts.accumulate(pack_key(d, s), 1.0);
-            vert_adj.insert((d, s));
-            comm_adj.insert((s, d));
-        }
+        let live = RowIndex::identity(out_offsets, &out_srcs);
         Self {
             srcs,
             labels,
             offsets,
             pairs,
-            out_offsets,
             out_srcs,
-            counts,
-            vert_adj,
-            comm_adj,
+            live,
         }
     }
 
     /// Applies a batch of received `(vertex, new_community)` deltas to
-    /// the persistent Out-Table.
+    /// the persistent Out-Table, reporting every row whose stored weight
+    /// changed bitwise as `(local vertex, community)` in `dirty`.
     ///
     /// Deltas are sorted by vertex id before application, so the patched
     /// table is a function of the *set* of migrations — independent of
@@ -568,11 +638,11 @@ impl RemoteCache {
     /// (Each vertex migrates at most once per sweep and only its owner
     /// announces it, so vertex id is a total order over the batch.)
     ///
-    /// Liveness is tracked structurally through [`Self::counts`]: moving
+    /// Liveness is tracked structurally through [`Self::live`]: moving
     /// a contributor decrements the old row's count and increments the
     /// new one's, and a row whose count reaches zero has its weight
     /// overwritten with exact 0.0 rather than trusting `+w`/`-w` FP
-    /// cancellation — see the field docs and DESIGN.md §10.
+    /// cancellation — see [`RowIndex`] and DESIGN.md §10.
     fn apply_deltas(
         &mut self,
         out_table: &mut EdgeTable,
@@ -591,12 +661,9 @@ impl RemoteCache {
                 continue;
             }
             self.labels[idx] = c_new;
-            for &(d, w) in &self.pairs[self.offsets[idx]..self.offsets[idx + 1]] {
+            for &(d, li, w) in &self.pairs[self.offsets[idx]..self.offsets[idx + 1]] {
                 let old_key = pack_key(d, c_old);
                 let new_key = pack_key(d, c_new);
-                self.counts.accumulate(old_key, -1.0);
-                let remaining = self.counts.get(old_key).unwrap_or(0.0);
-                debug_assert!(remaining >= 0.0, "contributor count went negative");
                 // Every row whose stored weight changes *bitwise* is
                 // reported as `(vertex, community)` for wake rule W1: the
                 // find-best inputs the snapshot-diff rule W2 cannot see
@@ -609,30 +676,21 @@ impl RemoteCache {
                 // list is a function of the delta set —
                 // schedule-invariant like every other wake source.
                 let before = out_table.get(old_key).unwrap_or(0.0);
-                #[allow(clippy::float_cmp)]
-                // lint: allow(F1) — contributor counts are exact small-integer-valued f64s
-                if remaining == 0.0 {
+                if self.live.remove(li as usize, c_old) {
                     // Last contributor left: kill the residue exactly
-                    // (x + (-x) == +0.0 for every finite x), and retire
-                    // the row from both adjacency views.
+                    // (x + (-x) == +0.0 for every finite x).
                     out_table.accumulate(old_key, -before);
-                    self.vert_adj.remove(&(d, c_old));
-                    self.comm_adj.remove(&(c_old, d));
                 } else {
                     out_table.accumulate(old_key, -w);
                 }
                 if before.to_bits() != out_table.get(old_key).unwrap_or(0.0).to_bits() {
-                    dirty.push((d, c_old));
+                    dirty.push((li, c_old));
                 }
-                self.counts.accumulate(new_key, 1.0);
-                // Row birth and survival are both plain set inserts — the
-                // sets mirror `counts > 0` without any float compare.
-                self.vert_adj.insert((d, c_new));
-                self.comm_adj.insert((c_new, d));
+                self.live.add(li as usize, c_new);
                 let before = out_table.get(new_key).unwrap_or(0.0);
                 out_table.accumulate(new_key, w);
                 if before.to_bits() != out_table.get(new_key).unwrap_or(0.0).to_bits() {
-                    dirty.push((d, c_new));
+                    dirty.push((li, c_new));
                 }
             }
         }
@@ -1501,7 +1559,7 @@ fn send_full_rebuild(
     for li in 0..local_n {
         let v = part.global(rank, li);
         let c = lvl.label[li];
-        for &s in &cache.out_srcs[cache.out_offsets[li]..cache.out_offsets[li + 1]] {
+        for &s in &cache.out_srcs[cache.live.segment(li)] {
             ex.send(part.owner(s), Msg { a: v, b: c, w: 0.0 });
         }
     }
@@ -1524,7 +1582,7 @@ fn propagate_deltas(
     } else {
         for &(u, c_new) in migrated {
             let li = part.local_index(u);
-            for &s in &cache.out_srcs[cache.out_offsets[li]..cache.out_offsets[li + 1]] {
+            for &s in &cache.out_srcs[cache.live.segment(li)] {
                 ex.send_keyed(
                     part.owner(s),
                     u64::from(u),
@@ -1552,8 +1610,8 @@ fn propagate_deltas(
     // no rows and dirty nothing, so both ablations schedule identically.
     let mut dirty: Vec<(u32, u32)> = Vec::new();
     cache.apply_deltas(out_table, &mut deltas, &mut dirty);
-    for &(d, c) in &dirty {
-        frontier.mark_row_dirty(part.local_index(d), c);
+    for &(li, c) in &dirty {
+        frontier.mark_row_dirty(li as usize, c);
     }
 }
 
@@ -1749,10 +1807,7 @@ fn refine(
                 &prev_size,
                 &size_snap,
                 &lvl.label,
-                &cache.vert_adj,
-                &cache.comm_adj,
-                |li| lvl.part.global(rank, li),
-                |d| lvl.part.local_index(d),
+                &cache.live,
             );
         }
         // --- Scan patches (DESIGN.md §13) ---
@@ -1894,9 +1949,9 @@ fn refine(
             let remove_u = dq::remove_gain(w_own, lvl.k[li], tot_snap[c_u as usize], s);
             // Candidate communities are exactly the live Out-Table rows
             // of `u`, enumerated in ascending community order from the
-            // cache's adjacency view — the same candidate set the old
+            // cache's row index — the same candidate set the old
             // whole-table sweep visited, in a deterministic order.
-            for &(_, c_new) in cache.vert_adj.range((u, 0)..=(u, u32::MAX)) {
+            for &(c_new, _) in cache.live.rows(li) {
                 rows_scanned += 1;
                 if c_new == c_u {
                     continue;
@@ -2044,11 +2099,7 @@ fn refine(
                     // it directly. (Rows are frozen during this sweep —
                     // the deltas land in the next propagation, where W1
                     // catches any subsequent row birth.)
-                    let interior = !cache
-                        .vert_adj
-                        .range((u, 0)..=(u, u32::MAX))
-                        .any(|&(_, e)| e != c_new);
-                    if interior {
+                    if !cache.live.has_external(li, c_new) {
                         m_u[li] = 0.0;
                         best[li] = c_new;
                         summ[li] = CandSummary::sentinel_only(c_new);
@@ -2198,18 +2249,22 @@ fn compute_modularity(
     s: f64,
 ) -> f64 {
     lvl.internal.iter_mut().for_each(|x| *x = 0.0);
+    let rank = ctx.rank();
     {
         let part = &lvl.part;
         let label = &lvl.label;
         let mut ex = ctx.exchange();
-        for (key, w) in out_table.iter() {
-            let (u, c) = unpack_key(key);
+        // Each local vertex contributes its own-community row, if live.
+        for (li, &c) in label.iter().enumerate() {
+            let w = out_table
+                .get(pack_key(part.global(rank, li), c))
+                .unwrap_or(0.0);
             // Dead rows (see the find-best scan) carry no weight and
             // must not be shipped.
             #[allow(clippy::float_cmp)]
             // lint: allow(F1) — dead rows are structurally set to exact 0.0 by the delta patcher
             let live = w != 0.0;
-            if live && label[part.local_index(u)] == c {
+            if live {
                 ex.send(part.owner(c), Msg { a: c, b: 0, w });
             }
         }
@@ -2696,6 +2751,23 @@ mod tests {
         assert_eq!(out_table.get(pack_key(0, 4)), Some(1e16));
     }
 
+    /// Mixed-magnitude weights whose patched sums do not commute.
+    const MIXED_EDGES: [(u32, u32, f64); 5] = [
+        (0, 1, 1e16),
+        (0, 2, 1.0),
+        (0, 3, 0.3),
+        (4, 1, 0.1),
+        (4, 2, 2.5e7),
+    ];
+
+    /// Delta batches over [`MIXED_EDGES`]: rows are born, shared,
+    /// vacated and re-joined.
+    const MIXED_BATCHES: [&[(u32, u32)]; 3] = [
+        &[(1, 4), (2, 4), (3, 4)],
+        &[(1, 3), (2, 3)],
+        &[(2, 0), (3, 0), (1, 0)],
+    ];
+
     #[test]
     fn delta_application_is_independent_of_delivery_order() {
         // `drain_perturbed` deliberately scrambles delivery order, and
@@ -2703,24 +2775,12 @@ mod tests {
         // `apply_deltas` sorts each batch before applying it. Feeding
         // the same batches in opposite arrival orders must produce
         // bit-identical tables even for non-commuting f64 weights.
-        let edges = [
-            (0u32, 1u32, 1e16),
-            (0, 2, 1.0),
-            (0, 3, 0.3),
-            (4, 1, 0.1),
-            (4, 2, 2.5e7),
-        ];
-        let batches: [&[(u32, u32)]; 3] = [
-            &[(1, 4), (2, 4), (3, 4)],
-            &[(1, 3), (2, 3)],
-            &[(2, 0), (3, 0), (1, 0)],
-        ];
         let run = |reverse: bool| -> Vec<(u64, u64)> {
-            let lvl = single_rank_level(5, &edges);
+            let lvl = single_rank_level(5, &MIXED_EDGES);
             let mut cache = RemoteCache::build(&lvl, 0);
             let mut out_table = EdgeTable::new(8);
             build_out_table_local(&lvl, &mut out_table);
-            for batch in batches {
+            for batch in MIXED_BATCHES {
                 let mut b = batch.to_vec();
                 if reverse {
                     b.reverse();
@@ -2733,6 +2793,49 @@ mod tests {
             rows
         };
         assert_eq!(run(false), run(true));
+    }
+
+    #[test]
+    fn row_index_tracks_live_rows_and_contributor_counts() {
+        // After every batch, each vertex's segment must list exactly the
+        // live rows of a from-scratch rebuild, ascending by community,
+        // with each count equal to the sources behind that row — and no
+        // segment may outgrow the slab range reserved for it.
+        let lvl = single_rank_level(5, &MIXED_EDGES);
+        let mut cache = RemoteCache::build(&lvl, 0);
+        let mut out_table = EdgeTable::new(8);
+        build_out_table_local(&lvl, &mut out_table);
+        for batch in MIXED_BATCHES {
+            cache.apply_deltas(&mut out_table, &mut batch.to_vec(), &mut Vec::new());
+            let reference = rebuild_reference(&lvl, &cache);
+            let mut expected: BTreeMap<(u32, u32), u32> = BTreeMap::new();
+            for (key, _) in lvl.in_table.iter() {
+                let (s, d) = unpack_key(key);
+                let idx = cache.srcs.binary_search(&s).expect("source in cache");
+                *expected.entry((d, cache.labels[idx])).or_insert(0) += 1;
+            }
+            let mut live: Vec<u64> = reference.iter().map(|(key, _)| key).collect();
+            live.sort_unstable();
+            let mut listed: Vec<u64> = Vec::new();
+            for li in 0..lvl.label.len() {
+                let d = lvl.part.global(0, li);
+                let rows = cache.live.rows(li);
+                assert!(
+                    rows.windows(2).all(|w| w[0].0 < w[1].0),
+                    "vertex {d}: {rows:?}"
+                );
+                assert!(
+                    rows.len() <= cache.live.segment(li).len(),
+                    "vertex {d} overran"
+                );
+                for &(c, count) in rows {
+                    assert_eq!(Some(&count), expected.get(&(d, c)), "row ({d}, {c})");
+                    listed.push(pack_key(d, c));
+                }
+            }
+            listed.sort_unstable();
+            assert_eq!(listed, live, "live row set diverged from the rebuild");
+        }
     }
 
     #[test]

@@ -103,12 +103,18 @@ impl EdgeListBuilder {
         self.raw.len()
     }
 
-    /// Adds an undirected edge. Panics (debug) on out-of-range endpoints or
-    /// non-finite weight.
+    /// Adds an undirected edge.
+    ///
+    /// # Panics
+    ///
+    /// On an endpoint `>= num_vertices()`, or a weight that is NaN,
+    /// infinite or negative (the weights `read_edge_list` rejects) — in
+    /// release builds too.
     pub fn add_edge(&mut self, u: VertexId, v: VertexId, w: Weight) {
-        debug_assert!((u as usize) < self.n, "endpoint {u} out of range");
-        debug_assert!((v as usize) < self.n, "endpoint {v} out of range");
-        debug_assert!(w.is_finite(), "edge weight must be finite");
+        assert!((u as usize) < self.n, "endpoint {u} out of range");
+        assert!((v as usize) < self.n, "endpoint {v} out of range");
+        assert!(w.is_finite(), "edge weight {w} must be finite");
+        assert!(w >= 0.0, "edge weight {w} must be non-negative");
         let (u, v) = if u <= v { (u, v) } else { (v, u) };
         self.raw.push(Edge { u, v, w });
     }

@@ -72,6 +72,17 @@ run_step() {
       # [workspace]), so no workspace step compiles it; build and test it
       # here so a louvain-core API change cannot break it unnoticed.
       cargo test --release --offline --manifest-path crates/bench/src/bin/louvain-perf/Cargo.toml
+      # One real workload end to end. amazon-1r runs on 1 rank, so the
+      # insufficient-cores guard never fires; every run's output checks
+      # must pass (the summary line ends the output).
+      summary=$(cargo run -q --release --offline \
+        --manifest-path crates/bench/src/bin/louvain-perf/Cargo.toml \
+        -- run --workload amazon-1r --seconds 1 | tail -n 1)
+      echo "$summary"
+      case "$summary" in
+        *'"failed": 0,'*) ;;
+        *) echo "error: louvain-perf amazon-1r reported failed runs" >&2; exit 1 ;;
+      esac
       ;;
     race)
       # Schedule-perturbation race harness: bit-identical output under

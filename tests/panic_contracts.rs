@@ -14,6 +14,38 @@ fn builder_rejects_oversized_vertex_space() {
     let _ = EdgeListBuilder::new(u32::MAX as usize + 10);
 }
 
+// `EdgeListBuilder::add_edge` checks its input in release builds too.
+
+#[test]
+#[should_panic(expected = "endpoint 4 out of range")]
+fn builder_rejects_out_of_range_source() {
+    EdgeListBuilder::new(4).add_edge(4, 0, 1.0);
+}
+
+#[test]
+#[should_panic(expected = "endpoint 9 out of range")]
+fn builder_rejects_out_of_range_target() {
+    EdgeListBuilder::new(4).add_edge(0, 9, 1.0);
+}
+
+#[test]
+#[should_panic(expected = "must be finite")]
+fn builder_rejects_nan_weight() {
+    EdgeListBuilder::new(4).add_edge(0, 1, f64::NAN);
+}
+
+#[test]
+#[should_panic(expected = "must be finite")]
+fn builder_rejects_infinite_weight() {
+    EdgeListBuilder::new(4).add_edge(0, 1, f64::INFINITY);
+}
+
+#[test]
+#[should_panic(expected = "must be non-negative")]
+fn builder_rejects_negative_weight() {
+    EdgeListBuilder::new(4).add_edge(0, 1, -0.5);
+}
+
 #[test]
 #[should_panic(expected = "infeasible")]
 fn gnm_rejects_impossible_edge_counts() {
