@@ -507,7 +507,8 @@ mod tests {
             flat.extend_from_slice(r);
             offsets.push(flat.len());
         }
-        RowIndex::identity(offsets, &flat)
+        let weights = vec![1.0; flat.len()];
+        RowIndex::identity(offsets, &flat, weights)
     }
 
     #[test]

@@ -6,8 +6,9 @@
 //! * vertices are 1D-partitioned by `v mod p` ([`ModuloPartition`]);
 //! * `In_Table` holds the in-edges of locally owned vertices, keyed
 //!   `(src, dst)` — immutable during the inner loop;
-//! * `Out_Table` accumulates `w_{u→c}`, keyed `(src, community)` — rebuilt
-//!   by every STATE PROPAGATION;
+//! * `Out_Table` holds `w_{u→c}` for each local vertex `u` — here a
+//!   `RowIndex` of per-vertex rows sorted by community, built once per
+//!   level and patched in place by every STATE PROPAGATION;
 //! * community `c` (a global id) is owned by rank `c mod p`, which keeps
 //!   its `Σ_tot` and `Σ_in`.
 //!
@@ -26,10 +27,10 @@
 //! pairs for vertices that actually migrated. Receivers patch the
 //! persistent Out-Table through a per-level `RemoteCache` instead of
 //! rebuilding it: deltas are applied in sorted vertex order (never in
-//! delivery order), and row liveness is tracked structurally via
-//! per-row contributor counts in a flat per-vertex row index — a
-//! vacated row is overwritten with exact 0.0 instead of trusting FP
-//! cancellation. The cache is invalidated
+//! delivery order), each batch is merged into a vertex's rows in one
+//! pass, and row liveness is tracked structurally via per-row
+//! contributor counts — a vacated row leaves the index instead of
+//! trusting FP cancellation to zero it. The cache is invalidated
 //! (rebuilt) at every GRAPH RECONSTRUCTION. An iteration in which no
 //! vertex migrates anywhere exchanges zero state-propagation messages —
 //! the inner loop then terminates through the modularity collective
@@ -433,8 +434,8 @@ impl RankLevel {
     }
 }
 
-/// Live Out-Table rows of each local vertex, as one flat slab
-/// (DESIGN.md §10).
+/// The Out-Table: the live rows `w_{u→c}` of each local vertex, as one
+/// flat slab (DESIGN.md §10).
 ///
 /// Vertex `li` owns the slab segment `offsets[li]..offsets[li + 1]`,
 /// sized by its neighbor sources: a row `(li, c)` is live while at least
@@ -442,14 +443,16 @@ impl RankLevel {
 /// more live rows than sources and the slab never grows. The first
 /// `len[li]` entries of the segment are its live rows as `(community,
 /// contributor count)` pairs, ascending by community — the candidate
-/// order of the FIND BEST scan.
+/// order of the FIND BEST scan — with the row weights in the parallel
+/// `weights` slab.
 ///
-/// Row liveness is this count, not the row's accumulated weight: FP
+/// Row liveness is the count, not the row's accumulated weight: FP
 /// cancellation of patches need not return a vacated row to exactly 0.0
 /// (e.g. `(1e16 + 1.0) - 1e16 - 1.0 == -1.0`), so when a count hits zero
-/// [`RemoteCache::apply_deltas`] overwrites the residue with exact 0.0
-/// to keep the consumers' `w != 0.0` sentinel sound for arbitrary
-/// weights.
+/// the row leaves the segment and its next birth starts from exact 0.0.
+/// A live row can still round to 0.0 under mixed-magnitude
+/// cancellation; the consumers' `w != 0.0` sentinel skips it exactly as
+/// it skips an absent row.
 pub(crate) struct RowIndex {
     /// Segment bounds, one slice per local vertex (`local_n + 1` entries).
     offsets: Vec<usize>,
@@ -458,21 +461,40 @@ pub(crate) struct RowIndex {
     /// `(community, contributor count)` entries, sorted by community
     /// within each segment's used prefix.
     slab: Vec<(u32, u32)>,
+    /// Row weight `w_{u→c}` of each `slab` entry.
+    weights: Vec<f64>,
+}
+
+/// One contributor entering (`add`) or leaving row `(li, c)` with its
+/// In-Table weight `w`: the unit of [`RowIndex::merge`].
+#[derive(Clone, Copy, Debug, Default)]
+struct RowOp {
+    c: u32,
+    add: bool,
+    w: f64,
 }
 
 impl RowIndex {
     /// The index at the identity labelling that starts every level: each
     /// neighbor source `s` of vertex `li` (`sources[offsets[li]..
     /// offsets[li + 1]]`, sorted and distinct) is the one contributor of
-    /// the live row `(li, s)`.
-    pub(crate) fn identity(offsets: Vec<usize>, sources: &[u32]) -> Self {
+    /// the live row `(li, s)`, whose weight is the In-Table entry
+    /// `w(s, li)` in `weights`.
+    pub(crate) fn identity(offsets: Vec<usize>, sources: &[u32], weights: Vec<f64>) -> Self {
         debug_assert_eq!(offsets.last().copied(), Some(sources.len()));
+        debug_assert_eq!(sources.len(), weights.len());
         let len = offsets.windows(2).map(|w| (w[1] - w[0]) as u32).collect();
         Self {
             offsets,
             len,
             slab: sources.iter().map(|&s| (s, 1)).collect(),
+            weights,
         }
+    }
+
+    /// Number of local vertices.
+    fn num_vertices(&self) -> usize {
+        self.len.len()
     }
 
     /// Slab range reserved for local vertex `li`.
@@ -486,6 +508,32 @@ impl RowIndex {
         &self.slab[start..start + self.len[li] as usize]
     }
 
+    /// Weights of the live rows of local vertex `li`, in [`Self::rows`]
+    /// order.
+    fn row_weights(&self, li: usize) -> &[f64] {
+        let start = self.offsets[li];
+        &self.weights[start..start + self.len[li] as usize]
+    }
+
+    /// Weight of row `(li, c)`; 0.0 when the row is dead.
+    fn weight(&self, li: usize, c: u32) -> f64 {
+        match self.rows(li).binary_search_by_key(&c, |&(e, _)| e) {
+            Ok(i) => self.weights[self.offsets[li] + i],
+            Err(_) => 0.0,
+        }
+    }
+
+    /// Every live row as `(local vertex, community, weight)`, ascending
+    /// by vertex, then community.
+    fn iter(&self) -> impl Iterator<Item = (usize, u32, f64)> + '_ {
+        (0..self.num_vertices()).flat_map(move |li| {
+            self.rows(li)
+                .iter()
+                .zip(self.row_weights(li))
+                .map(move |(&(c, _), &w)| (li, c, w))
+        })
+    }
+
     /// Whether local vertex `li` holds a live row into a community other
     /// than `c` — false exactly when `li` is interior to `c` (or has no
     /// rows). Rows are distinct, so at most two entries are examined.
@@ -493,46 +541,80 @@ impl RowIndex {
         self.rows(li).iter().any(|&(e, _)| e != c)
     }
 
-    /// Adds one contributor to row `(li, c)`, creating the row if absent.
-    fn add(&mut self, li: usize, c: u32) {
-        let start = self.offsets[li];
-        let len = self.len[li] as usize;
-        match self.slab[start..start + len].binary_search_by_key(&c, |&(e, _)| e) {
-            Ok(i) => self.slab[start + i].1 += 1,
-            Err(i) => {
-                assert!(
-                    start + len < self.offsets[li + 1],
-                    "row index segment overflow"
-                );
-                self.slab.copy_within(start + i..start + len, start + i + 1);
-                self.slab[start + i] = (c, 1);
-                self.len[li] += 1;
+    /// Merges one vertex's row operations into its segment in a single
+    /// pass. `ops` must be sorted by community, each row's operations in
+    /// delta order. Per operation the arithmetic is fixed: an addition
+    /// does `w += op.w`; a removal does `w += -op.w`, or `w += -w` when it
+    /// takes the last contributor (`x + (-x) == +0.0` for finite `x`).
+    /// A row whose weight bits changed at any step is pushed to `dirty`
+    /// once; a row left without contributors leaves the segment.
+    ///
+    /// # Panics
+    ///
+    /// On a contributor-count underflow or a segment overflow — both mean
+    /// the label cache and the index disagree, in release builds too.
+    fn merge(
+        &mut self,
+        li: usize,
+        ops: &[RowOp],
+        dirty: &mut Vec<(u32, u32)>,
+        merged: &mut Vec<(u32, u32, f64)>,
+    ) {
+        let seg = self.segment(li);
+        let end = seg.start + self.len[li] as usize;
+        let mut r = seg.start;
+        let mut i = 0;
+        merged.clear();
+        while i < ops.len() {
+            let c = ops[i].c;
+            while r < end && self.slab[r].0 < c {
+                merged.push((self.slab[r].0, self.slab[r].1, self.weights[r]));
+                r += 1;
+            }
+            let (mut count, mut w) = if r < end && self.slab[r].0 == c {
+                r += 1;
+                (self.slab[r - 1].1, self.weights[r - 1])
+            } else {
+                (0, 0.0)
+            };
+            let mut changed = false;
+            while i < ops.len() && ops[i].c == c {
+                let op = ops[i];
+                let before = w.to_bits();
+                if op.add {
+                    count += 1;
+                    w += op.w;
+                } else {
+                    assert!(count > 0, "contributor count underflow on row ({li}, {c})");
+                    count -= 1;
+                    w += if count == 0 { -w } else { -op.w };
+                }
+                changed |= w.to_bits() != before;
+                i += 1;
+            }
+            if changed {
+                dirty.push((li as u32, c));
+            }
+            if count > 0 {
+                merged.push((c, count, w));
             }
         }
-    }
-
-    /// Removes one contributor from row `(li, c)`; returns whether that
-    /// was the last one (the row is dropped from the index).
-    fn remove(&mut self, li: usize, c: u32) -> bool {
-        let start = self.offsets[li];
-        let len = self.len[li] as usize;
-        let Ok(i) = self.slab[start..start + len].binary_search_by_key(&c, |&(e, _)| e) else {
-            panic!("contributor count underflow on row ({li}, {c})");
-        };
-        let entry = &mut self.slab[start + i].1;
-        *entry -= 1;
-        if *entry > 0 {
-            return false;
+        while r < end {
+            merged.push((self.slab[r].0, self.slab[r].1, self.weights[r]));
+            r += 1;
         }
-        self.slab.copy_within(start + i + 1..start + len, start + i);
-        self.len[li] -= 1;
-        true
+        assert!(merged.len() <= seg.len(), "row index segment overflow");
+        for (k, &(c, count, w)) in merged.iter().enumerate() {
+            self.slab[seg.start + k] = (c, count);
+            self.weights[seg.start + k] = w;
+        }
+        self.len[li] = merged.len() as u32;
     }
 }
 
 /// Per-level index over the local In-Table that makes delta-based state
 /// propagation O(migrations), plus the community cache it patches
-/// against (DESIGN.md §10).
+/// against and the Out-Table it patches (DESIGN.md §10).
 ///
 /// `srcs`/`labels`/`offsets`/`pairs` serve the *receiver* side: a delta
 /// `(u, c_new)` is applied by looking up `u` in `srcs` and re-pointing
@@ -554,26 +636,30 @@ struct RemoteCache {
     labels: Vec<u32>,
     /// CSR offsets into `pairs`, one slice per entry of `srcs`.
     offsets: Vec<usize>,
-    /// `(vertex, local index, weight)` Out-Table rows affected by each
-    /// source, sorted by (source, vertex) — deterministic regardless of
-    /// the In-Table's arrival-order-dependent slot layout.
-    pairs: Vec<(u32, u32, f64)>,
+    /// `(local index, weight)` Out-Table rows affected by each source,
+    /// sorted by (source, vertex) — deterministic regardless of the
+    /// In-Table's arrival-order-dependent slot layout.
+    pairs: Vec<(u32, f64)>,
     /// Sorted neighbor sources of each local vertex, one
     /// [`RowIndex::segment`] each.
     out_srcs: Vec<u32>,
-    /// Live Out-Table rows per local vertex with their contributor
-    /// counts. The FIND BEST scan enumerates a vertex's candidate
-    /// communities from it in ascending order instead of sweeping the
-    /// whole Out-Table, and the interior tests and wake rule W2 read it
-    /// too (DESIGN.md §13).
-    live: RowIndex,
+    /// Self-loop weight `a_uu` per local vertex (0.0 without one): the
+    /// In-Table entry `(u, u)`, which the own-row term subtracts.
+    self_loop: Vec<f64>,
+    /// The Out-Table: live rows per local vertex with their contributor
+    /// counts and weights. The FIND BEST scan enumerates a vertex's
+    /// candidate communities from it in ascending order, and the interior
+    /// tests and wake rule W2 read it too (DESIGN.md §13).
+    out_table: RowIndex,
 }
 
 impl RemoteCache {
-    /// Builds the cache for `lvl` (one pass over the In-Table plus two
-    /// sorts). Labels start at the identity mapping because every level
+    /// Builds the cache for `lvl` (one pass over the In-Table plus one
+    /// sort). Labels start at the identity mapping because every level
     /// begins with singleton communities `c = v` — known without
-    /// communication.
+    /// communication — so the Out-Table starts as a pure re-keying of
+    /// the In-Table: row `(d, s)` holds `w(s, d)` (STATE PROPAGATION,
+    /// Algorithm 3, level-start edition: zero messages).
     fn build(lvl: &RankLevel, rank: usize) -> Self {
         let part = &lvl.part;
         let mut triples: Vec<(u32, u32, f64)> = Vec::with_capacity(lvl.in_table.len());
@@ -583,54 +669,59 @@ impl RemoteCache {
         }
         // Keys are distinct `(s, d)` pairs, so this order is total.
         triples.sort_unstable_by_key(|&(s, d, _)| (s, d));
+        let local_n = part.local_count(rank);
         let mut srcs: Vec<u32> = Vec::new();
         let mut offsets: Vec<usize> = Vec::new();
-        let mut pairs: Vec<(u32, u32, f64)> = Vec::with_capacity(triples.len());
+        let mut pairs: Vec<(u32, f64)> = Vec::with_capacity(triples.len());
+        let mut degree = vec![0usize; local_n];
+        let mut self_loop = vec![0.0f64; local_n];
         for &(s, d, w) in &triples {
             if srcs.last() != Some(&s) {
                 srcs.push(s);
                 offsets.push(pairs.len());
             }
-            pairs.push((d, part.local_index(d) as u32, w));
+            let li = part.local_index(d);
+            pairs.push((li as u32, w));
+            degree[li] += 1;
+            if s == d {
+                self_loop[li] = w;
+            }
         }
         offsets.push(pairs.len());
         let labels = srcs.clone();
-        // Transpose: neighbor sources per local vertex, sorted.
-        let local_n = part.local_count(rank);
-        let mut degree = vec![0usize; local_n];
-        for &(_, d, _) in &triples {
-            degree[part.local_index(d)] += 1;
-        }
+        // Transpose: neighbor sources per local vertex. The triples are
+        // visited in ascending source order, so each segment comes out
+        // sorted and no per-segment sort is needed.
         let mut out_offsets = vec![0usize; local_n + 1];
         for li in 0..local_n {
             out_offsets[li + 1] = out_offsets[li] + degree[li];
         }
         let mut out_srcs = vec![0u32; triples.len()];
+        let mut weights = vec![0.0f64; triples.len()];
         let mut cursor = out_offsets.clone();
-        for &(s, d, _) in &triples {
+        for &(s, d, w) in &triples {
             let li = part.local_index(d);
             out_srcs[cursor[li]] = s;
+            weights[cursor[li]] = w;
             cursor[li] += 1;
-        }
-        for li in 0..local_n {
-            out_srcs[out_offsets[li]..out_offsets[li + 1]].sort_unstable();
         }
         // At the identity labelling every Out-Table row (d, s) has
         // exactly one contributor: the In-Table entry (s, d).
-        let live = RowIndex::identity(out_offsets, &out_srcs);
+        let out_table = RowIndex::identity(out_offsets, &out_srcs, weights);
         Self {
             srcs,
             labels,
             offsets,
             pairs,
             out_srcs,
-            live,
+            self_loop,
+            out_table,
         }
     }
 
     /// Applies a batch of received `(vertex, new_community)` deltas to
-    /// the persistent Out-Table, reporting every row whose stored weight
-    /// changed bitwise as `(local vertex, community)` in `dirty`.
+    /// the Out-Table, reporting every row whose stored weight changed
+    /// bitwise as `(local vertex, community)` in `dirty`.
     ///
     /// Deltas are sorted by vertex id before application, so the patched
     /// table is a function of the *set* of migrations — independent of
@@ -638,18 +729,21 @@ impl RemoteCache {
     /// (Each vertex migrates at most once per sweep and only its owner
     /// announces it, so vertex id is a total order over the batch.)
     ///
-    /// Liveness is tracked structurally through [`Self::live`]: moving
-    /// a contributor decrements the old row's count and increments the
-    /// new one's, and a row whose count reaches zero has its weight
-    /// overwritten with exact 0.0 rather than trusting `+w`/`-w` FP
-    /// cancellation — see [`RowIndex`] and DESIGN.md §10.
-    fn apply_deltas(
-        &mut self,
-        out_table: &mut EdgeTable,
-        deltas: &mut [(u32, u32)],
-        dirty: &mut Vec<(u32, u32)>,
-    ) {
+    /// Every affected In-Table entry `(u, d)` becomes a removal on row
+    /// `(d, c_old)` and an addition on `(d, c_new)`. The operations are
+    /// bucketed by vertex with a stable counting sort, each bucket is
+    /// stably sorted by community — so a row's operations keep their
+    /// delta order — and merged into its segment in one pass
+    /// ([`RowIndex::merge`]). Liveness is structural: a row whose last
+    /// contributor leaves drops out of the index rather than trusting
+    /// `+w`/`-w` FP cancellation — see [`RowIndex`] and DESIGN.md §10.
+    fn apply_deltas(&mut self, deltas: &mut [(u32, u32)], dirty: &mut Vec<(u32, u32)>) {
         deltas.sort_unstable();
+        // Label-cache pass: the effective migrations, and the number of
+        // row operations each local vertex receives (two per entry).
+        let local_n = self.out_table.num_vertices();
+        let mut moves: Vec<(usize, u32, u32)> = Vec::new();
+        let mut bucket = vec![0usize; local_n + 1];
         for &(u, c_new) in deltas.iter() {
             // Only owners of neighbors of `u` receive its delta, so the
             // lookup always hits; guard anyway rather than unwrap (P1).
@@ -661,38 +755,55 @@ impl RemoteCache {
                 continue;
             }
             self.labels[idx] = c_new;
-            for &(d, li, w) in &self.pairs[self.offsets[idx]..self.offsets[idx + 1]] {
-                let old_key = pack_key(d, c_old);
-                let new_key = pack_key(d, c_new);
-                // Every row whose stored weight changes *bitwise* is
-                // reported as `(vertex, community)` for wake rule W1: the
-                // find-best inputs the snapshot-diff rule W2 cannot see
-                // are exactly the row weights, and this is the one place
-                // that knows precisely which rows moved. (W2's diff can
-                // even be blind to the whole migration: a community that
-                // loses one vertex and gains another of bitwise-equal
-                // degree has `Σ_tot` and size land back on identical
-                // bits.) Deltas are applied in sorted order, so the dirty
-                // list is a function of the delta set —
-                // schedule-invariant like every other wake source.
-                let before = out_table.get(old_key).unwrap_or(0.0);
-                if self.live.remove(li as usize, c_old) {
-                    // Last contributor left: kill the residue exactly
-                    // (x + (-x) == +0.0 for every finite x).
-                    out_table.accumulate(old_key, -before);
-                } else {
-                    out_table.accumulate(old_key, -w);
-                }
-                if before.to_bits() != out_table.get(old_key).unwrap_or(0.0).to_bits() {
-                    dirty.push((li, c_old));
-                }
-                self.live.add(li as usize, c_new);
-                let before = out_table.get(new_key).unwrap_or(0.0);
-                out_table.accumulate(new_key, w);
-                if before.to_bits() != out_table.get(new_key).unwrap_or(0.0).to_bits() {
-                    dirty.push((li, c_new));
-                }
+            moves.push((idx, c_old, c_new));
+            for &(li, _) in &self.pairs[self.offsets[idx]..self.offsets[idx + 1]] {
+                bucket[li as usize + 1] += 2;
             }
+        }
+        if moves.is_empty() {
+            return;
+        }
+        for li in 0..local_n {
+            bucket[li + 1] += bucket[li];
+        }
+        // Fill pass, straight into the buckets: `bucket[li]` walks from
+        // the start of vertex `li`'s bucket to the start of the next.
+        let mut ops = vec![RowOp::default(); bucket[local_n]];
+        for &(idx, c_old, c_new) in &moves {
+            for &(li, w) in &self.pairs[self.offsets[idx]..self.offsets[idx + 1]] {
+                let at = &mut bucket[li as usize];
+                ops[*at] = RowOp {
+                    c: c_old,
+                    add: false,
+                    w,
+                };
+                ops[*at + 1] = RowOp {
+                    c: c_new,
+                    add: true,
+                    w,
+                };
+                *at += 2;
+            }
+        }
+        // Every row whose stored weight changes *bitwise* is reported as
+        // `(vertex, community)` for wake rule W1: the find-best inputs
+        // the snapshot-diff rule W2 cannot see are exactly the row
+        // weights, and this is the one place that knows precisely which
+        // rows moved. (W2's diff can even be blind to the whole
+        // migration: a community that loses one vertex and gains another
+        // of bitwise-equal degree has `Σ_tot` and size land back on
+        // identical bits.) The list is a function of the delta set —
+        // schedule-invariant like every other wake source — and the
+        // frontier consumes it as a set, so its order does not matter.
+        let mut merged: Vec<(u32, u32, f64)> = Vec::new();
+        let mut start = 0;
+        for (li, &end) in bucket[..local_n].iter().enumerate() {
+            if start < end {
+                let group = &mut ops[start..end];
+                group.sort_by_key(|op| op.c);
+                self.out_table.merge(li, group, dirty, &mut merged);
+            }
+            start = end;
         }
     }
 }
@@ -985,7 +1096,6 @@ fn rank_main(
     // Everything up to here (edge distribution + the 2m reduction) is the
     // loading superstep; the restore path did none of it.
     let mut meter = PhaseMeter::after_loading(ctx);
-    let mut out_table = EdgeTable::new(st.lvl.in_table.len().max(8));
     let mut first_level_time = Duration::ZERO;
     let mut sim_first_level_units = 0.0f64;
     let mut level_boundary_clocks: Vec<f64> = Vec::new();
@@ -1014,15 +1124,8 @@ fn rank_main(
             clock: ctx.sim_clock_units(),
         });
         let refine_start = Stopwatch::start();
-        let (q, iterations, fractions, q_trace) = refine(
-            ctx,
-            &mut st,
-            &mut cache,
-            &mut out_table,
-            cfg,
-            &mut meter,
-            level_idx == 0,
-        );
+        let (q, iterations, fractions, q_trace) =
+            refine(ctx, &mut st, &mut cache, cfg, &mut meter, level_idx == 0);
         meter.timers.add(Phase::Refine, refine_start.elapsed());
         louvain_trace::emit_with(|| Event::Exit {
             phase: "refine",
@@ -1034,7 +1137,7 @@ fn rank_main(
             phase: "reconstruction",
             clock: ctx.sim_clock_units(),
         });
-        let next = reconstruct(ctx, &st.lvl, &out_table, &mut st.orig_comm, cfg);
+        let next = reconstruct(ctx, &st.lvl, &cache.out_table, &mut st.orig_comm, cfg);
         meter.lap(ctx, Phase::Reconstruction);
         louvain_trace::emit_with(|| Event::Exit {
             phase: "reconstruction",
@@ -1520,19 +1623,6 @@ fn build_initial_level_distributed(
     RankLevel::singletons(part, in_table, rank)
 }
 
-/// STATE PROPAGATION (Algorithm 3), level-start edition: every level
-/// begins with singleton communities `c = v`, and the In-Table stores
-/// each edge symmetrically on both endpoints' owners — so the initial
-/// Out-Table is a pure re-keying of local data. Zero messages; the old
-/// implementation shipped one message per arc here (DESIGN.md §10).
-fn build_out_table_local(lvl: &RankLevel, out_table: &mut EdgeTable) {
-    out_table.reset_for(lvl.in_table.len().max(8));
-    for (key, w) in lvl.in_table.iter() {
-        let (s, d) = unpack_key(key);
-        out_table.accumulate(pack_key(d, s), w);
-    }
-}
-
 /// STATE PROPAGATION (Algorithm 3), steady-state edition: instead of
 /// rebuilding the Out-Table from scratch, each rank announces only the
 /// vertices that migrated this sweep as `(vertex, new_community)` deltas
@@ -1559,7 +1649,7 @@ fn send_full_rebuild(
     for li in 0..local_n {
         let v = part.global(rank, li);
         let c = lvl.label[li];
-        for &s in &cache.out_srcs[cache.live.segment(li)] {
+        for &s in &cache.out_srcs[cache.out_table.segment(li)] {
             ex.send(part.owner(s), Msg { a: v, b: c, w: 0.0 });
         }
     }
@@ -1569,7 +1659,6 @@ fn propagate_deltas(
     ctx: &mut RankCtx<'_, Msg>,
     lvl: &RankLevel,
     cache: &mut RemoteCache,
-    out_table: &mut EdgeTable,
     migrated: &[(u32, u32)],
     frontier: &mut Frontier,
     v1_state_rebuild: bool,
@@ -1582,7 +1671,7 @@ fn propagate_deltas(
     } else {
         for &(u, c_new) in migrated {
             let li = part.local_index(u);
-            for &s in &cache.out_srcs[cache.live.segment(li)] {
+            for &s in &cache.out_srcs[cache.out_table.segment(li)] {
                 ex.send_keyed(
                     part.owner(s),
                     u64::from(u),
@@ -1609,7 +1698,7 @@ fn propagate_deltas(
     // announcements (the v1 full rebuild re-sends unmoved labels) patch
     // no rows and dirty nothing, so both ablations schedule identically.
     let mut dirty: Vec<(u32, u32)> = Vec::new();
-    cache.apply_deltas(out_table, &mut deltas, &mut dirty);
+    cache.apply_deltas(&mut deltas, &mut dirty);
     for &(li, c) in &dirty {
         frontier.mark_row_dirty(li as usize, c);
     }
@@ -1732,7 +1821,6 @@ fn refine(
     ctx: &mut RankCtx<'_, Msg>,
     st: &mut LoopState,
     cache: &mut RemoteCache,
-    out_table: &mut EdgeTable,
     cfg: &ParallelConfig,
     meter: &mut PhaseMeter,
     first_level: bool,
@@ -1772,11 +1860,11 @@ fn refine(
     // above belongs to no sub-phase.
     meter.restart(ctx);
 
-    // Initial propagation (Algorithm 2, line 5): built from purely local
-    // data — the level starts at the identity labelling, so no rank needs
-    // remote state yet. Charge the local pass; the clock realizes it at
-    // the next collective. Its wall lap counts toward iteration 1.
-    build_out_table_local(lvl, out_table);
+    // Initial propagation (Algorithm 2, line 5): `RemoteCache::build`
+    // filled the Out-Table from purely local data — the level starts at
+    // the identity labelling, so no rank needs remote state yet. Charge
+    // that pass; the clock realizes it at the next collective. Its wall
+    // lap counts toward iteration 1.
     ctx.charge(lvl.in_table.len() as f64);
     meter.lap(ctx, Phase::StatePropagation);
     let mut migrated: Vec<(u32, u32)> = Vec::new();
@@ -1807,7 +1895,7 @@ fn refine(
                 &prev_size,
                 &size_snap,
                 &lvl.label,
-                &cache.live,
+                &cache.out_table,
             );
         }
         // --- Scan patches (DESIGN.md §13) ---
@@ -1844,10 +1932,8 @@ fn refine(
                 pj += 1;
             }
             if !frontier.is_pending(li) {
-                let u = lvl.part.global(rank, li);
                 let c_u = lvl.label[li];
-                let a_uu = lvl.in_table.get(pack_key(u, u)).unwrap_or(0.0);
-                let w_own = out_table.get(pack_key(u, c_u)).unwrap_or(0.0) - a_uu;
+                let w_own = cache.out_table.weight(li, c_u) - cache.self_loop[li];
                 let remove_u = dq::remove_gain(w_own, lvl.k[li], tot_snap[c_u as usize], s);
                 // Fold the *known-exact* entries into a fresh summary:
                 // the sentinel `(0.0, c_u)`, each patched candidate's
@@ -1867,7 +1953,7 @@ fn refine(
                     let c_new = frontier.patches[px].1;
                     debug_assert_ne!(c_new, c_u);
                     rows_patched += 1;
-                    let w = out_table.get(pack_key(u, c_new)).unwrap_or(0.0);
+                    let w = cache.out_table.weight(li, c_new);
                     #[allow(clippy::float_cmp)]
                     // lint: allow(F1) — parity with the dead-row sentinel of the delta patcher
                     if w == 0.0 {
@@ -1940,23 +2026,21 @@ fn refine(
         // eligibility ledger of the same frontier mid-iteration.
         for wi in 0..frontier.worklist.len() {
             let li = frontier.worklist[wi] as usize;
-            let u = lvl.part.global(rank, li);
             let c_u = lvl.label[li];
             let mut cs = CandSummary::empty();
             cs.fold(0.0, c_u);
-            let a_uu = lvl.in_table.get(pack_key(u, u)).unwrap_or(0.0);
-            let w_own = out_table.get(pack_key(u, c_u)).unwrap_or(0.0) - a_uu;
+            let rows = &cache.out_table;
+            let w_own = rows.weight(li, c_u) - cache.self_loop[li];
             let remove_u = dq::remove_gain(w_own, lvl.k[li], tot_snap[c_u as usize], s);
             // Candidate communities are exactly the live Out-Table rows
             // of `u`, enumerated in ascending community order from the
             // cache's row index — the same candidate set the old
             // whole-table sweep visited, in a deterministic order.
-            for &(c_new, _) in cache.live.rows(li) {
+            for (&(c_new, _), &w) in rows.rows(li).iter().zip(rows.row_weights(li)) {
                 rows_scanned += 1;
                 if c_new == c_u {
                     continue;
                 }
-                let w = out_table.get(pack_key(u, c_new)).unwrap_or(0.0);
                 // A live row's accumulated weight can still round to
                 // exactly 0.0 under mixed-magnitude cancellation; the
                 // unscheduled sweep skipped such rows (they are
@@ -2044,7 +2128,6 @@ fn refine(
             let part = &lvl.part;
             let label = &mut lvl.label;
             let k = &lvl.k;
-            let in_table = &lvl.in_table;
             let mut ex = ctx.exchange();
             // Movers are a subset of the eligibility ledger (by
             // construction: eligible ⟺ cached `m_u` clears the
@@ -2066,9 +2149,8 @@ fn refine(
                     // no-heuristic ablation applies snapshot decisions blindly, which
                     // is exactly the chaotic motion of Section III.
                     if cfg.use_heuristic {
-                        let a_uu = in_table.get(pack_key(u, u)).unwrap_or(0.0);
-                        let w_old = out_table.get(pack_key(u, c_old)).unwrap_or(0.0) - a_uu;
-                        let w_new = out_table.get(pack_key(u, c_new)).unwrap_or(0.0);
+                        let w_old = cache.out_table.weight(li, c_old) - cache.self_loop[li];
+                        let w_new = cache.out_table.weight(li, c_new);
                         let gain = dq::move_gain(
                             w_old,
                             w_new,
@@ -2099,7 +2181,7 @@ fn refine(
                     // it directly. (Rows are frozen during this sweep —
                     // the deltas land in the next propagation, where W1
                     // catches any subsequent row birth.)
-                    if !cache.live.has_external(li, c_new) {
+                    if !cache.out_table.has_external(li, c_new) {
                         m_u[li] = 0.0;
                         best[li] = c_new;
                         summ[li] = CandSummary::sentinel_only(c_new);
@@ -2160,7 +2242,6 @@ fn refine(
                 ctx,
                 lvl,
                 cache,
-                out_table,
                 &migrated,
                 &mut frontier,
                 cfg.v1_state_rebuild,
@@ -2169,7 +2250,7 @@ fn refine(
         meter.lap(ctx, Phase::StatePropagation);
 
         // --- Σ_in and modularity (Algorithm 4, lines 18–25) ---
-        q = compute_modularity(ctx, lvl, out_table, s);
+        q = compute_modularity(ctx, lvl, &cache.out_table, s);
         meter.lap(ctx, Phase::ComputeModularity);
         meter.end_iteration(first_level);
         q_trace.push(q);
@@ -2245,20 +2326,17 @@ fn compute_threshold(
 fn compute_modularity(
     ctx: &mut RankCtx<'_, Msg>,
     lvl: &mut RankLevel,
-    out_table: &EdgeTable,
+    out_table: &RowIndex,
     s: f64,
 ) -> f64 {
     lvl.internal.iter_mut().for_each(|x| *x = 0.0);
-    let rank = ctx.rank();
     {
         let part = &lvl.part;
         let label = &lvl.label;
         let mut ex = ctx.exchange();
         // Each local vertex contributes its own-community row, if live.
         for (li, &c) in label.iter().enumerate() {
-            let w = out_table
-                .get(pack_key(part.global(rank, li), c))
-                .unwrap_or(0.0);
+            let w = out_table.weight(li, c);
             // Dead rows (see the find-best scan) carry no weight and
             // must not be shipped.
             #[allow(clippy::float_cmp)]
@@ -2297,7 +2375,7 @@ fn compute_modularity(
 fn reconstruct(
     ctx: &mut RankCtx<'_, Msg>,
     lvl: &RankLevel,
-    out_table: &EdgeTable,
+    out_table: &RowIndex,
     orig_comm: &mut [u32],
     cfg: &ParallelConfig,
 ) -> RankLevel {
@@ -2376,34 +2454,29 @@ fn reconstruct(
         // it, counted before cross-rank duplicate arcs merge — an
         // upper-bound proxy for the next In-Table's row distribution.
         let mut loads = vec![0.0f64; n_next];
-        for (key, w) in out_table.iter() {
+        for (_, c_old, w) in out_table.iter() {
             #[allow(clippy::float_cmp)]
-            // lint: allow(F1) — dead rows are structurally set to exact 0.0 by the delta patcher
+            // lint: allow(F1) — a live row may round to 0.0; such rows are not shipped
             let live = w != 0.0;
             if live {
-                let (_, c_old) = unpack_key(key);
                 loads[map[&c_old] as usize] += 1.0;
             }
         }
         loads
     });
-    let mut in_table = EdgeTable::new(out_table.len().max(8));
-    {
+    let in_table = {
         let label = &lvl.label;
         let mut ex = ctx.exchange();
-        for (key, w) in out_table.iter() {
-            // Dead rows may name communities that emptied out and got no
-            // dense id — `map[&c_old]` would panic on them, and they
-            // carry no weight anyway. Liveness is structural (contributor
-            // counts), so the sentinel holds for arbitrary f64 weights:
-            // a live row's community has at least one member and always
-            // gets a dense id.
+        for (li, c_old, w) in out_table.iter() {
+            // Only live rows are walked, and a live row's community has
+            // at least one member, so `map[&c_old]` always hits. A live
+            // row whose weight rounded to exact 0.0 carries nothing and
+            // is not shipped.
             #[allow(clippy::float_cmp)]
-            // lint: allow(F1) — dead rows are structurally set to exact 0.0 by the delta patcher
+            // lint: allow(F1) — a live row may round to 0.0; such rows are not shipped
             let live = w != 0.0;
             if live {
-                let (u, c_old) = unpack_key(key);
-                let a = map[&label[part.local_index(u)]];
+                let a = map[&label[li]];
                 let b = map[&c_old];
                 ex.send(part_next.owner(b), Msg { a, b, w });
             }
@@ -2415,10 +2488,12 @@ fn reconstruct(
         let mut arcs: Vec<(u64, u64)> = Vec::new();
         ex.finish(|m| arcs.push((pack_key(m.a, m.b), m.w.to_bits())));
         arcs.sort_unstable();
+        let mut in_table = EdgeTable::new(arcs.len().max(8));
         for &(key, w_bits) in &arcs {
             in_table.accumulate(key, f64::from_bits(w_bits));
         }
-    }
+        in_table
+    };
 
     // 6. The next level starts at singleton communities.
     RankLevel::singletons(part_next, in_table, rank)
@@ -2700,6 +2775,15 @@ mod tests {
         t
     }
 
+    /// Every live row of the cache's Out-Table as `((vertex, community),
+    /// weight bits)`; the single-rank test levels make `li == vertex`.
+    fn live_rows(cache: &RemoteCache) -> Vec<(u64, u64)> {
+        let rows = &cache.out_table;
+        rows.iter()
+            .map(|(li, c, w)| (pack_key(li as u32, c), w.to_bits()))
+            .collect()
+    }
+
     #[test]
     fn vacated_rows_are_structurally_zeroed_despite_fp_cancellation() {
         // The review's scenario: a row accumulates weights of wildly
@@ -2711,44 +2795,39 @@ mod tests {
         // find-best scan.
         let lvl = single_rank_level(5, &[(0, 1, 1e16), (0, 2, 1.0), (0, 3, 0.3)]);
         let mut cache = RemoteCache::build(&lvl, 0);
-        let mut out_table = EdgeTable::new(8);
-        build_out_table_local(&lvl, &mut out_table);
 
         // Vertices 1 and 2 both join community 4, then both leave to 3.
-        cache.apply_deltas(&mut out_table, &mut [(1, 4), (2, 4)], &mut Vec::new());
-        cache.apply_deltas(&mut out_table, &mut [(1, 3), (2, 3)], &mut Vec::new());
+        cache.apply_deltas(&mut [(1, 4), (2, 4)], &mut Vec::new());
+        cache.apply_deltas(&mut [(1, 3), (2, 3)], &mut Vec::new());
 
-        // The fully vacated row is exactly 0.0 (the naive cancellation
-        // would have left -1.0), so every `w != 0.0` consumer skips it.
-        assert_eq!(out_table.get(pack_key(0, 4)), Some(0.0));
+        // The fully vacated row is gone (the naive cancellation would
+        // have left -1.0), so it reads as exact 0.0 and no consumer
+        // enumerates it.
+        assert!(cache.out_table.rows(0).iter().all(|&(c, _)| c != 4));
+        assert_eq!(cache.out_table.weight(0, 4).to_bits(), 0.0f64.to_bits());
         // Live rows agree with a from-scratch rebuild under the current
         // labels: same row set, values equal up to accumulation-order
         // rounding.
         let reference = rebuild_reference(&lvl, &cache);
-        #[allow(clippy::float_cmp)]
-        for (key, w) in out_table.iter() {
-            let rebuilt = reference.get(key);
-            // lint: allow(F1) — dead rows are structurally set to exact 0.0 by the delta patcher
-            if w == 0.0 {
-                assert_eq!(rebuilt, None, "dead row {key:#x} present in rebuild");
-            } else {
-                let r = rebuilt.expect("live row missing from rebuild");
-                assert!(
-                    (w - r).abs() <= 1e-9 * (1.0 + r.abs()),
-                    "row {key:#x}: patched {w} vs rebuilt {r}"
-                );
-            }
+        for (key, w_bits) in live_rows(&cache) {
+            let w = f64::from_bits(w_bits);
+            let r = reference.get(key).expect("live row missing from rebuild");
+            assert!(
+                (w - r).abs() <= 1e-9 * (1.0 + r.abs()),
+                "row {key:#x}: patched {w} vs rebuilt {r}"
+            );
         }
-        #[allow(clippy::float_cmp)]
+        let patched: BTreeMap<u64, u64> = live_rows(&cache).into_iter().collect();
         for (key, _) in reference.iter() {
-            // lint: allow(F1) — dead rows are structurally set to exact 0.0 by the delta patcher
-            let live = out_table.get(key).unwrap_or(0.0) != 0.0;
-            assert!(live, "rebuilt row {key:#x} is dead in the patched table");
+            assert!(
+                patched.contains_key(&key),
+                "rebuilt row {key:#x} is dead in the patched table"
+            );
         }
         // A later re-join of the killed row starts from the exact 0.0,
         // not from the residue.
-        cache.apply_deltas(&mut out_table, &mut [(1, 4)], &mut Vec::new());
-        assert_eq!(out_table.get(pack_key(0, 4)), Some(1e16));
+        cache.apply_deltas(&mut [(1, 4)], &mut Vec::new());
+        assert_eq!(cache.out_table.weight(0, 4).to_bits(), 1e16f64.to_bits());
     }
 
     /// Mixed-magnitude weights whose patched sums do not commute.
@@ -2778,19 +2857,14 @@ mod tests {
         let run = |reverse: bool| -> Vec<(u64, u64)> {
             let lvl = single_rank_level(5, &MIXED_EDGES);
             let mut cache = RemoteCache::build(&lvl, 0);
-            let mut out_table = EdgeTable::new(8);
-            build_out_table_local(&lvl, &mut out_table);
             for batch in MIXED_BATCHES {
                 let mut b = batch.to_vec();
                 if reverse {
                     b.reverse();
                 }
-                cache.apply_deltas(&mut out_table, &mut b, &mut Vec::new());
+                cache.apply_deltas(&mut b, &mut Vec::new());
             }
-            let mut rows: Vec<(u64, u64)> =
-                out_table.iter().map(|(k, w)| (k, w.to_bits())).collect();
-            rows.sort_unstable();
-            rows
+            live_rows(&cache)
         };
         assert_eq!(run(false), run(true));
     }
@@ -2803,10 +2877,8 @@ mod tests {
         // segment may outgrow the slab range reserved for it.
         let lvl = single_rank_level(5, &MIXED_EDGES);
         let mut cache = RemoteCache::build(&lvl, 0);
-        let mut out_table = EdgeTable::new(8);
-        build_out_table_local(&lvl, &mut out_table);
         for batch in MIXED_BATCHES {
-            cache.apply_deltas(&mut out_table, &mut batch.to_vec(), &mut Vec::new());
+            cache.apply_deltas(&mut batch.to_vec(), &mut Vec::new());
             let reference = rebuild_reference(&lvl, &cache);
             let mut expected: BTreeMap<(u32, u32), u32> = BTreeMap::new();
             for (key, _) in lvl.in_table.iter() {
@@ -2819,13 +2891,13 @@ mod tests {
             let mut listed: Vec<u64> = Vec::new();
             for li in 0..lvl.label.len() {
                 let d = lvl.part.global(0, li);
-                let rows = cache.live.rows(li);
+                let rows = cache.out_table.rows(li);
                 assert!(
                     rows.windows(2).all(|w| w[0].0 < w[1].0),
                     "vertex {d}: {rows:?}"
                 );
                 assert!(
-                    rows.len() <= cache.live.segment(li).len(),
+                    rows.len() <= cache.out_table.segment(li).len(),
                     "vertex {d} overran"
                 );
                 for &(c, count) in rows {
@@ -2835,6 +2907,145 @@ mod tests {
             }
             listed.sort_unstable();
             assert_eq!(listed, live, "live row set diverged from the rebuild");
+        }
+    }
+
+    /// The per-operation patcher the batched merge replaced, kept as its
+    /// oracle: a hashed Out-Table beside per-vertex sorted
+    /// `(community, contributor count)` rows, patched one In-Table entry
+    /// at a time. Its own [`RemoteCache`] supplies the source index and
+    /// label cache; that cache's Out-Table is never read.
+    struct PerOpPatcher {
+        cache: RemoteCache,
+        table: EdgeTable,
+        rows: Vec<Vec<(u32, u32)>>,
+    }
+
+    impl PerOpPatcher {
+        fn new(lvl: &RankLevel) -> Self {
+            let cache = RemoteCache::build(lvl, 0);
+            let mut table = EdgeTable::new(lvl.in_table.len().max(8));
+            for (key, w) in lvl.in_table.iter() {
+                let (s, d) = unpack_key(key);
+                table.accumulate(pack_key(d, s), w);
+            }
+            let rows = (0..lvl.label.len())
+                .map(|li| cache.out_table.rows(li).to_vec())
+                .collect();
+            Self { cache, table, rows }
+        }
+
+        fn add(&mut self, li: usize, c: u32) {
+            let row = &mut self.rows[li];
+            match row.binary_search_by_key(&c, |&(e, _)| e) {
+                Ok(i) => row[i].1 += 1,
+                Err(i) => row.insert(i, (c, 1)),
+            }
+        }
+
+        fn remove(&mut self, li: usize, c: u32) -> bool {
+            let row = &mut self.rows[li];
+            let Ok(i) = row.binary_search_by_key(&c, |&(e, _)| e) else {
+                panic!("contributor count underflow on row ({li}, {c})");
+            };
+            row[i].1 -= 1;
+            if row[i].1 > 0 {
+                return false;
+            }
+            row.remove(i);
+            true
+        }
+
+        fn apply(&mut self, deltas: &mut [(u32, u32)], dirty: &mut Vec<(u32, u32)>) {
+            deltas.sort_unstable();
+            for &(u, c_new) in deltas.iter() {
+                let Ok(idx) = self.cache.srcs.binary_search(&u) else {
+                    continue;
+                };
+                let c_old = self.cache.labels[idx];
+                if c_old == c_new {
+                    continue;
+                }
+                self.cache.labels[idx] = c_new;
+                let span = self.cache.offsets[idx]..self.cache.offsets[idx + 1];
+                for k in span {
+                    let (li, w) = self.cache.pairs[k];
+                    let old_key = pack_key(li, c_old);
+                    let new_key = pack_key(li, c_new);
+                    let before = self.table.get(old_key).unwrap_or(0.0);
+                    if self.remove(li as usize, c_old) {
+                        self.table.accumulate(old_key, -before);
+                    } else {
+                        self.table.accumulate(old_key, -w);
+                    }
+                    if before.to_bits() != self.table.get(old_key).unwrap_or(0.0).to_bits() {
+                        dirty.push((li, c_old));
+                    }
+                    self.add(li as usize, c_new);
+                    let before = self.table.get(new_key).unwrap_or(0.0);
+                    self.table.accumulate(new_key, w);
+                    if before.to_bits() != self.table.get(new_key).unwrap_or(0.0).to_bits() {
+                        dirty.push((li, c_new));
+                    }
+                }
+            }
+        }
+    }
+
+    /// Applies `batches` through the batched merge and through the
+    /// per-operation oracle, asserting after every batch identical
+    /// segments, contributor counts, row-weight bits and dirty sets.
+    fn assert_merge_matches_per_op_oracle(lvl: &RankLevel, batches: &[Vec<(u32, u32)>]) {
+        let mut cache = RemoteCache::build(lvl, 0);
+        let mut oracle = PerOpPatcher::new(lvl);
+        for (bi, batch) in batches.iter().enumerate() {
+            let (mut merged_dirty, mut oracle_dirty) = (Vec::new(), Vec::new());
+            cache.apply_deltas(&mut batch.clone(), &mut merged_dirty);
+            oracle.apply(&mut batch.clone(), &mut oracle_dirty);
+            for dirty in [&mut merged_dirty, &mut oracle_dirty] {
+                dirty.sort_unstable();
+                dirty.dedup();
+            }
+            assert_eq!(merged_dirty, oracle_dirty, "batch {bi}: dirty sets");
+            for (li, expected) in oracle.rows.iter().enumerate() {
+                assert_eq!(
+                    cache.out_table.rows(li),
+                    expected.as_slice(),
+                    "batch {bi}: vertex {li}"
+                );
+                for (&(c, _), &w) in expected.iter().zip(cache.out_table.row_weights(li)) {
+                    let want = oracle.table.get(pack_key(li as u32, c)).expect("live row");
+                    assert_eq!(w.to_bits(), want.to_bits(), "batch {bi}: row ({li}, {c})");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn batched_merge_matches_per_operation_patcher_on_mixed_batches() {
+        let lvl = single_rank_level(5, &MIXED_EDGES);
+        let batches: Vec<Vec<(u32, u32)>> = MIXED_BATCHES.iter().map(|b| b.to_vec()).collect();
+        assert_merge_matches_per_op_oracle(&lvl, &batches);
+    }
+
+    /// Edge weights spanning 23 orders of magnitude, so the patched
+    /// row sums round differently under any change of operation order.
+    const ORACLE_WEIGHTS: [f64; 6] = [1e16, 1.0, 0.3, 0.1, 2.5e7, 1e-7];
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn batched_merge_matches_per_operation_patcher_on_random_batches(
+            edges in proptest::collection::vec((0u32..12, 0u32..12, 0usize..6), 1..40),
+            batches in proptest::collection::vec(
+                proptest::collection::vec((0u32..12, 0u32..12), 0..10),
+                1..8,
+            ),
+        ) {
+            let edges: Vec<(u32, u32, f64)> =
+                edges.iter().map(|&(u, v, i)| (u, v, ORACLE_WEIGHTS[i])).collect();
+            assert_merge_matches_per_op_oracle(&single_rank_level(12, &edges), &batches);
         }
     }
 

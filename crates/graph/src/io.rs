@@ -71,6 +71,12 @@ pub fn read_edge_list<R: Read>(reader: R) -> Result<EdgeList, IoError> {
             (Some(u), Some(v)) => (u, v),
             _ => return Err(IoError::Parse(idx + 1, line.clone())),
         };
+        // Ids run below the vertex count, which must itself fit a `u32`,
+        // so `u32::MAX` is never a valid id.
+        if u.max(v) == u32::MAX {
+            let msg = format!("vertex {} exceeds the u32 id space", u32::MAX);
+            return Err(IoError::Parse(idx + 1, msg));
+        }
         let w = match it.next() {
             None => 1.0,
             Some(s) => match s.parse::<f64>() {
@@ -180,6 +186,15 @@ mod tests {
     #[test]
     fn header_beyond_the_id_space_is_rejected() {
         assert_eq!(parse_error_line("0 1\n# n 4294967296\n"), 2);
+    }
+
+    #[test]
+    fn id_beyond_the_id_space_is_rejected() {
+        // `4294967295` would imply a vertex count of 2^32.
+        assert_eq!(parse_error_line("0 1\n4294967295 0\n1 4294967295\n"), 2);
+        assert_eq!(parse_error_line("# n 4294967295\n0 4294967295\n"), 2);
+        let el = read_edge_list("4294967294 0\n".as_bytes()).unwrap();
+        assert_eq!(el.num_vertices(), u32::MAX as usize);
     }
 
     #[test]

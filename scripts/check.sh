@@ -5,8 +5,8 @@
 # without a prior build of xtask deciding the tool order.
 #
 #   scripts/check.sh               full gate: quick steps + 8-rank race
-#                                  harness + full chaos seed matrix +
-#                                  bench drift (what CI runs nightly)
+#                                  harness + full chaos seed matrix
+#                                  (what CI runs nightly)
 #   scripts/check.sh --quick       PR-gate steps only (what CI runs per PR)
 #   scripts/check.sh --step NAME   one named step; CI's per-PR jobs run
 #                                  these so every gate reports
@@ -14,7 +14,7 @@
 #                                  first failed command
 #
 # Steps (in quick-gate order): fmt clippy lint protocol cost docs tests
-# perf race chaos. Full-gate extras: race8 chaos-full bench-drift.
+# perf race chaos bench-drift. Full-gate extras: race8 chaos-full.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -120,8 +120,8 @@ run_step() {
   esac
 }
 
-QUICK_STEPS=(fmt clippy lint protocol cost docs tests perf race chaos)
-FULL_EXTRAS=(race8 chaos-full bench-drift)
+QUICK_STEPS=(fmt clippy lint protocol cost docs tests perf race chaos bench-drift)
+FULL_EXTRAS=(race8 chaos-full)
 
 quick=0
 steps=()

@@ -5,6 +5,7 @@ use parallel_louvain::core::coarsen::induced_edge_list;
 use parallel_louvain::core::parallel::{ParallelConfig, ParallelLouvain};
 use parallel_louvain::core::seq::{SeqConfig, SequentialLouvain};
 use parallel_louvain::graph::edgelist::{EdgeList, EdgeListBuilder};
+use parallel_louvain::graph::io::{read_edge_list, write_edge_list, IoError};
 use parallel_louvain::metrics::similarity::SimilarityReport;
 use parallel_louvain::metrics::{modularity, Partition};
 use proptest::prelude::*;
@@ -21,6 +22,56 @@ fn arb_graph(n_max: u32, m_max: usize) -> impl Strategy<Value = EdgeList> {
             b.build()
         })
     })
+}
+
+/// Hostile replacement tokens for the mutated-text property: ids at and
+/// one below the `u32` id-space edge, a negative id, non-finite and
+/// overflowing weights, junk, and a `# n K` header (`K` drawn per use).
+const HOSTILE_TOKENS: [&str; 8] = [
+    "4294967295",
+    "4294967294",
+    "-1",
+    "nan",
+    "inf",
+    "1e309",
+    "x",
+    "# n K",
+];
+
+/// Header counts substituted for `K`: below any id, the largest `u32`,
+/// one past it, and one past `u64`.
+const HEADER_COUNTS: [&str; 4] = ["0", "4294967295", "4294967296", "18446744073709551616"];
+
+/// Applies one mutation to `text`: `kind` 0 swaps a whitespace token for
+/// `HOSTILE_TOKENS[tok]`, 1 deletes a character, 2 duplicates a line.
+/// `pos` picks the line, token or character.
+fn mutate(text: &str, kind: u8, pos: usize, tok: usize) -> String {
+    let mut lines: Vec<String> = text.split('\n').map(str::to_owned).collect();
+    match kind {
+        0 => {
+            let li = pos % lines.len();
+            let mut words: Vec<String> = lines[li].split_whitespace().map(str::to_owned).collect();
+            if !words.is_empty() {
+                let wi = (pos / lines.len()) % words.len();
+                let k = HEADER_COUNTS[pos % HEADER_COUNTS.len()];
+                words[wi] = HOSTILE_TOKENS[tok].replace('K', k);
+                lines[li] = words.join(" ");
+            }
+            lines.join("\n")
+        }
+        1 if !text.is_empty() => {
+            // Rendered text and every token are ASCII: bytes are chars.
+            let at = pos % text.len();
+            format!("{}{}", &text[..at], &text[at + 1..])
+        }
+        2 => {
+            let li = pos % lines.len();
+            let dup = lines[li].clone();
+            lines.insert(li, dup);
+            lines.join("\n")
+        }
+        _ => text.to_owned(),
+    }
 }
 
 /// Strategy: a random dense-labelled partition of `n` vertices.
@@ -120,5 +171,42 @@ proptest! {
         let g2 = el2.to_csr();
         prop_assert_eq!(g2.num_arcs(), g.num_arcs());
         prop_assert!((g2.total_arc_weight() - g.total_arc_weight()).abs() < 1e-9);
+    }
+}
+
+proptest! {
+    // Parsing only, no solve: cheap enough for many cases.
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// Hostile edge-list text never panics the parser: a rendered graph
+    /// under random token swaps, character deletions and line
+    /// duplications either parses to a well-formed edge list or is
+    /// rejected with a parse error naming a line of the text. (The
+    /// result is never turned into a CSR: a huge `# n` header is valid
+    /// and would allocate.)
+    #[test]
+    fn mutated_edge_list_text_parses_or_is_rejected(
+        el in arb_graph(8, 8),
+        muts in proptest::collection::vec((0u8..3, 0usize..10_000, 0usize..HOSTILE_TOKENS.len()), 1..5),
+    ) {
+        let mut buf = Vec::new();
+        write_edge_list(&el, &mut buf).unwrap();
+        let mut text = String::from_utf8(buf).unwrap();
+        for &(kind, pos, tok) in &muts {
+            text = mutate(&text, kind, pos, tok);
+        }
+        match read_edge_list(text.as_bytes()) {
+            Ok(parsed) => {
+                let n = parsed.num_vertices();
+                for e in parsed.edges() {
+                    prop_assert!((e.u as usize) < n && (e.v as usize) < n, "{text:?}: {e:?} vs n={n}");
+                    prop_assert!(e.w.is_finite() && e.w >= 0.0, "{text:?}: weight {}", e.w);
+                }
+            }
+            Err(IoError::Parse(line, _)) => {
+                prop_assert!((1..=text.lines().count()).contains(&line), "{text:?}: line {line}");
+            }
+            Err(other) => prop_assert!(false, "{text:?}: {other}"),
+        }
     }
 }
