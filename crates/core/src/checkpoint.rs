@@ -123,10 +123,9 @@ impl LevelSnapshot {
 /// One rank's complete solver state at a level boundary.
 ///
 /// Everything the level loop of `rank_main` carries across iterations is
-/// here, with floats as bit patterns. The In-Table is persisted as its
-/// `(key, weight)` multiset sorted by key — slot layout and capacity are
-/// *not* state, because every consumer of the table folds its contents
-/// in sorted order (the determinism contract of `crate::parallel`).
+/// here, with floats as bit patterns. The In-Table is persisted as-is:
+/// the solver already keeps it as `(key, weight)` pairs strictly
+/// ascending by key, which validation re-checks on restore.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Checkpoint {
     /// The rank this snapshot belongs to.

@@ -101,7 +101,8 @@ fn rank_main(
     let part = ModuloPartition::new(n, ranks);
     let local_n = part.local_count(rank);
 
-    // In-Table: in-edges of local vertices, identical layout to Louvain.
+    // In-Table: in-edges of local vertices, keyed `(src, dst)` as in the
+    // paper's Louvain.
     let mut in_table = EdgeTable::new((2 * edges.num_edges() / ranks).max(8));
     for e in edges.edges() {
         if e.u == e.v {

@@ -5,7 +5,8 @@
 //!
 //! * vertices are 1D-partitioned by `v mod p` ([`ModuloPartition`]);
 //! * `In_Table` holds the in-edges of locally owned vertices, keyed
-//!   `(src, dst)` — immutable during the inner loop;
+//!   `(src, dst)` — immutable during the inner loop, and only ever built
+//!   in bulk and walked, so here a sorted arc array rather than a hash;
 //! * `Out_Table` holds `w_{u→c}` for each local vertex `u` — here a
 //!   `RowIndex` of per-vertex rows sorted by community, built once per
 //!   level and patched in place by every STATE PROPAGATION;
@@ -83,14 +84,13 @@ use louvain_graph::partition::{
     load_imbalance, AnyPartition, BalancedPartition, PartitionStrategy,
 };
 use louvain_graph::partition1d::ModuloPartition;
-use louvain_hash::{pack_key, unpack_key, EdgeTable};
+use louvain_hash::{pack_key, unpack_key};
 use louvain_metrics::Partition;
 use louvain_runtime::{
     run_with_config_faulted, run_with_config_logged, CollectiveKind, CommStats, Exchange,
     FaultPlan, FaultStats, RankCtx, RunOutcome, RuntimeConfig,
 };
 use louvain_trace::{Event, RankTrace};
-use std::collections::BTreeMap;
 use std::time::Duration;
 
 /// Bins of the global gain histogram that translates ε into `ΔQ̂`.
@@ -396,8 +396,10 @@ struct RankLevel {
     /// Global vertices at this level.
     n: usize,
     part: AnyPartition,
-    /// In-edges of local vertices, keyed `(src, dst)`.
-    in_table: EdgeTable,
+    /// In-edges of local vertices as `(pack_key(src, dst), weight)`,
+    /// strictly ascending by key: nothing probes the table by key, so a
+    /// sorted arc array replaces the paper's hashed `In_Table`.
+    in_table: Vec<(u64, f64)>,
     /// Weighted degree `k_u` per local vertex.
     k: Vec<f64>,
     /// Community (global id) per local vertex.
@@ -414,10 +416,11 @@ impl RankLevel {
     /// The level over `in_table` at singleton communities: every local
     /// vertex is its own community (`c = v`, owned by the same rank), so
     /// `Σ_tot` starts at the weighted degree and `Σ_in` at zero.
-    fn singletons(part: AnyPartition, in_table: EdgeTable, rank: usize) -> Self {
+    fn singletons(part: AnyPartition, in_table: Vec<(u64, f64)>, rank: usize) -> Self {
+        debug_assert!(in_table.windows(2).all(|p| p[0].0 < p[1].0));
         let local_n = part.local_count(rank);
         let mut k = vec![0.0f64; local_n];
-        for (key, w) in in_table.iter() {
+        for &(key, w) in &in_table {
             let (_, dst) = unpack_key(key);
             k[part.local_index(dst)] += w;
         }
@@ -654,28 +657,23 @@ struct RemoteCache {
 }
 
 impl RemoteCache {
-    /// Builds the cache for `lvl` (one pass over the In-Table plus one
-    /// sort). Labels start at the identity mapping because every level
+    /// Builds the cache for `lvl` (two passes over the sorted In-Table,
+    /// no sort). Labels start at the identity mapping because every level
     /// begins with singleton communities `c = v` — known without
     /// communication — so the Out-Table starts as a pure re-keying of
     /// the In-Table: row `(d, s)` holds `w(s, d)` (STATE PROPAGATION,
     /// Algorithm 3, level-start edition: zero messages).
     fn build(lvl: &RankLevel, rank: usize) -> Self {
         let part = &lvl.part;
-        let mut triples: Vec<(u32, u32, f64)> = Vec::with_capacity(lvl.in_table.len());
-        for (key, w) in lvl.in_table.iter() {
-            let (s, d) = unpack_key(key);
-            triples.push((s, d, w));
-        }
-        // Keys are distinct `(s, d)` pairs, so this order is total.
-        triples.sort_unstable_by_key(|&(s, d, _)| (s, d));
+        let arcs = &lvl.in_table;
         let local_n = part.local_count(rank);
         let mut srcs: Vec<u32> = Vec::new();
         let mut offsets: Vec<usize> = Vec::new();
-        let mut pairs: Vec<(u32, f64)> = Vec::with_capacity(triples.len());
+        let mut pairs: Vec<(u32, f64)> = Vec::with_capacity(arcs.len());
         let mut degree = vec![0usize; local_n];
         let mut self_loop = vec![0.0f64; local_n];
-        for &(s, d, w) in &triples {
+        for &(key, w) in arcs {
+            let (s, d) = unpack_key(key);
             if srcs.last() != Some(&s) {
                 srcs.push(s);
                 offsets.push(pairs.len());
@@ -689,17 +687,18 @@ impl RemoteCache {
         }
         offsets.push(pairs.len());
         let labels = srcs.clone();
-        // Transpose: neighbor sources per local vertex. The triples are
+        // Transpose: neighbor sources per local vertex. The arcs are
         // visited in ascending source order, so each segment comes out
         // sorted and no per-segment sort is needed.
         let mut out_offsets = vec![0usize; local_n + 1];
         for li in 0..local_n {
             out_offsets[li + 1] = out_offsets[li] + degree[li];
         }
-        let mut out_srcs = vec![0u32; triples.len()];
-        let mut weights = vec![0.0f64; triples.len()];
+        let mut out_srcs = vec![0u32; arcs.len()];
+        let mut weights = vec![0.0f64; arcs.len()];
         let mut cursor = out_offsets.clone();
-        for &(s, d, w) in &triples {
+        for &(key, w) in arcs {
+            let (s, d) = unpack_key(key);
             let li = part.local_index(d);
             out_srcs[cursor[li]] = s;
             weights[cursor[li]] = w;
@@ -1289,7 +1288,7 @@ fn rank_main(
     // Free the last level now rather than when the driver drops every
     // rank's output: nothing after the loop reads it.
     let empty = AnyPartition::Modulo(ModuloPartition::new(0, 1));
-    st.lvl = RankLevel::singletons(empty, EdgeTable::new(0), 0);
+    st.lvl = RankLevel::singletons(empty, Vec::new(), 0);
     RankOutput {
         st,
         meter,
@@ -1407,10 +1406,14 @@ fn take_resume_state(
         }
         None => panic!("checkpoint names unknown partition kind {:?}", cp.part_kind),
     };
-    let mut in_table = EdgeTable::new(cp.in_keys.len().max(8));
-    for (&key, &w_bits) in cp.in_keys.iter().zip(&cp.in_w_bits) {
-        in_table.accumulate(key, f64::from_bits(w_bits));
-    }
+    // The persisted In-Table is already the live form: validation has
+    // checked that its keys are strictly ascending.
+    let in_table = cp
+        .in_keys
+        .iter()
+        .zip(&cp.in_w_bits)
+        .map(|(&key, &w_bits)| (key, f64::from_bits(w_bits)))
+        .collect();
     let lvl = RankLevel {
         n,
         part,
@@ -1452,14 +1455,6 @@ fn write_level_checkpoint(
     st: &LoopState,
 ) -> u64 {
     let lvl = &st.lvl;
-    // The In-Table is persisted as its sorted (key, weight-bits)
-    // multiset — layout-free, like every other fold in this module.
-    let mut entries: Vec<(u64, u64)> = lvl
-        .in_table
-        .iter()
-        .map(|(key, w)| (key, w.to_bits()))
-        .collect();
-    entries.sort_unstable_by_key(|&(key, _)| key);
     let cp = Checkpoint {
         rank: ctx.rank(),
         ranks: cfg.ranks,
@@ -1469,8 +1464,10 @@ fn write_level_checkpoint(
         q_prev_level_bits: st.q_prev_level.to_bits(),
         cache_invalidations: st.cache_invalidations,
         n: lvl.n as u64,
-        in_keys: entries.iter().map(|&(key, _)| key).collect(),
-        in_w_bits: entries.iter().map(|&(_, bits)| bits).collect(),
+        // The In-Table is persisted as-is: it already is the sorted
+        // (key, weight-bits) form the checkpoint stores.
+        in_keys: lvl.in_table.iter().map(|&(key, _)| key).collect(),
+        in_w_bits: lvl.in_table.iter().map(|&(_, w)| w.to_bits()).collect(),
         k_bits: lvl.k.iter().map(|x| x.to_bits()).collect(),
         label: lvl.label.clone(),
         tot_bits: lvl.tot.iter().map(|x| x.to_bits()).collect(),
@@ -1531,24 +1528,60 @@ fn build_initial_level(
     // the reduced load vector is `ranks`× the true degree counts. LPT is
     // invariant to uniform scaling, so the assignment is unaffected.
     let part = build_vertex_partition(ctx, cfg, n, || degree_loads(n, edges));
-    // Expected local arcs: 2|E|/p.
-    let mut in_table = EdgeTable::new((2 * edges.num_edges() / cfg.ranks).max(8));
+    // Counting sort by source. The edge list holds distinct edges
+    // ascending by `(u, v)` with `u <= v`, so every arc key arises once
+    // and each source `s`'s bucket fills in ascending destination order:
+    // the arcs `(s, u)` with `u < s` (earlier edges), then the self-loop,
+    // then `(s, v)` with `v > s`. No sort and no accumulation is needed.
+    let mut start = vec![0usize; n + 1];
+    for e in edges.edges() {
+        if part.owner(e.v) == rank {
+            start[e.u as usize + 1] += 1;
+        }
+        if e.u != e.v && part.owner(e.u) == rank {
+            start[e.v as usize + 1] += 1;
+        }
+    }
+    for s in 0..n {
+        start[s + 1] += start[s];
+    }
+    let mut in_table = vec![(0u64, 0.0f64); start[n]];
+    let mut place = |s: u32, d: u32, w: f64| {
+        let slot = &mut start[s as usize];
+        in_table[*slot] = (pack_key(s, d), w);
+        *slot += 1;
+    };
     for e in edges.edges() {
         if e.u == e.v {
             if part.owner(e.u) == rank {
                 // A_uu = 2w, stored once.
-                in_table.accumulate(pack_key(e.u, e.u), 2.0 * e.w);
+                place(e.u, e.u, 2.0 * e.w);
             }
         } else {
             if part.owner(e.v) == rank {
-                in_table.accumulate(pack_key(e.u, e.v), e.w);
+                place(e.u, e.v, e.w);
             }
             if part.owner(e.u) == rank {
-                in_table.accumulate(pack_key(e.v, e.u), e.w);
+                place(e.v, e.u, e.w);
             }
         }
     }
     RankLevel::singletons(part, in_table, rank)
+}
+
+/// Folds arcs sorted by `(key, weight bits)` into the In-Table: one entry
+/// per distinct key, its weight summed in that order — the bits a hashed
+/// insert-or-accumulate table fed the same order would hold.
+fn merge_sorted_arcs(arcs: &[(u64, u64)]) -> Vec<(u64, f64)> {
+    let mut in_table: Vec<(u64, f64)> = Vec::with_capacity(arcs.len());
+    for &(key, w_bits) in arcs {
+        let w = f64::from_bits(w_bits);
+        match in_table.last_mut() {
+            Some((last, sum)) if *last == key => *sum += w,
+            _ => in_table.push((key, w)),
+        }
+    }
+    in_table
 }
 
 /// Per-vertex arc counts of `edges` (a self-loop is one arc): the load
@@ -1577,8 +1610,7 @@ fn build_initial_level_distributed(
     // Distributed loading: chunks are disjoint, so the reduced vector is
     // the true per-vertex degree count.
     let part = build_vertex_partition(ctx, cfg, n, || degree_loads(n, chunk));
-    let mut in_table = EdgeTable::new((2 * chunk.num_edges()).max(8));
-    {
+    let in_table = {
         let mut ex = ctx.exchange();
         for e in chunk.edges() {
             debug_assert!((e.u as usize) < n && (e.v as usize) < n);
@@ -1611,15 +1643,13 @@ fn build_initial_level_distributed(
             }
         }
         // Sorted application, for the same reason as reconstruction: the
-        // table (weights and slot layout alike) must be a function of the
-        // routed arc multiset, never of the delivery interleaving.
+        // table's weights must be a function of the routed arc multiset,
+        // never of the delivery interleaving.
         let mut arcs: Vec<(u64, u64)> = Vec::new();
         ex.finish(|m| arcs.push((pack_key(m.a, m.b), m.w.to_bits())));
         arcs.sort_unstable();
-        for &(key, w_bits) in &arcs {
-            in_table.accumulate(key, f64::from_bits(w_bits));
-        }
-    }
+        merge_sorted_arcs(&arcs)
+    };
     RankLevel::singletons(part, in_table, rank)
 }
 
@@ -2404,10 +2434,10 @@ fn reconstruct(
     let offset: usize = counts.iter().take(rank).map(|&c| c as usize).sum();
     let n_next: usize = counts.iter().map(|&c| c as usize).sum();
 
-    // 3. Replicate the old→new mapping (each owner broadcasts its pairs).
-    // BTreeMap: lookups below must not depend on hash-seed iteration order,
-    // and the map is also walked when debugging — keep it ordered.
-    let mut map: BTreeMap<u32, u32> = BTreeMap::new();
+    // 3. Replicate the old→new mapping (each owner broadcasts its pairs)
+    //    into a dense array indexed by old id; `u32::MAX` marks an empty
+    //    community, which no lookup below may hit.
+    let mut map = vec![u32::MAX; lvl.n];
     {
         let mut ex = ctx.exchange();
         for (i, &c) in owned.iter().enumerate() {
@@ -2423,10 +2453,13 @@ fn reconstruct(
                 );
             }
         }
-        ex.finish(|m| {
-            map.insert(m.a, m.b);
-        });
+        ex.finish(|m| map[m.a as usize] = m.b);
     }
+    let new_id = |c: u32| {
+        let id = map[c as usize];
+        assert_ne!(id, u32::MAX, "community {c} has no new id");
+        id
+    };
 
     // 4. Project original vertices: current level vertex id -> its final
     //    community in new-id space. Requires the replicated label array.
@@ -2440,7 +2473,7 @@ fn reconstruct(
         let x = *oc;
         let owner = part.owner(x);
         let old_label = gathered[offsets[owner] + part.local_index(x)] as u32;
-        *oc = map[&old_label];
+        *oc = new_id(old_label);
     }
 
     // 5. Rebuild the In-Table in new-id space: ((u, c), w) becomes
@@ -2454,13 +2487,8 @@ fn reconstruct(
         // it, counted before cross-rank duplicate arcs merge — an
         // upper-bound proxy for the next In-Table's row distribution.
         let mut loads = vec![0.0f64; n_next];
-        for (_, c_old, w) in out_table.iter() {
-            #[allow(clippy::float_cmp)]
-            // lint: allow(F1) — a live row may round to 0.0; such rows are not shipped
-            let live = w != 0.0;
-            if live {
-                loads[map[&c_old] as usize] += 1.0;
-            }
+        for (_, c_old, _) in out_table.iter() {
+            loads[new_id(c_old) as usize] += 1.0;
         }
         loads
     });
@@ -2469,30 +2497,22 @@ fn reconstruct(
         let mut ex = ctx.exchange();
         for (li, c_old, w) in out_table.iter() {
             // Only live rows are walked, and a live row's community has
-            // at least one member, so `map[&c_old]` always hits. A live
-            // row whose weight rounded to exact 0.0 carries nothing and
-            // is not shipped.
-            #[allow(clippy::float_cmp)]
-            // lint: allow(F1) — a live row may round to 0.0; such rows are not shipped
-            let live = w != 0.0;
-            if live {
-                let a = map[&label[li]];
-                let b = map[&c_old];
-                ex.send(part_next.owner(b), Msg { a, b, w });
-            }
+            // at least one member, so `new_id(c_old)` always hits. Every
+            // live row ships, even one whose weight rounded to exact 0.0:
+            // its mirror row may not have, and the next level's delta
+            // protocol needs the In-Table's key set symmetric (DESIGN.md
+            // §10).
+            let a = new_id(label[li]);
+            let b = new_id(c_old);
+            ex.send(part_next.owner(b), Msg { a, b, w });
         }
-        // Sorted application: the next level's edge weights (and the slot
-        // layout their accumulation order produces, which step 6's k sums
-        // inherit) must be a function of the arc multiset, not of the
-        // perturbable delivery order.
+        // Sorted application: the next level's edge weights (and the k
+        // sums step 6 folds over them in key order) must be a function of
+        // the arc multiset, not of the perturbable delivery order.
         let mut arcs: Vec<(u64, u64)> = Vec::new();
         ex.finish(|m| arcs.push((pack_key(m.a, m.b), m.w.to_bits())));
         arcs.sort_unstable();
-        let mut in_table = EdgeTable::new(arcs.len().max(8));
-        for &(key, w_bits) in &arcs {
-            in_table.accumulate(key, f64::from_bits(w_bits));
-        }
-        in_table
+        merge_sorted_arcs(&arcs)
     };
 
     // 6. The next level starts at singleton communities.
@@ -2505,7 +2525,9 @@ mod tests {
     use crate::seq::{SeqConfig, SequentialLouvain};
     use louvain_graph::edgelist::EdgeListBuilder;
     use louvain_graph::gen::planted::{generate_planted, PlantedConfig};
+    use louvain_hash::EdgeTable;
     use louvain_metrics::{modularity, similarity::nmi, Partition as P};
+    use std::collections::BTreeMap;
 
     fn planted_graph(seed: u64) -> (EdgeList, Vec<u32>) {
         generate_planted(
@@ -2751,6 +2773,132 @@ mod tests {
         assert!(r.teps() > 0.0);
     }
 
+    /// The In-Table as the hashed loader built it: every arc accumulated
+    /// into an [`EdgeTable`] in edge order, read out sorted by key.
+    fn hashed_in_table(edges: &EdgeList, part: &AnyPartition, rank: usize) -> Vec<(u64, u64)> {
+        let mut t = EdgeTable::new(8);
+        for e in edges.edges() {
+            if e.u == e.v {
+                if part.owner(e.u) == rank {
+                    t.accumulate(pack_key(e.u, e.u), 2.0 * e.w);
+                }
+            } else {
+                if part.owner(e.v) == rank {
+                    t.accumulate(pack_key(e.u, e.v), e.w);
+                }
+                if part.owner(e.u) == rank {
+                    t.accumulate(pack_key(e.v, e.u), e.w);
+                }
+            }
+        }
+        let mut arcs: Vec<(u64, u64)> = t.iter().map(|(key, w)| (key, w.to_bits())).collect();
+        arcs.sort_unstable();
+        arcs
+    }
+
+    fn in_table_bits(lvl: &RankLevel) -> Vec<(u64, u64)> {
+        lvl.in_table
+            .iter()
+            .map(|&(key, w)| (key, w.to_bits()))
+            .collect()
+    }
+
+    #[test]
+    fn counting_sort_loader_matches_hashed_accumulation() {
+        // Self-loops (one repeated), isolated vertices 9 and 10, and
+        // duplicate edges in both orientations; weights mix magnitudes so
+        // a different summation order would show in the bits.
+        let raw: &[(u32, u32, f64)] = &[
+            (0, 1, 1e16),
+            (1, 0, 1.0),
+            (0, 1, 0.3),
+            (2, 2, 0.1),
+            (2, 2, 2.5e-3),
+            (3, 2, 7.77),
+            (4, 5, 1.0),
+            (5, 4, 1e8),
+            (6, 7, 0.1),
+            (7, 8, 0.3),
+            (8, 6, 1.0),
+            (11, 11, 1.0),
+            (0, 11, 2.0),
+            (3, 8, 0.1),
+        ];
+        let mut b = EdgeListBuilder::new(12);
+        for &(u, v, w) in raw {
+            b.add_edge(u, v, w);
+        }
+        let el = b.build();
+        for ranks in [1, 2, 3] {
+            for partition in [PartitionStrategy::Modulo, PartitionStrategy::ArcBalanced] {
+                let cfg = ParallelConfig {
+                    partition,
+                    ..ParallelConfig::with_ranks(ranks)
+                };
+                let tables = louvain_runtime::run::<Msg, _, _>(ranks, |ctx| {
+                    let lvl = build_initial_level(ctx, &el, &cfg);
+                    (
+                        in_table_bits(&lvl),
+                        hashed_in_table(&el, &lvl.part, ctx.rank()),
+                    )
+                });
+                let mut total = 0;
+                for (rank, (got, want)) in tables.iter().enumerate() {
+                    assert!(
+                        got.windows(2).all(|p| p[0].0 < p[1].0),
+                        "{ranks} ranks {partition:?}, rank {rank}: keys not strictly ascending"
+                    );
+                    assert_eq!(got, want, "{ranks} ranks {partition:?}, rank {rank}");
+                    total += got.len();
+                }
+                // Every non-loop edge is stored on both endpoints' owners.
+                let loops = el.edges().iter().filter(|e| e.u == e.v).count();
+                assert_eq!(total, 2 * el.num_edges() - loops);
+            }
+        }
+    }
+
+    #[test]
+    fn distributed_merge_loader_matches_replicated_loader_on_integer_weights() {
+        // Raw chunks that repeat edges within and across ranks: the merge
+        // pass must sum them into exactly the replicated table (integer
+        // weights sum exactly in any order).
+        let (el, _) = planted_graph(23);
+        let ranks = 3;
+        let chunk = |r: usize| {
+            let mut b = EdgeListBuilder::new(el.num_vertices());
+            for (i, e) in el.edges().iter().enumerate() {
+                if i % ranks == r {
+                    b.add_edge(e.u, e.v, e.w);
+                }
+                if i % 5 == r {
+                    b.add_edge(e.v, e.u, 2.0 * e.w);
+                }
+            }
+            b.build()
+        };
+        let mut doubled = EdgeListBuilder::new(el.num_vertices());
+        for (i, e) in el.edges().iter().enumerate() {
+            let extra = if i % 5 < ranks { 2.0 * e.w } else { 0.0 };
+            doubled.add_edge(e.u, e.v, e.w + extra);
+        }
+        let doubled = doubled.build();
+        let cfg = ParallelConfig::with_ranks(ranks);
+        let tables = louvain_runtime::run::<Msg, _, _>(ranks, |ctx| {
+            let lvl =
+                build_initial_level_distributed(ctx, el.num_vertices(), &chunk(ctx.rank()), &cfg);
+            let replicated = build_initial_level(ctx, &doubled, &cfg);
+            (in_table_bits(&lvl), in_table_bits(&replicated))
+        });
+        for (rank, (distributed, replicated)) in tables.iter().enumerate() {
+            assert!(
+                distributed.windows(2).all(|p| p[0].0 < p[1].0),
+                "rank {rank}"
+            );
+            assert_eq!(distributed, replicated, "rank {rank}");
+        }
+    }
+
     /// Builds a single-rank [`RankLevel`] over `edges` for white-box
     /// tests of the delta patcher.
     fn single_rank_level(n: usize, edges: &[(u32, u32, f64)]) -> RankLevel {
@@ -2760,6 +2908,8 @@ mod tests {
             in_table.accumulate(pack_key(u, v), w);
             in_table.accumulate(pack_key(v, u), w);
         }
+        let mut in_table: Vec<(u64, f64)> = in_table.iter().collect();
+        in_table.sort_unstable_by_key(|&(key, _)| key);
         RankLevel::singletons(part, in_table, 0)
     }
 
@@ -2767,7 +2917,7 @@ mod tests {
     /// under the cache's current labels.
     fn rebuild_reference(lvl: &RankLevel, cache: &RemoteCache) -> EdgeTable {
         let mut t = EdgeTable::new(lvl.in_table.len().max(8));
-        for (key, w) in lvl.in_table.iter() {
+        for &(key, w) in &lvl.in_table {
             let (s, d) = unpack_key(key);
             let idx = cache.srcs.binary_search(&s).expect("source in cache");
             t.accumulate(pack_key(d, cache.labels[idx]), w);
@@ -2881,7 +3031,7 @@ mod tests {
             cache.apply_deltas(&mut batch.to_vec(), &mut Vec::new());
             let reference = rebuild_reference(&lvl, &cache);
             let mut expected: BTreeMap<(u32, u32), u32> = BTreeMap::new();
-            for (key, _) in lvl.in_table.iter() {
+            for &(key, _) in &lvl.in_table {
                 let (s, d) = unpack_key(key);
                 let idx = cache.srcs.binary_search(&s).expect("source in cache");
                 *expected.entry((d, cache.labels[idx])).or_insert(0) += 1;
@@ -2925,7 +3075,7 @@ mod tests {
         fn new(lvl: &RankLevel) -> Self {
             let cache = RemoteCache::build(lvl, 0);
             let mut table = EdgeTable::new(lvl.in_table.len().max(8));
-            for (key, w) in lvl.in_table.iter() {
+            for &(key, w) in &lvl.in_table {
                 let (s, d) = unpack_key(key);
                 table.accumulate(pack_key(d, s), w);
             }

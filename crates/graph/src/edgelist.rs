@@ -42,7 +42,9 @@ impl EdgeList {
     }
 
     /// The edges, each undirected pair appearing exactly once with
-    /// `u <= v`.
+    /// `u <= v`, strictly ascending by `(u, v)`. [`EdgeListBuilder::build`]
+    /// is the only constructor and establishes this order; consumers such
+    /// as the distributed solver's counting-sort loader rely on it.
     #[must_use]
     pub fn edges(&self) -> &[Edge] {
         &self.edges

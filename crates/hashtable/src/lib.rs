@@ -13,8 +13,9 @@
 //!   linear congruential hashing, bitwise hashing and concatenated hashing,
 //!   see [`hashfn`].
 //! * **Edge tables**: the open-addressing, linear-probing
-//!   insert-or-accumulate table used for `In_Table` and `Out_Table`
-//!   (Algorithms 3 and 5), see [`table::EdgeTable`].
+//!   insert-or-accumulate table the paper uses for `In_Table` and
+//!   `Out_Table` (Algorithms 3 and 5), see [`table::EdgeTable`]. The
+//!   distributed solver substitutes sorted arrays for both (DESIGN.md §2).
 //! * **Binned tables** used to reproduce the load-balance analysis of
 //!   Figure 6 (entries per thread slice, average/maximum bin length),
 //!   see [`binned::BinnedTable`].
@@ -26,14 +27,12 @@
 //! `louvain-bench` compare exactly that trade-off.
 
 pub mod binned;
-pub mod dual;
 pub mod hashfn;
 pub mod key;
 pub mod stats;
 pub mod table;
 
 pub use binned::BinnedTable;
-pub use dual::DualTable;
 pub use hashfn::{BitwiseHash, ConcatHash, FibonacciHash, HashFn64, HashKind, LcgHash};
 pub use key::{pack_key, pack_key16, unpack_key, unpack_key16};
 pub use stats::{BinLengthStats, OccupancyStats, ProbeStats};

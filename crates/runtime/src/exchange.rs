@@ -17,9 +17,11 @@
 //!    others are still draining this one.
 //!
 //! Besides plain [`Exchange::send`], a phase supports **keyed sends**
-//! ([`Exchange::send_keyed`]): per-destination buffers that deduplicate
-//! same-key updates with last-writer-wins semantics and pack the
-//! surviving messages into full packets at [`Exchange::finish`]. This is
+//! ([`Exchange::send_keyed`]): append-only per-destination buffers that
+//! deduplicate same-key updates with last-writer-wins semantics and pack
+//! the surviving messages, ascending by key, into full packets at
+//! [`Exchange::finish`]. A key equal to the buffer's last key overwrites
+//! it in place, so a caller issuing ascending keys never sorts. This is
 //! the communication-reduction primitive behind delta-based state
 //! propagation — a vertex whose community is announced twice within one
 //! phase costs one message, not two. Last-writer dedup is safe under the
@@ -30,7 +32,6 @@
 use crate::fault::{Packet, PacketFault};
 use crate::sim::PerturbRng;
 use crate::world::{CollectiveKind, RankCtx};
-use std::collections::BTreeMap;
 use std::panic::Location;
 use std::sync::atomic::Ordering;
 
@@ -46,10 +47,12 @@ pub struct Exchange<'a, 'w, M: Send> {
     /// the handler at `finish`.
     self_buf: Vec<M>,
     self_rank: usize,
-    /// Per-destination keyed buffers ([`Exchange::send_keyed`]): one
-    /// ordered map per destination so the flush order at `finish` is
-    /// deterministic (sorted by key), independent of send order.
-    keyed: Vec<BTreeMap<u64, M>>,
+    /// Per-destination keyed buffers ([`Exchange::send_keyed`]) in send
+    /// order, with equal adjacent keys already collapsed.
+    keyed: Vec<Vec<(u64, M)>>,
+    /// Per destination: a key arrived below its buffer's last key, so
+    /// the buffer must be sorted (and deduplicated) at flush.
+    keyed_unsorted: Vec<bool>,
     /// Keyed sends absorbed by same-key dedup in this phase.
     keyed_hits: u64,
     /// Whether any keyed send happened this phase (gates the dedup trace
@@ -96,7 +99,8 @@ impl<'w, M: Send> RankCtx<'w, M> {
         Exchange {
             outbufs: (0..p).map(|_| Vec::new()).collect(),
             sent: vec![0; p],
-            keyed: (0..p).map(|_| BTreeMap::new()).collect(),
+            keyed: (0..p).map(|_| Vec::new()).collect(),
+            keyed_unsorted: vec![false; p],
             keyed_hits: 0,
             keyed_used: false,
             self_buf: Vec::new(),
@@ -133,9 +137,14 @@ impl<'a, 'w, M: Send> Exchange<'a, 'w, M> {
 
     /// Buffers `msg` for `dest` under `key`, deduplicating against any
     /// earlier keyed send to the same `(dest, key)` in this phase —
-    /// last writer wins. Surviving messages are packed into packets and
-    /// charged when the phase flushes at [`Exchange::finish`], so a
-    /// deduplicated update costs nothing on the wire.
+    /// last writer wins. Surviving messages are packed into packets in
+    /// ascending key order and charged when the phase flushes at
+    /// [`Exchange::finish`], so a deduplicated update costs nothing on
+    /// the wire.
+    ///
+    /// Cost: a key equal to the destination's last key overwrites that
+    /// entry in place and a larger key appends, both O(1); a smaller key
+    /// appends too but makes the flush sort that destination's buffer.
     ///
     /// Determinism contract: within one phase, either all keyed sends to
     /// the same `(dest, key)` must carry an equal payload, or the caller
@@ -146,22 +155,41 @@ impl<'a, 'w, M: Send> Exchange<'a, 'w, M> {
     pub fn send_keyed(&mut self, dest: usize, key: u64, msg: M) {
         debug_assert!(dest < self.keyed.len(), "destination out of range");
         self.keyed_used = true;
-        if self.keyed[dest].insert(key, msg).is_some() {
-            self.keyed_hits += 1;
+        let buf = &mut self.keyed[dest];
+        if let Some((last, slot)) = buf.last_mut() {
+            if *last == key {
+                *slot = msg;
+                self.keyed_hits += 1;
+                return;
+            }
+            if *last > key {
+                self.keyed_unsorted[dest] = true;
+            }
         }
+        buf.push((key, msg));
     }
 
     /// Drains the keyed buffers through the plain send path (which
     /// charges, counts, and packs each surviving message), in destination
     /// order and key order — deterministic regardless of the order the
-    /// keyed sends were issued in.
+    /// keyed sends were issued in. An out-of-order buffer is stably
+    /// sorted first, so each equal-key run ends with its last writer; the
+    /// run's earlier entries are dropped and counted as dedup hits.
     fn flush_keyed(&mut self) {
         if !self.keyed_used {
             return;
         }
         for dest in 0..self.keyed.len() {
-            let buf = std::mem::take(&mut self.keyed[dest]);
-            for (_, msg) in buf {
+            let mut buf = std::mem::take(&mut self.keyed[dest]);
+            if std::mem::take(&mut self.keyed_unsorted[dest]) {
+                buf.sort_by_key(|&(key, _)| key);
+            }
+            let mut entries = buf.into_iter().peekable();
+            while let Some((key, msg)) = entries.next() {
+                if entries.peek().is_some_and(|&(next, _)| next == key) {
+                    self.keyed_hits += 1;
+                    continue;
+                }
                 self.send(dest, msg);
             }
         }
@@ -474,6 +502,8 @@ impl<'a, 'w, M: Send> Exchange<'a, 'w, M> {
 #[cfg(test)]
 mod tests {
     use crate::world::{run, run_with_config, RuntimeConfig};
+    use proptest::prelude::*;
+    use std::collections::BTreeMap;
 
     #[test]
     fn all_to_all_delivers_exact_multiset() {
@@ -836,6 +866,83 @@ mod tests {
             .0
         };
         assert_eq!(run_order(false), run_order(true));
+    }
+
+    /// One send of the keyed-buffer property: a plain send when `keyed`
+    /// is false, else a keyed send under `key`.
+    #[derive(Clone, Copy, Debug)]
+    struct Op {
+        dest: usize,
+        keyed: bool,
+        key: u64,
+    }
+
+    /// Sends whose keys walk up, stay and step down, so buffers take the
+    /// in-place, append and out-of-order paths in one phase.
+    fn arb_ops() -> impl Strategy<Value = Vec<Op>> {
+        proptest::collection::vec((0usize..3, 0u8..4, -2i64..3), 0..256).prop_map(|raw| {
+            let mut key = 4i64;
+            raw.into_iter()
+                .map(|(dest, kind, step)| {
+                    key = (key + step).max(0);
+                    Op {
+                        dest,
+                        keyed: kind > 0,
+                        key: key as u64,
+                    }
+                })
+                .collect()
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Keyed sends in any key order, interleaved with plain sends,
+        /// deliver what an ordered-map model predicts: per destination
+        /// the plain sends in send order, then each key's last payload
+        /// ascending by key, with every superseded send a dedup hit.
+        #[test]
+        fn keyed_sends_match_an_ordered_map_model(ops in arb_ops()) {
+            let p = 3;
+            let mut plain: Vec<Vec<u64>> = vec![Vec::new(); p];
+            let mut keyed: Vec<BTreeMap<u64, u64>> = vec![BTreeMap::new(); p];
+            let mut hits = 0u64;
+            for (i, op) in ops.iter().enumerate() {
+                if !op.keyed {
+                    plain[op.dest].push(i as u64);
+                } else if keyed[op.dest].insert(op.key, i as u64).is_some() {
+                    hits += 1;
+                }
+            }
+            let cfg = RuntimeConfig {
+                coalesce_capacity: 2,
+                check_protocol: true,
+                ..RuntimeConfig::new(p)
+            };
+            let (out, stats) = run_with_config::<u64, _, _>(cfg, |ctx| {
+                let sender = ctx.rank() == 0;
+                let mut ex = ctx.exchange();
+                if sender {
+                    for (i, op) in ops.iter().enumerate() {
+                        if op.keyed {
+                            ex.send_keyed(op.dest, op.key, i as u64);
+                        } else {
+                            ex.send(op.dest, i as u64);
+                        }
+                    }
+                }
+                let mut got = Vec::new();
+                ex.finish(|m| got.push(m));
+                got
+            });
+            for dest in 0..p {
+                let mut want = plain[dest].clone();
+                want.extend(keyed[dest].values());
+                prop_assert_eq!(&out[dest], &want, "destination {}", dest);
+            }
+            prop_assert_eq!(stats.dedup_hits, hits);
+        }
     }
 
     #[test]

@@ -72,17 +72,28 @@ run_step() {
       # [workspace]), so no workspace step compiles it; build and test it
       # here so a louvain-core API change cannot break it unnoticed.
       cargo test --release --offline --manifest-path crates/bench/src/bin/louvain-perf/Cargo.toml
-      # One real workload end to end. amazon-1r runs on 1 rank, so the
-      # insufficient-cores guard never fires; every run's output checks
-      # must pass (the summary line ends the output).
-      summary=$(cargo run -q --release --offline \
-        --manifest-path crates/bench/src/bin/louvain-perf/Cargo.toml \
-        -- run --workload amazon-1r --seconds 1 | tail -n 1)
-      echo "$summary"
-      case "$summary" in
-        *'"failed": 0,'*) ;;
-        *) echo "error: louvain-perf amazon-1r reported failed runs" >&2; exit 1 ;;
-      esac
+      # Real workloads end to end; every run's output checks must pass
+      # (the summary line ends the output). amazon-1r runs on 1 rank, so
+      # the insufficient-cores guard never fires. amazon runs on 2 ranks,
+      # which puts the keyed-send path and the replicated loader under
+      # louvain-perf's repeat and Q checks; it needs 2 cores.
+      perf_smoke() { # <workload>
+        local summary
+        summary=$(cargo run -q --release --offline \
+          --manifest-path crates/bench/src/bin/louvain-perf/Cargo.toml \
+          -- run --workload "$1" --seconds 1 | tail -n 1)
+        echo "$summary"
+        case "$summary" in
+          *'"failed": 0,'*) ;;
+          *) echo "error: louvain-perf $1 reported failed runs" >&2; exit 1 ;;
+        esac
+      }
+      perf_smoke amazon-1r
+      if [ "$(nproc)" -ge 2 ]; then
+        perf_smoke amazon
+      else
+        echo "skip: louvain-perf amazon needs 2 cores, nproc is $(nproc)"
+      fi
       ;;
     race)
       # Schedule-perturbation race harness: bit-identical output under
