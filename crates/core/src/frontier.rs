@@ -178,6 +178,11 @@ pub(crate) struct Frontier {
     /// iteration (global community id space).
     changed: Bitset,
     changed_ids: Vec<u32>,
+    /// Scratch: changed communities already patched for the vertex the
+    /// adjacency pass is walking (global community id space).
+    seen: Bitset,
+    /// Scratch: vertices whose own row the W1 drain already probed.
+    probed: Bitset,
     /// The committed scan vertices, ascending. Rebuilt by `commit`.
     pub(crate) worklist: Vec<u32>,
     /// The eligible vertices, ascending. Rebuilt by `commit_eligible`.
@@ -194,9 +199,9 @@ pub(crate) struct Frontier {
     /// deduplicated, so the pass can group per vertex and visit
     /// candidates in the full scan's ascending community order.
     pub(crate) patches: Vec<(u32, u32)>,
-    /// Wake rule W1 input: `(local vertex, community)` rows whose
-    /// Out-Table weight changed bitwise during the last delta
-    /// application. Row weights are the one find-best input the
+    /// Wake rule W1 input: `(local vertex, community)` rows that a
+    /// relabelled arc left or joined during the last delta application,
+    /// duplicates included. Row weights are the one find-best input the
     /// snapshot-diff rule W2 cannot observe — a community that loses one
     /// vertex and gains another of bitwise-equal degree lands its
     /// `Σ_tot`/size back on identical bits while its neighbors' rows
@@ -233,6 +238,8 @@ impl Frontier {
             eligible: Bitset::new(local_n),
             changed: Bitset::new(global_n),
             changed_ids: Vec::new(),
+            seen: Bitset::new(global_n),
+            probed: Bitset::new(local_n),
             worklist: Vec::with_capacity(local_n),
             eligible_list: Vec::new(),
             patches: Vec::new(),
@@ -281,16 +288,21 @@ impl Frontier {
         self.eligible_list = list;
     }
 
-    /// Records a `(local vertex, community)` Out-Table row whose weight
-    /// changed bitwise (wake rule W1, fed by the delta patcher).
+    /// Records a `(local vertex, community)` Out-Table row that a
+    /// relabelled arc left or joined (wake rule W1, fed by the delta
+    /// application). Dirt on a vertex already due for a full re-scan is
+    /// dropped: the re-scan supersedes it.
     #[inline]
     pub(crate) fn mark_row_dirty(&mut self, li: usize, c: u32) {
-        self.row_dirty.push((li as u32, c));
+        if !self.pending.contains(li) {
+            self.row_dirty.push((li as u32, c));
+        }
     }
 
-    /// Schedules every local vertex (level start, and the `full_rescan`
-    /// ablation that reduces the scheduler to the full scan). A full
-    /// re-scan of everyone supersedes any accumulated row-dirty info.
+    /// Schedules every local vertex (level start, and the tests'
+    /// `full_rescan` oracle that reduces the scheduler to the full
+    /// scan). A full re-scan of everyone supersedes any accumulated
+    /// row-dirty info.
     pub(crate) fn wake_all(&mut self) {
         self.pending.set_all(self.local_n);
         self.row_dirty.clear();
@@ -312,16 +324,16 @@ impl Frontier {
     /// full re-scan.
     ///
     /// (b) for every local non-member with a live Out-Table row into `c`
-    /// (one pass over the live rows of `rows`, the delta patcher's row
-    /// index): only the single candidate sum for `c` moved,
+    /// (one pass over the arc labels of `rows`): only the single
+    /// candidate sum for `c` moved,
     /// so the vertex gets a **scan patch** — the solver re-folds just
     /// that candidate over the cached incumbent, `O(changed rows)`
     /// instead of `O(degree)`, escalating to a full re-scan only when
     /// the cached winner's own entry weakened (the sole case where the
     /// new maximum can hide among the unchanged candidates).
     ///
-    /// The call also drains the W1 row-dirty list (rows whose weight
-    /// changed bitwise under the last delta application — the input the
+    /// The call also drains the W1 row-dirty list (rows an arc moved into
+    /// or out of under the last delta application — the input the
     /// snapshot diff cannot observe) through the same classification:
     /// own-community row touched → full re-scan unless interior,
     /// anything else → scan patch.
@@ -353,8 +365,7 @@ impl Frontier {
             }
         }
         // (a) members of changed communities, interior members excluded.
-        // The probe examines at most two row entries: rows are distinct
-        // communities, so only `(li, c)` itself can equal the own label.
+        // The probe stops at the first arc labelled outside `c`.
         // Skipped entirely (an O(n_local) sweep) when no snapshot moved.
         if !self.changed_ids.is_empty() {
             for (li, &c) in label.iter().enumerate() {
@@ -363,8 +374,11 @@ impl Frontier {
                 }
             }
         }
-        // (W1) rows whose weight changed bitwise. Index-based loop:
-        // `row_dirty` and `pending` are both fields of self.
+        // (W1) rows a relabelled arc left or joined. The list repeats a
+        // row once per arc that moved it; the patch list below is
+        // deduplicated anyway, and `probed` runs each vertex's O(degree)
+        // interior probe at most once. Index-based loop: `row_dirty` and
+        // `pending` are both fields of self.
         for i in 0..self.row_dirty.len() {
             let (lv, c) = self.row_dirty[i];
             let li = lv as usize;
@@ -373,8 +387,11 @@ impl Frontier {
                 // term of every candidate sum, so the whole cached fold
                 // is stale — unless the vertex is interior (no live
                 // external row), whose scan is the constant `(0, c_u)`.
-                if rows.has_external(li, c) {
-                    self.pending.set(li);
+                if !self.pending.contains(li) && !self.probed.contains(li) {
+                    self.probed.set(li);
+                    if rows.has_external(li, c) {
+                        self.pending.set(li);
+                    }
                 }
             } else if !self.pending.contains(li) {
                 // A candidate entry moved (or died, or was born): defer
@@ -387,22 +404,30 @@ impl Frontier {
             }
         }
         self.row_dirty.clear();
+        self.probed.clear();
         // (b) vertices adjacent to changed communities: one pass over the
-        // live rows of every vertex not already due for a full re-scan.
+        // arc labels of every vertex not already due for a full re-scan.
         // A member's own-community row was already decided (with the
         // interior test) by the membership scan above; any other row
         // into a changed community is an external candidate whose gain
-        // term moved — hand it to the patch pass. Skipped when no
-        // snapshot moved.
+        // term moved — hand it to the patch pass, once per vertex (the
+        // `seen` marks are cleared through the vertex's new patches).
+        // Skipped when no snapshot moved.
         if !self.changed_ids.is_empty() {
             for (li, &own) in label.iter().enumerate() {
                 if self.pending.contains(li) {
                     continue;
                 }
-                for &(c, _) in rows.rows(li) {
-                    if c != own && self.changed.contains(c as usize) {
+                let first = self.patches.len();
+                for &c in rows.labels(li) {
+                    let ci = c as usize;
+                    if c != own && self.changed.contains(ci) && !self.seen.contains(ci) {
+                        self.seen.set(ci);
                         self.patches.push((li as u32, c));
                     }
+                }
+                for i in first..self.patches.len() {
+                    self.seen.unset(self.patches[i].1 as usize);
                 }
             }
         }
@@ -499,7 +524,8 @@ mod tests {
     }
 
     /// A row index over local vertices `0..rows.len()`: vertex `li`
-    /// holds one live row into each community of `rows[li]` (ascending).
+    /// holds one live row into each community of `rows[li]` (ascending),
+    /// from one unit-weight arc.
     fn index(rows: &[&[u32]]) -> RowIndex {
         let mut offsets = vec![0];
         let mut flat = Vec::new();
@@ -508,7 +534,7 @@ mod tests {
             offsets.push(flat.len());
         }
         let weights = vec![1.0; flat.len()];
-        RowIndex::identity(offsets, &flat, weights)
+        RowIndex::from_arcs(offsets, flat, weights)
     }
 
     #[test]

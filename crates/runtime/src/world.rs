@@ -7,9 +7,9 @@ use crate::sim::SimState;
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use parking_lot::Mutex;
 use std::cell::{Cell, RefCell};
-use std::panic::Location;
+use std::panic::{catch_unwind, AssertUnwindSafe, Location};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Barrier;
+use std::sync::{Condvar, PoisonError};
 
 /// Runtime configuration.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -161,12 +161,88 @@ pub struct CommStats {
     pub dedup_hits: u64,
 }
 
+/// The world's rank barrier. A rank thread that unwinds poisons it, and
+/// every rank blocked in a wait, or entering one later, then unwinds
+/// with [`WorldPoisoned`] instead of waiting forever for the dead rank.
+pub(crate) struct RankBarrier {
+    n: usize,
+    state: Mutex<BarrierState>,
+    cvar: Condvar,
+}
+
+struct BarrierState {
+    /// Ranks waiting in the current generation.
+    arrived: usize,
+    /// Completed waits so far.
+    generation: u64,
+    /// The first rank whose thread unwound, once one has.
+    poisoned_by: Option<usize>,
+}
+
+/// Panic payload of a rank released from a barrier that a peer's panic
+/// poisoned. It never reaches the caller: the launcher re-raises the
+/// poisoning rank's own payload.
+struct WorldPoisoned;
+
+impl RankBarrier {
+    fn new(n: usize) -> Self {
+        Self {
+            n,
+            state: Mutex::new(BarrierState {
+                arrived: 0,
+                generation: 0,
+                poisoned_by: None,
+            }),
+            cvar: Condvar::new(),
+        }
+    }
+
+    /// Blocks until all `n` ranks have called `wait`.
+    ///
+    /// # Panics
+    ///
+    /// With [`WorldPoisoned`] once a peer's thread has unwound.
+    fn wait(&self) {
+        let mut st = self.state.lock();
+        if st.poisoned_by.is_none() {
+            let generation = st.generation;
+            st.arrived += 1;
+            if st.arrived == self.n {
+                st.arrived = 0;
+                st.generation += 1;
+                self.cvar.notify_all();
+                return;
+            }
+            while st.generation == generation && st.poisoned_by.is_none() {
+                st = self.cvar.wait(st).unwrap_or_else(PoisonError::into_inner);
+            }
+            if st.generation != generation {
+                return;
+            }
+        }
+        drop(st);
+        std::panic::panic_any(WorldPoisoned);
+    }
+
+    /// Records that `rank`'s thread is unwinding (the first such rank is
+    /// kept) and releases every waiter.
+    fn poison(&self, rank: usize) {
+        self.state.lock().poisoned_by.get_or_insert(rank);
+        self.cvar.notify_all();
+    }
+
+    /// The first rank whose thread unwound, if any.
+    fn poisoned_by(&self) -> Option<usize> {
+        self.state.lock().poisoned_by
+    }
+}
+
 /// Shared world state (one per `run`).
 pub(crate) struct World<M: Send> {
     pub(crate) p: usize,
     pub(crate) coalesce: usize,
     pub(crate) senders: Vec<Sender<Packet<M>>>,
-    pub(crate) barrier: Barrier,
+    pub(crate) barrier: RankBarrier,
     /// One f64 slot per rank for scalar reductions.
     pub(crate) f64_slots: Mutex<Vec<f64>>,
     /// One u64 slot per rank for integer reductions.
@@ -502,24 +578,24 @@ where
 {
     if !plan.crashes.is_empty() {
         cfg.check_protocol = true;
-        install_crash_panic_silencer();
+        install_panic_silencer();
     }
     run_world(cfg, Some(plan), f)
 }
 
 /// Installs (once per process) a delegating panic hook that suppresses
-/// the default stderr report for the runtime's *injected* panic payloads
-/// — [`SimulatedCrash`] and [`RankLost`] are caught and handled by the
-/// rank-thread wrappers, so printing them would spam every chaos test —
-/// while every other panic keeps the previous hook's behavior.
-fn install_crash_panic_silencer() {
+/// the default stderr report for the runtime's own panic payloads —
+/// [`SimulatedCrash`] and [`RankLost`] are caught and handled by the
+/// rank-thread wrappers, so printing them would spam every chaos test,
+/// and a [`WorldPoisoned`] peer would bury the panic that poisoned the
+/// world — while every other panic keeps the previous hook's behavior.
+fn install_panic_silencer() {
     static ONCE: std::sync::Once = std::sync::Once::new();
     ONCE.call_once(|| {
         let prev = std::panic::take_hook();
         std::panic::set_hook(Box::new(move |info| {
-            if info.payload().downcast_ref::<SimulatedCrash>().is_some()
-                || info.payload().downcast_ref::<RankLost>().is_some()
-            {
+            let p = info.payload();
+            if p.is::<SimulatedCrash>() || p.is::<RankLost>() || p.is::<WorldPoisoned>() {
                 return;
             }
             prev(info);
@@ -551,7 +627,7 @@ where
         p,
         coalesce: cfg.coalesce_capacity,
         senders,
-        barrier: Barrier::new(p),
+        barrier: RankBarrier::new(p),
         f64_slots: Mutex::new(vec![0.0; p]),
         u64_slots: Mutex::new(vec![0; p]),
         vec_slots: Mutex::new(vec![Vec::new(); p]),
@@ -608,17 +684,7 @@ where
                         fault_delays: Cell::new(0),
                     };
                     let out = if world.fault.is_none() {
-                        let out = f(&mut ctx);
-                        if world.check_protocol || world.record_protocol {
-                            // A rank that returned while a peer is still
-                            // in a collective would leave that peer
-                            // blocked on the barrier forever; entering
-                            // Shutdown here turns the drift into a
-                            // protocol-mismatch diagnostic (and stamps
-                            // the recorded sequences' terminator).
-                            ctx.enter_collective(CollectiveKind::Shutdown, Location::caller());
-                        }
-                        Some(out)
+                        run_rank(world, &mut ctx, f)
                     } else {
                         run_rank_faulted(world, &mut ctx, f)
                     };
@@ -646,15 +712,21 @@ where
                 })
             })
             .collect();
-        handles
-            .into_iter()
-            .map(|h| match h.join() {
-                Ok(out) => out,
-                // Re-raise the rank thread's panic with its original
-                // payload so protocol diagnostics survive to the caller.
-                Err(payload) => std::panic::resume_unwind(payload),
-            })
-            .collect()
+        let mut joined: Vec<std::thread::Result<Option<R>>> =
+            handles.into_iter().map(|h| h.join()).collect();
+        // Re-raise a rank thread's panic with its original payload so
+        // protocol diagnostics survive to the caller: the panic that
+        // poisoned the world, not a peer's poison panic.
+        let first = world
+            .barrier
+            .poisoned_by()
+            .or_else(|| joined.iter().position(std::thread::Result::is_err));
+        if let Some(rank) = first {
+            if let Err(payload) = joined.swap_remove(rank) {
+                std::panic::resume_unwind(payload);
+            }
+        }
+        joined.into_iter().map(|r| r.ok().flatten()).collect()
     });
     let crash = world.fault.as_ref().and_then(|f| *f.crashed.lock());
     let faults = FaultStats {
@@ -700,6 +772,36 @@ where
     }
 }
 
+/// One rank's fault-free execution. A panicking rank poisons the world's
+/// barrier on its way out, so its peers unwind from their next collective
+/// instead of blocking on it forever.
+fn run_rank<M, R, F>(world: &World<M>, ctx: &mut RankCtx<'_, M>, f: &F) -> Option<R>
+where
+    M: Send,
+    F: Fn(&mut RankCtx<'_, M>) -> R + Sync,
+{
+    let out = catch_unwind(AssertUnwindSafe(|| {
+        let out = f(&mut *ctx);
+        if world.check_protocol || world.record_protocol {
+            // A rank that returned while a peer is still in a collective
+            // would leave that peer blocked on the barrier forever;
+            // entering Shutdown here turns the drift into a
+            // protocol-mismatch diagnostic (and stamps the recorded
+            // sequences' terminator).
+            ctx.enter_collective(CollectiveKind::Shutdown, Location::caller());
+        }
+        out
+    }));
+    match out {
+        Ok(out) => Some(out),
+        Err(payload) => {
+            install_panic_silencer();
+            world.barrier.poison(ctx.rank);
+            std::panic::resume_unwind(payload)
+        }
+    }
+}
+
 /// One rank's execution under fault injection. Injected panics
 /// ([`SimulatedCrash`] on the victim, [`RankLost`] on survivors) are
 /// caught here and resolved to `None`; every other panic propagates.
@@ -715,7 +817,6 @@ where
     M: Send,
     F: Fn(&mut RankCtx<'_, M>) -> R + Sync,
 {
-    use std::panic::{catch_unwind, AssertUnwindSafe};
     match catch_unwind(AssertUnwindSafe(|| f(&mut *ctx))) {
         Ok(out) => {
             // The Shutdown rendezvous itself can diagnose a peer that
@@ -797,6 +898,42 @@ mod tests {
             counter.load(Ordering::SeqCst)
         });
         assert!(out.iter().all(|&c| c == 8), "{out:?}");
+    }
+
+    #[test]
+    fn a_rank_panic_poisons_the_world_instead_of_hanging() {
+        use std::sync::mpsc::channel;
+        use std::time::Duration;
+        for ranks in [2usize, 4] {
+            let victim = ranks - 1;
+            let (tx, rx) = channel();
+            let solver = std::thread::spawn(move || {
+                let run = std::panic::catch_unwind(|| {
+                    run::<u32, _, _>(ranks, |ctx| {
+                        let rank = ctx.rank();
+                        let _ = ctx.allreduce_sum(1.0);
+                        let mut ex = ctx.exchange();
+                        ex.send((rank + 1) % ranks, 1);
+                        assert_ne!(rank, victim, "rank {victim} failed mid-phase");
+                        ex.finish(|_| ());
+                        ctx.barrier();
+                    })
+                });
+                let message = run.map_err(|p| p.downcast_ref::<String>().cloned());
+                let _ = tx.send(message.map(|_| ()));
+            });
+            let got = rx
+                .recv_timeout(Duration::from_secs(60))
+                .unwrap_or_else(|_| panic!("{ranks} ranks: the world hung after a rank panic"));
+            solver
+                .join()
+                .expect("the solver thread catches the world's panic");
+            let message = got.expect_err("the victim's panic must reach the caller");
+            assert!(
+                message.is_some_and(|m| m.contains(&format!("rank {victim} failed mid-phase"))),
+                "{ranks} ranks: the caller must see the victim's own payload"
+            );
+        }
     }
 
     #[test]

@@ -76,7 +76,9 @@ run_step() {
       # (the summary line ends the output). amazon-1r runs on 1 rank, so
       # the insufficient-cores guard never fires. amazon runs on 2 ranks,
       # which puts the keyed-send path and the replicated loader under
-      # louvain-perf's repeat and Q checks; it needs 2 cores.
+      # louvain-perf's repeat and Q checks; rmat-skew is the one
+      # ArcBalanced workload, so it covers the repartition inside
+      # reconstruction and the hub-degree row gathers. Both need 2 cores.
       perf_smoke() { # <workload>
         local summary
         summary=$(cargo run -q --release --offline \
@@ -91,8 +93,9 @@ run_step() {
       perf_smoke amazon-1r
       if [ "$(nproc)" -ge 2 ]; then
         perf_smoke amazon
+        perf_smoke rmat-skew
       else
-        echo "skip: louvain-perf amazon needs 2 cores, nproc is $(nproc)"
+        echo "skip: louvain-perf amazon and rmat-skew need 2 cores, nproc is $(nproc)"
       fi
       ;;
     race)
