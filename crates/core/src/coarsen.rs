@@ -9,7 +9,7 @@
 use louvain_graph::csr::CsrGraph;
 use louvain_graph::edgelist::{EdgeList, EdgeListBuilder};
 use louvain_hash::{pack_key, unpack_key};
-use louvain_trace::{Counter, Event};
+use louvain_trace::Counter;
 use std::collections::BTreeMap;
 
 /// Builds the induced (super) graph of `labels` over `g`.
@@ -37,14 +37,8 @@ pub fn induced_edge_list(g: &CsrGraph, labels: &[u32], num_communities: usize) -
             arc_scans.incr();
         }
     }
-    louvain_trace::emit_with(|| Event::Count {
-        name: "coarsen.arc_scans",
-        value: arc_scans.get(),
-    });
-    louvain_trace::emit_with(|| Event::Count {
-        name: "coarsen.super_edges",
-        value: acc.len() as u64,
-    });
+    louvain_trace::count("coarsen.arc_scans", arc_scans.get());
+    louvain_trace::count("coarsen.super_edges", acc.len() as u64);
     let mut b = EdgeListBuilder::with_capacity(num_communities, acc.len());
     for (key, w) in acc {
         let (lo, hi) = unpack_key(key);

@@ -17,7 +17,7 @@
 //!
 //!   maintained by two deterministic wake rules: W1 — a received
 //!   state-propagation delta wakes the local neighbors of the migrated
-//!   vertex (the remote piggyback, via the `RemoteCache` source
+//!   vertex (the remote piggyback, via the `OutTable` source
 //!   index) — and W2 — a bitwise change in a community's replicated
 //!   `Σ_tot`/size snapshot wakes everyone with a live Out-Table row
 //!   into it and every member holding an external candidate row
@@ -43,7 +43,7 @@
 //! (DESIGN.md §8) holds for the frontier-scheduled solver exactly as it
 //! did for the full scan.
 
-use crate::parallel::RowIndex;
+use crate::parallel::OutTable;
 
 /// Frontier counters of one solver run, summed over ranks, levels and
 /// inner iterations (also exported as the trace counters
@@ -344,7 +344,7 @@ impl Frontier {
         prev_size: &[f64],
         size: &[f64],
         label: &[u32],
-        rows: &RowIndex,
+        rows: &OutTable,
     ) {
         debug_assert_eq!(prev_tot.len(), tot.len());
         debug_assert_eq!(prev_size.len(), size.len());
@@ -526,7 +526,7 @@ mod tests {
     /// A row index over local vertices `0..rows.len()`: vertex `li`
     /// holds one live row into each community of `rows[li]` (ascending),
     /// from one unit-weight arc.
-    fn index(rows: &[&[u32]]) -> RowIndex {
+    fn index(rows: &[&[u32]]) -> OutTable {
         let mut offsets = vec![0];
         let mut flat = Vec::new();
         for r in rows {
@@ -534,7 +534,7 @@ mod tests {
             offsets.push(flat.len());
         }
         let weights = vec![1.0; flat.len()];
-        RowIndex::from_arcs(offsets, flat, weights)
+        OutTable::from_arcs(offsets, flat, weights)
     }
 
     #[test]

@@ -12,13 +12,13 @@
 //!   and shared-memory algorithms, with the adjacency-matrix conventions
 //!   (self-loop weight doubled) that make Newman modularity (Equation 3 of
 //!   the paper) unambiguous.
-//! * [`partition`] — the pluggable vertex-ownership contract
-//!   ([`partition::Partition`]) plus the arc-balanced greedy-LPT map
-//!   ([`partition::BalancedPartition`]) the distributed solver can swap
-//!   in for skewed workloads (DESIGN.md §15).
+//! * [`partition`] — the pluggable vertex-ownership map
+//!   ([`partition::AnyPartition`], whose docs state the contract) and the
+//!   arc-balanced greedy-LPT map ([`partition::BalancedPartition`]) the
+//!   distributed solver can swap in for skewed workloads (DESIGN.md §15).
 //! * [`partition1d`] — the 1D modulo decomposition of Section IV-A ("each
 //!   node is assigned a set of vertices according to a simple modulo
-//!   function"), the default [`partition::Partition`] implementor.
+//!   function"), the default ownership map.
 //! * [`gen`] — the synthetic generators used by the evaluation:
 //!   Erdős–Rényi, R-MAT (Graph500 parameters), BTER (tunable global
 //!   clustering coefficient) and LFR (planted communities with mixing
@@ -50,5 +50,5 @@ pub type Weight = f64;
 
 pub use csr::CsrGraph;
 pub use edgelist::{EdgeList, EdgeListBuilder};
-pub use partition::{AnyPartition, BalancedPartition, Partition, PartitionStrategy};
+pub use partition::{AnyPartition, BalancedPartition, PartitionStrategy};
 pub use partition1d::ModuloPartition;

@@ -5,15 +5,16 @@
 //! balances vertex *counts*. The BSP cost model is max-over-ranks,
 //! though, so on heavy-tail degree distributions the per-rank *arc*
 //! skew of the modulo map becomes the dominant simulated-time term.
-//! This module extracts the ownership contract the distributed solver
-//! actually relies on into the [`Partition`] trait and adds
-//! [`BalancedPartition`], a greedy LPT (longest-processing-time)
-//! assignment over load-sorted vertices that equalizes per-rank arc
-//! load instead.
+//! This module adds [`BalancedPartition`], a greedy LPT
+//! (longest-processing-time) assignment over load-sorted vertices that
+//! equalizes per-rank arc load instead, and [`AnyPartition`], the one
+//! ownership type the distributed solver holds, which dispatches over
+//! both maps.
 //!
 //! # The contract
 //!
-//! A partition is a bijection between global vertex ids `0..n` and
+//! The contract the solver relies on, upheld by both maps and stated on
+//! [`AnyPartition`]: a partition is a bijection between global vertex ids `0..n` and
 //! `(rank, local index)` pairs with dense per-rank index spaces:
 //!
 //! * `owner(v)` < `num_ranks()` for every `v < n`;
@@ -46,39 +47,7 @@
 use crate::partition1d::ModuloPartition;
 use crate::VertexId;
 
-/// Vertex-ownership contract of the distributed solver (DESIGN.md §15).
-/// See the module docs for the invariants implementors must uphold.
-pub trait Partition {
-    /// Number of vertices.
-    fn num_vertices(&self) -> usize;
-
-    /// Number of ranks.
-    fn num_ranks(&self) -> usize;
-
-    /// Rank owning vertex `v`.
-    fn owner(&self, v: VertexId) -> usize;
-
-    /// Dense local index of `v` on its owner.
-    fn local_index(&self, v: VertexId) -> usize;
-
-    /// Global vertex id of local index `i` on `rank` (inverse of
-    /// [`Partition::local_index`]).
-    fn global(&self, rank: usize, i: usize) -> VertexId;
-
-    /// Number of vertices owned by `rank`.
-    fn local_count(&self, rank: usize) -> usize;
-
-    /// Iterates the vertices owned by `rank` in ascending global id
-    /// order (the dense local index order).
-    fn local_vertices(&self, rank: usize) -> impl Iterator<Item = VertexId> + '_
-    where
-        Self: Sized,
-    {
-        (0..self.local_count(rank)).map(move |i| self.global(rank, i))
-    }
-}
-
-/// Which [`Partition`] implementation the distributed solver uses.
+/// Which ownership map the distributed solver uses.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum PartitionStrategy {
     /// The paper's 1D modulo decomposition (Section IV-A): vertex `v`
@@ -273,35 +242,13 @@ impl BalancedPartition {
     }
 }
 
-impl Partition for BalancedPartition {
-    fn num_vertices(&self) -> usize {
-        self.num_vertices()
-    }
-
-    fn num_ranks(&self) -> usize {
-        self.p
-    }
-
-    fn owner(&self, v: VertexId) -> usize {
-        self.owner(v)
-    }
-
-    fn local_index(&self, v: VertexId) -> usize {
-        self.local_index(v)
-    }
-
-    fn global(&self, rank: usize, i: usize) -> VertexId {
-        self.global(rank, i)
-    }
-
-    fn local_count(&self, rank: usize) -> usize {
-        self.local_count(rank)
-    }
-}
-
 /// Runtime-dispatched partition: the solver stores one of these per
 /// level so the hot loops stay monomorphic over a two-way branch
 /// instead of genericizing the whole module.
+///
+/// This is the vertex-ownership contract of the distributed solver
+/// (DESIGN.md §15); see the module docs for the invariants both maps
+/// uphold.
 #[derive(Clone, Debug, PartialEq)]
 pub enum AnyPartition {
     /// The paper's 1D modulo decomposition.
@@ -395,32 +342,6 @@ impl AnyPartition {
     }
 }
 
-impl Partition for AnyPartition {
-    fn num_vertices(&self) -> usize {
-        self.num_vertices()
-    }
-
-    fn num_ranks(&self) -> usize {
-        self.num_ranks()
-    }
-
-    fn owner(&self, v: VertexId) -> usize {
-        self.owner(v)
-    }
-
-    fn local_index(&self, v: VertexId) -> usize {
-        self.local_index(v)
-    }
-
-    fn global(&self, rank: usize, i: usize) -> VertexId {
-        self.global(rank, i)
-    }
-
-    fn local_count(&self, rank: usize) -> usize {
-        self.local_count(rank)
-    }
-}
-
 /// Max-over-mean skew of a per-rank load vector: `1.0` is perfectly
 /// balanced, `p` is everything-on-one-rank. The `imbalance` stat of
 /// `ParallelResult` and the bench snapshot's per-rank skew series both
@@ -443,7 +364,7 @@ pub fn load_imbalance(per_rank: &[f64]) -> f64 {
 mod tests {
     use super::*;
 
-    fn check_contract<P: Partition>(part: &P, n: usize, p: usize) {
+    fn check_contract(part: &AnyPartition, n: usize, p: usize) {
         assert_eq!(part.num_vertices(), n);
         assert_eq!(part.num_ranks(), p);
         let total: usize = (0..p).map(|r| part.local_count(r)).sum();
@@ -470,7 +391,7 @@ mod tests {
         let loads: Vec<f64> = (0..101).map(|i| ((i * 37) % 19) as f64).collect();
         for p in [1usize, 2, 3, 7, 16] {
             let part = BalancedPartition::from_loads(&loads, p);
-            check_contract(&part, loads.len(), p);
+            check_contract(&AnyPartition::Balanced(part), loads.len(), p);
         }
     }
 
@@ -478,7 +399,7 @@ mod tests {
     fn modulo_partition_upholds_the_contract() {
         for (n, p) in [(0usize, 3usize), (1, 1), (23, 4), (100, 7)] {
             let part = ModuloPartition::new(n, p);
-            check_contract(&part, n, p);
+            check_contract(&AnyPartition::Modulo(part), n, p);
         }
     }
 

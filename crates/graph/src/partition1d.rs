@@ -7,7 +7,6 @@
 //! Vertex `v` is owned by rank `v mod p`; the owning rank stores all
 //! information (edges, community state) for its vertices.
 
-use crate::partition::Partition;
 use crate::VertexId;
 
 /// Modulo-`p` ownership map over vertices `0..n`.
@@ -106,32 +105,6 @@ impl ModuloPartition {
 #[inline(always)]
 fn widen(v: VertexId) -> usize {
     usize::try_from(v).unwrap_or_else(|_| panic!("partition overflow: vertex id {v} exceeds usize"))
-}
-
-impl Partition for ModuloPartition {
-    fn num_vertices(&self) -> usize {
-        self.num_vertices()
-    }
-
-    fn num_ranks(&self) -> usize {
-        self.num_ranks()
-    }
-
-    fn owner(&self, v: VertexId) -> usize {
-        self.owner(v)
-    }
-
-    fn local_index(&self, v: VertexId) -> usize {
-        self.local_index(v)
-    }
-
-    fn global(&self, rank: usize, i: usize) -> VertexId {
-        self.global(rank, i)
-    }
-
-    fn local_count(&self, rank: usize) -> usize {
-        self.local_count(rank)
-    }
 }
 
 #[cfg(test)]

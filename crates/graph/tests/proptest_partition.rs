@@ -1,6 +1,7 @@
-//! Property tests for every [`Partition`] implementor (DESIGN.md §15).
+//! Property tests for both ownership maps behind [`AnyPartition`]
+//! (DESIGN.md §15).
 //!
-//! The trait contract, exercised over arbitrary `(n, p)` geometries and
+//! The ownership contract, exercised over arbitrary `(n, p)` geometries and
 //! mixed-magnitude load vectors:
 //!
 //! * ownership partitions the vertex set: per-rank `local_count` sums to
@@ -14,7 +15,7 @@
 //!   its dense owner vector.
 
 use louvain_graph::partition::load_imbalance;
-use louvain_graph::{AnyPartition, BalancedPartition, ModuloPartition, Partition};
+use louvain_graph::{AnyPartition, BalancedPartition, ModuloPartition};
 use proptest::prelude::*;
 
 /// Mixed-magnitude load palette (the PR 4 weight set): LPT tie-breaks
@@ -26,8 +27,8 @@ fn arb_loads() -> impl Strategy<Value = Vec<f64>> {
         .prop_map(|picks| picks.into_iter().map(|i| WEIGHTS[i]).collect())
 }
 
-/// Checks the full trait contract for one implementor.
-fn check_contract<P: Partition>(part: &P) {
+/// Checks the full ownership contract for one map.
+fn check_contract(part: &AnyPartition) {
     let n = part.num_vertices();
     let p = part.num_ranks();
     let mut counted = 0usize;
@@ -61,7 +62,7 @@ proptest! {
         n in 0usize..300,
         p in 1usize..9,
     ) {
-        check_contract(&ModuloPartition::new(n, p));
+        check_contract(&AnyPartition::Modulo(ModuloPartition::new(n, p)));
     }
 
     #[test]
@@ -69,7 +70,7 @@ proptest! {
         loads in arb_loads(),
         p in 1usize..9,
     ) {
-        check_contract(&BalancedPartition::from_loads(&loads, p));
+        check_contract(&AnyPartition::Balanced(BalancedPartition::from_loads(&loads, p)));
     }
 
     /// The LPT builder is a pure function of the load vector: repeated
@@ -100,7 +101,7 @@ proptest! {
         let built = BalancedPartition::from_loads(&loads, p);
         let restored = BalancedPartition::from_owners(built.owners(), p);
         prop_assert_eq!(built.owners(), restored.owners());
-        check_contract(&restored);
+        check_contract(&AnyPartition::Balanced(restored));
     }
 
     /// LPT never loses to modulo on its own objective: the max/mean
@@ -141,7 +142,9 @@ proptest! {
         for rank in 0..p {
             prop_assert_eq!(wrapped.local_count(rank), inner.local_count(rank));
             let a: Vec<u32> = wrapped.local_vertices(rank).collect();
-            let b: Vec<u32> = inner.local_vertices(rank).collect();
+            let b: Vec<u32> = (0..inner.local_count(rank))
+                .map(|i| inner.global(rank, i))
+                .collect();
             prop_assert_eq!(a, b);
         }
         for v in 0..loads.len() as u32 {

@@ -373,11 +373,7 @@ impl<'a, 'w, M: Send> Exchange<'a, 'w, M> {
             self.ctx
                 .dedup_hits
                 .set(self.ctx.dedup_hits.get() + self.keyed_hits);
-            let hits = self.keyed_hits;
-            louvain_trace::emit_with(|| louvain_trace::Event::Count {
-                name: "exchange.dedup_hits",
-                value: hits,
-            });
+            louvain_trace::count("exchange.dedup_hits", self.keyed_hits);
         }
         received
     }

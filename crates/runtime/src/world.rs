@@ -565,7 +565,9 @@ where
 /// whenever the plan schedules crashes.
 ///
 /// Panics that are *not* injected faults (genuine bugs, protocol
-/// mismatches unrelated to the crash) propagate to the caller unchanged.
+/// mismatches unrelated to the crash) poison the world as in
+/// [`run_with_config`] and reach the caller with the panicking rank's
+/// own payload.
 pub fn run_with_config_faulted<M, R, F>(
     mut cfg: RuntimeConfig,
     plan: &FaultPlan,
@@ -683,11 +685,7 @@ where
                         fault_dups: Cell::new(0),
                         fault_delays: Cell::new(0),
                     };
-                    let out = if world.fault.is_none() {
-                        run_rank(world, &mut ctx, f)
-                    } else {
-                        run_rank_faulted(world, &mut ctx, f)
-                    };
+                    let out = run_rank(world, &mut ctx, f);
                     world
                         .msg_counter
                         .fetch_add(ctx.sent_messages, Ordering::Relaxed);
@@ -772,9 +770,16 @@ where
     }
 }
 
-/// One rank's fault-free execution. A panicking rank poisons the world's
-/// barrier on its way out, so its peers unwind from their next collective
-/// instead of blocking on it forever.
+/// One rank's execution. Injected fault panics resolve to `None`: the
+/// crash victim ([`SimulatedCrash`]) first joins one more rendezvous —
+/// the implicit `Shutdown` entry — so the survivors' next collective
+/// observes the out-of-step `Shutdown` slot and diagnoses the loss
+/// ([`RankLost`]) instead of deadlocking on a barrier that would never
+/// fill. All ranks leave that rendezvous by unwinding before its
+/// trailing barrier, keeping the per-barrier arrival counts consistent.
+/// Any other panic poisons the world's barrier on its way out, so the
+/// peers unwind from their next collective instead of blocking on it
+/// forever.
 fn run_rank<M, R, F>(world: &World<M>, ctx: &mut RankCtx<'_, M>, f: &F) -> Option<R>
 where
     M: Send,
@@ -787,52 +792,15 @@ where
             // would leave that peer blocked on the barrier forever;
             // entering Shutdown here turns the drift into a
             // protocol-mismatch diagnostic (and stamps the recorded
-            // sequences' terminator).
+            // sequences' terminator). Under a fault plan it also
+            // diagnoses a peer that crashed at the program's final sync.
             ctx.enter_collective(CollectiveKind::Shutdown, Location::caller());
         }
         out
     }));
     match out {
         Ok(out) => Some(out),
-        Err(payload) => {
-            install_panic_silencer();
-            world.barrier.poison(ctx.rank);
-            std::panic::resume_unwind(payload)
-        }
-    }
-}
-
-/// One rank's execution under fault injection. Injected panics
-/// ([`SimulatedCrash`] on the victim, [`RankLost`] on survivors) are
-/// caught here and resolved to `None`; every other panic propagates.
-///
-/// The victim participates in exactly one more rendezvous after
-/// unwinding — the implicit `Shutdown` entry — so the survivors' next
-/// collective observes the out-of-step `Shutdown` slot and diagnoses the
-/// loss instead of deadlocking on a barrier that would never fill. All
-/// ranks leave that rendezvous by unwinding before its trailing barrier,
-/// keeping the per-barrier arrival counts consistent.
-fn run_rank_faulted<M, R, F>(world: &World<M>, ctx: &mut RankCtx<'_, M>, f: &F) -> Option<R>
-where
-    M: Send,
-    F: Fn(&mut RankCtx<'_, M>) -> R + Sync,
-{
-    match catch_unwind(AssertUnwindSafe(|| f(&mut *ctx))) {
-        Ok(out) => {
-            // The Shutdown rendezvous itself can diagnose a peer that
-            // crashed at the program's final sync, so it needs the same
-            // classification as the main closure.
-            match catch_unwind(AssertUnwindSafe(|| {
-                if world.check_protocol || world.record_protocol {
-                    ctx.enter_collective(CollectiveKind::Shutdown, Location::caller());
-                }
-            })) {
-                Ok(()) => Some(out),
-                Err(payload) if payload.downcast_ref::<RankLost>().is_some() => None,
-                Err(payload) => std::panic::resume_unwind(payload),
-            }
-        }
-        Err(payload) if payload.downcast_ref::<SimulatedCrash>().is_some() => {
+        Err(payload) if payload.is::<SimulatedCrash>() => {
             // The victim: join the detection rendezvous (the survivors'
             // next collective) exactly once, swallowing the RankLost it
             // raises for us too.
@@ -841,8 +809,12 @@ where
             }));
             None
         }
-        Err(payload) if payload.downcast_ref::<RankLost>().is_some() => None,
-        Err(payload) => std::panic::resume_unwind(payload),
+        Err(payload) if payload.is::<RankLost>() => None,
+        Err(payload) => {
+            install_panic_silencer();
+            world.barrier.poison(ctx.rank);
+            std::panic::resume_unwind(payload)
+        }
     }
 }
 
@@ -904,12 +876,22 @@ mod tests {
     fn a_rank_panic_poisons_the_world_instead_of_hanging() {
         use std::sync::mpsc::channel;
         use std::time::Duration;
-        for ranks in [2usize, 4] {
-            let victim = ranks - 1;
-            let (tx, rx) = channel();
-            let solver = std::thread::spawn(move || {
-                let run = std::panic::catch_unwind(|| {
-                    run::<u32, _, _>(ranks, |ctx| {
+        // The launchers: fault-free, a transport-only fault plan, and a
+        // crash scheduled past the end of the run.
+        let transport = FaultPlan {
+            drop_one_in: 3,
+            delay_one_in: 5,
+            ..FaultPlan::default()
+        };
+        let plans = [None, Some(transport), Some(FaultPlan::crash(0, 1e18))];
+        for plan in plans {
+            for ranks in [2usize, 4] {
+                let victim = ranks - 1;
+                let (tx, rx) = channel();
+                let plan_name = format!("{plan:?}");
+                let plan = plan.clone();
+                let solver = std::thread::spawn(move || {
+                    let body = |ctx: &mut RankCtx<'_, u32>| {
                         let rank = ctx.rank();
                         let _ = ctx.allreduce_sum(1.0);
                         let mut ex = ctx.exchange();
@@ -917,22 +899,34 @@ mod tests {
                         assert_ne!(rank, victim, "rank {victim} failed mid-phase");
                         ex.finish(|_| ());
                         ctx.barrier();
-                    })
+                    };
+                    let run = std::panic::catch_unwind(|| match &plan {
+                        None => drop(run::<u32, _, _>(ranks, body)),
+                        Some(plan) => {
+                            drop(run_with_config_faulted(
+                                RuntimeConfig::new(ranks),
+                                plan,
+                                body,
+                            ));
+                        }
+                    });
+                    let message = run.map_err(|p| p.downcast_ref::<String>().cloned());
+                    let _ = tx.send(message);
                 });
-                let message = run.map_err(|p| p.downcast_ref::<String>().cloned());
-                let _ = tx.send(message.map(|_| ()));
-            });
-            let got = rx
-                .recv_timeout(Duration::from_secs(60))
-                .unwrap_or_else(|_| panic!("{ranks} ranks: the world hung after a rank panic"));
-            solver
-                .join()
-                .expect("the solver thread catches the world's panic");
-            let message = got.expect_err("the victim's panic must reach the caller");
-            assert!(
-                message.is_some_and(|m| m.contains(&format!("rank {victim} failed mid-phase"))),
-                "{ranks} ranks: the caller must see the victim's own payload"
-            );
+                let got = rx
+                    .recv_timeout(Duration::from_secs(60))
+                    .unwrap_or_else(|_| {
+                        panic!("{ranks} ranks, plan {plan_name}: the world hung after a rank panic")
+                    });
+                solver
+                    .join()
+                    .expect("the solver thread catches the world's panic");
+                let message = got.expect_err("the victim's panic must reach the caller");
+                assert!(
+                    message.is_some_and(|m| m.contains(&format!("rank {victim} failed mid-phase"))),
+                    "{ranks} ranks, plan {plan_name}: the caller must see the victim's own payload"
+                );
+            }
         }
     }
 

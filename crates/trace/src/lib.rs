@@ -273,6 +273,13 @@ pub fn is_active() -> bool {
 #[inline(always)]
 pub fn emit_with<F: FnOnce() -> Event>(_f: F) {}
 
+/// Appends an [`Event::Count`] sample of counter `name` to the current
+/// thread's buffer, if one is installed.
+#[inline]
+pub fn count(name: &'static str, value: u64) {
+    emit_with(|| Event::Count { name, value });
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

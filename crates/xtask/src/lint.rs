@@ -12,6 +12,7 @@
 //! The R4/R5 phase-graph checks live in [`crate::phasegraph`] and are
 //! invoked from here as part of the same pass.
 
+use crate::phasegraph::{ProtocolFinding, Stream};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::path::{Path, PathBuf};
@@ -1038,25 +1039,91 @@ fn scan_region_for_collectives(
 /// `// lint-fixture-path: crates/core/src/example.rs` on the first line.
 const FIXTURE_PATH_MARKER: &str = "lint-fixture-path:";
 
+/// One scanned file: the input of both the per-file rules and the
+/// cross-file R4/R5 pass.
+struct ScannedFile {
+    rel_path: String,
+    lines: Vec<LineView>,
+    class: FileClass,
+    /// Test regions: any brace-delimited `#[cfg(test)]` item — the usual
+    /// file-tail `mod tests`, but also mid-file test modules.
+    test_mask: Vec<bool>,
+    /// The effective path (fixture marker applied) and non-test code
+    /// stream of a file in the R1/R2/R4/R5 scope.
+    race_stream: Option<(String, Vec<(char, usize)>)>,
+}
+
+impl ScannedFile {
+    fn new(rel_path: &str, src: &str) -> Self {
+        let lines = scan_lines(src);
+        // Fixture masquerading (see FIXTURE_PATH_MARKER docs).
+        let effective_path: String = lines
+            .first()
+            .and_then(|l| {
+                l.comment.find(FIXTURE_PATH_MARKER).map(|p| {
+                    l.comment[p + FIXTURE_PATH_MARKER.len()..]
+                        .trim()
+                        .to_string()
+                })
+            })
+            .unwrap_or_else(|| rel_path.replace('\\', "/"));
+        let class = classify(&effective_path);
+        let test_mask = test_region_mask(&lines);
+        let race_stream = (class.race_scope && !class.test_context)
+            .then(|| (effective_path, code_stream_masked(&lines, &test_mask)));
+        Self {
+            rel_path: rel_path.to_string(),
+            lines,
+            class,
+            test_mask,
+            race_stream,
+        }
+    }
+}
+
 /// Lint one file's source. `rel_path` is the workspace-relative path
 /// used for rule applicability (fixtures may override it via the
 /// `lint-fixture-path` marker).
 #[must_use]
 pub fn lint_source(rel_path: &str, src: &str) -> Vec<Finding> {
-    let lines = scan_lines(src);
-    // Fixture masquerading (see FIXTURE_PATH_MARKER docs).
-    let effective_path: String = lines
-        .first()
-        .and_then(|l| {
-            l.comment.find(FIXTURE_PATH_MARKER).map(|p| {
-                l.comment[p + FIXTURE_PATH_MARKER.len()..]
-                    .trim()
-                    .to_string()
-            })
+    lint_files(&[ScannedFile::new(rel_path, src)])
+}
+
+/// Lints a set of files together: R4/R5 resolve a callee defined in
+/// another file of the set by name, every other rule is per file.
+fn lint_files(files: &[ScannedFile]) -> Vec<Finding> {
+    let streams: Vec<(&str, &Stream)> = files
+        .iter()
+        .filter_map(|f| {
+            f.race_stream
+                .as_ref()
+                .map(|(p, s)| (p.as_str(), s.as_slice()))
         })
-        .unwrap_or_else(|| rel_path.replace('\\', "/"));
-    let class = classify(&effective_path);
-    let sup = collect_suppressions(&lines);
+        .collect();
+    let mut protocol = crate::phasegraph::check_streams(&streams).into_iter();
+    files
+        .iter()
+        .flat_map(|f| {
+            let pf = match f.race_stream {
+                Some(_) => protocol.next().unwrap_or_default(),
+                None => Vec::new(),
+            };
+            lint_scanned(f, pf)
+        })
+        .collect()
+}
+
+/// Every rule over one scanned file, with its precomputed R4/R5
+/// findings.
+fn lint_scanned(file: &ScannedFile, protocol: Vec<ProtocolFinding>) -> Vec<Finding> {
+    let ScannedFile {
+        rel_path,
+        lines,
+        class,
+        test_mask,
+        ..
+    } = file;
+    let sup = collect_suppressions(lines);
     let mut findings = Vec::new();
 
     for (lineno, msg) in &sup.malformed {
@@ -1067,10 +1134,6 @@ pub fn lint_source(rel_path: &str, src: &str) -> Vec<Finding> {
             message: msg.clone(),
         });
     }
-
-    // Test regions: any brace-delimited `#[cfg(test)]` item — the usual
-    // file-tail `mod tests`, but also mid-file test modules.
-    let test_mask = test_region_mask(&lines);
 
     let push = |lineno: usize, rule: Rule, message: String, findings: &mut Vec<Finding>| {
         if !sup.covers(lineno, rule) {
@@ -1219,20 +1282,19 @@ pub fn lint_source(rel_path: &str, src: &str) -> Vec<Finding> {
 
     // R1/R2/R4/R5 — cross-line collective-discipline passes over the
     // non-test code region.
-    if class.race_scope && !class.test_context {
-        let stream = code_stream_masked(&lines, &test_mask);
-        for (lineno, message) in check_exchange_discipline(&stream) {
+    if let Some((_, stream)) = &file.race_stream {
+        for (lineno, message) in check_exchange_discipline(stream) {
             push(lineno, Rule::R1, message, &mut findings);
         }
-        for (lineno, message) in check_rank_divergent_collectives(&stream) {
+        for (lineno, message) in check_rank_divergent_collectives(stream) {
             push(lineno, Rule::R2, message, &mut findings);
         }
-        for pf in crate::phasegraph::check_stream(&stream) {
+        for pf in protocol {
             push(pf.line, pf.rule, pf.message, &mut findings);
         }
         // M1/A1 — communication-cost classification, solver crate only.
         if class.cost_scope {
-            for pf in crate::costgraph::check_stream_cost(&stream) {
+            for pf in crate::costgraph::check_stream_cost(stream) {
                 push(pf.line, pf.rule, pf.message, &mut findings);
             }
         }
@@ -1316,18 +1378,18 @@ pub(crate) fn walk(dir: &Path, out: &mut Vec<PathBuf>) -> std::io::Result<()> {
 /// # Errors
 /// Propagates I/O failures from the directory walk or file reads.
 pub fn lint_workspace(root: &Path) -> std::io::Result<Vec<Finding>> {
+    let mut paths = Vec::new();
+    walk(root, &mut paths)?;
     let mut files = Vec::new();
-    walk(root, &mut files)?;
-    let mut findings = Vec::new();
-    for file in files {
-        let rel = file
+    for path in paths {
+        let rel = path
             .strip_prefix(root)
-            .unwrap_or(&file)
+            .unwrap_or(&path)
             .to_string_lossy()
             .replace('\\', "/");
-        let src = std::fs::read_to_string(&file)?;
-        findings.extend(lint_source(&rel, &src));
+        files.push(ScannedFile::new(&rel, &std::fs::read_to_string(&path)?));
     }
+    let mut findings = lint_files(&files);
     findings.sort_by_key(|f| (f.path.clone(), f.line, f.rule));
     Ok(findings)
 }

@@ -13,15 +13,12 @@
 //! - `cost [--check|--update]` — extract the communication-cost spec
 //!   (per-site payload bound + invocation multiplicity) and write it to
 //!   `results/cost_spec.json`; `--check` byte-diffs like `protocol`.
-//! - `check [--docs]` — umbrella: `cargo fmt --check`,
-//!   `cargo clippy --workspace`, the lint pass, both spec lockfiles, and
-//!   `cargo test -q`, stopping at the first failure. `--docs` appends the
-//!   documentation gate (`cargo doc --no-deps` under
-//!   `RUSTDOCFLAGS="-D warnings"`) — CI runs it in a dedicated job, the
-//!   quick local gate may skip it.
+//!
+//! The full local gate (fmt, clippy, these commands, docs, tests and the
+//! race/chaos harnesses) is `scripts/check.sh`.
 
 use std::path::{Path, PathBuf};
-use std::process::{Command, ExitCode};
+use std::process::ExitCode;
 
 use xtask::costgraph::extract_cost_spec;
 use xtask::lint::{lint_source, lint_workspace, to_json_report, Finding};
@@ -231,100 +228,16 @@ fn run_cost(args: &[String]) -> ExitCode {
     )
 }
 
-fn run_step(name: &str, cmd: &mut Command) -> bool {
-    eprintln!("==> {name}");
-    match cmd.status() {
-        Ok(s) if s.success() => true,
-        Ok(s) => {
-            eprintln!("xtask check: step `{name}` failed ({s})");
-            false
-        }
-        Err(e) => {
-            eprintln!("xtask check: could not run `{name}`: {e} (skipping)");
-            // A missing optional tool (e.g. rustfmt not installed) must
-            // not fail the umbrella; the lint + test steps still gate.
-            true
-        }
-    }
-}
-
-fn run_check(args: &[String]) -> ExitCode {
-    let docs = args.iter().any(|a| a == "--docs");
-    let root = workspace_root();
-    let ok = run_step(
-        "cargo fmt --check",
-        Command::new("cargo")
-            .args(["fmt", "--all", "--check"])
-            .current_dir(&root),
-    ) && run_step(
-        "cargo clippy --workspace",
-        Command::new("cargo")
-            .args([
-                "clippy",
-                "--workspace",
-                "--all-targets",
-                "--",
-                "-D",
-                "warnings",
-            ])
-            .current_dir(&root),
-    ) && run_step(
-        "xtask lint",
-        Command::new("cargo")
-            .args(["run", "-q", "-p", "xtask", "--", "lint"])
-            .current_dir(&root),
-    ) && run_step(
-        "xtask protocol --check",
-        Command::new("cargo")
-            .args(["run", "-q", "-p", "xtask", "--", "protocol", "--check"])
-            .current_dir(&root),
-    ) && run_step(
-        "xtask cost --check",
-        Command::new("cargo")
-            .args(["run", "-q", "-p", "xtask", "--", "cost", "--check"])
-            .current_dir(&root),
-    ) && run_step(
-        "cargo build --examples",
-        Command::new("cargo")
-            .args(["build", "--examples"])
-            .current_dir(&root),
-    ) && run_step(
-        "cargo test -q",
-        Command::new("cargo")
-            .args(["test", "-q"])
-            .current_dir(&root),
-    ) && run_step(
-        "cargo test --doc",
-        Command::new("cargo")
-            .args(["test", "--workspace", "--doc", "-q"])
-            .current_dir(&root),
-    ) && (!docs
-        || run_step(
-            "cargo doc --no-deps (RUSTDOCFLAGS=-D warnings)",
-            Command::new("cargo")
-                .args(["doc", "--workspace", "--no-deps", "-q"])
-                .env("RUSTDOCFLAGS", "-D warnings")
-                .current_dir(&root),
-        ));
-    if ok {
-        eprintln!("xtask check: all steps passed");
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
-    }
-}
-
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
         Some("lint") => run_lint(&args[1..]),
         Some("protocol") => run_protocol(&args[1..]),
         Some("cost") => run_cost(&args[1..]),
-        Some("check") => run_check(&args[1..]),
         _ => {
             eprintln!(
                 "usage: cargo run -p xtask -- <lint [--json] [--update-baseline] [paths..] \
-                 | protocol [--check|--update] | cost [--check|--update] | check [--docs]>"
+                 | protocol [--check|--update] | cost [--check|--update]>"
             );
             ExitCode::from(2)
         }

@@ -1321,8 +1321,8 @@ pub(crate) struct ProtocolFinding {
 struct Analyzer {
     files: Vec<FileInfo>,
     by_name: BTreeMap<String, Vec<(usize, usize)>>,
-    /// Workspace (spec) mode: resolve calls across files and treat
-    /// ambiguity as a hard error. Lint mode resolves same-file only.
+    /// Workspace (spec) mode: treat ambiguity as a hard error. Lint mode
+    /// gives an ambiguous callee no effect instead.
     spec_mode: bool,
     memo: BTreeMap<(usize, usize), Memo>,
 }
@@ -1396,6 +1396,14 @@ fn spec_has_loop_exit(nodes: &[SpecNode]) -> bool {
     })
 }
 
+/// The crate a workspace-relative path belongs to: `crates/<name>/`, or
+/// `""` for the root package.
+fn crate_of(path: &str) -> &str {
+    path.strip_prefix("crates/")
+        .and_then(|rest| rest.find('/'))
+        .map_or("", |i| &path[..="crates/".len() + i])
+}
+
 impl Analyzer {
     fn new(files: Vec<FileInfo>, spec_mode: bool) -> Self {
         let mut by_name: BTreeMap<String, Vec<(usize, usize)>> = BTreeMap::new();
@@ -1433,8 +1441,9 @@ impl Analyzer {
     }
 
     /// Resolve a call site to `(effect, defining file)`. Same-file
-    /// definitions win; spec mode falls back to the workspace and
-    /// errors out when same-named candidates disagree on effect.
+    /// definitions win, then same-named definitions in the caller's
+    /// crate, then those in the other crates; spec mode errors out when
+    /// the winning candidates disagree on effect.
     fn resolve(
         &mut self,
         fi: usize,
@@ -1461,13 +1470,18 @@ impl Analyzer {
             .map(|g| (fi, g))
             .collect();
         let cands = if same.is_empty() {
-            if self.spec_mode {
-                pick(
-                    self.by_name.get(name).cloned().unwrap_or_default(),
-                    &self.files,
-                )
+            let all = pick(
+                self.by_name.get(name).cloned().unwrap_or_default(),
+                &self.files,
+            );
+            let krate = crate_of(&self.files[fi].path);
+            let (in_crate, elsewhere): (Vec<_>, Vec<_>) = all
+                .into_iter()
+                .partition(|&(f, _)| crate_of(&self.files[f].path) == krate);
+            if in_crate.is_empty() {
+                elsewhere
             } else {
-                Vec::new()
+                in_crate
             }
         } else {
             pick(same, &self.files)
@@ -1673,20 +1687,26 @@ impl Analyzer {
     }
 }
 
-/// Run the R4/R5 phase-graph checks over one file's stripped stream
-/// (same-file call resolution only; the workspace spec extraction is the
-/// interprocedural mode).
-pub(crate) fn check_stream(stream: &Stream) -> Vec<ProtocolFinding> {
-    let file = analyze_stream("", stream);
-    let mut an = Analyzer::new(vec![file], false);
-    let mut out = Vec::new();
-    for gi in 0..an.files[0].fns.len() {
-        let nodes = an.files[0].nodes[gi].clone();
-        an.check_nodes(0, &nodes, false, &mut Vec::new(), &mut out);
-    }
-    out.sort_by_key(|a| (a.line, a.rule));
-    out.dedup_by(|a, b| a.line == b.line && a.rule == b.rule);
-    out
+/// Run the R4/R5 phase-graph checks over the stripped streams of a set
+/// of files, each given with its workspace-relative path, returning one
+/// finding list per stream. A call resolves to a same-file definition
+/// first, then by name in the caller's crate, then across the set; an
+/// ambiguous or unknown callee contributes no effect.
+pub(crate) fn check_streams(streams: &[(&str, &Stream)]) -> Vec<Vec<ProtocolFinding>> {
+    let files = streams.iter().map(|(p, s)| analyze_stream(p, s)).collect();
+    let mut an = Analyzer::new(files, false);
+    (0..streams.len())
+        .map(|fi| {
+            let mut out = Vec::new();
+            for gi in 0..an.files[fi].fns.len() {
+                let nodes = an.files[fi].nodes[gi].clone();
+                an.check_nodes(fi, &nodes, false, &mut Vec::new(), &mut out);
+            }
+            out.sort_by_key(|a| (a.line, a.rule));
+            out.dedup_by(|a, b| a.line == b.line && a.rule == b.rule);
+            out
+        })
+        .collect()
 }
 
 /// Extract the workspace protocol spec: analyze every solver/runtime
@@ -1744,6 +1764,10 @@ pub fn extract_protocol_spec(root: &Path) -> Result<ProtocolSpec, String> {
 mod tests {
     use super::*;
     use crate::lint::{code_stream_masked, scan_lines, test_region_mask};
+
+    fn check_stream(stream: &Stream) -> Vec<ProtocolFinding> {
+        check_streams(&[("test.rs", stream)]).remove(0)
+    }
 
     fn stream_of(src: &str) -> Vec<(char, usize)> {
         let lines = scan_lines(src);

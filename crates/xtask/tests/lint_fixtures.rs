@@ -152,6 +152,24 @@ fn r4_fires_on_both_divergence_shapes() {
     );
 }
 
+/// R4 follows a call into a sibling file: the rank-divergent branch in
+/// `cross_file/caller.rs` reaches its exchange only through a function
+/// defined in `cross_file/callee.rs`. Linted alone, neither file fires.
+/// `cross_file/decoy.rs` defines a collective-free function of the same
+/// name in another crate; the same-crate callee must win over it.
+#[test]
+fn r4_follows_calls_into_sibling_files() {
+    let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/cross_file");
+    let findings = xtask::lint_workspace(&dir).expect("fixture walk");
+    assert_eq!(findings.len(), 1, "{findings:?}");
+    assert_eq!(findings[0].rule, Rule::R4);
+    assert_eq!(
+        (findings[0].path.as_str(), findings[0].line),
+        ("caller.rs", 8)
+    );
+    assert!(lint_fixture("cross_file/caller.rs").is_empty());
+}
+
 /// Regression for the test-region blind spot: a mid-file `#[cfg(test)]`
 /// module is masked, but library code *after* it is linted again. The
 /// old file-tail heuristic masked everything to EOF.

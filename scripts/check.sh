@@ -1,8 +1,7 @@
 #!/usr/bin/env bash
 # Local gate: formatting, clippy, the louvain-lint pass, lockfile
-# freshness, docs, tests, and the race/chaos harnesses. Mirrors
-# `cargo run -p xtask -- check`; kept as a shell script so it can run
-# without a prior build of xtask deciding the tool order.
+# freshness, docs, tests, and the race/chaos harnesses. The one gate
+# script: CI runs its steps, and xtask carries no second copy of it.
 #
 #   scripts/check.sh               full gate: quick steps + 8-rank race
 #                                  harness + full chaos seed matrix
