@@ -2,27 +2,32 @@
 //!
 //! Half of the paper's Related Work section contrasts Louvain against
 //! label-propagation methods (Raghavan et al. \[46\]; Staudt & Meyerhenke
-//! \[10\]; Soman & Narang \[45\]; Ovelgönne \[12\]). This module implements
-//! synchronous weighted label propagation *on the same substrate* as the
-//! parallel Louvain solver — the 1D modulo partition, the In-Table scan,
-//! and the same state-propagation exchange — so the two algorithms can be
-//! compared end-to-end (`louvain-bench baseline-lp`): LP is cheaper per
-//! iteration (no `Σ_tot` snapshot, no histogram, no modularity pass) but
-//! plateaus at lower modularity and offers no hierarchy.
+//! \[10\]; Soman & Narang \[45\]; Ovelgönne \[12\]). Like Staudt &
+//! Meyerhenke's PLP beside their PLM, this module runs synchronous
+//! weighted label propagation *on the parallel Louvain solver's own
+//! code*: the replicated loader (`build_initial_level`), the Out-Table's
+//! per-vertex row gather, and the delta state propagation
+//! (`propagate_deltas`) that announces only changed labels. The two algorithms are therefore
+//! compared end-to-end on equal footing (`louvain-bench baseline-lp`): LP
+//! is cheaper per iteration (no `Σ_tot` snapshot, no histogram, no
+//! modularity pass) but plateaus at lower modularity and offers no
+//! hierarchy.
 //!
 //! Update rule: each vertex adopts the label with the largest incident
 //! weight among its neighbors, keeping its current label on ties
 //! (stability) and breaking remaining ties toward the smaller label id
 //! (symmetry breaking, same role as the Louvain singleton guard).
+//! Self-loops cast no vote.
 
 use louvain_graph::edgelist::EdgeList;
 use louvain_graph::partition1d::ModuloPartition;
-use louvain_hash::{pack_key, unpack_key, EdgeTable};
 use louvain_metrics::Partition;
 use louvain_runtime::{run_with_config, CommStats, RankCtx, RuntimeConfig};
 use std::time::Duration;
 
-use crate::parallel::Msg;
+use crate::parallel::{
+    build_initial_level, propagate_deltas, Msg, OutTable, ParallelConfig, RowScratch,
+};
 use crate::timing::Stopwatch;
 
 /// Iteration cap.
@@ -68,25 +73,25 @@ impl LabelPropagation {
     pub fn run(&self, edges: &EdgeList) -> LabelPropResult {
         let n = edges.num_vertices();
         let t0 = Stopwatch::start();
-        let (rank_outputs, comm) = run_with_config::<Msg, (Vec<u32>, usize, Vec<f64>, f64), _>(
+        let (rank_outputs, comm) = run_with_config::<Msg, (Vec<u32>, Vec<f64>, f64), _>(
             RuntimeConfig::new(self.ranks),
             |ctx| rank_main(ctx, edges, self.ranks),
         );
         let total_time = t0.elapsed();
         let part = ModuloPartition::new(n, self.ranks);
         let mut raw = vec![0u32; n];
-        for (r, (labels, _, _, _)) in rank_outputs.iter().enumerate() {
+        for (r, (labels, _, _)) in rank_outputs.iter().enumerate() {
             for (i, v) in part.local_vertices(r).enumerate() {
                 raw[v as usize] = labels[i];
             }
         }
         LabelPropResult {
             partition: Partition::from_labels(&raw),
-            iterations: rank_outputs[0].1,
-            change_fractions: rank_outputs[0].2.clone(),
+            iterations: rank_outputs[0].1.len(),
+            change_fractions: rank_outputs[0].1.clone(),
             total_time,
             comm,
-            sim_units: rank_outputs[0].3,
+            sim_units: rank_outputs[0].2,
         }
     }
 }
@@ -95,97 +100,65 @@ fn rank_main(
     ctx: &mut RankCtx<'_, Msg>,
     edges: &EdgeList,
     ranks: usize,
-) -> (Vec<u32>, usize, Vec<f64>, f64) {
+) -> (Vec<u32>, Vec<f64>, f64) {
     let n = edges.num_vertices();
     let rank = ctx.rank();
-    let part = ModuloPartition::new(n, ranks);
-    let local_n = part.local_count(rank);
-
-    // In-Table: in-edges of local vertices, keyed `(src, dst)` as in the
-    // paper's Louvain.
-    let mut in_table = EdgeTable::new((2 * edges.num_edges() / ranks).max(8));
-    for e in edges.edges() {
-        if e.u == e.v {
-            continue; // self-loops don't vote
-        }
-        if part.owner(e.v) == rank {
-            in_table.accumulate(pack_key(e.u, e.v), e.w);
-        }
-        if part.owner(e.u) == rank {
-            in_table.accumulate(pack_key(e.v, e.u), e.w);
-        }
-    }
-
-    let mut label: Vec<u32> = part.local_vertices(rank).collect();
-    let mut out_table = EdgeTable::new(in_table.len().max(8));
-    let mut best_w = vec![0.0f64; local_n];
-    let mut best_l = vec![0u32; local_n];
-    let mut own_w = vec![0.0f64; local_n];
+    // The solver's level 0 under the modulo partition: its labels start
+    // at singletons, and its Out-Table at the identity labelling, so the
+    // first iteration needs no communication.
+    let mut lvl = build_initial_level(ctx, edges, &ParallelConfig::with_ranks(ranks));
+    let mut table = OutTable::build(&lvl, rank);
+    let mut scratch = RowScratch::new(n);
     let mut fractions = Vec::new();
-    let mut iterations = 0usize;
 
     for iter in 0..MAX_ITERATIONS {
-        iterations += 1;
-        // Propagate labels: identical exchange shape to Algorithm 3.
-        out_table.reset_for(in_table.len().max(8));
-        {
-            let mut ex = ctx.exchange();
-            for (key, w) in in_table.iter() {
-                let (v, u) = unpack_key(key);
-                let l = label[part.local_index(u)];
-                ex.send(part.owner(v), Msg { a: v, b: l, w });
-            }
-            ex.finish(|m| {
-                out_table.accumulate(pack_key(m.a, m.b), m.w);
-            });
-        }
-        // Adopt the heaviest incident label.
-        for li in 0..local_n {
-            best_w[li] = 0.0;
-            best_l[li] = u32::MAX;
-            own_w[li] = 0.0;
-        }
-        for (key, w) in out_table.iter() {
-            let (u, l) = unpack_key(key);
-            let li = part.local_index(u);
-            if l == label[li] {
-                own_w[li] = w;
-            }
-            // Exact tie-break on equal accumulated weights: both sides are
-            // sums of the same integer-valued inputs, so equality is exact
-            // and the minimum-label rule stays deterministic.
-            #[allow(clippy::float_cmp)]
-            if w > best_w[li] || (w == best_w[li] && l < best_l[li]) {
-                best_w[li] = w;
-                best_l[li] = l;
-            }
-        }
-        ctx.charge((out_table.len() + local_n) as f64);
-        let mut changes = 0u64;
-        for li in 0..local_n {
-            // Parity alternation: only half the vertices may change per
-            // iteration (alternating), the standard synchronous-LP fix
-            // for two-cycles (two adjacent vertices endlessly adopting
-            // each other's label). Same role as Louvain's ε throttle.
-            let u = part.global(rank, li) as usize;
-            if !(u + iter).is_multiple_of(2) {
+        // Adopt the heaviest incident label. Parity alternation: only
+        // half the vertices may change per iteration (alternating), the
+        // standard synchronous-LP fix for two-cycles (two adjacent
+        // vertices endlessly adopting each other's label). Same role as
+        // Louvain's ε throttle. Every vertex reads its neighbors' labels
+        // from the Out-Table, which holds the labels of the iteration's
+        // start, so the update is synchronous.
+        let mut changed: Vec<(u32, u32)> = Vec::new();
+        let mut scanned = 0usize;
+        for li in 0..lvl.label.len() {
+            let u = lvl.part.global(rank, li);
+            if !(u as usize + iter).is_multiple_of(2) {
                 continue;
             }
+            table.gather(li, &mut scratch);
+            scanned += scratch.rows.len();
+            let own = lvl.label[li];
+            // The solver stores a self-loop as `A_uu = 2w` in the own row.
+            let own_w = scratch.get(own) - table.self_loop(li);
+            let mut best = (0.0, u32::MAX);
+            for &(l, w) in &scratch.rows {
+                let w = if l == own { own_w } else { w };
+                // Exact tie-break on equal accumulated weights: both sides
+                // are sums of the same integer-valued inputs, so equality
+                // is exact and the minimum-label rule stays deterministic.
+                #[allow(clippy::float_cmp)]
+                if w > best.0 || (w == best.0 && l < best.1) {
+                    best = (w, l);
+                }
+            }
             // Keep the current label on ties (stability).
-            if best_l[li] != u32::MAX && best_w[li] > own_w[li] && best_l[li] != label[li] {
-                label[li] = best_l[li];
-                changes += 1;
+            if best.1 != u32::MAX && best.0 > own_w {
+                lvl.label[li] = best.1;
+                changed.push((u, best.1));
             }
         }
-        let global_changes = ctx.allreduce_sum_u64(changes);
+        ctx.charge((scanned + lvl.label.len()) as f64);
+        let global_changes = ctx.allreduce_sum_u64(changed.len() as u64);
         let fraction = global_changes as f64 / n.max(1) as f64;
         fractions.push(fraction);
-        if fraction < MIN_CHANGE_FRACTION {
+        if fraction < MIN_CHANGE_FRACTION || iter + 1 == MAX_ITERATIONS {
             break;
         }
+        // Announce the changed labels to the ranks holding their arcs.
+        propagate_deltas(ctx, &lvl, &mut table, &changed, false, |_, _| {});
     }
-    let sim = ctx.sim_time_units();
-    (label, iterations, fractions, sim)
+    (lvl.label, fractions, ctx.sim_time_units())
 }
 
 #[cfg(test)]
@@ -277,6 +250,105 @@ mod tests {
         let a = LabelPropagation::new(3).run(&el);
         let b = LabelPropagation::new(3).run(&el);
         assert_eq!(a.partition.labels(), b.partition.labels());
+    }
+
+    /// Integer weights 1–3 on a planted graph, plus a self-loop on every
+    /// fifth vertex.
+    fn weighted_planted(seed: u64) -> EdgeList {
+        let (el, _) = generate_planted(
+            &PlantedConfig {
+                communities: 6,
+                community_size: 25,
+                p_in: 0.3,
+                p_out: 0.02,
+            },
+            seed,
+        );
+        let mut b = EdgeListBuilder::new(el.num_vertices());
+        for e in el.edges() {
+            b.add_edge(e.u, e.v, f64::from(1 + (e.u * 7 + e.v) % 3));
+        }
+        for v in (0..el.num_vertices() as u32).step_by(5) {
+            b.add_edge(v, v, f64::from(1 + v % 2));
+        }
+        b.build()
+    }
+
+    /// Synchronous LP on the CSR with the solver's rules: the labels of
+    /// the iteration's start vote, self-loops do not, the parity of
+    /// `u + iter` picks who may change, ties keep the current label and
+    /// then prefer the smaller one. Returns labels and iterations.
+    fn sequential_lp(el: &EdgeList) -> (Vec<u32>, usize) {
+        let g = el.to_csr();
+        let n = g.num_vertices();
+        let mut label: Vec<u32> = (0..n as u32).collect();
+        for iter in 0..MAX_ITERATIONS {
+            let prev = label.clone();
+            let mut changes = 0usize;
+            for u in (0..n).filter(|u| (u + iter) % 2 == 0) {
+                let mut votes = std::collections::BTreeMap::<u32, f64>::new();
+                for (v, w) in g.neighbors(u as u32) {
+                    if v as usize != u {
+                        *votes.entry(prev[v as usize]).or_default() += w;
+                    }
+                }
+                let own_w = votes.get(&prev[u]).copied().unwrap_or(0.0);
+                let (best_w, best_l) = votes
+                    .iter()
+                    .map(|(&l, &w)| (-w, l))
+                    .min_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)))
+                    .map_or((0.0, u32::MAX), |(w, l)| (-w, l));
+                if best_l != u32::MAX && best_w > own_w && best_l != prev[u] {
+                    label[u] = best_l;
+                    changes += 1;
+                }
+            }
+            if (changes as f64 / n.max(1) as f64) < MIN_CHANGE_FRACTION {
+                return (label, iter + 1);
+            }
+        }
+        (label, MAX_ITERATIONS)
+    }
+
+    #[test]
+    fn matches_a_sequential_oracle_at_every_rank_count() {
+        for seed in [1, 4, 9] {
+            let el = weighted_planted(seed);
+            let (labels, iterations) = sequential_lp(&el);
+            for ranks in [1, 2, 3, 5] {
+                let r = LabelPropagation::new(ranks).run(&el);
+                assert_eq!(
+                    r.partition.labels(),
+                    P::from_labels(&labels).labels(),
+                    "seed {seed}, {ranks} ranks"
+                );
+                assert_eq!(r.iterations, iterations, "seed {seed}, {ranks} ranks");
+            }
+        }
+    }
+
+    #[test]
+    fn announces_each_label_change_at_most_once_per_remote_rank() {
+        // Keyed deltas: a changed label reaches each other rank at most
+        // once, however many of its arcs that rank holds.
+        let el = weighted_planted(3);
+        let n = el.num_vertices() as f64;
+        for ranks in [2u64, 4] {
+            let r = LabelPropagation::new(ranks as usize).run(&el);
+            let changes: u64 = r
+                .change_fractions
+                .iter()
+                .map(|f| (f * n).round() as u64)
+                .sum();
+            assert!(
+                r.comm.messages <= (ranks - 1) * changes,
+                "{ranks} ranks: {} messages for {changes} changes",
+                r.comm.messages
+            );
+            if ranks == 2 {
+                assert!(r.comm.messages > 0);
+            }
+        }
     }
 
     #[test]

@@ -82,7 +82,9 @@ mod out_table;
 mod reconstruct;
 mod resume;
 
-pub(crate) use out_table::OutTable;
+pub(crate) use inner_loop::propagate_deltas;
+pub(crate) use level::build_initial_level;
+pub(crate) use out_table::{OutTable, RowScratch};
 
 use crate::checkpoint::CheckpointStore;
 use crate::frontier::FrontierStats;
@@ -1063,7 +1065,8 @@ mod tests {
     fn distributed_loading_matches_replicated_loading() {
         // Split a planted graph's edges round-robin into per-rank chunks;
         // the distributed loader must reconstruct exactly the same graph
-        // and produce identical results.
+        // and produce identical results, under every partition strategy
+        // and under perturbed message delivery.
         let (el, _) = planted_graph(17);
         let ranks = 4;
         let chunks: Vec<EdgeList> = (0..ranks)
@@ -1077,17 +1080,30 @@ mod tests {
                 b.build()
             })
             .collect();
-        let solver = ParallelLouvain::new(ParallelConfig::with_ranks(ranks));
-        let a = solver.run(&el);
-        let b = solver.run_from_parts(el.num_vertices(), |r| chunks[r].clone());
-        assert_eq!(a.result.final_modularity, b.result.final_modularity);
-        assert_eq!(
-            a.result.final_partition.labels(),
-            b.result.final_partition.labels()
-        );
-        // TEPS accounting: both attribute the same total input edges.
-        assert_eq!(a.input_edges, el.num_edges());
-        assert_eq!(b.input_edges, el.num_edges());
+        for partition in [PartitionStrategy::Modulo, PartitionStrategy::ArcBalanced] {
+            for perturb_seed in [None, Some(7)] {
+                let solver = ParallelLouvain::new(ParallelConfig {
+                    partition,
+                    perturb_seed,
+                    ..ParallelConfig::with_ranks(ranks)
+                });
+                let a = solver.run(&el);
+                let b = solver.run_from_parts(el.num_vertices(), |r| chunks[r].clone());
+                let case = format!("{partition:?}, perturb {perturb_seed:?}");
+                assert_eq!(
+                    a.result.final_modularity, b.result.final_modularity,
+                    "{case}"
+                );
+                assert_eq!(
+                    a.result.final_partition.labels(),
+                    b.result.final_partition.labels(),
+                    "{case}"
+                );
+                // TEPS accounting: both attribute the same total input edges.
+                assert_eq!(a.input_edges, el.num_edges(), "{case}");
+                assert_eq!(b.input_edges, el.num_edges(), "{case}");
+            }
+        }
     }
 
     #[test]

@@ -43,14 +43,15 @@ fn send_full_rebuild(
 /// vertices that migrated this sweep as `(vertex, new_community)` deltas
 /// — keyed sends, so a vertex with many neighbors on one rank costs one
 /// message. Received deltas relabel the arcs of the migrated vertex in
-/// the Out-Table through [`OutTable::apply_deltas`] (DESIGN.md §10).
-fn propagate_deltas(
+/// the Out-Table through [`OutTable::apply_deltas`] (DESIGN.md §10),
+/// which hands every row a relabelled arc left or entered to `dirty`.
+pub(crate) fn propagate_deltas(
     ctx: &mut RankCtx<'_, Msg>,
     lvl: &RankLevel,
     table: &mut OutTable,
     migrated: &[(u32, u32)],
-    frontier: &mut Frontier,
     v1_state_rebuild: bool,
+    dirty: impl FnMut(u32, u32),
 ) {
     let part = &lvl.part;
     let rank = ctx.rank();
@@ -75,15 +76,7 @@ fn propagate_deltas(
     }
     let mut deltas: Vec<(u32, u32)> = Vec::new();
     ex.finish(|m| deltas.push((m.a, m.b)));
-    // Wake rule W1 — remote re-activation, piggybacked on the deltas
-    // (DESIGN.md §13): a received `(u, c_new)` that changes `u`'s cached
-    // label moves each of `u`'s arcs from row `(d, c_old)` to row
-    // `(d, c_new)`. Both rows are handed to the frontier; the next
-    // snapshot-diff pass classifies each into a full re-scan (own row or
-    // cached winner touched) or an O(1) scan patch. No-op announcements
-    // (the v1 full rebuild re-sends unmoved labels) relabel nothing and
-    // dirty nothing, so both ablations schedule identically.
-    table.apply_deltas(&deltas, |li, c| frontier.mark_row_dirty(li as usize, c));
+    table.apply_deltas(&deltas, dirty);
 }
 
 /// Gathers a replicated snapshot (global community id → value) from each
@@ -630,15 +623,20 @@ pub(super) fn refine(
         // moved anywhere the exchange is skipped in lockstep (the
         // zero-delta fast path) and the iteration still terminates
         // through the modularity collective below.
+        //
+        // Wake rule W1 — remote re-activation, piggybacked on the deltas
+        // (DESIGN.md §13): a received `(u, c_new)` that changes `u`'s
+        // cached label moves each of `u`'s arcs from row `(d, c_old)` to
+        // row `(d, c_new)`. Both rows are handed to the frontier; the next
+        // snapshot-diff pass classifies each into a full re-scan (own row
+        // or cached winner touched) or an O(1) scan patch. No-op
+        // announcements (the v1 full rebuild re-sends unmoved labels)
+        // relabel nothing and dirty nothing, so both ablations schedule
+        // identically.
         if moves > 0 {
-            propagate_deltas(
-                ctx,
-                lvl,
-                table,
-                &migrated,
-                &mut frontier,
-                cfg.v1_state_rebuild,
-            );
+            propagate_deltas(ctx, lvl, table, &migrated, cfg.v1_state_rebuild, |li, c| {
+                frontier.mark_row_dirty(li as usize, c)
+            });
         }
         meter.lap(ctx, Phase::StatePropagation);
 

@@ -10,10 +10,10 @@ use louvain_hash::{pack_key, unpack_key};
 use louvain_runtime::RankCtx;
 
 /// Per-rank state of one hierarchy level.
-pub(super) struct RankLevel {
+pub(crate) struct RankLevel {
     /// Global vertices at this level.
     pub(super) n: usize,
-    pub(super) part: AnyPartition,
+    pub(crate) part: AnyPartition,
     /// In-edges of local vertices as `(pack_key(src, dst), weight)`,
     /// strictly ascending by key: nothing probes the table by key, so a
     /// sorted arc array replaces the paper's hashed `In_Table`.
@@ -21,7 +21,7 @@ pub(super) struct RankLevel {
     /// Weighted degree `k_u` per local vertex.
     pub(super) k: Vec<f64>,
     /// Community (global id) per local vertex.
-    pub(super) label: Vec<u32>,
+    pub(crate) label: Vec<u32>,
     /// `Σ_tot` per *owned community* (local community index).
     pub(super) tot: Vec<f64>,
     /// `Σ_in` per owned community.
@@ -129,7 +129,7 @@ pub(super) fn build_vertex_partition(
 
 /// Distributes the input edge list into per-rank In-Tables (Algorithm 2,
 /// line 1) and initializes singleton communities.
-fn build_initial_level(
+pub(crate) fn build_initial_level(
     ctx: &RankCtx<'_, Msg>,
     edges: &EdgeList,
     cfg: &ParallelConfig,

@@ -62,7 +62,7 @@ impl OutTable {
     /// communication — so the Out-Table starts as the transposed In-Table
     /// with each arc labelled by its source (STATE PROPAGATION,
     /// Algorithm 3, level-start edition: zero messages).
-    pub(super) fn build(lvl: &RankLevel, rank: usize) -> Self {
+    pub(crate) fn build(lvl: &RankLevel, rank: usize) -> Self {
         let part = &lvl.part;
         let arcs = &lvl.in_table;
         let local_n = part.local_count(rank);
@@ -140,14 +140,14 @@ impl OutTable {
 
     /// Self-loop weight `a_uu` of local vertex `li`.
     #[inline]
-    pub(super) fn self_loop(&self, li: usize) -> f64 {
+    pub(crate) fn self_loop(&self, li: usize) -> f64 {
         self.self_loop[li]
     }
 
     /// Sums every live row of local vertex `li` into `scratch`, whose
     /// previous contents are discarded.
     #[inline]
-    pub(super) fn gather(&self, li: usize, scratch: &mut RowScratch) {
+    pub(crate) fn gather(&self, li: usize, scratch: &mut RowScratch) {
         scratch.begin();
         let seg = self.segment(li);
         for (&c, &w) in self.label[seg.clone()].iter().zip(&self.w[seg]) {
@@ -231,18 +231,18 @@ impl OutTable {
 /// global community id points at the community's row, and is valid only
 /// when stamped with the current epoch, so starting a new vertex costs
 /// nothing. The rows themselves sit in one short dense list.
-pub(super) struct RowScratch {
+pub(crate) struct RowScratch {
     /// `(epoch stamp, index into rows)` per community.
     slot: Vec<(u32, u32)>,
     epoch: u32,
     /// The gathered rows as `(community, weight)`, in first-seen arc
     /// order.
-    pub(super) rows: Vec<(u32, f64)>,
+    pub(crate) rows: Vec<(u32, f64)>,
 }
 
 impl RowScratch {
     /// Scratch for a level with `n` communities.
-    pub(super) fn new(n: usize) -> Self {
+    pub(crate) fn new(n: usize) -> Self {
         Self {
             slot: vec![(0, 0); n],
             epoch: 0,
@@ -263,7 +263,7 @@ impl RowScratch {
 
     /// Gathered weight of row `c`; 0.0 when the row is dead.
     #[inline]
-    pub(super) fn get(&self, c: u32) -> f64 {
+    pub(crate) fn get(&self, c: u32) -> f64 {
         match self.slot[c as usize] {
             (stamp, i) if stamp == self.epoch => self.rows[i as usize].1,
             _ => 0.0,

@@ -3,14 +3,16 @@
 //! The Louvain hierarchy sometimes leaves individual vertices stranded in
 //! suboptimal communities (especially the parallel variant, whose moves
 //! are made on stale state — Section V-B's "additional complexities").
-//! This extension runs Gauss-Seidel local-move sweeps *starting from* a
-//! given partition instead of singletons, strictly increasing modularity.
-//! It is the standard post-pass used by Louvain deployments and a natural
-//! "future work" completion of the paper's pipeline: `parallel solve →
-//! sequential polish` gives the distributed solver the sequential
-//! algorithm's final quality at a fraction of its cost.
+//! This extension runs the sequential solver's Gauss-Seidel sweep
+//! ([`crate::seq`]) *starting from* a given partition instead of
+//! singletons, so modularity never decreases; from singletons it is
+//! `SequentialLouvain`'s first level, bit for bit. It is the standard
+//! post-pass used by Louvain deployments and a natural "future work"
+//! completion of the paper's pipeline: `parallel solve → sequential
+//! polish` gives the distributed solver the sequential algorithm's final
+//! quality at a fraction of its cost.
 
-use crate::dq::insert_gain_scaled;
+use crate::seq::local_move;
 use louvain_graph::csr::CsrGraph;
 use louvain_metrics::{modularity, Partition};
 
@@ -29,8 +31,8 @@ pub struct Refinement {
     pub moves: usize,
 }
 
-/// Runs local-move sweeps from `start` until no vertex improves (capped
-/// at `max_sweeps`). Modularity never decreases.
+/// Runs local-move sweeps in vertex order from `start` until no vertex
+/// improves (capped at `max_sweeps`). Modularity never decreases.
 #[must_use]
 pub fn refine_partition(g: &CsrGraph, start: &Partition, max_sweeps: usize) -> Refinement {
     assert_eq!(
@@ -38,79 +40,16 @@ pub fn refine_partition(g: &CsrGraph, start: &Partition, max_sweeps: usize) -> R
         start.num_vertices(),
         "partition size mismatch"
     );
-    let n = g.num_vertices();
-    let s = g.total_arc_weight();
-    let q_before = modularity(g, start);
-    let mut labels: Vec<u32> = start.labels().to_vec();
-    // Community ids live in 0..k0 but moves can only target existing
-    // communities, so k0 bins suffice.
-    let k0 = start.num_communities().max(1);
-    let mut tot = vec![0.0f64; k0];
-    for u in 0..n as u32 {
-        tot[labels[u as usize] as usize] += g.degree(u);
-    }
-    let mut neigh_w = vec![0.0f64; k0];
-    let mut touched: Vec<u32> = Vec::new();
-    let mut total_moves = 0usize;
-    let mut sweeps = 0usize;
-
-    if s > 0.0 {
-        for _ in 0..max_sweeps {
-            sweeps += 1;
-            let mut moves = 0usize;
-            for u in 0..n as u32 {
-                let k_u = g.degree(u);
-                let c_old = labels[u as usize];
-                for &c in &touched {
-                    neigh_w[c as usize] = 0.0;
-                }
-                touched.clear();
-                for (v, w) in g.neighbors(u) {
-                    if v == u {
-                        continue;
-                    }
-                    let c = labels[v as usize];
-                    // lint: allow(F1) — exact zero sentinel: slot was reset to 0.0 above
-                    if neigh_w[c as usize] == 0.0 {
-                        touched.push(c);
-                    }
-                    neigh_w[c as usize] += w;
-                }
-                tot[c_old as usize] -= k_u;
-                let mut best_c = c_old;
-                let mut best =
-                    insert_gain_scaled(neigh_w[c_old as usize], k_u, tot[c_old as usize], s);
-                for &c in &touched {
-                    if c == c_old {
-                        continue;
-                    }
-                    let gain = insert_gain_scaled(neigh_w[c as usize], k_u, tot[c as usize], s);
-                    if gain > best {
-                        best = gain;
-                        best_c = c;
-                    }
-                }
-                tot[best_c as usize] += k_u;
-                if best_c != c_old {
-                    labels[u as usize] = best_c;
-                    moves += 1;
-                }
-            }
-            total_moves += moves;
-            if moves == 0 {
-                break;
-            }
-        }
-    }
-
+    let order: Vec<u32> = (0..g.num_vertices() as u32).collect();
+    let mut labels = start.labels().to_vec();
+    let moves = local_move(g, &order, &mut labels, max_sweeps);
     let partition = Partition::from_labels(&labels);
-    let q_after = modularity(g, &partition);
     Refinement {
+        q_before: modularity(g, start),
+        q_after: modularity(g, &partition),
         partition,
-        q_before,
-        q_after,
-        sweeps,
-        moves: total_moves,
+        sweeps: moves.len(),
+        moves: moves.iter().sum(),
     }
 }
 
@@ -184,6 +123,21 @@ mod tests {
         assert_eq!(r.moves, 0);
         assert_eq!(r.partition.labels(), good.labels());
         assert!((r.q_after - r.q_before).abs() < 1e-12);
+    }
+
+    #[test]
+    fn from_singletons_is_the_sequential_first_level() {
+        use crate::seq::{SeqConfig, SequentialLouvain};
+        for seed in [1, 7, 11] {
+            let g = generate_lfr(&LfrConfig::standard(3000, 0.4), seed)
+                .edges
+                .to_csr();
+            let seq = SequentialLouvain::new(SeqConfig::default()).run(&g);
+            let r = refine_partition(&g, &Partition::singletons(3000), 128);
+            assert_eq!(r.partition.labels(), seq.level_partitions[0].labels());
+            assert_eq!(r.q_after.to_bits(), seq.levels[0].modularity.to_bits());
+            assert_eq!(r.sweeps, seq.levels[0].inner_iterations);
+        }
     }
 
     #[test]

@@ -4,7 +4,8 @@
 //! This is the quality and convergence baseline: Figure 4 compares the
 //! parallel solvers against it, Table III measures partition similarity to
 //! it, and its per-inner-iteration move fractions are the traces that
-//! train the ε heuristic (Figure 2).
+//! train the ε heuristic (Figure 2). Its level loop also drives
+//! [`crate::smp`], and its local-move sweep is [`crate::refine`]'s.
 
 use crate::coarsen::induced_edge_list;
 use crate::dq::insert_gain_scaled;
@@ -73,14 +74,16 @@ pub struct SequentialLouvain {
     cfg: SeqConfig,
 }
 
-/// Result of one level of refinement.
-struct OneLevel {
-    /// Dense community labels over the level's vertices.
-    labels: Vec<u32>,
-    num_communities: usize,
-    inner_iterations: usize,
-    move_fractions: Vec<f64>,
-    total_moves: usize,
+/// One level's local-move outcome, as the shared level driver
+/// ([`run_levels`]) consumes it.
+pub(crate) struct OneLevel {
+    /// Community labels over the level's vertices (not necessarily dense).
+    pub(crate) labels: Vec<u32>,
+    /// Fraction of vertices moved per inner iteration.
+    pub(crate) move_fractions: Vec<f64>,
+    /// Modularity after each inner iteration, where the solver computes it.
+    pub(crate) q_trace: Vec<f64>,
+    pub(crate) total_moves: usize,
 }
 
 impl SequentialLouvain {
@@ -93,65 +96,13 @@ impl SequentialLouvain {
     /// Runs hierarchical Louvain on `g`.
     #[must_use]
     pub fn run(&self, g: &CsrGraph) -> LouvainResult {
-        let n = g.num_vertices();
-        let mut current = g.clone();
-        // Community of every *original* vertex, updated after each level.
-        let mut orig_labels: Vec<u32> = (0..n as u32).collect();
-        let mut levels: Vec<LevelInfo> = Vec::new();
-        let mut level_partitions: Vec<Partition> = Vec::new();
-        let mut q_prev = modularity(g, &Partition::singletons(n));
-
-        for level in 0..MAX_LEVELS {
-            let lvl = self.one_level(&current, level as u64);
-            if lvl.total_moves == 0 {
-                break; // nothing merged: hierarchy is stable
-            }
-            // Project this level's labels onto the original vertices.
-            for l in orig_labels.iter_mut() {
-                *l = lvl.labels[*l as usize];
-            }
-            let partition = Partition::from_labels(&lvl.labels);
-            let q_after = modularity(&current, &partition);
-            levels.push(LevelInfo {
-                num_vertices: current.num_vertices(),
-                num_communities: lvl.num_communities,
-                modularity: q_after,
-                inner_iterations: lvl.inner_iterations,
-                move_fractions: lvl.move_fractions,
-                q_trace: Vec::new(),
-            });
-            level_partitions.push(Partition::from_labels(&orig_labels));
-            let improved = q_after - q_prev > MIN_Q_IMPROVEMENT;
-            q_prev = q_after;
-            if !improved || lvl.num_communities == current.num_vertices() {
-                break;
-            }
-            current = induced_edge_list(&current, &lvl.labels, lvl.num_communities).to_csr();
-        }
-
-        let final_partition = level_partitions
-            .last()
-            .cloned()
-            .unwrap_or_else(|| Partition::singletons(n));
-        LouvainResult {
-            final_modularity: levels.last().map_or(q_prev, |l| l.modularity),
-            levels,
-            level_partitions,
-            final_partition,
-        }
+        run_levels(g, MAX_LEVELS, |g, level| self.one_level(g, level))
     }
 
     /// One level of modularity refinement (the inner loop, lines 6–17 of
-    /// Algorithm 1). Returns dense labels.
+    /// Algorithm 1) from singletons, in this solver's vertex order.
     fn one_level(&self, g: &CsrGraph, level: u64) -> OneLevel {
         let n = g.num_vertices();
-        let s = g.total_arc_weight();
-        let mut labels: Vec<u32> = (0..n as u32).collect();
-        let mut tot: Vec<f64> = g.degrees().to_vec();
-        // Scratch: neighbor-community weights, reset via touched list.
-        let mut neigh_w = vec![0.0f64; n];
-        let mut touched: Vec<u32> = Vec::new();
-
         let mut order: Vec<u32> = (0..n as u32).collect();
         match self.cfg.order {
             VertexOrder::Natural => {}
@@ -166,81 +117,150 @@ impl SequentialLouvain {
                 order.sort_by(|&a, &b| g.degree(a).total_cmp(&g.degree(b)));
             }
         }
-
-        let mut move_fractions = Vec::new();
-        let mut total_moves = 0usize;
-        let mut inner_iterations = 0usize;
-        if s <= 0.0 || n == 0 {
-            return OneLevel {
-                labels,
-                num_communities: n,
-                inner_iterations,
-                move_fractions,
-                total_moves,
-            };
-        }
-
-        for _sweep in 0..MAX_INNER_ITERATIONS {
-            inner_iterations += 1;
-            let mut moves = 0usize;
-            for &u in &order {
-                let k_u = g.degree(u);
-                let c_old = labels[u as usize];
-                // Gather w_{u→c} for every neighboring community.
-                for &c in &touched {
-                    neigh_w[c as usize] = 0.0;
-                }
-                touched.clear();
-                for (v, w) in g.neighbors(u) {
-                    if v == u {
-                        continue; // self-loop is not a link to a co-member
-                    }
-                    let c = labels[v as usize];
-                    // lint: allow(F1) — exact zero sentinel: slot was reset to 0.0 above
-                    if neigh_w[c as usize] == 0.0 {
-                        touched.push(c);
-                    }
-                    neigh_w[c as usize] += w;
-                }
-                // Remove u from its community, then find the best target
-                // (possibly its old community).
-                tot[c_old as usize] -= k_u;
-                let mut best_c = c_old;
-                let mut best_gain =
-                    insert_gain_scaled(neigh_w[c_old as usize], k_u, tot[c_old as usize], s);
-                for &c in &touched {
-                    if c == c_old {
-                        continue;
-                    }
-                    let gain = insert_gain_scaled(neigh_w[c as usize], k_u, tot[c as usize], s);
-                    if gain > best_gain {
-                        best_gain = gain;
-                        best_c = c;
-                    }
-                }
-                tot[best_c as usize] += k_u;
-                if best_c != c_old {
-                    labels[u as usize] = best_c;
-                    moves += 1;
-                }
-            }
-            move_fractions.push(moves as f64 / n as f64);
-            total_moves += moves;
-            if moves == 0 {
-                break;
-            }
-        }
-
-        // Densify labels.
-        let partition = Partition::from_labels(&labels);
+        let mut labels: Vec<u32> = (0..n as u32).collect();
+        let moves = local_move(g, &order, &mut labels, MAX_INNER_ITERATIONS);
         OneLevel {
-            num_communities: partition.num_communities(),
-            labels: partition.labels().to_vec(),
-            inner_iterations,
-            move_fractions,
-            total_moves,
+            labels,
+            move_fractions: moves.iter().map(|&m| m as f64 / n as f64).collect(),
+            q_trace: Vec::new(),
+            total_moves: moves.iter().sum(),
         }
     }
+}
+
+/// The hierarchy (the outer loop of Algorithm 1), shared by the
+/// sequential and shared-memory solvers: run `one_level` on the current
+/// graph, project its labels onto the original vertices, and coarsen,
+/// until a level moves nothing, stops improving Q, or merges nothing.
+/// The final partition is the last level's.
+pub(crate) fn run_levels(
+    g: &CsrGraph,
+    max_levels: usize,
+    mut one_level: impl FnMut(&CsrGraph, u64) -> OneLevel,
+) -> LouvainResult {
+    let n = g.num_vertices();
+    let mut current = g.clone();
+    // Community of every *original* vertex, updated after each level.
+    let mut orig_labels: Vec<u32> = (0..n as u32).collect();
+    let mut levels: Vec<LevelInfo> = Vec::new();
+    let mut level_partitions: Vec<Partition> = Vec::new();
+    let mut q_prev = modularity(g, &Partition::singletons(n));
+
+    for level in 0..max_levels {
+        let lvl = one_level(&current, level as u64);
+        if lvl.total_moves == 0 {
+            break; // nothing merged: hierarchy is stable
+        }
+        let partition = Partition::from_labels(&lvl.labels);
+        let num_communities = partition.num_communities();
+        for l in orig_labels.iter_mut() {
+            *l = partition.labels()[*l as usize];
+        }
+        let q_after = modularity(&current, &partition);
+        levels.push(LevelInfo {
+            num_vertices: current.num_vertices(),
+            num_communities,
+            modularity: q_after,
+            inner_iterations: lvl.move_fractions.len(),
+            move_fractions: lvl.move_fractions,
+            q_trace: lvl.q_trace,
+        });
+        level_partitions.push(Partition::from_labels(&orig_labels));
+        let improved = q_after - q_prev > MIN_Q_IMPROVEMENT;
+        q_prev = q_after;
+        if !improved || num_communities == current.num_vertices() {
+            break;
+        }
+        current = induced_edge_list(&current, partition.labels(), num_communities).to_csr();
+    }
+
+    let final_partition = level_partitions
+        .last()
+        .cloned()
+        .unwrap_or_else(|| Partition::singletons(n));
+    LouvainResult {
+        final_modularity: levels.last().map_or(q_prev, |l| l.modularity),
+        levels,
+        level_partitions,
+        final_partition,
+    }
+}
+
+/// Gauss-Seidel local-move sweeps over `order`, starting from `labels`
+/// (community ids below the vertex count): each vertex in turn leaves
+/// its community and joins the neighboring one with the largest gain,
+/// its own included. Stops after a sweep that moves nothing or after
+/// `max_sweeps`; returns the moves of each sweep. Modularity never
+/// decreases.
+pub(crate) fn local_move(
+    g: &CsrGraph,
+    order: &[u32],
+    labels: &mut [u32],
+    max_sweeps: usize,
+) -> Vec<usize> {
+    let n = g.num_vertices();
+    let s = g.total_arc_weight();
+    let mut sweeps = Vec::new();
+    if s <= 0.0 {
+        return sweeps;
+    }
+    let mut tot = vec![0.0f64; n];
+    for u in 0..n as u32 {
+        tot[labels[u as usize] as usize] += g.degree(u);
+    }
+    // Scratch: neighbor-community weights, reset via touched list.
+    let mut neigh_w = vec![0.0f64; n];
+    let mut touched: Vec<u32> = Vec::new();
+
+    for _ in 0..max_sweeps {
+        let mut moves = 0usize;
+        for &u in order {
+            let k_u = g.degree(u);
+            let c_old = labels[u as usize];
+            // Gather w_{u→c} for every neighboring community.
+            for &c in &touched {
+                neigh_w[c as usize] = 0.0;
+            }
+            touched.clear();
+            for (v, w) in g.neighbors(u) {
+                if v == u {
+                    continue; // self-loop is not a link to a co-member
+                }
+                let c = labels[v as usize];
+                // lint: allow(F1) — exact zero sentinel: slot was reset to 0.0 above
+                if neigh_w[c as usize] == 0.0 {
+                    touched.push(c);
+                }
+                neigh_w[c as usize] += w;
+            }
+            // Remove u from its community, then find the best target
+            // (possibly its old community).
+            tot[c_old as usize] -= k_u;
+            let mut best_c = c_old;
+            let mut best_gain =
+                insert_gain_scaled(neigh_w[c_old as usize], k_u, tot[c_old as usize], s);
+            for &c in &touched {
+                if c == c_old {
+                    continue;
+                }
+                let gain = insert_gain_scaled(neigh_w[c as usize], k_u, tot[c as usize], s);
+                if gain > best_gain {
+                    best_gain = gain;
+                    best_c = c;
+                }
+            }
+            tot[best_c as usize] += k_u;
+            if best_c != c_old {
+                labels[u as usize] = best_c;
+                moves += 1;
+            }
+        }
+        sweeps.push(moves);
+        if moves == 0 {
+            break;
+        }
+    }
+    sweeps
 }
 
 #[cfg(test)]

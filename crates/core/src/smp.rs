@@ -6,17 +6,18 @@
 //! solver sharing one CSR graph, with the same convergence machinery as
 //! the distributed algorithm (ε move budget, exact top-ε selection
 //! instead of the distributed histogram, Gauss-Seidel re-vetting of
-//! moves, singleton swap guard).
+//! moves, singleton swap guard). The hierarchy around that inner loop is
+//! the sequential solver's level loop ([`crate::seq`]).
 //!
 //! It is the fastest solver in this repository for a single multi-core
 //! machine and doubles as an oracle for the distributed implementation in
 //! tests: both must land within a small modularity band of the sequential
 //! baseline.
 
-use crate::coarsen::induced_edge_list;
 use crate::dq::{insert_gain_scaled, move_gain};
 use crate::heuristic::{EpsilonSchedule, MIN_MOVE_FRACTION, MIN_Q_IMPROVEMENT};
-use crate::result::{LevelInfo, LouvainResult};
+use crate::result::LouvainResult;
+use crate::seq::{run_levels, OneLevel};
 use louvain_graph::csr::CsrGraph;
 use louvain_metrics::{modularity, Partition};
 use rayon::prelude::*;
@@ -36,55 +37,19 @@ impl SmpLouvain {
     /// Runs hierarchical shared-memory Louvain on `g`.
     #[must_use]
     pub fn run(&self, g: &CsrGraph) -> LouvainResult {
-        let n = g.num_vertices();
-        let mut current = g.clone();
-        let mut orig_labels: Vec<u32> = (0..n as u32).collect();
-        let mut levels: Vec<LevelInfo> = Vec::new();
-        let mut level_partitions: Vec<Partition> = Vec::new();
-        let mut q_prev = modularity(g, &Partition::singletons(n));
-
-        for _ in 0..MAX_LEVELS {
-            let lvl = self.one_level(&current);
-            if lvl.total_moves == 0 {
-                break;
-            }
-            for l in orig_labels.iter_mut() {
-                *l = lvl.labels[*l as usize];
-            }
-            let partition = Partition::from_labels(&lvl.labels);
-            let q_after = modularity(&current, &partition);
-            levels.push(LevelInfo {
-                num_vertices: current.num_vertices(),
-                num_communities: lvl.num_communities,
-                modularity: q_after,
-                inner_iterations: lvl.inner_iterations,
-                move_fractions: lvl.move_fractions,
-                q_trace: lvl.q_trace,
-            });
-            level_partitions.push(Partition::from_labels(&orig_labels));
-            let improved = q_after - q_prev > MIN_Q_IMPROVEMENT;
-            q_prev = q_after;
-            if !improved || lvl.num_communities == current.num_vertices() {
-                break;
-            }
-            current = induced_edge_list(&current, &lvl.labels, lvl.num_communities).to_csr();
-        }
-
+        let mut r = run_levels(g, MAX_LEVELS, |g, _| self.one_level(g));
         // Like the distributed solver, the best level is the answer.
-        let best = levels
+        let best = r
+            .levels
             .iter()
             .enumerate()
             .max_by(|a, b| a.1.modularity.total_cmp(&b.1.modularity))
             .map(|(i, _)| i);
-        let final_partition = best
-            .and_then(|i| level_partitions.get(i).cloned())
-            .unwrap_or_else(|| Partition::singletons(n));
-        LouvainResult {
-            final_modularity: best.map_or(q_prev, |i| levels[i].modularity),
-            levels,
-            level_partitions,
-            final_partition,
+        if let Some(i) = best {
+            r.final_partition = r.level_partitions[i].clone();
+            r.final_modularity = r.levels[i].modularity;
         }
+        r
     }
 
     fn one_level(&self, g: &CsrGraph) -> OneLevel {
@@ -93,13 +58,10 @@ impl SmpLouvain {
         let mut labels: Vec<u32> = (0..n as u32).collect();
         let mut fractions = Vec::new();
         let mut q_trace = Vec::new();
-        let mut iterations = 0usize;
         let mut total_moves = 0usize;
         if n == 0 || s <= 0.0 {
             return OneLevel {
                 labels,
-                num_communities: n,
-                inner_iterations: 0,
                 move_fractions: fractions,
                 q_trace,
                 total_moves,
@@ -111,7 +73,6 @@ impl SmpLouvain {
 
         let schedule = EpsilonSchedule::default();
         for iter in 1..=MAX_INNER_ITERATIONS {
-            iterations = iter;
             // --- find best moves in parallel against the snapshot ---
             let labels_snap = &labels;
             let tot_snap = &tot;
@@ -233,25 +194,13 @@ impl SmpLouvain {
             q_prev = q;
         }
 
-        let partition = Partition::from_labels(&labels);
         OneLevel {
-            num_communities: partition.num_communities(),
-            labels: partition.labels().to_vec(),
-            inner_iterations: iterations,
+            labels,
             move_fractions: fractions,
             q_trace,
             total_moves,
         }
     }
-}
-
-struct OneLevel {
-    labels: Vec<u32>,
-    num_communities: usize,
-    inner_iterations: usize,
-    move_fractions: Vec<f64>,
-    q_trace: Vec<f64>,
-    total_moves: usize,
 }
 
 #[cfg(test)]

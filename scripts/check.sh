@@ -77,7 +77,9 @@ run_step() {
       # which puts the keyed-send path and the replicated loader under
       # louvain-perf's repeat and Q checks; rmat-skew is the one
       # ArcBalanced workload, so it covers the repartition inside
-      # reconstruction and the hub-degree row gathers. Both need 2 cores.
+      # reconstruction and the hub-degree row gathers. uk2005 is the
+      # largest input, sequential and distributed, and the only one whose
+      # arcs exceed the last-level cache. All three need 2 cores.
       perf_smoke() { # <workload>
         local summary
         summary=$(cargo run -q --release --offline \
@@ -93,8 +95,9 @@ run_step() {
       if [ "$(nproc)" -ge 2 ]; then
         perf_smoke amazon
         perf_smoke rmat-skew
+        perf_smoke uk2005
       else
-        echo "skip: louvain-perf amazon and rmat-skew need 2 cores, nproc is $(nproc)"
+        echo "skip: louvain-perf amazon, rmat-skew and uk2005 need 2 cores, nproc is $(nproc)"
       fi
       ;;
     race)

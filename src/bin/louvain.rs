@@ -59,10 +59,14 @@ fn parse_args() -> Options {
         match a.as_str() {
             "--solver" => o.solver = value("--solver"),
             "--ranks" => {
-                o.ranks = value("--ranks").parse().unwrap_or_else(|_| {
-                    eprintln!("--ranks must be a positive integer");
-                    exit(2);
-                })
+                o.ranks = value("--ranks")
+                    .parse()
+                    .ok()
+                    .filter(|&r| r >= 1)
+                    .unwrap_or_else(|| {
+                        eprintln!("--ranks must be a positive integer");
+                        exit(2);
+                    })
             }
             "--output" => o.output = Some(value("--output")),
             "--levels" => o.levels = true,
@@ -75,7 +79,7 @@ fn parse_args() -> Options {
                 })
             }
             "--help" | "-h" => {
-                eprintln!("usage: louvain <input.edges> [--solver seq|smp|parallel] [--ranks N] [--output FILE] [--levels] [--generate lfr:N:MU|rmat:SCALE|bter:N:GCC|gnm:N:M] [--seed S]");
+                eprintln!("usage: louvain <input.edges> [--solver seq|smp|parallel] [--ranks N] [--refine] [--output FILE] [--levels] [--generate lfr:N:MU|rmat:SCALE|bter:N:GCC|gnm:N:M] [--seed S]");
                 exit(0);
             }
             other if !other.starts_with('-') && o.input.is_none() => {

@@ -104,8 +104,10 @@ fn rejects_bad_arguments() {
         vec!["--solver", "nope", "--generate", "gnm:10:5"],
         vec!["--generate", "bogus:1"],
         vec![], // no input at all
+        vec!["--ranks", "0", "--generate", "gnm:10:5"],
     ] {
         let out = Command::new(louvain_bin()).args(&args).output().unwrap();
-        assert!(!out.status.success(), "args {args:?} should fail");
+        // Exit 2 is the CLI's own usage error; a panic exits 101.
+        assert_eq!(out.status.code(), Some(2), "args {args:?} should fail");
     }
 }
