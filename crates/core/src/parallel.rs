@@ -444,7 +444,10 @@ impl ParallelLouvain {
     /// Creates a solver with the given configuration.
     #[must_use]
     pub fn new(cfg: ParallelConfig) -> Self {
-        assert!(cfg.ranks >= 1);
+        assert!(
+            cfg.ranks >= 1,
+            "ParallelLouvain needs at least one rank, got 0"
+        );
         Self { cfg }
     }
 

@@ -219,13 +219,22 @@ fn build_initial_level_distributed(
     cfg: &ParallelConfig,
 ) -> RankLevel {
     let rank = ctx.rank();
+    // Chunks come straight from the caller, not from a checked builder:
+    // reject an out-of-range id in every build, before it indexes anything.
+    for e in chunk.edges() {
+        assert!(
+            (e.u as usize) < n && (e.v as usize) < n,
+            "rank {rank}: chunk edge ({}, {}) names a vertex outside 0..{n}",
+            e.u,
+            e.v
+        );
+    }
     // Distributed loading: chunks are disjoint, so the reduced vector is
     // the true per-vertex degree count.
     let part = build_vertex_partition(ctx, cfg, n, || degree_loads(n, chunk));
     let in_table = {
         let mut ex = ctx.exchange();
         for e in chunk.edges() {
-            debug_assert!((e.u as usize) < n && (e.v as usize) < n);
             if e.u == e.v {
                 ex.send(
                     part.owner(e.u),

@@ -7,9 +7,10 @@
 //! refinement traffic is O(n_local) per iteration, and PR 4's delta
 //! compression cut state propagation from O(local_arcs) per iteration
 //! to O(deltas). Nothing but a bench-drift snapshot guarded that last
-//! property until now. Here an abstract interpretation over the same
-//! stripped token stream assigns every collective/exchange call site a
-//! symbolic cost class:
+//! property until now. Here an abstract interpretation over the phase
+//! graph's own per-function trees (their call argument spans and `for`
+//! iterator spans; this module builds no tree of its own) assigns every
+//! collective/exchange call site a symbolic cost class:
 //!
 //! * **payload bound** — the lattice `O(1) ≤ O(deltas) ≤ O(n_local) ≤
 //!   O(local_arcs) ≤ Unbounded`, derived from the provenance of the
@@ -37,7 +38,8 @@
 //!
 //! The interprocedural walk starts at the solver entry point
 //! ([`crate::phasegraph::PROTOCOL_ENTRY_FN`] in
-//! [`crate::phasegraph::PROTOCOL_ENTRY_FILE`]) and descends through
+//! [`crate::phasegraph::PROTOCOL_ENTRY_FILE`]), resolves calls with the
+//! protocol's `phasegraph::lookup`, and descends through
 //! `crates/core/src` only: callees outside the solver crate are opaque
 //! (their communication surface is the builtin collective API, which is
 //! classified at the caller's call site). The result is emitted as the
@@ -50,14 +52,11 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::Path;
 
-use crate::lint::{
-    block_end, code_stream_masked, is_ident_char, keyword_at, matches_at, scan_lines, skip_ws,
-    test_region_mask, walk, Rule,
-};
+use crate::lint::{block_end, is_ident_char, keyword_at, matches_at, skip_ws, Rule};
 use crate::phasegraph::{
-    collect_assignments, expr_tainted, extract_fns, idents_in, is_keyword, match_paren,
-    prev_is_ident, read_word, taint_set, FnDef, ProtocolFinding, Stream, PROTOCOL_ENTRY_FILE,
-    PROTOCOL_ENTRY_FN,
+    analyze_stream, collect_assignments, idents_in, index_fns, is_keyword, load_streams, lookup,
+    match_paren, prev_is_ident, read_word, FileInfo, FnDef, FnIndex, PNode, PathStream,
+    ProtocolFinding, Span, Stream, PROTOCOL_ENTRY_FILE, PROTOCOL_ENTRY_FN,
 };
 
 /// Schema version of `results/cost_spec.json`. Bump when the class
@@ -229,7 +228,7 @@ fn expr_class(stream: &Stream, s: usize, e: usize, env: &BTreeMap<String, AbsCla
 }
 
 // ---------------------------------------------------------------------------
-// Per-function cost summaries.
+// Per-function classification over the phase graph's trees.
 // ---------------------------------------------------------------------------
 
 /// Why a loop matters to the cost of the sites it encloses.
@@ -245,37 +244,21 @@ enum LoopMark {
     Data(AbsClass),
 }
 
-/// One node of a function's cost summary. Branches are flattened — a
-/// site on any arm is a site; only loops and calls shape the cost.
-#[derive(Clone, Debug)]
-enum CNode {
-    Site {
-        /// Source-order index within the enclosing function — the
-        /// stable spec identity (line numbers would churn the lockfile
-        /// on every unrelated edit).
-        ordinal: usize,
-        op: String,
-        /// For `send`: `O(1)` (volume comes from the loop marks). For
-        /// `send_keyed`: the coalescing key's class. For vector
-        /// collectives: the buffer argument's class.
-        payload: AbsClass,
-        keyed: bool,
-        line: usize,
-    },
-    Call {
-        name: String,
-        method: bool,
-        args: Vec<AbsClass>,
-    },
-    Loop {
-        mark: LoopMark,
-        body: Vec<CNode>,
-    },
+impl LoopMark {
+    /// The multiplicity this loop gives the sites inside it (a
+    /// data-bounded loop leaves it alone).
+    fn multiplicity(&self) -> Multiplicity {
+        match self {
+            LoopMark::Level => Multiplicity::PerLevel,
+            LoopMark::Iteration => Multiplicity::PerIteration,
+            LoopMark::Tainted => Multiplicity::RankTainted,
+            LoopMark::Data(_) => Multiplicity::PerRun,
+        }
+    }
 }
 
-/// The collective surface classified at call sites (the
-/// `phasegraph::BUILTIN_EFFECTS` names minus the structural
-/// `exchange`/`finish` pair, plus the point-to-point sends). Each entry
+/// The communication surface classified at [`PNode::Api`] sites: the
+/// runtime API minus the structural `exchange`/`finish` pair. Each entry
 /// carries whether its first argument is a payload buffer.
 const SITE_OPS: [(&str, bool); 10] = [
     ("barrier", false),
@@ -336,76 +319,24 @@ fn is_array_literal(stream: &Stream, s: usize, e: usize) -> bool {
     i < e && stream[i].0 == '['
 }
 
-/// Parameter names of a function, one `Vec` per position (a tuple
-/// pattern binds several names to one position). The `self` receiver is
-/// skipped so positions align with method-call arguments.
-fn param_names(stream: &Stream, f: &FnDef) -> Vec<Vec<String>> {
-    let s = f.params_open + 1;
-    let e = f.params_end.saturating_sub(1);
-    let mut chunks = Vec::new();
-    let mut depth = 0i32;
-    let mut start = s;
-    let mut i = s;
-    while i < e {
-        let c = stream[i].0;
-        match c {
-            '(' | '[' => depth += 1,
-            ')' | ']' => depth -= 1,
-            '<' => depth += 1,
-            '>' if stream[i - 1].0 != '-' && stream[i - 1].0 != '=' => depth -= 1,
-            ',' if depth == 0 => {
-                chunks.push((start, i));
-                start = i + 1;
-            }
-            _ => {}
-        }
-        i += 1;
-    }
-    if start < e {
-        chunks.push((start, e));
-    }
-    let mut out = Vec::new();
-    for &(cs, ce) in &chunks {
-        // Name pattern ends at the top-level `:` (not `::`).
-        let mut depth = 0i32;
-        let mut colon = ce;
-        let mut j = cs;
-        while j < ce {
-            let c = stream[j].0;
-            match c {
-                '(' | '[' | '<' => depth += 1,
-                ')' | ']' | '>' => depth -= 1,
-                ':' if depth == 0 => {
-                    if stream.get(j + 1).map(|&(c, _)| c) == Some(':') {
-                        j += 2;
-                        continue;
-                    }
-                    colon = j;
-                    break;
-                }
-                _ => {}
-            }
-            j += 1;
-        }
-        let names = idents_in(stream, cs, colon);
-        if colon == ce && names.is_empty() {
-            // Receiver chunk (`&mut self`): no argument position.
-            continue;
-        }
-        out.push(names);
-    }
-    out
-}
-
-/// Mark for one loop header: driver-loop identifiers first, then the
-/// R5 taint heuristic, then the data class.
+/// Mark for one loop: for a `for` loop, driver-loop identifiers in its
+/// iterator first, then the R5 taint flag, then the iterator's data
+/// class. A `while` trip count is opaque to the quantity seeds: a
+/// tainted condition is an R5-class hazard, and any other `while` (or a
+/// bare `loop`) is conservatively unknown-bounded.
 fn loop_mark(
     stream: &Stream,
-    s: usize,
-    e: usize,
+    iter: Option<Span>,
+    tainted: bool,
     env: &BTreeMap<String, AbsClass>,
-    taints: &BTreeSet<String>,
 ) -> LoopMark {
+    let Some((s, e)) = iter else {
+        return if tainted {
+            LoopMark::Tainted
+        } else {
+            LoopMark::Data(AbsClass::default())
+        };
+    };
     let ids = idents_in(stream, s, e);
     if ids.iter().any(|w| w == "max_levels") {
         return LoopMark::Level;
@@ -413,229 +344,87 @@ fn loop_mark(
     if ids.iter().any(|w| w == "max_inner_iterations") {
         return LoopMark::Iteration;
     }
-    if expr_tainted(stream, s, e, taints) {
+    if tainted {
         return LoopMark::Tainted;
     }
     LoopMark::Data(expr_class(stream, s, e, env))
 }
 
-/// Find the first `{` at paren/bracket nesting depth 0 in `[s, e)`.
-fn brace_at_depth0(stream: &Stream, s: usize, e: usize) -> Option<usize> {
-    let mut depth = 0i32;
-    let mut i = s;
-    while i < e {
-        match stream[i].0 {
-            '(' | '[' => depth += 1,
-            ')' | ']' => depth -= 1,
-            '{' if depth == 0 => return Some(i),
+/// Abstract payload of an [`PNode::Api`] call and whether it is keyed;
+/// `None` when the call is not a cost site (the structural
+/// `exchange`/`finish` pair). For `send`: `O(1)` (volume comes from the
+/// loop marks). For `send_keyed`: the coalescing key's class. For vector
+/// collectives: the buffer argument's class.
+fn site_payload(
+    stream: &Stream,
+    name: &str,
+    args: Span,
+    env: &BTreeMap<String, AbsClass>,
+) -> Option<(AbsClass, bool)> {
+    let vec_payload = site_op(name)?;
+    let args = split_args(stream, args.0, args.1);
+    let class = |arg: Option<&Span>| {
+        arg.map(|&(s, e)| expr_class(stream, s, e, env))
+            .unwrap_or_default()
+    };
+    let fixed = |&(s, e): &Span| is_array_literal(stream, s, e);
+    Some(if name == "send_keyed" {
+        // Coalescing bounds a phase's volume by the distinct keys,
+        // overriding the loop structure.
+        (class(args.get(1)), true)
+    } else if !vec_payload || args.first().is_some_and(fixed) {
+        (AbsClass::known(PayloadClass::O1), false)
+    } else {
+        (class(args.first()), false)
+    })
+}
+
+/// Walk a function's phase-graph tree the way the cost analysis sees
+/// it: branches flatten (a site on any arm is a site), the arguments of
+/// `emit_with` are skipped (tracing closures never run in a production
+/// build), and `f` meets every `Api` node and every call, after the
+/// call's argument nodes, with the marks of the loops around it.
+fn cost_walk<'t, F: FnMut(&'t PNode, &[LoopMark])>(
+    stream: &Stream,
+    env: &BTreeMap<String, AbsClass>,
+    nodes: &'t [PNode],
+    marks: &mut Vec<LoopMark>,
+    f: &mut F,
+) {
+    for n in nodes {
+        match n {
+            PNode::Api { .. } => f(n, marks),
+            PNode::Call { name, inner, .. } if name != "emit_with" => {
+                cost_walk(stream, env, inner, marks, f);
+                f(n, marks);
+            }
+            PNode::Branch { arms, .. } => {
+                for arm in arms {
+                    cost_walk(stream, env, arm, marks, f);
+                }
+            }
+            PNode::Loop {
+                body,
+                tainted,
+                iter,
+                ..
+            } => {
+                marks.push(loop_mark(stream, *iter, *tainted, env));
+                cost_walk(stream, env, body, marks, f);
+                marks.pop();
+            }
             _ => {}
         }
-        i += 1;
     }
-    None
-}
-
-/// Build the cost summary of `stream[s..e)`. Linear walk: branches
-/// flatten, loops recurse, `emit_with` argument spans are skipped
-/// entirely (tracing closures never run in a production build), call
-/// sites are recorded with their argument classes and then walked
-/// *through* so nested calls and sites are still seen.
-fn walk_cost(
-    stream: &Stream,
-    s: usize,
-    e: usize,
-    env: &BTreeMap<String, AbsClass>,
-    taints: &BTreeSet<String>,
-    ordinal: &mut usize,
-) -> Vec<CNode> {
-    let mut out = Vec::new();
-    let mut i = s;
-    while i < e {
-        if keyword_at(stream, i, "for") {
-            // `for <pat> in <header> {`
-            let mut j = i + 3;
-            let mut depth = 0i32;
-            let mut in_at = None;
-            while j < e {
-                match stream[j].0 {
-                    '(' | '[' => depth += 1,
-                    ')' | ']' => depth -= 1,
-                    '{' if depth == 0 => break,
-                    _ => {}
-                }
-                if depth == 0 && keyword_at(stream, j, "in") {
-                    in_at = Some(j);
-                    break;
-                }
-                j += 1;
-            }
-            let (hdr_s, open) = match in_at {
-                Some(at) => match brace_at_depth0(stream, at + 2, e) {
-                    Some(open) => (at + 2, open),
-                    None => {
-                        i += 3;
-                        continue;
-                    }
-                },
-                None => {
-                    i += 3;
-                    continue;
-                }
-            };
-            let mark = loop_mark(stream, hdr_s, open, env, taints);
-            let end = block_end(stream, open);
-            let body = walk_cost(
-                stream,
-                open + 1,
-                end.saturating_sub(1),
-                env,
-                taints,
-                ordinal,
-            );
-            out.push(CNode::Loop { mark, body });
-            i = end;
-            continue;
-        }
-        if keyword_at(stream, i, "while") {
-            let Some(open) = brace_at_depth0(stream, i + 5, e) else {
-                i += 5;
-                continue;
-            };
-            // A `while` trip count is opaque to the quantity seeds:
-            // tainted conditions are an R5-class hazard, everything
-            // else is conservatively unknown-bounded.
-            let mark = if expr_tainted(stream, i + 5, open, taints) {
-                LoopMark::Tainted
-            } else {
-                LoopMark::Data(AbsClass::default())
-            };
-            let end = block_end(stream, open);
-            let body = walk_cost(
-                stream,
-                open + 1,
-                end.saturating_sub(1),
-                env,
-                taints,
-                ordinal,
-            );
-            out.push(CNode::Loop { mark, body });
-            i = end;
-            continue;
-        }
-        if keyword_at(stream, i, "loop") {
-            let open = skip_ws(stream, i + 4);
-            if stream.get(open).map(|&(c, _)| c) == Some('{') {
-                let end = block_end(stream, open);
-                let body = walk_cost(
-                    stream,
-                    open + 1,
-                    end.saturating_sub(1),
-                    env,
-                    taints,
-                    ordinal,
-                );
-                out.push(CNode::Loop {
-                    mark: LoopMark::Data(AbsClass::default()),
-                    body,
-                });
-                i = end;
-                continue;
-            }
-            i = open;
-            continue;
-        }
-        let c = stream[i].0;
-        if is_ident_char(c) && !prev_is_ident(stream, i) {
-            let w = read_word(stream, i);
-            let after = skip_ws(stream, i + w.len());
-            let open = (stream.get(after).map(|&(c, _)| c) == Some('(')).then_some(after);
-            if w == "emit_with" {
-                if let Some(open) = open {
-                    i = match_paren(stream, open);
-                    continue;
-                }
-            }
-            if let (Some(open), false) = (open, is_keyword(&w)) {
-                let method = i > 0 && stream[i - 1].0 == '.';
-                let close = match_paren(stream, open);
-                let args = split_args(stream, open + 1, close.saturating_sub(1));
-                if let (Some(vec_payload), true) = (site_op(&w), method) {
-                    let line = stream[i].1;
-                    let (payload, keyed) = if w == "send_keyed" {
-                        // Coalescing bounds a phase's volume by the
-                        // distinct keys, overriding the loop structure.
-                        let key = args
-                            .get(1)
-                            .map(|&(s, e)| expr_class(stream, s, e, env))
-                            .unwrap_or_default();
-                        (key, true)
-                    } else if w == "send" {
-                        (AbsClass::known(PayloadClass::O1), false)
-                    } else if vec_payload {
-                        let buf = match args.first() {
-                            Some(&(s, e)) if is_array_literal(stream, s, e) => {
-                                AbsClass::known(PayloadClass::O1)
-                            }
-                            Some(&(s, e)) => expr_class(stream, s, e, env),
-                            None => AbsClass::default(),
-                        };
-                        (buf, false)
-                    } else {
-                        (AbsClass::known(PayloadClass::O1), false)
-                    };
-                    out.push(CNode::Site {
-                        ordinal: *ordinal,
-                        op: w,
-                        payload,
-                        keyed,
-                        line,
-                    });
-                    *ordinal += 1;
-                    i = close;
-                    continue;
-                }
-                let arg_classes = args
-                    .iter()
-                    .map(|&(s, e)| expr_class(stream, s, e, env))
-                    .collect();
-                out.push(CNode::Call {
-                    name: w.clone(),
-                    method,
-                    args: arg_classes,
-                });
-                // Walk *into* the argument span so nested calls/sites
-                // are still summarized in caller context.
-                i = open + 1;
-                continue;
-            }
-            i += w.len().max(1);
-            continue;
-        }
-        i += 1;
-    }
-    out
-}
-
-/// One analyzed function: its summary tree plus the environments the
-/// site classes were computed under.
-struct CFn {
-    def: FnDef,
-    params: Vec<Vec<String>>,
-    tree: Vec<CNode>,
-}
-
-struct CFile {
-    path: String,
-    fns: Vec<CFn>,
 }
 
 /// Build the per-function environment: parameters are parametric (with
 /// a seed bound when their name is a recognized quantity), then the
 /// assignment fixpoint propagates classes through `let`/`for` patterns
 /// and compound assignments. Seeds are immutable.
-fn build_env(stream: &Stream, f: &FnDef, params: &[Vec<String>]) -> BTreeMap<String, AbsClass> {
+fn build_env(stream: &Stream, f: &FnDef) -> BTreeMap<String, AbsClass> {
     let mut env: BTreeMap<String, AbsClass> = BTreeMap::new();
-    for names in params {
+    for names in &f.params {
         for n in names {
             let mut a = AbsClass {
                 base: seed_class(n),
@@ -671,34 +460,6 @@ fn build_env(stream: &Stream, f: &FnDef, params: &[Vec<String>]) -> BTreeMap<Str
     env
 }
 
-fn analyze_cost_stream(path: &str, stream: &Stream) -> CFile {
-    let fns = extract_fns(stream);
-    let mut out = Vec::new();
-    for f in fns {
-        let params = param_names(stream, &f);
-        let env = build_env(stream, &f, &params);
-        let taints = taint_set(stream, f.body_open + 1, f.body_end.saturating_sub(1));
-        let mut ordinal = 0usize;
-        let tree = walk_cost(
-            stream,
-            f.body_open + 1,
-            f.body_end.saturating_sub(1),
-            &env,
-            &taints,
-            &mut ordinal,
-        );
-        out.push(CFn {
-            def: f,
-            params,
-            tree,
-        });
-    }
-    CFile {
-        path: path.to_string(),
-        fns: out,
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Site resolution (shared by the spec walk and rule M1).
 // ---------------------------------------------------------------------------
@@ -718,8 +479,10 @@ fn resolve_abs(a: &AbsClass, binding: &BTreeMap<String, PayloadClass>) -> Option
 /// Is this site's payload `Unbounded` under the optimistic rule? Unbound
 /// parameters are assumed caller-bounded; only a fully unknown
 /// component (no base, no parameter provenance) is a defect.
-fn site_unbounded(payload: &AbsClass, keyed: bool, data_marks: &[AbsClass]) -> bool {
-    let data_unknown = data_marks.iter().any(AbsClass::is_unknown);
+fn site_unbounded(payload: &AbsClass, keyed: bool, marks: &[LoopMark]) -> bool {
+    let data_unknown = marks
+        .iter()
+        .any(|m| matches!(m, LoopMark::Data(a) if a.is_unknown()));
     if keyed {
         // A recognized key bounds the phase regardless of the loops.
         payload.is_unknown() && data_unknown
@@ -732,40 +495,30 @@ fn site_unbounded(payload: &AbsClass, keyed: bool, data_marks: &[AbsClass]) -> b
 // Lint rules M1 / A1 (single-file mode).
 // ---------------------------------------------------------------------------
 
-fn m1_walk(nodes: &[CNode], data: &mut Vec<AbsClass>, out: &mut Vec<ProtocolFinding>) {
-    for n in nodes {
-        match n {
-            CNode::Site {
-                op,
-                payload,
-                keyed,
-                line,
-                ..
-            } => {
-                if site_unbounded(payload, *keyed, data) {
-                    out.push(ProtocolFinding {
-                        line: *line,
-                        rule: Rule::M1,
-                        message: format!(
-                            "collective payload classified `Unbounded`: this `{op}` ships a \
-                             volume derived from no recognized solver quantity (bound the \
-                             buffer or loop by a seeded/parametric quantity, or extend the \
-                             seed table in crates/xtask/src/costgraph.rs)"
-                        ),
-                    });
-                }
+/// Rule M1 over one file's phase-graph trees.
+fn check_m1(stream: &Stream, file: &FileInfo, out: &mut Vec<ProtocolFinding>) {
+    for (f, tree) in file.fns.iter().zip(&file.nodes) {
+        let env = build_env(stream, f);
+        cost_walk(stream, &env, tree, &mut Vec::new(), &mut |node, marks| {
+            let PNode::Api { name, line, args } = node else {
+                return;
+            };
+            let Some((payload, keyed)) = site_payload(stream, name, *args, &env) else {
+                return;
+            };
+            if site_unbounded(&payload, keyed, marks) {
+                out.push(ProtocolFinding {
+                    line: *line,
+                    rule: Rule::M1,
+                    message: format!(
+                        "collective payload classified `Unbounded`: this `{name}` ships a \
+                         volume derived from no recognized solver quantity (bound the \
+                         buffer or loop by a seeded/parametric quantity, or extend the \
+                         seed table in crates/xtask/src/costgraph.rs)"
+                    ),
+                });
             }
-            CNode::Loop { mark, body } => {
-                if let LoopMark::Data(a) = mark {
-                    data.push(a.clone());
-                    m1_walk(body, data, out);
-                    data.pop();
-                } else {
-                    m1_walk(body, data, out);
-                }
-            }
-            CNode::Call { .. } => {}
-        }
+        });
     }
 }
 
@@ -810,6 +563,22 @@ fn emit_spans(stream: &Stream) -> Vec<(usize, usize, Option<bool>)> {
         i += 1;
     }
     spans
+}
+
+/// Find the first `{` at paren/bracket nesting depth 0 in `[s, e)`.
+fn brace_at_depth0(stream: &Stream, s: usize, e: usize) -> Option<usize> {
+    let mut depth = 0i32;
+    let mut i = s;
+    while i < e {
+        match stream[i].0 {
+            '(' | '[' => depth += 1,
+            ')' | ']' => depth -= 1,
+            '{' if depth == 0 => return Some(i),
+            _ => {}
+        }
+        i += 1;
+    }
+    None
 }
 
 /// Rule A1: per-iteration allocation inside a traced phase region.
@@ -1041,16 +810,13 @@ fn method_on(stream: &Stream, i: usize, name: &str) -> Option<String> {
     }
 }
 
-/// Run the cost checks (M1 payload classification, A1 hot-loop
-/// allocation, X1 checkpoint placement) over one file's stripped
-/// stream. Same-file scope only — the interprocedural mode is the spec
-/// extraction.
-pub(crate) fn check_stream_cost(stream: &Stream) -> Vec<ProtocolFinding> {
-    let file = analyze_cost_stream("", stream);
+/// Run the cost checks (M1 payload classification over the file's
+/// phase-graph trees, A1 hot-loop allocation, X1 checkpoint placement)
+/// over one file's stripped stream. Same-file scope only — the
+/// interprocedural mode is the spec extraction.
+pub(crate) fn check_stream_cost(stream: &Stream, file: &FileInfo) -> Vec<ProtocolFinding> {
     let mut out = Vec::new();
-    for f in &file.fns {
-        m1_walk(&f.tree, &mut Vec::new(), &mut out);
-    }
+    check_m1(stream, file, &mut out);
     out.extend(check_a1(stream));
     out.extend(check_x1(stream));
     out.sort_by_key(|a| (a.line, a.rule));
@@ -1126,176 +892,141 @@ struct SiteAgg {
     mult: Multiplicity,
 }
 
+/// One function's classification context.
+struct FnCost {
+    env: BTreeMap<String, AbsClass>,
+    /// Stream positions of its sites, ascending: a site's ordinal is its
+    /// index here, so a site the tree holds twice (a `while` condition)
+    /// keeps one identity.
+    sites: Vec<usize>,
+}
+
 struct CostAnalysis {
-    files: Vec<CFile>,
+    streams: Vec<PathStream>,
+    files: Vec<FileInfo>,
+    by_name: FnIndex,
+    fns: Vec<Vec<FnCost>>,
 }
 
 impl CostAnalysis {
-    /// Resolve a callee: same-file definitions win, then the workspace;
-    /// receiver-ness prefers matching `self`-ness; ambiguity (several
-    /// remaining candidates) makes the callee opaque rather than
-    /// guessing.
-    fn resolve(&self, fi: usize, name: &str, method: bool) -> Option<(usize, usize)> {
-        let pick = |cands: Vec<(usize, usize)>| -> Option<(usize, usize)> {
-            let (with_self, without): (Vec<_>, Vec<_>) = cands
-                .into_iter()
-                .partition(|&(f, g)| self.files[f].fns[g].def.has_self);
-            let (preferred, fallback) = if method {
-                (with_self, without)
-            } else {
-                (without, with_self)
-            };
-            let cands = if preferred.is_empty() {
-                fallback
-            } else {
-                preferred
-            };
-            match cands.len() {
-                1 => Some(cands[0]),
-                _ => None,
-            }
-        };
-        let same: Vec<(usize, usize)> = (0..self.files[fi].fns.len())
-            .filter(|&g| self.files[fi].fns[g].def.name == name)
-            .map(|g| (fi, g))
-            .collect();
-        if !same.is_empty() {
-            return pick(same);
-        }
-        let global: Vec<(usize, usize)> = (0..self.files.len())
-            .flat_map(|f| {
-                (0..self.files[f].fns.len())
-                    .filter(move |&g| self.files[f].fns[g].def.name == name)
-                    .map(move |g| (f, g))
+    fn new(streams: Vec<PathStream>) -> Self {
+        let files: Vec<FileInfo> = streams.iter().map(|(p, s)| analyze_stream(p, s)).collect();
+        let fns = files
+            .iter()
+            .zip(&streams)
+            .map(|(file, (_, stream))| {
+                file.fns
+                    .iter()
+                    .zip(&file.nodes)
+                    .map(|(f, tree)| {
+                        let env = build_env(stream, f);
+                        let mut sites = Vec::new();
+                        cost_walk(stream, &env, tree, &mut Vec::new(), &mut |n, _| {
+                            if let PNode::Api { name, args, .. } = n {
+                                if site_op(name).is_some() {
+                                    sites.push(args.0);
+                                }
+                            }
+                        });
+                        sites.sort_unstable();
+                        sites.dedup();
+                        FnCost { env, sites }
+                    })
+                    .collect()
             })
             .collect();
-        pick(global)
+        CostAnalysis {
+            by_name: index_fns(&files),
+            streams,
+            files,
+            fns,
+        }
     }
 
+    /// Classify every site reachable from function `(fi, gi)` into
+    /// `out`. `binding` maps its parameters to their classes at this
+    /// call, `inherited` holds the resolved data loops around the call,
+    /// `mult` the call's multiplicity, and `stack` the active call chain
+    /// (recursion is cut). Several candidate callees make a call opaque.
     #[allow(clippy::too_many_arguments)]
-    fn walk_nodes(
+    fn walk(
         &self,
         fi: usize,
         gi: usize,
-        nodes: &[CNode],
         binding: &BTreeMap<String, PayloadClass>,
-        data: &mut Vec<AbsClass>,
         inherited: &[PayloadClass],
         mult: Multiplicity,
         stack: &mut Vec<(usize, usize)>,
         out: &mut BTreeMap<(String, String, usize), SiteAgg>,
     ) {
-        for n in nodes {
-            match n {
-                CNode::Site {
-                    ordinal,
-                    op,
-                    payload,
-                    keyed,
-                    ..
-                } => {
-                    let data_join = |acc: PayloadClass| {
-                        let mut p = acc;
-                        for d in data.iter() {
-                            p = p.max(resolve_abs(d, binding).unwrap_or(PayloadClass::Unbounded));
-                        }
-                        p
+        let stream = &self.streams[fi].1;
+        let fc = &self.fns[fi][gi];
+        let tree = &self.files[fi].nodes[gi];
+        let mut visit = |node: &PNode, marks: &[LoopMark]| {
+            let mult = marks
+                .iter()
+                .fold(mult, |m, mark| m.max(mark.multiplicity()));
+            let data = marks.iter().filter_map(|m| match m {
+                LoopMark::Data(a) => {
+                    Some(resolve_abs(a, binding).unwrap_or(PayloadClass::Unbounded))
+                }
+                _ => None,
+            });
+            match node {
+                PNode::Api { name, args, .. } => {
+                    let Some((payload, keyed)) = site_payload(stream, name, *args, &fc.env) else {
+                        return;
                     };
-                    let mut p = if *keyed {
-                        match resolve_abs(payload, binding) {
-                            Some(c) => c,
-                            None => data_join(PayloadClass::O1),
-                        }
-                    } else {
-                        data_join(resolve_abs(payload, binding).unwrap_or(PayloadClass::Unbounded))
+                    let p = match (keyed, resolve_abs(&payload, binding)) {
+                        // A recognized key bounds the phase regardless of
+                        // the loops.
+                        (true, Some(c)) => c,
+                        (true, None) => data.fold(PayloadClass::O1, Ord::max),
+                        (false, c) => data.fold(c.unwrap_or(PayloadClass::Unbounded), Ord::max),
                     };
-                    for &c in inherited {
-                        p = p.max(c);
-                    }
-                    let file = &self.files[fi];
-                    let key = (file.path.clone(), file.fns[gi].def.name.clone(), *ordinal);
+                    let p = inherited.iter().fold(p, |a, &c| a.max(c));
+                    let key = (
+                        self.files[fi].path.clone(),
+                        self.files[fi].fns[gi].name.clone(),
+                        fc.sites.partition_point(|&s| s < args.0),
+                    );
                     let agg = out.entry(key).or_insert_with(|| SiteAgg {
-                        op: op.clone(),
+                        op: name.clone(),
                         payload: PayloadClass::O1,
                         mult: Multiplicity::PerRun,
                     });
                     agg.payload = agg.payload.max(p);
                     agg.mult = agg.mult.max(mult);
                 }
-                CNode::Loop { mark, body } => match mark {
-                    LoopMark::Level => self.walk_nodes(
-                        fi,
-                        gi,
-                        body,
-                        binding,
-                        data,
-                        inherited,
-                        mult.max(Multiplicity::PerLevel),
-                        stack,
-                        out,
-                    ),
-                    LoopMark::Iteration => self.walk_nodes(
-                        fi,
-                        gi,
-                        body,
-                        binding,
-                        data,
-                        inherited,
-                        mult.max(Multiplicity::PerIteration),
-                        stack,
-                        out,
-                    ),
-                    LoopMark::Tainted => self.walk_nodes(
-                        fi,
-                        gi,
-                        body,
-                        binding,
-                        data,
-                        inherited,
-                        Multiplicity::RankTainted,
-                        stack,
-                        out,
-                    ),
-                    LoopMark::Data(a) => {
-                        data.push(a.clone());
-                        self.walk_nodes(fi, gi, body, binding, data, inherited, mult, stack, out);
-                        data.pop();
-                    }
-                },
-                CNode::Call {
+                PNode::Call {
                     name, method, args, ..
                 } => {
-                    let Some((cfi, cgi)) = self.resolve(fi, name, *method) else {
-                        continue;
+                    let cands = lookup(&self.files, &self.by_name, fi, name, *method);
+                    let &[callee] = cands.as_slice() else {
+                        return;
                     };
-                    if stack.contains(&(cfi, cgi)) {
-                        continue;
+                    if stack.contains(&callee) {
+                        return;
                     }
-                    let callee = &self.files[cfi].fns[cgi];
+                    let args = split_args(stream, args.0, args.1);
                     let mut child_binding = BTreeMap::new();
-                    for (pos, names) in callee.params.iter().enumerate() {
-                        if let Some(arg) = args.get(pos) {
-                            if let Some(c) = resolve_abs(arg, binding) {
-                                for n in names {
-                                    child_binding.insert(n.clone(), c);
-                                }
+                    let params = &self.files[callee.0].fns[callee.1].params;
+                    for (names, &(s, e)) in params.iter().zip(&args) {
+                        if let Some(c) = resolve_abs(&expr_class(stream, s, e, &fc.env), binding) {
+                            for n in names {
+                                child_binding.insert(n.clone(), c);
                             }
                         }
                     }
                     // Data loops around the call keep multiplying the
                     // callee's volume: pass them down resolved.
-                    let mut child_inherited = inherited.to_vec();
-                    for d in data.iter() {
-                        child_inherited
-                            .push(resolve_abs(d, binding).unwrap_or(PayloadClass::Unbounded));
-                    }
-                    stack.push((cfi, cgi));
-                    self.walk_nodes(
-                        cfi,
-                        cgi,
-                        &self.files[cfi].fns[cgi].tree.clone(),
+                    let child_inherited: Vec<PayloadClass> =
+                        inherited.iter().copied().chain(data).collect();
+                    stack.push(callee);
+                    self.walk(
+                        callee.0,
+                        callee.1,
                         &child_binding,
-                        &mut Vec::new(),
                         &child_inherited,
                         mult,
                         stack,
@@ -1303,8 +1034,10 @@ impl CostAnalysis {
                     );
                     stack.pop();
                 }
+                _ => {}
             }
-        }
+        };
+        cost_walk(stream, &fc.env, tree, &mut Vec::new(), &mut visit);
     }
 }
 
@@ -1314,28 +1047,7 @@ impl CostAnalysis {
 /// # Errors
 /// I/O failures or a missing entry point abort the extraction.
 pub fn extract_cost_spec(root: &Path) -> Result<CostSpec, String> {
-    let mut files = Vec::new();
-    for dir in COST_DIRS {
-        let abs = root.join(dir);
-        if !abs.is_dir() {
-            continue;
-        }
-        let mut paths = Vec::new();
-        walk(&abs, &mut paths).map_err(|e| format!("walking {dir}: {e}"))?;
-        for p in paths {
-            let rel = p
-                .strip_prefix(root)
-                .unwrap_or(&p)
-                .to_string_lossy()
-                .replace('\\', "/");
-            let src = std::fs::read_to_string(&p).map_err(|e| format!("reading {rel}: {e}"))?;
-            let lines = scan_lines(&src);
-            let mask = test_region_mask(&lines);
-            let stream = code_stream_masked(&lines, &mask);
-            files.push(analyze_cost_stream(&rel, &stream));
-        }
-    }
-    let an = CostAnalysis { files };
+    let an = CostAnalysis::new(load_streams(root, &COST_DIRS)?);
     let fi = an
         .files
         .iter()
@@ -1344,21 +1056,18 @@ pub fn extract_cost_spec(root: &Path) -> Result<CostSpec, String> {
     let gi = an.files[fi]
         .fns
         .iter()
-        .position(|g| g.def.name == PROTOCOL_ENTRY_FN)
+        .position(|g| g.name == PROTOCOL_ENTRY_FN)
         .ok_or_else(|| {
             format!("entry `{PROTOCOL_ENTRY_FN}` not found in `{PROTOCOL_ENTRY_FILE}`")
         })?;
     let mut out = BTreeMap::new();
-    let mut stack = vec![(fi, gi)];
-    an.walk_nodes(
+    an.walk(
         fi,
         gi,
-        &an.files[fi].fns[gi].tree.clone(),
         &BTreeMap::new(),
-        &mut Vec::new(),
         &[],
         Multiplicity::PerRun,
-        &mut stack,
+        &mut vec![(fi, gi)],
         &mut out,
     );
     let sites = out
@@ -1388,7 +1097,8 @@ mod tests {
     }
 
     fn findings_of(src: &str) -> Vec<(usize, Rule)> {
-        check_stream_cost(&stream_of(src))
+        let stream = stream_of(src);
+        check_stream_cost(&stream, &analyze_stream("", &stream))
             .into_iter()
             .map(|f| (f.line, f.rule))
             .collect()
@@ -1457,9 +1167,11 @@ fn f(ctx: &mut Ctx, migrated: &[(u32, u32)], out_srcs: &[u32]) {
         let src = r"
 fn f(ctx: &mut Ctx) {
     let gathered = ctx.allgather_f64(&scratchpad);
+    let in_macro = vec![ctx.allgather_f64(&scratchpad)];
 }
 ";
-        assert_eq!(findings_of(src), vec![(3, Rule::M1)]);
+        // A macro body is code too: its site is classified like any other.
+        assert_eq!(findings_of(src), vec![(3, Rule::M1), (4, Rule::M1)]);
     }
 
     #[test]
@@ -1534,8 +1246,8 @@ fn f(edges: &[u32]) {
 
     #[test]
     fn emit_with_closure_allocations_are_skipped() {
-        // Allocations inside tracing closures never run in production
-        // builds: neither M1 nor A1 may fire on them.
+        // Allocations and collectives inside tracing closures never run
+        // in production builds: neither M1 nor A1 may fire on them.
         let src = r#"
 fn f(ctx: &mut Ctx, edges: &[u32]) {
     louvain_trace::emit_with(|| Event::Enter { phase: "x", clock: 0 });
@@ -1543,6 +1255,7 @@ fn f(ctx: &mut Ctx, edges: &[u32]) {
         louvain_trace::emit_with(|| {
             let mut dbg = Vec::new();
             dbg.push(e);
+            let probe = ctx.allgather_f64(&scratchpad);
             Event::Count { name: "n", value: dbg.len() as u64 }
         });
         work(e);
@@ -1638,6 +1351,76 @@ fn f(ctx: &mut Ctx, store: &CheckpointStore) {
 }
 "#;
         assert_eq!(findings_of(src), Vec::new());
+    }
+
+    /// The cost spec of a one-file workspace whose `src` holds the
+    /// solver entry point, as `(site, op, payload, multiplicity)`.
+    fn spec_sites(tag: &str, src: &str) -> Vec<(String, String, String, String)> {
+        let root = std::env::temp_dir().join(format!("xtask-cost-{}-{tag}", std::process::id()));
+        let entry = root.join(PROTOCOL_ENTRY_FILE);
+        std::fs::create_dir_all(entry.parent().unwrap()).unwrap();
+        std::fs::write(&entry, src).unwrap();
+        let spec = extract_cost_spec(&root);
+        std::fs::remove_dir_all(&root).unwrap();
+        spec.unwrap()
+            .sites
+            .into_iter()
+            .map(|s| (s.site, s.op, s.payload, s.multiplicity))
+            .collect()
+    }
+
+    fn site(name: &str, op: &str, payload: &str, mult: &str) -> (String, String, String, String) {
+        let site = format!("{PROTOCOL_ENTRY_FILE}::{name}");
+        (site, op.to_string(), payload.to_string(), mult.to_string())
+    }
+
+    #[test]
+    fn sites_in_call_arguments_keep_source_order_ordinals() {
+        let src = r"
+fn rank_main(ctx: &mut Ctx, labels: &[f64]) {
+    ctx.barrier();
+    consume(ctx.allgather_f64(labels));
+    ctx.sim_sync();
+}
+";
+        assert_eq!(
+            spec_sites("args", src),
+            vec![
+                site("rank_main#0", "barrier", "O(1)", "per_run"),
+                site("rank_main#1", "allgather_f64", "O(n_local)", "per_run"),
+                site("rank_main#2", "sim_sync", "O(1)", "per_run"),
+            ]
+        );
+    }
+
+    #[test]
+    fn loop_header_sites_count_and_nested_fn_sites_stay_in_their_fn() {
+        // The `while` condition runs on every test (inside the rank-local
+        // loop), the `for` iterator once, and `inner`'s barrier belongs
+        // to `inner` alone.
+        let src = r"
+fn rank_main(ctx: &mut Ctx, labels: &[f64]) {
+    fn inner(ctx: &mut Ctx) {
+        ctx.barrier();
+    }
+    let mut left = ctx.rank();
+    while left > 0 && ctx.allreduce_sum(1.0) > 0.0 {
+        left -= 1;
+    }
+    for x in ctx.allgather_f64(labels) {
+        consume(x);
+    }
+    inner(ctx);
+}
+";
+        assert_eq!(
+            spec_sites("headers", src),
+            vec![
+                site("inner#0", "barrier", "O(1)", "per_run"),
+                site("rank_main#0", "allreduce_sum", "O(1)", "rank_tainted_loop"),
+                site("rank_main#1", "allgather_f64", "O(n_local)", "per_run"),
+            ]
+        );
     }
 
     #[test]

@@ -52,7 +52,9 @@
 //! reachable from the same entry point with a symbolic payload bound
 //! and invocation multiplicity, committed as `results/cost_spec.json`
 //! (`xtask cost`, DESIGN.md §12) and conformance-checked against the
-//! runtime trace counters. M1/A1 are its per-file face.
+//! runtime trace counters. It builds no syntax tree of its own: it
+//! classifies the per-function trees [`phasegraph`] builds, so the two
+//! specs agree on what a function does. M1/A1 are its per-file face.
 
 #![warn(missing_docs)]
 

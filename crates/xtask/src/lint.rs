@@ -12,7 +12,7 @@
 //! The R4/R5 phase-graph checks live in [`crate::phasegraph`] and are
 //! invoked from here as part of the same pass.
 
-use crate::phasegraph::{ProtocolFinding, Stream};
+use crate::phasegraph::{FileInfo, ProtocolFinding, Stream};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::path::{Path, PathBuf};
@@ -1100,22 +1100,22 @@ fn lint_files(files: &[ScannedFile]) -> Vec<Finding> {
                 .map(|(p, s)| (p.as_str(), s.as_slice()))
         })
         .collect();
-    let mut protocol = crate::phasegraph::check_streams(&streams).into_iter();
+    let mut checked = crate::phasegraph::check_streams(&streams).into_iter();
     files
         .iter()
         .flat_map(|f| {
-            let pf = match f.race_stream {
-                Some(_) => protocol.next().unwrap_or_default(),
-                None => Vec::new(),
-            };
+            let pf = f.race_stream.as_ref().and_then(|_| checked.next());
             lint_scanned(f, pf)
         })
         .collect()
 }
 
-/// Every rule over one scanned file, with its precomputed R4/R5
-/// findings.
-fn lint_scanned(file: &ScannedFile, protocol: Vec<ProtocolFinding>) -> Vec<Finding> {
+/// Every rule over one scanned file, with its phase-graph trees and
+/// precomputed R4/R5 findings when it has a race stream.
+fn lint_scanned(
+    file: &ScannedFile,
+    checked: Option<(FileInfo, Vec<ProtocolFinding>)>,
+) -> Vec<Finding> {
     let ScannedFile {
         rel_path,
         lines,
@@ -1282,7 +1282,7 @@ fn lint_scanned(file: &ScannedFile, protocol: Vec<ProtocolFinding>) -> Vec<Findi
 
     // R1/R2/R4/R5 — cross-line collective-discipline passes over the
     // non-test code region.
-    if let Some((_, stream)) = &file.race_stream {
+    if let (Some((_, stream)), Some((tree, protocol))) = (&file.race_stream, checked) {
         for (lineno, message) in check_exchange_discipline(stream) {
             push(lineno, Rule::R1, message, &mut findings);
         }
@@ -1292,9 +1292,10 @@ fn lint_scanned(file: &ScannedFile, protocol: Vec<ProtocolFinding>) -> Vec<Findi
         for pf in protocol {
             push(pf.line, pf.rule, pf.message, &mut findings);
         }
-        // M1/A1 — communication-cost classification, solver crate only.
+        // M1/A1/X1 — communication-cost classification, solver crate
+        // only; M1 reads the phase-graph trees R4/R5 were checked on.
         if class.cost_scope {
-            for pf in crate::costgraph::check_stream_cost(stream) {
+            for pf in crate::costgraph::check_stream_cost(stream, &tree) {
                 push(pf.line, pf.rule, pf.message, &mut findings);
             }
         }

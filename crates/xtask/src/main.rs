@@ -127,10 +127,30 @@ fn run_lint(args: &[String]) -> ExitCode {
     }
 }
 
+/// The first line where two lockfile texts differ: its 1-based number
+/// and both versions of it (`<end of file>` past either end).
+fn first_difference<'a>(committed: &'a str, fresh: &'a str) -> (usize, &'a str, &'a str) {
+    let (mut a, mut b) = (committed.lines(), fresh.lines());
+    let mut line = 1;
+    loop {
+        match (a.next(), b.next()) {
+            (Some(x), Some(y)) if x == y => line += 1,
+            (x, y) => {
+                return (
+                    line,
+                    x.unwrap_or("<end of file>"),
+                    y.unwrap_or("<end of file>"),
+                )
+            }
+        }
+    }
+}
+
 /// Shared driver for the spec lockfile subcommands (`protocol`,
 /// `cost`): `--check` byte-diffs the fresh extraction against the
 /// committed file (every mismatch hint names the exact regeneration
-/// command), `--update` (or no flag) rewrites it. `--spec-path <file>`
+/// command and shows the first differing line), `--update` (or no flag)
+/// rewrites it. `--spec-path <file>`
 /// overrides the lockfile location; the conformance tests use it to
 /// prove `--check` rejects a stale spec without touching the committed
 /// one.
@@ -157,11 +177,15 @@ fn run_lockfile(
                 eprintln!("xtask {cmd}: {spec_path} is up to date");
                 ExitCode::SUCCESS
             }
-            Ok(_) => {
+            Ok(committed) => {
                 eprintln!(
                     "xtask {cmd}: {spec_path} is stale — {stale_note}; regenerate with \
                      `{regen}` and commit the diff"
                 );
+                let (line, old, new) = first_difference(&committed, rendered);
+                eprintln!("  first difference at line {line}:");
+                eprintln!("    committed: {old}");
+                eprintln!("    fresh:     {new}");
                 ExitCode::FAILURE
             }
             Err(e) => {

@@ -11,10 +11,15 @@
 //!
 //! 1. a brace/scope-aware pass over the stripped token stream extracts,
 //!    per function, the ordered collective-operation sequence as a
-//!    protocol summary with sequence/branch/loop structure;
+//!    protocol summary with sequence/branch/loop structure, walking
+//!    conditions, scrutinees and loop headers in evaluation order. This
+//!    tree is the crate's only syntax pass: its call nodes keep their
+//!    argument spans and its `for` loops their iterator span, so the
+//!    cost analysis (`costgraph`) classifies the same trees;
 //! 2. a workspace call graph composes summaries interprocedurally from
 //!    the solver entry point (`rank_main` in `crates/core/src/parallel.rs`)
-//!    down through `crates/runtime`;
+//!    down through `crates/runtime`, resolving calls with `lookup`,
+//!    which the cost analysis shares;
 //! 3. two semantic rules generalize the syntactic `R2`:
 //!    * **R4** — a conditional whose condition depends on rank-local
 //!      data must have equal protocol effect on every arm (including
@@ -66,12 +71,13 @@ const SPEC_DIRS: [&str; 6] = [
     "crates/trace/src",
 ];
 
-/// The collective surface of the runtime's `RankCtx`/`Exchange` API:
+/// The communication surface of the runtime's `RankCtx`/`Exchange` API:
 /// method name → the `CollectiveKind` sequence its call records (each
 /// kind is one `enter_collective`, confirmed against the runtime
-/// source). `exchange` opens a phase but records nothing; `finish`
-/// records the `Exchange` plus the closing `SimSync`.
-pub(crate) const BUILTIN_EFFECTS: [(&str, &[&str]); 10] = [
+/// source). `exchange` opens a phase and the point-to-point sends fill
+/// it, recording nothing; `finish` records the `Exchange` plus the
+/// closing `SimSync`.
+const BUILTIN_EFFECTS: [(&str, &[&str]); 12] = [
     ("barrier", &["Barrier"]),
     ("allreduce_sum", &["ReduceF64", "SimSync"]),
     ("allreduce_max", &["ReduceF64", "SimSync"]),
@@ -82,6 +88,8 @@ pub(crate) const BUILTIN_EFFECTS: [(&str, &[&str]); 10] = [
     ("sim_time_units", &["SimSync"]),
     ("finish", &["Exchange", "SimSync"]),
     ("exchange", &[]),
+    ("send", &[]),
+    ("send_keyed", &[]),
 ];
 
 /// Rust keywords the identifier passes must not mistake for variables.
@@ -381,16 +389,33 @@ impl Nfa {
 
 pub(crate) type Stream = [(char, usize)];
 
-/// Internal (pre-canonicalization) summary node, one per function body.
+/// A `[start, end)` range of stream indices.
+pub(crate) type Span = (usize, usize);
+
+/// Internal (pre-canonicalization) summary node: one tree per function
+/// body, read by both verifiers. The protocol canonicalizes it; the cost
+/// analysis (`costgraph`) classifies its `Api` sites, calls and loops
+/// from the spans they keep.
 #[derive(Clone, Debug, PartialEq, Eq)]
-enum PNode {
+pub(crate) enum PNode {
     /// A collective op (kind name) recorded at this line.
     Op(String, usize),
-    /// An unresolved call site.
+    /// A method call into the runtime's communication API (a
+    /// [`BUILTIN_EFFECTS`] name) with its argument span. Its arguments'
+    /// nodes precede it and the `Op`s it records follow it.
+    Api {
+        name: String,
+        line: usize,
+        args: Span,
+    },
+    /// An unresolved call site with its argument span and the nodes of
+    /// its arguments, which evaluate before the callee runs.
     Call {
         name: String,
         method: bool,
         line: usize,
+        args: Span,
+        inner: Vec<PNode>,
     },
     /// A conditional; `tainted` = condition reads rank-local data.
     Branch {
@@ -398,11 +423,13 @@ enum PNode {
         tainted: bool,
         line: usize,
     },
-    /// A loop; `tainted` = header reads rank-local data.
+    /// A loop; `tainted` = header reads rank-local data; `iter` = the
+    /// `for` iterator span (`None` for `while` and `loop`).
     Loop {
         body: Vec<PNode>,
         tainted: bool,
         line: usize,
+        iter: Option<Span>,
     },
     Break,
     Continue,
@@ -415,10 +442,8 @@ pub(crate) struct FnDef {
     pub(crate) name: String,
     pub(crate) line: usize,
     pub(crate) has_self: bool,
-    /// Index of the parameter-list `(` in the stream.
-    pub(crate) params_open: usize,
-    /// Index one past the parameter-list `)`.
-    pub(crate) params_end: usize,
+    /// The names each argument position binds (see [`params_of`]).
+    pub(crate) params: Vec<Vec<String>>,
     pub(crate) body_open: usize,
     pub(crate) body_end: usize,
 }
@@ -469,6 +494,43 @@ pub(crate) fn prev_is_ident(stream: &Stream, i: usize) -> bool {
     i > 0 && is_ident_char(stream[i - 1].0)
 }
 
+/// The names the parameter list `stream[s..e)` binds, one `Vec` per
+/// argument position (a tuple pattern binds several names to one
+/// position), and whether it has a `self` receiver, which takes no
+/// position so positions align with method-call arguments.
+fn params_of(stream: &Stream, s: usize, e: usize) -> (Vec<Vec<String>>, bool) {
+    let mut params = Vec::new();
+    let mut has_self = false;
+    let mut depth = 0i32;
+    // The current parameter starts at `start`; its pattern ends at its
+    // top-level `:` (not `::`).
+    let (mut start, mut colon) = (s, None);
+    for i in s..=e {
+        let c = if i < e { stream[i].0 } else { ',' };
+        let path_sep = c == ':' && (stream[i - 1].0 == ':' || stream[i + 1].0 == ':');
+        match c {
+            '(' | '[' | '<' => depth += 1,
+            ')' | ']' => depth -= 1,
+            '>' if stream[i - 1].0 != '-' && stream[i - 1].0 != '=' => depth -= 1,
+            ':' if depth == 0 && colon.is_none() && !path_sep => colon = Some(i),
+            ',' if depth == 0 => {
+                let end = colon.unwrap_or(i);
+                if (start..end).any(|k| keyword_at(stream, k, "self")) {
+                    has_self = true;
+                } else {
+                    let names = idents_in(stream, start, end);
+                    if colon.is_some() || !names.is_empty() {
+                        params.push(names);
+                    }
+                }
+                (start, colon) = (i + 1, None);
+            }
+            _ => {}
+        }
+    }
+    (params, has_self)
+}
+
 /// Extract every `fn` definition (including nested ones) from a stream.
 pub(crate) fn extract_fns(stream: &Stream) -> Vec<FnDef> {
     let mut fns = Vec::new();
@@ -512,31 +574,8 @@ pub(crate) fn extract_fns(stream: &Stream) -> Vec<FnDef> {
             i = j;
             continue;
         }
-        let params_open = j;
-        let params_end = match_paren(stream, params_open);
-        let has_self = {
-            let first: String = stream[params_open + 1..params_end.saturating_sub(1)]
-                .iter()
-                .map(|&(c, _)| c)
-                .take_while(|&c| c != ',')
-                .collect();
-            let mut t = first.trim();
-            loop {
-                let before = t;
-                t = t.trim_start_matches('&').trim_start();
-                if let Some(rest) = t.strip_prefix('\'') {
-                    // lifetime: skip its identifier
-                    t = rest.trim_start_matches(is_ident_char).trim_start();
-                }
-                if let Some(rest) = t.strip_prefix("mut ") {
-                    t = rest.trim_start();
-                }
-                if t == before {
-                    break;
-                }
-            }
-            t == "self" || t.starts_with("self:") || t.starts_with("self ")
-        };
+        let params_end = match_paren(stream, j);
+        let (params, has_self) = params_of(stream, j + 1, params_end.saturating_sub(1));
         // Find the body `{` (or `;` for a trait/extern declaration).
         let mut k = params_end;
         let mut body_open = None;
@@ -555,8 +594,7 @@ pub(crate) fn extract_fns(stream: &Stream) -> Vec<FnDef> {
                 name,
                 line: stream[kw_at].1,
                 has_self,
-                params_open,
-                params_end,
+                params,
                 body_open: open,
                 body_end: block_end(stream, open),
             });
@@ -616,6 +654,24 @@ fn expr_end(stream: &Stream, s: usize, e: usize) -> usize {
         i += 1;
     }
     e
+}
+
+/// Index of the `in` of the `for` loop whose keyword is at `i`: the
+/// first `in` at nesting depth 0 before the body `{`, capped at `e`.
+fn for_in(stream: &Stream, i: usize, e: usize) -> Option<usize> {
+    let mut nest = 0i32;
+    for j in i + 3..e {
+        match stream[j].0 {
+            '(' | '[' => nest += 1,
+            ')' | ']' => nest -= 1,
+            '{' if nest == 0 => return None,
+            _ => {}
+        }
+        if nest == 0 && keyword_at(stream, j, "in") {
+            return Some(j);
+        }
+    }
+    None
 }
 
 /// Collect taint-propagation sites (`let`, `for` patterns, and plain or
@@ -681,40 +737,10 @@ pub(crate) fn collect_assignments(stream: &Stream, s: usize, e: usize) -> Vec<As
         }
         if keyword_at(stream, i, "for") {
             // `for <pat> in <header> {`
-            let pat_start = i + 3;
-            let mut j = pat_start;
-            let mut nest = 0i32;
-            let mut in_at = None;
-            while j < e {
-                let c = stream[j].0;
-                match c {
-                    '(' | '[' => nest += 1,
-                    ')' | ']' => nest -= 1,
-                    '{' if nest == 0 => break,
-                    _ => {}
-                }
-                if nest == 0 && keyword_at(stream, j, "in") {
-                    in_at = Some(j);
-                    break;
-                }
-                j += 1;
-            }
-            if let Some(in_at) = in_at {
-                let mut k = in_at + 2;
-                let mut nest = 0i32;
-                while k < e {
-                    let c = stream[k].0;
-                    match c {
-                        '(' | '[' => nest += 1,
-                        ')' | ']' => nest -= 1,
-                        '{' if nest == 0 => break,
-                        _ => {}
-                    }
-                    k += 1;
-                }
+            if let Some(in_at) = for_in(stream, i, e) {
                 out.push(Assign {
-                    lhs: idents_in(stream, pat_start, in_at),
-                    rhs: (in_at + 2, k),
+                    lhs: idents_in(stream, i + 3, in_at),
+                    rhs: (in_at + 2, find_body_open(stream, in_at + 2, e).unwrap_or(e)),
                 });
                 i = in_at + 2;
                 continue;
@@ -914,26 +940,37 @@ pub(crate) fn find_body_open(stream: &Stream, s: usize, e: usize) -> Option<usiz
     None
 }
 
-/// Parse an `if`/`else if`/`else` chain starting at the `if` keyword.
-/// Returns the branch node and the index one past the chain.
+/// Parse an `if`/`else if`/`else` chain starting at the `if` keyword
+/// into `out`, in evaluation order: the first condition, then one branch
+/// whose later arms start with the `else if` conditions tested to reach
+/// them. Returns the index one past the chain.
 fn parse_if(
     stream: &Stream,
     start: usize,
     e: usize,
     tainted: &BTreeSet<String>,
-) -> (Option<PNode>, usize) {
+    out: &mut Vec<PNode>,
+) -> usize {
     let line = stream[start].1;
     let mut arms: Vec<Vec<PNode>> = Vec::new();
     let mut any_tainted = false;
+    // Conditions evaluated on the way to the current arm.
+    let mut conds: Vec<PNode> = Vec::new();
     let mut cur = start;
-    loop {
+    let end = loop {
         let cond_start = cur + 2;
         let Some(body_open) = find_body_open(stream, cond_start, e) else {
-            return (None, cond_start);
+            return cond_start;
         };
         any_tainted |= expr_tainted(stream, cond_start, body_open, tainted);
+        conds.extend(walk_range(stream, cond_start, body_open, tainted));
+        if arms.is_empty() {
+            out.append(&mut conds);
+        }
         let close = block_end(stream, body_open);
-        arms.push(walk_range(stream, body_open + 1, close - 1, tainted));
+        let mut arm = conds.clone();
+        arm.extend(walk_range(stream, body_open + 1, close - 1, tainted));
+        arms.push(arm);
         let k = skip_ws(stream, close);
         if keyword_at(stream, k, "else") {
             let b = skip_ws(stream, k + 4);
@@ -943,43 +980,39 @@ fn parse_if(
             }
             if stream.get(b).map(|&(c, _)| c) == Some('{') {
                 let c2 = block_end(stream, b);
-                arms.push(walk_range(stream, b + 1, c2 - 1, tainted));
-                return (
-                    Some(PNode::Branch {
-                        arms,
-                        tainted: any_tainted,
-                        line,
-                    }),
-                    c2,
-                );
+                conds.extend(walk_range(stream, b + 1, c2 - 1, tainted));
+                arms.push(conds);
+                break c2;
             }
         }
-        // No else: implicit empty arm.
-        arms.push(Vec::new());
-        return (
-            Some(PNode::Branch {
-                arms,
-                tainted: any_tainted,
-                line,
-            }),
-            close,
-        );
-    }
+        // No else: an arm that only tests the conditions.
+        arms.push(conds);
+        break close;
+    };
+    out.push(PNode::Branch {
+        arms,
+        tainted: any_tainted,
+        line,
+    });
+    end
 }
 
-/// Parse a `match` expression starting at the `match` keyword.
+/// Parse a `match` expression starting at the `match` keyword into
+/// `out`: the scrutinee, then the branch. Returns the index one past it.
 fn parse_match(
     stream: &Stream,
     start: usize,
     e: usize,
     tainted: &BTreeSet<String>,
-) -> (Option<PNode>, usize) {
+    out: &mut Vec<PNode>,
+) -> usize {
     let line = stream[start].1;
     let scrut_start = start + 5;
     let Some(body_open) = find_body_open(stream, scrut_start, e) else {
-        return (None, scrut_start);
+        return scrut_start;
     };
     let cond_tainted = expr_tainted(stream, scrut_start, body_open, tainted);
+    out.extend(walk_range(stream, scrut_start, body_open, tainted));
     let close = block_end(stream, body_open);
     let inner_end = close - 1;
     let mut arms: Vec<Vec<PNode>> = Vec::new();
@@ -1031,17 +1064,34 @@ fn parse_match(
             j = k + 1;
         }
     }
-    if arms.is_empty() {
-        return (None, close);
-    }
-    (
-        Some(PNode::Branch {
+    if !arms.is_empty() {
+        out.push(PNode::Branch {
             arms,
             tainted: cond_tainted,
             line,
-        }),
-        close,
-    )
+        });
+    }
+    close
+}
+
+/// A call node: the argument span `stream[open + 1..close - 1]` and its
+/// walked nodes.
+fn call_node(
+    stream: &Stream,
+    name: String,
+    method: bool,
+    line: usize,
+    open: usize,
+    close: usize,
+    tainted: &BTreeSet<String>,
+) -> PNode {
+    PNode::Call {
+        name,
+        method,
+        line,
+        args: (open + 1, close - 1),
+        inner: walk_range(stream, open + 1, close - 1, tainted),
+    }
 }
 
 /// Walk `stream[s..e)` (one function-body region) into summary nodes.
@@ -1059,24 +1109,21 @@ fn walk_range(stream: &Stream, s: usize, e: usize, tainted: &BTreeSet<String>) -
                     if let Some(kind) = parse_collective_kind(stream, after, args_end) {
                         out.push(PNode::Op(kind, line));
                     }
-                    i = args_end;
-                    continue;
-                }
-                if let Some((_, effects)) = BUILTIN_EFFECTS.iter().find(|(n, _)| *n == w) {
+                } else if let Some((_, effects)) = BUILTIN_EFFECTS.iter().find(|(n, _)| *n == w) {
                     // Arguments evaluate before the collective runs.
-                    out.extend(walk_range(stream, after + 1, args_end - 1, tainted));
+                    let args = (after + 1, args_end - 1);
+                    out.extend(walk_range(stream, args.0, args.1, tainted));
+                    out.push(PNode::Api {
+                        name: w,
+                        line,
+                        args,
+                    });
                     for k in *effects {
                         out.push(PNode::Op((*k).to_string(), line));
                     }
-                    i = args_end;
-                    continue;
+                } else {
+                    out.push(call_node(stream, w, true, line, after, args_end, tainted));
                 }
-                out.extend(walk_range(stream, after + 1, args_end - 1, tainted));
-                out.push(PNode::Call {
-                    name: w,
-                    method: true,
-                    line,
-                });
                 i = args_end;
                 continue;
             }
@@ -1085,26 +1132,29 @@ fn walk_range(stream: &Stream, s: usize, e: usize, tainted: &BTreeSet<String>) -
         }
         if is_ident_char(c) && !prev_is_ident(stream, i) {
             if keyword_at(stream, i, "if") {
-                let (node, next) = parse_if(stream, i, e, tainted);
-                out.extend(node);
-                i = next.max(i + 2);
+                i = parse_if(stream, i, e, tainted, &mut out).max(i + 2);
                 continue;
             }
             if keyword_at(stream, i, "match") {
-                let (node, next) = parse_match(stream, i, e, tainted);
-                out.extend(node);
-                i = next.max(i + 5);
+                i = parse_match(stream, i, e, tainted, &mut out).max(i + 5);
                 continue;
             }
             if keyword_at(stream, i, "while") {
                 // Covers `while let` too: the header is scanned whole.
+                // The condition runs before the first iteration and again
+                // after every iteration.
                 let cond_start = i + 5;
                 if let Some(body_open) = find_body_open(stream, cond_start, e) {
                     let close = block_end(stream, body_open);
+                    let cond = walk_range(stream, cond_start, body_open, tainted);
+                    let mut body = walk_range(stream, body_open + 1, close - 1, tainted);
+                    body.extend(cond.iter().cloned());
+                    out.extend(cond);
                     out.push(PNode::Loop {
-                        body: walk_range(stream, body_open + 1, close - 1, tainted),
+                        body,
                         tainted: expr_tainted(stream, cond_start, body_open, tainted),
                         line,
+                        iter: None,
                     });
                     i = close;
                     continue;
@@ -1120,6 +1170,7 @@ fn walk_range(stream: &Stream, s: usize, e: usize, tainted: &BTreeSet<String>) -
                         body: walk_range(stream, b + 1, close - 1, tainted),
                         tainted: false,
                         line,
+                        iter: None,
                     });
                     i = close;
                     continue;
@@ -1128,31 +1179,17 @@ fn walk_range(stream: &Stream, s: usize, e: usize, tainted: &BTreeSet<String>) -
                 continue;
             }
             if keyword_at(stream, i, "for") {
-                // `for <pat> in <header> { .. }`
-                let mut j = i + 3;
-                let mut nest = 0i32;
-                let mut in_at = None;
-                while j < e {
-                    let c2 = stream[j].0;
-                    match c2 {
-                        '(' | '[' => nest += 1,
-                        ')' | ']' => nest -= 1,
-                        '{' if nest == 0 => break,
-                        _ => {}
-                    }
-                    if nest == 0 && keyword_at(stream, j, "in") {
-                        in_at = Some(j);
-                        break;
-                    }
-                    j += 1;
-                }
-                if let Some(in_at) = in_at {
+                // `for <pat> in <iterator> { .. }`: the iterator is
+                // evaluated once, before the loop.
+                if let Some(in_at) = for_in(stream, i, e) {
                     if let Some(body_open) = find_body_open(stream, in_at + 2, e) {
                         let close = block_end(stream, body_open);
+                        out.extend(walk_range(stream, in_at + 2, body_open, tainted));
                         out.push(PNode::Loop {
                             body: walk_range(stream, body_open + 1, close - 1, tainted),
                             tainted: expr_tainted(stream, in_at + 2, body_open, tainted),
                             line,
+                            iter: Some((in_at + 2, body_open)),
                         });
                         i = close;
                         continue;
@@ -1239,12 +1276,7 @@ fn walk_range(stream: &Stream, s: usize, e: usize, tainted: &BTreeSet<String>) -
             }
             if !w.is_empty() && !is_keyword(&w) && stream.get(after).map(|&(c, _)| c) == Some('(') {
                 let args_end = match_paren(stream, after);
-                out.extend(walk_range(stream, after + 1, args_end - 1, tainted));
-                out.push(PNode::Call {
-                    name: w,
-                    method: false,
-                    line,
-                });
+                out.push(call_node(stream, w, false, line, after, args_end, tainted));
                 i = args_end;
                 continue;
             }
@@ -1278,14 +1310,14 @@ fn walk_range(stream: &Stream, s: usize, e: usize, tainted: &BTreeSet<String>) -
 
 /// One analyzed file: its functions and their summary trees.
 #[derive(Debug)]
-struct FileInfo {
-    path: String,
-    fns: Vec<FnDef>,
-    nodes: Vec<Vec<PNode>>,
+pub(crate) struct FileInfo {
+    pub(crate) path: String,
+    pub(crate) fns: Vec<FnDef>,
+    pub(crate) nodes: Vec<Vec<PNode>>,
 }
 
 /// Build per-function summaries for one stripped stream.
-fn analyze_stream(path: &str, stream: &Stream) -> FileInfo {
+pub(crate) fn analyze_stream(path: &str, stream: &Stream) -> FileInfo {
     let fns = extract_fns(stream);
     let nodes = fns
         .iter()
@@ -1318,9 +1350,98 @@ pub(crate) struct ProtocolFinding {
     pub(crate) message: String,
 }
 
+/// Every function of a file set by name, as `(file, fn)` indices.
+pub(crate) type FnIndex = BTreeMap<String, Vec<(usize, usize)>>;
+
+pub(crate) fn index_fns(files: &[FileInfo]) -> FnIndex {
+    let mut by_name = FnIndex::new();
+    for (fi, f) in files.iter().enumerate() {
+        for (gi, g) in f.fns.iter().enumerate() {
+            by_name.entry(g.name.clone()).or_default().push((fi, gi));
+        }
+    }
+    by_name
+}
+
+/// The candidate definitions of a call to `name` from file `fi`: the
+/// same-file definitions if there are any, else every same-named one
+/// narrowed to the caller's crate when any live there. Either set first
+/// keeps only the definitions whose `self`-ness matches the call, when
+/// any does. The callers decide what several candidates mean.
+pub(crate) fn lookup(
+    files: &[FileInfo],
+    by_name: &FnIndex,
+    fi: usize,
+    name: &str,
+    method: bool,
+) -> Vec<(usize, usize)> {
+    let pick = |cands: Vec<(usize, usize)>| -> Vec<(usize, usize)> {
+        let (with_self, without): (Vec<_>, Vec<_>) = cands
+            .into_iter()
+            .partition(|&(f, g)| files[f].fns[g].has_self);
+        let (preferred, fallback) = if method {
+            (with_self, without)
+        } else {
+            (without, with_self)
+        };
+        if preferred.is_empty() {
+            fallback
+        } else {
+            preferred
+        }
+    };
+    let same: Vec<(usize, usize)> = (0..files[fi].fns.len())
+        .filter(|&g| files[fi].fns[g].name == name)
+        .map(|g| (fi, g))
+        .collect();
+    if !same.is_empty() {
+        return pick(same);
+    }
+    let krate = crate_of(&files[fi].path);
+    let (in_crate, elsewhere): (Vec<_>, Vec<_>) =
+        pick(by_name.get(name).cloned().unwrap_or_default())
+            .into_iter()
+            .partition(|&(f, _)| crate_of(&files[f].path) == krate);
+    if in_crate.is_empty() {
+        elsewhere
+    } else {
+        in_crate
+    }
+}
+
+/// A file's workspace-relative path and its non-test code stream.
+pub(crate) type PathStream = (String, Vec<(char, usize)>);
+
+/// Read every `.rs` file under `dirs` (workspace-relative, visited in
+/// order; a missing directory is skipped) as its path and non-test code
+/// stream: the input of both spec extractions.
+pub(crate) fn load_streams(root: &Path, dirs: &[&str]) -> Result<Vec<PathStream>, String> {
+    let mut out = Vec::new();
+    for dir in dirs {
+        let abs = root.join(dir);
+        if !abs.is_dir() {
+            continue;
+        }
+        let mut paths = Vec::new();
+        walk(&abs, &mut paths).map_err(|e| format!("walking {dir}: {e}"))?;
+        for p in paths {
+            let rel = p
+                .strip_prefix(root)
+                .unwrap_or(&p)
+                .to_string_lossy()
+                .replace('\\', "/");
+            let src = std::fs::read_to_string(&p).map_err(|e| format!("reading {rel}: {e}"))?;
+            let lines = scan_lines(&src);
+            let mask = test_region_mask(&lines);
+            out.push((rel, code_stream_masked(&lines, &mask)));
+        }
+    }
+    Ok(out)
+}
+
 struct Analyzer {
     files: Vec<FileInfo>,
-    by_name: BTreeMap<String, Vec<(usize, usize)>>,
+    by_name: FnIndex,
     /// Workspace (spec) mode: treat ambiguity as a hard error. Lint mode
     /// gives an ambiguous callee no effect instead.
     spec_mode: bool,
@@ -1406,15 +1527,9 @@ fn crate_of(path: &str) -> &str {
 
 impl Analyzer {
     fn new(files: Vec<FileInfo>, spec_mode: bool) -> Self {
-        let mut by_name: BTreeMap<String, Vec<(usize, usize)>> = BTreeMap::new();
-        for (fi, f) in files.iter().enumerate() {
-            for (gi, g) in f.fns.iter().enumerate() {
-                by_name.entry(g.name.clone()).or_default().push((fi, gi));
-            }
-        }
         Analyzer {
+            by_name: index_fns(&files),
             files,
-            by_name,
             spec_mode,
             memo: BTreeMap::new(),
         }
@@ -1440,52 +1555,16 @@ impl Analyzer {
         Ok(canon)
     }
 
-    /// Resolve a call site to `(effect, defining file)`. Same-file
-    /// definitions win, then same-named definitions in the caller's
-    /// crate, then those in the other crates; spec mode errors out when
-    /// the winning candidates disagree on effect.
+    /// Resolve a call site to `(effect, defining file)` through
+    /// [`lookup`]; spec mode errors out when the candidates disagree on
+    /// effect.
     fn resolve(
         &mut self,
         fi: usize,
         name: &str,
         method: bool,
     ) -> Result<(Vec<SpecNode>, String), String> {
-        let pick = |cands: Vec<(usize, usize)>, files: &[FileInfo]| -> Vec<(usize, usize)> {
-            let (with_self, without): (Vec<_>, Vec<_>) = cands
-                .into_iter()
-                .partition(|&(f, g)| files[f].fns[g].has_self);
-            let (preferred, fallback) = if method {
-                (with_self, without)
-            } else {
-                (without, with_self)
-            };
-            if preferred.is_empty() {
-                fallback
-            } else {
-                preferred
-            }
-        };
-        let same: Vec<(usize, usize)> = (0..self.files[fi].fns.len())
-            .filter(|&g| self.files[fi].fns[g].name == name)
-            .map(|g| (fi, g))
-            .collect();
-        let cands = if same.is_empty() {
-            let all = pick(
-                self.by_name.get(name).cloned().unwrap_or_default(),
-                &self.files,
-            );
-            let krate = crate_of(&self.files[fi].path);
-            let (in_crate, elsewhere): (Vec<_>, Vec<_>) = all
-                .into_iter()
-                .partition(|&(f, _)| crate_of(&self.files[f].path) == krate);
-            if in_crate.is_empty() {
-                elsewhere
-            } else {
-                in_crate
-            }
-        } else {
-            pick(same, &self.files)
-        };
+        let cands = lookup(&self.files, &self.by_name, fi, name, method);
         if cands.is_empty() {
             return Ok((Vec::new(), String::new()));
         }
@@ -1519,7 +1598,14 @@ impl Analyzer {
         for node in nodes {
             match node {
                 PNode::Op(k, _) => out.push(SpecNode::Op(k.clone())),
-                PNode::Call { name, method, .. } => {
+                PNode::Api { .. } => {}
+                PNode::Call {
+                    name,
+                    method,
+                    inner,
+                    ..
+                } => {
+                    out.extend(self.canon(fi, inner)?);
                     let (effect, def_path) = self.resolve(fi, name, *method)?;
                     if effect.is_empty() {
                         continue;
@@ -1562,17 +1648,22 @@ impl Analyzer {
         Ok(out)
     }
 
+    /// Does the resolved callee enter any collective?
+    fn call_has_op(&mut self, fi: usize, name: &str, method: bool) -> bool {
+        let effect = self.resolve(fi, name, method).map(|(e, _)| e);
+        spec_has_op(&effect.unwrap_or_default())
+    }
+
     /// Does this summary (calls resolved) enter any collective?
     fn pnodes_have_op(&mut self, fi: usize, nodes: &[PNode]) -> bool {
         nodes.iter().any(|n| match n {
             PNode::Op(..) => true,
-            PNode::Call { name, method, .. } => {
-                let effect = self
-                    .resolve(fi, name, *method)
-                    .map(|(e, _)| e)
-                    .unwrap_or_default();
-                spec_has_op(&effect)
-            }
+            PNode::Call {
+                name,
+                method,
+                inner,
+                ..
+            } => self.pnodes_have_op(fi, inner) || self.call_has_op(fi, name, *method),
             PNode::Branch { arms, .. } => arms.iter().any(|a| self.pnodes_have_op(fi, a)),
             PNode::Loop { body, .. } => self.pnodes_have_op(fi, body),
             _ => false,
@@ -1659,10 +1750,21 @@ impl Analyzer {
                         });
                     }
                 }
+                PNode::Call {
+                    name,
+                    method,
+                    inner,
+                    ..
+                } => {
+                    // The arguments run before the callee's collectives.
+                    let follow = suffix[i] || self.call_has_op(fi, name, *method);
+                    self.check_nodes(fi, inner, follow, loops, out);
+                }
                 PNode::Loop {
                     body,
                     tainted,
                     line,
+                    ..
                 } => {
                     let body_op = self.pnodes_have_op(fi, body);
                     if *tainted && body_op {
@@ -1688,14 +1790,14 @@ impl Analyzer {
 }
 
 /// Run the R4/R5 phase-graph checks over the stripped streams of a set
-/// of files, each given with its workspace-relative path, returning one
-/// finding list per stream. A call resolves to a same-file definition
-/// first, then by name in the caller's crate, then across the set; an
-/// ambiguous or unknown callee contributes no effect.
-pub(crate) fn check_streams(streams: &[(&str, &Stream)]) -> Vec<Vec<ProtocolFinding>> {
+/// of files, each given with its workspace-relative path, returning per
+/// stream its analyzed trees (for the cost rule M1) and its findings.
+/// Calls resolve through [`lookup`]; an ambiguous or unknown callee
+/// contributes no effect.
+pub(crate) fn check_streams(streams: &[(&str, &Stream)]) -> Vec<(FileInfo, Vec<ProtocolFinding>)> {
     let files = streams.iter().map(|(p, s)| analyze_stream(p, s)).collect();
     let mut an = Analyzer::new(files, false);
-    (0..streams.len())
+    let findings: Vec<Vec<ProtocolFinding>> = (0..streams.len())
         .map(|fi| {
             let mut out = Vec::new();
             for gi in 0..an.files[fi].fns.len() {
@@ -1706,7 +1808,8 @@ pub(crate) fn check_streams(streams: &[(&str, &Stream)]) -> Vec<Vec<ProtocolFind
             out.dedup_by(|a, b| a.line == b.line && a.rule == b.rule);
             out
         })
-        .collect()
+        .collect();
+    an.files.into_iter().zip(findings).collect()
 }
 
 /// Extract the workspace protocol spec: analyze every solver/runtime
@@ -1717,27 +1820,10 @@ pub(crate) fn check_streams(streams: &[(&str, &Stream)]) -> Vec<Vec<ProtocolFind
 /// I/O failures, a missing entry point, or an ambiguous call (same-named
 /// functions with different protocol effects) abort the extraction.
 pub fn extract_protocol_spec(root: &Path) -> Result<ProtocolSpec, String> {
-    let mut files = Vec::new();
-    for dir in SPEC_DIRS {
-        let abs = root.join(dir);
-        if !abs.is_dir() {
-            continue;
-        }
-        let mut paths = Vec::new();
-        walk(&abs, &mut paths).map_err(|e| format!("walking {dir}: {e}"))?;
-        for p in paths {
-            let rel = p
-                .strip_prefix(root)
-                .unwrap_or(&p)
-                .to_string_lossy()
-                .replace('\\', "/");
-            let src = std::fs::read_to_string(&p).map_err(|e| format!("reading {rel}: {e}"))?;
-            let lines = scan_lines(&src);
-            let mask = test_region_mask(&lines);
-            let stream = code_stream_masked(&lines, &mask);
-            files.push(analyze_stream(&rel, &stream));
-        }
-    }
+    let files = load_streams(root, &SPEC_DIRS)?
+        .iter()
+        .map(|(p, s)| analyze_stream(p, s))
+        .collect();
     let mut an = Analyzer::new(files, true);
     let fi = an
         .files
@@ -1766,7 +1852,7 @@ mod tests {
     use crate::lint::{code_stream_masked, scan_lines, test_region_mask};
 
     fn check_stream(stream: &Stream) -> Vec<ProtocolFinding> {
-        check_streams(&[("test.rs", stream)]).remove(0)
+        check_streams(&[("test.rs", stream)]).remove(0).1
     }
 
     fn stream_of(src: &str) -> Vec<(char, usize)> {
@@ -1869,6 +1955,63 @@ mod tests {
         let outer = fi.fns.iter().position(|f| f.name == "outer").unwrap();
         // The outer fn sees only the call; the barrier belongs to inner.
         assert_eq!(flat_ops(&fi.nodes[outer]), vec!["<call>"]);
+    }
+
+    #[test]
+    fn trace_closures_let_else_and_macro_bodies_keep_their_protocol() {
+        // Tracing closures still run in the protocol's view, `let .. else`
+        // diverges on its `else` arm, and a macro body is walked.
+        let src = "fn f(ctx: &C, x: Option<u32>) {\n\
+                   louvain_trace::emit_with(|| { ctx.barrier(); Event::Mark });\n\
+                   let Some(y) = x else { return };\n\
+                   let v = vec![ctx.allreduce_sum(1.0)];\n\
+                   }\n";
+        let file = analyze_stream("test.rs", &stream_of(src));
+        let mut an = Analyzer::new(vec![file], false);
+        let nodes = an.files[0].nodes[0].clone();
+        let op = |k: &str| SpecNode::Op(k.to_string());
+        assert_eq!(
+            an.canon(0, &nodes).unwrap(),
+            vec![
+                op("Barrier"),
+                SpecNode::Branch(vec![vec![SpecNode::Return], vec![]]),
+                op("ReduceF64"),
+                op("SimSync"),
+            ]
+        );
+    }
+
+    #[test]
+    fn conditions_scrutinees_and_loop_headers_walk_in_evaluation_order() {
+        fn shape(nodes: &[PNode]) -> String {
+            let parts: Vec<String> = nodes
+                .iter()
+                .filter_map(|n| match n {
+                    PNode::Op(k, _) => Some(k.clone()),
+                    PNode::Branch { arms, .. } => {
+                        let arms: Vec<String> = arms.iter().map(|a| shape(a)).collect();
+                        Some(format!("B[{}]", arms.join(" | ")))
+                    }
+                    PNode::Loop { body, .. } => Some(format!("L[{}]", shape(body))),
+                    _ => None,
+                })
+                .collect();
+            parts.join(" ")
+        }
+        let src = "fn f(ctx: &C) {\n\
+                   if ctx.barrier() { ctx.sim_sync(); } \
+                   else if ctx.allreduce_max(1.0) > 0.0 { ctx.sim_sync(); } else { }\n\
+                   match ctx.allreduce_sum_u64(1) { _ => {} }\n\
+                   while ctx.allreduce_sum(1.0) > 0.0 { ctx.sim_sync(); }\n\
+                   for v in ctx.allgather_f64(&[1.0]) { ctx.sim_sync(); }\n\
+                   }\n";
+        assert_eq!(
+            shape(&nodes_of(src)[0]),
+            "Barrier B[SimSync | ReduceF64 SimSync SimSync | ReduceF64 SimSync] \
+             ReduceU64 SimSync B[] \
+             ReduceF64 SimSync L[SimSync ReduceF64 SimSync] \
+             AllgatherF64 SimSync L[SimSync]"
+        );
     }
 
     #[test]

@@ -351,7 +351,7 @@ fn cost_check_cli_passes_on_tree_and_fails_on_seeded_mutation() {
     let mutated = committed.replacen("\"O(deltas)\"", "\"O(local_arcs)\"", 1);
     assert_ne!(committed, mutated, "mutation seed found nothing to change");
     let stale_path = Path::new(env!("CARGO_TARGET_TMPDIR")).join("stale_cost_spec.json");
-    std::fs::write(&stale_path, mutated).expect("tmp spec written");
+    std::fs::write(&stale_path, &mutated).expect("tmp spec written");
 
     let bad = Command::new(env!("CARGO_BIN_EXE_xtask"))
         .args([
@@ -370,5 +370,19 @@ fn cost_check_cli_passes_on_tree_and_fails_on_seeded_mutation() {
     assert!(
         stderr.contains("stale") && stderr.contains("cargo run -p xtask -- cost"),
         "stale diagnostic must carry the regeneration hint: {stderr}"
+    );
+    // The diagnostic names the first moved line, committed and fresh.
+    let (line, (stale_text, fresh_text)) = mutated
+        .lines()
+        .zip(committed.lines())
+        .enumerate()
+        .find(|(_, (a, b))| a != b)
+        .expect("the mutation moved a line");
+    assert!(
+        stale_text.contains("\"O(local_arcs)\"")
+            && stderr.contains(&format!("first difference at line {}:", line + 1))
+            && stderr.contains(&format!("committed: {stale_text}"))
+            && stderr.contains(&format!("fresh:     {fresh_text}")),
+        "stale diagnostic must show the mutated line: {stderr}"
     );
 }

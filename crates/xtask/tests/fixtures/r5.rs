@@ -19,3 +19,12 @@ pub fn rank_dependent_while(ctx: &Ctx) {
         left -= 1;
     }
 }
+
+/// The collective sits in the `while` condition itself, so it runs on
+/// every test of a rank-local condition.
+pub fn rank_dependent_while_condition(ctx: &Ctx) {
+    let mut left = ctx.rank();
+    while left > 0 && ctx.allreduce_sum(1.0) > 0.0 {
+        left -= 1;
+    }
+}

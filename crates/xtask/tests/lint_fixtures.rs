@@ -113,6 +113,20 @@ fn r4_fixture_fires() {
 #[test]
 fn r5_fixture_fires() {
     assert_only_rule("r5.rs", Rule::R5);
+    // Each hazard must fire on its own line, including the one whose
+    // only collective sits in the `while` condition.
+    let src =
+        std::fs::read_to_string(Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/r5.rs"))
+            .expect("fixture exists");
+    let line = 1 + src
+        .lines()
+        .position(|l| l.contains("while left > 0 && ctx.allreduce_sum"))
+        .expect("fixture has the condition case");
+    let findings = lint_fixture("r5.rs");
+    assert!(
+        findings.iter().any(|f| f.line == line),
+        "r5.rs: no finding on the `while` condition at line {line}: {findings:?}"
+    );
 }
 
 #[test]

@@ -6,6 +6,7 @@ use parallel_louvain::graph::edgelist::EdgeListBuilder;
 use parallel_louvain::graph::gen::lfr::{generate_lfr, LfrConfig};
 use parallel_louvain::graph::gen::planted::{generate_planted, PlantedConfig};
 use parallel_louvain::graph::gen::ws::{generate_ws, WsConfig};
+use parallel_louvain::graph::partition::PartitionStrategy;
 use parallel_louvain::metrics::{modularity, Partition};
 
 #[test]
@@ -99,12 +100,40 @@ fn modularity_rejects_mismatched_partition() {
 }
 
 #[test]
-#[should_panic]
+#[should_panic(expected = "needs at least one rank")]
 fn parallel_rejects_zero_ranks() {
     let _ = ParallelLouvain::new(ParallelConfig {
         ranks: 0,
         ..ParallelConfig::default()
     });
+}
+
+// `run_from_parts` takes its chunks from the caller unchecked, so the
+// loader checks every id against `num_vertices`, in release builds too.
+
+#[test]
+#[should_panic(expected = "rank 0: chunk edge (0, 5) names a vertex outside 0..3")]
+fn parallel_parts_reject_out_of_range_ids_on_one_rank() {
+    let mut b = EdgeListBuilder::new(6);
+    b.add_edge(0, 5, 1.0);
+    let chunk = b.build();
+    let _ =
+        ParallelLouvain::new(ParallelConfig::with_ranks(1)).run_from_parts(3, |_| chunk.clone());
+}
+
+/// Under `ArcBalanced` the id check runs before the degree count that
+/// builds the partition.
+#[test]
+#[should_panic(expected = "chunk edge (0, 5) names a vertex outside 0..3")]
+fn parallel_parts_reject_out_of_range_ids_on_two_balanced_ranks() {
+    let mut b = EdgeListBuilder::new(6);
+    b.add_edge(0, 5, 1.0);
+    let chunk = b.build();
+    let cfg = ParallelConfig {
+        partition: PartitionStrategy::ArcBalanced,
+        ..ParallelConfig::with_ranks(2)
+    };
+    let _ = ParallelLouvain::new(cfg).run_from_parts(3, |_| chunk.clone());
 }
 
 /// Degenerate but valid inputs must NOT panic.
