@@ -71,6 +71,7 @@ impl LabelPropagation {
     /// Runs synchronous label propagation on `edges`.
     #[must_use]
     pub fn run(&self, edges: &EdgeList) -> LabelPropResult {
+        let edges: &EdgeList = &edges.scaled_to_band();
         let n = edges.num_vertices();
         let t0 = Stopwatch::start();
         let (rank_outputs, comm) = run_with_config::<Msg, (Vec<u32>, Vec<f64>, f64), _>(

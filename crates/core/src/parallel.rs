@@ -455,7 +455,8 @@ impl ParallelLouvain {
     /// result.
     #[must_use]
     pub fn run(&self, edges: &EdgeList) -> ParallelResult {
-        self.run_input(RunInput::Replicated(edges), edges.num_vertices())
+        let edges = edges.scaled_to_band();
+        self.run_input(RunInput::Replicated(&edges), edges.num_vertices())
     }
 
     /// Distributed loading: rank `r` ingests `parts(r)` (e.g. an R-MAT
@@ -463,6 +464,12 @@ impl ParallelLouvain {
     /// through the messaging layer — no rank ever holds the whole graph.
     /// This is how the paper's weak-scaling runs ingest their per-node
     /// generator output.
+    ///
+    /// # Panics
+    ///
+    /// When a rank's chunk has a largest weight outside [2^-64, 2^64]:
+    /// no rank sees the whole input to scale it (see
+    /// [`louvain_graph::band_scale`]), so scale the weights first.
     #[must_use]
     pub fn run_from_parts<F>(&self, num_vertices: usize, parts: F) -> ParallelResult
     where

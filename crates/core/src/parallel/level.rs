@@ -75,6 +75,12 @@ pub(super) fn fresh_rank_state(
         }
         RunInput::Parts { num_vertices, f } => {
             let part = f(ctx.rank());
+            let max = part.max_weight();
+            assert!(
+                louvain_graph::band_scale(max).is_none(),
+                "rank {}: largest chunk weight {max:e} lies outside [2^-64, 2^64]",
+                ctx.rank()
+            );
             let m = part.num_edges();
             (
                 build_initial_level_distributed(ctx, *num_vertices, &part, cfg),

@@ -40,6 +40,7 @@ pub fn refine_partition(g: &CsrGraph, start: &Partition, max_sweeps: usize) -> R
         start.num_vertices(),
         "partition size mismatch"
     );
+    let g: &CsrGraph = &g.scaled_to_band();
     let order: Vec<u32> = (0..g.num_vertices() as u32).collect();
     let mut labels = start.labels().to_vec();
     let moves = local_move(g, &order, &mut labels, max_sweeps);

@@ -132,12 +132,14 @@ impl SequentialLouvain {
 /// sequential and shared-memory solvers: run `one_level` on the current
 /// graph, project its labels onto the original vertices, and coarsen,
 /// until a level moves nothing, stops improving Q, or merges nothing.
-/// The final partition is the last level's.
+/// The final partition is the last level's. It runs on `g` scaled into
+/// the weight band, so the answer does not depend on the weight unit.
 pub(crate) fn run_levels(
     g: &CsrGraph,
     max_levels: usize,
     mut one_level: impl FnMut(&CsrGraph, u64) -> OneLevel,
 ) -> LouvainResult {
+    let g: &CsrGraph = &g.scaled_to_band();
     let n = g.num_vertices();
     let mut current = g.clone();
     // Community of every *original* vertex, updated after each level.

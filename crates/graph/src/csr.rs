@@ -16,6 +16,7 @@
 
 use crate::edgelist::EdgeList;
 use crate::{VertexId, Weight};
+use std::borrow::Cow;
 
 /// Immutable CSR adjacency (see module docs for conventions).
 #[derive(Clone, Debug)]
@@ -27,6 +28,8 @@ pub struct CsrGraph {
     degree: Vec<f64>,
     /// `2m`: total arc weight.
     total_arc_weight: f64,
+    /// The largest arc weight (`0.0` without arcs).
+    max_arc_weight: Weight,
     /// Number of undirected input edges (self-loops once) — the count used
     /// for TEPS reporting.
     num_input_edges: usize,
@@ -69,19 +72,51 @@ impl CsrGraph {
                 cursor[e.v as usize] += 1;
             }
         }
-        let mut degree = vec![0.0f64; n];
-        for u in 0..n {
-            degree[u] = weights[offsets[u]..offsets[u + 1]].iter().sum();
-        }
+        Self::from_arcs(offsets, targets, weights, el.num_edges())
+    }
+
+    /// Assembles the graph from its arc arrays, summing the degrees and
+    /// `2m` from `weights` and taking their maximum.
+    fn from_arcs(
+        offsets: Vec<usize>,
+        targets: Vec<VertexId>,
+        weights: Vec<Weight>,
+        num_input_edges: usize,
+    ) -> Self {
+        let degree: Vec<f64> = offsets
+            .windows(2)
+            .map(|r| weights[r[0]..r[1]].iter().sum())
+            .collect();
         let total_arc_weight = degree.iter().sum();
+        let max_arc_weight = weights.iter().copied().fold(0.0, Weight::max);
         Self {
             offsets,
             targets,
             weights,
             degree,
             total_arc_weight,
-            num_input_edges: el.num_edges(),
+            max_arc_weight,
+            num_input_edges,
         }
+    }
+
+    /// This graph with every weight multiplied by [`crate::band_scale`]
+    /// of the largest arc weight, or the graph itself, uncopied, when
+    /// that weight is already in band. The degrees and `2m` are summed
+    /// again from the scaled weights, so they are finite even where the
+    /// raw sums overflowed.
+    #[must_use]
+    pub fn scaled_to_band(&self) -> Cow<'_, CsrGraph> {
+        let Some(f) = crate::band_scale(self.max_arc_weight) else {
+            return Cow::Borrowed(self);
+        };
+        let weights = self.weights.iter().map(|w| w * f).collect();
+        Cow::Owned(Self::from_arcs(
+            self.offsets.clone(),
+            self.targets.clone(),
+            weights,
+            self.num_input_edges,
+        ))
     }
 
     /// Number of vertices.

@@ -8,6 +8,7 @@
 
 use crate::{VertexId, Weight};
 use louvain_hash::pack_key;
+use std::borrow::Cow;
 
 /// A single undirected weighted edge.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -54,6 +55,27 @@ impl EdgeList {
     #[must_use]
     pub fn total_weight(&self) -> f64 {
         self.edges.iter().map(|e| e.w).sum()
+    }
+
+    /// The largest edge weight (`0.0` without edges).
+    #[must_use]
+    pub fn max_weight(&self) -> Weight {
+        self.edges.iter().map(|e| e.w).fold(0.0, Weight::max)
+    }
+
+    /// These edges with every weight multiplied by
+    /// [`crate::band_scale`] of the largest one, or the list itself,
+    /// uncopied, when that weight is already in band.
+    #[must_use]
+    pub fn scaled_to_band(&self) -> Cow<'_, EdgeList> {
+        let Some(f) = crate::band_scale(self.max_weight()) else {
+            return Cow::Borrowed(self);
+        };
+        let edges = self.edges.iter().map(|e| Edge { w: e.w * f, ..*e });
+        Cow::Owned(EdgeList {
+            n: self.n,
+            edges: edges.collect(),
+        })
     }
 
     /// Builds the CSR adjacency for this edge list.

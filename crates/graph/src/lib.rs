@@ -48,6 +48,29 @@ pub type VertexId = u32;
 /// Edge weight.
 pub type Weight = f64;
 
+/// 2^64: a graph whose largest weight lies in `[1 / WEIGHT_BAND,
+/// WEIGHT_BAND]` is solved as given. There the solvers' products of
+/// degrees and community totals stay finite and normal.
+const WEIGHT_BAND: Weight = 18_446_744_073_709_551_616.0;
+
+/// The exact power of two that rescales a graph whose largest weight is
+/// `max_weight` to a largest weight near 1, or `None` when that weight
+/// already lies in [2^-64, 2^64] (or is zero). Modularity and every
+/// Louvain gain are invariant under a common weight scale, and
+/// multiplying by a power of two rounds nothing short of the subnormal
+/// range, so a rescaled graph has the same communities.
+#[must_use]
+pub fn band_scale(max_weight: Weight) -> Option<Weight> {
+    if !(max_weight > 0.0 && max_weight.is_finite())
+        || (1.0 / WEIGHT_BAND..=WEIGHT_BAND).contains(&max_weight)
+    {
+        return None;
+    }
+    // The binary exponent, clamped so that 2^-e is a normal f64.
+    let e = (((max_weight.to_bits() >> 52) & 0x7ff) as i64 - 1023).clamp(-1022, 1022);
+    Some(f64::from_bits(((1023 - e) as u64) << 52))
+}
+
 pub use csr::CsrGraph;
 pub use edgelist::{EdgeList, EdgeListBuilder};
 pub use partition::{AnyPartition, BalancedPartition, PartitionStrategy};

@@ -63,6 +63,8 @@ pub fn community_aggregates(g: &CsrGraph, p: &Partition) -> CommunityAggregates 
 /// ```
 #[must_use]
 pub fn modularity(g: &CsrGraph, p: &Partition) -> f64 {
+    // Q is scale-invariant: the band-scaled graph keeps its sums finite.
+    let g: &CsrGraph = &g.scaled_to_band();
     let s = g.total_arc_weight();
     if s <= 0.0 {
         return 0.0;

@@ -393,16 +393,7 @@ fn cost_walk<'t, F: FnMut(&'t PNode, &[LoopMark])>(
 ) {
     for n in nodes {
         match n {
-            PNode::Api { .. } => f(n, marks),
-            PNode::Call { name, inner, .. } if name != "emit_with" => {
-                cost_walk(stream, env, inner, marks, f);
-                f(n, marks);
-            }
-            PNode::Branch { arms, .. } => {
-                for arm in arms {
-                    cost_walk(stream, env, arm, marks, f);
-                }
-            }
+            PNode::Call { name, .. } if name == "emit_with" => {}
             PNode::Loop {
                 body,
                 tainted,
@@ -413,7 +404,14 @@ fn cost_walk<'t, F: FnMut(&'t PNode, &[LoopMark])>(
                 cost_walk(stream, env, body, marks, f);
                 marks.pop();
             }
-            _ => {}
+            _ => {
+                for kids in n.children() {
+                    cost_walk(stream, env, kids, marks, f);
+                }
+                if let PNode::Api { .. } | PNode::Call { .. } = n {
+                    f(n, marks);
+                }
+            }
         }
     }
 }
@@ -500,7 +498,10 @@ fn check_m1(stream: &Stream, file: &FileInfo, out: &mut Vec<ProtocolFinding>) {
     for (f, tree) in file.fns.iter().zip(&file.nodes) {
         let env = build_env(stream, f);
         cost_walk(stream, &env, tree, &mut Vec::new(), &mut |node, marks| {
-            let PNode::Api { name, line, args } = node else {
+            let PNode::Api {
+                name, line, args, ..
+            } = node
+            else {
                 return;
             };
             let Some((payload, keyed)) = site_payload(stream, name, *args, &env) else {

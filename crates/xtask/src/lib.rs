@@ -14,8 +14,8 @@
 //! | `U1` | every `unsafe` block carries a `// SAFETY:` comment |
 //! | `P1` | no `.unwrap()` / `.expect(..)` in non-test library code of `crates/{core,runtime,hashtable,graph}` |
 //! | `C1` | every crate root keeps `#![warn(missing_docs)]` and a paper-section cross-reference |
-//! | `R1` | every `ctx.exchange()` phase reaches exactly one `.finish(..)` on all control-flow paths — no `return`, `?`, or loop-escaping `break`/`continue` can leak an open phase |
-//! | `R2` | no collective (`barrier`, `allreduce_*`, `allgather_*`, `exchange`, …) inside a conditional that branches on rank-local data (`rank` in the condition): all ranks must enter every collective |
+//! | `R1` | every `ctx.exchange()` phase reaches `.finish(..)` on every path of the function's phase-graph tree — no `return`, `?`, loop-escaping `break`/`continue`, second `exchange()` or block end before it |
+//! | `R2` | no collective (`barrier`, `allreduce_*`, `allgather_*`, `exchange`, `finish`, …) at any depth of an arm or `while` body whose condition mentions the token `rank` (an `else if` guards the arms after it): all ranks must enter every collective |
 //! | `R3` | no raw `Ordering::{Relaxed,Acquire,Release,AcqRel,SeqCst}` atomics outside `crates/runtime` — cross-rank communication goes through the runtime API |
 //! | `R4` | the arms of a rank-divergent conditional (condition tainted by rank-local data, tracked through assignments) must have equal protocol effect — no arm-specific collective sequences, no divergent early exits that skip collectives other ranks still run |
 //! | `R5` | no collective inside a loop whose trip count derives from rank-local data — iteration bounds must come from replicated/allreduced values so all ranks run the same number of collective rounds |
@@ -45,7 +45,8 @@
 //! sequence/branch/loop structure of collectives reachable from the
 //! solver entry point — and emits it as the committed
 //! `results/protocol_spec.json` lockfile (`xtask protocol`, DESIGN.md
-//! §11). The R4/R5 rules above are the per-file face of that analysis.
+//! §11). The R1/R2/R4/R5 rules above are the per-file face of that
+//! analysis: all four read its per-function trees.
 //!
 //! [`costgraph`] is the third leg of the verifier stack (ordering →
 //! determinism → volume): it classifies every collective/exchange site

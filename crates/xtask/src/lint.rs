@@ -9,8 +9,9 @@
 //! are recognized as brace-delimited items under a `#[cfg(test)]`
 //! attribute on its own line — anywhere in the file, not just the tail.
 //!
-//! The R4/R5 phase-graph checks live in [`crate::phasegraph`] and are
-//! invoked from here as part of the same pass.
+//! The collective-discipline rules R1/R2/R4/R5 walk the phase-graph
+//! trees of [`crate::phasegraph`] and are invoked from here as part of
+//! the same pass.
 
 use crate::phasegraph::{FileInfo, ProtocolFinding, Stream};
 use std::collections::BTreeMap;
@@ -32,12 +33,12 @@ pub enum Rule {
     P1,
     /// Crate-root doc invariants missing.
     C1,
-    /// `ctx.exchange()` not paired with `finish` on the token stream:
-    /// early `return`/`?`/`break` inside a phase, overlapping phases, or
-    /// a phase whose scope ends before `finish`.
+    /// `ctx.exchange()` not paired with `finish` on some path of the
+    /// phase-graph tree: early `return`/`?`/`break` inside a phase,
+    /// overlapping phases, or a phase whose block ends before `finish`.
     R1,
-    /// Collective call inside a rank-divergent conditional (a
-    /// conditional whose condition reads rank-local data).
+    /// Collective call inside a rank-divergent conditional (an arm or
+    /// `while` body whose condition mentions the token `rank`).
     R2,
     /// Atomic memory orderings outside `crates/runtime` (and the
     /// dependency shims) require a justified suppression.
@@ -410,8 +411,8 @@ struct FileClass {
     f2_exempt: bool,
     /// C1 scope: crate-root file that must carry doc invariants.
     crate_root: bool,
-    /// R1/R2 scope: everything except the dependency shims (which never
-    /// touch the runtime's collective surface).
+    /// R1/R2/R4/R5 scope: everything except the dependency shims (which
+    /// never touch the runtime's collective surface).
     race_scope: bool,
     /// R3 exemption: the runtime implementation and the shims are the
     /// only places allowed to use atomics without a suppression.
@@ -616,30 +617,18 @@ fn contains_float_literal(s: &str) -> bool {
 }
 
 // ---------------------------------------------------------------------------
-// Cross-line passes (R1/R2): a flat character stream over the non-test
-// code region, each character tagged with its 1-based line number.
-// Comments and string contents are already stripped by the scanner, so
-// token matching on the stream is sound.
+// The code stream: a flat character stream over the non-test code
+// region, each character tagged with its 1-based line number, which the
+// phase graph parses. Comments and string contents are already stripped
+// by the scanner, so token matching on the stream is sound.
 // ---------------------------------------------------------------------------
-
-fn code_stream(lines: &[LineView], end: usize) -> Vec<(char, usize)> {
-    let mut out = Vec::new();
-    for (idx, line) in lines.iter().take(end).enumerate() {
-        for c in line.code.chars() {
-            out.push((c, idx + 1));
-        }
-        // Line boundary acts as whitespace so tokens never merge.
-        out.push((' ', idx + 1));
-    }
-    out
-}
 
 /// Per-line mask: `true` when the line belongs to a `#[cfg(test)]`
 /// region — the attribute line through the end of the item it gates
 /// (matching close brace, or `;` for a braceless item). Recognizes such
 /// regions anywhere in the file, not just the file-tail convention.
 pub(crate) fn test_region_mask(lines: &[LineView]) -> Vec<bool> {
-    let stream = code_stream(lines, lines.len());
+    let stream = code_stream_masked(lines, &[]);
     let mut mask = vec![false; lines.len()];
     for idx in 0..lines.len() {
         if lines[idx].code.trim() != "#[cfg(test)]" {
@@ -672,8 +661,8 @@ pub(crate) fn test_region_mask(lines: &[LineView]) -> Vec<bool> {
     mask
 }
 
-/// Like [`code_stream`], but lines masked as test regions are dropped
-/// entirely (their line numbers simply never appear in the stream).
+/// The code stream of `lines`, without the lines `mask` marks as test
+/// regions (their line numbers simply never appear in the stream).
 pub(crate) fn code_stream_masked(lines: &[LineView], mask: &[bool]) -> Vec<(char, usize)> {
     let mut out = Vec::new();
     for (idx, line) in lines.iter().enumerate() {
@@ -683,6 +672,7 @@ pub(crate) fn code_stream_masked(lines: &[LineView], mask: &[bool]) -> Vec<(char
         for c in line.code.chars() {
             out.push((c, idx + 1));
         }
+        // Line boundary acts as whitespace so tokens never merge.
         out.push((' ', idx + 1));
     }
     out
@@ -714,278 +704,6 @@ pub(crate) fn skip_ws(stream: &[(char, usize)], mut i: usize) -> usize {
     i
 }
 
-/// An open `Exchange` phase being tracked by the R1 state machine.
-struct OpenPhase {
-    start_line: usize,
-    /// Brace depth at the `ctx.exchange()` call: the phase must `finish`
-    /// before this scope closes.
-    start_depth: i32,
-    /// Brace depths (and optional labels) of loops opened *after* the
-    /// phase started; a plain `break`/`continue` is fine while one is
-    /// active, and a labeled one is fine when its target is in here —
-    /// the jump lands after/at a loop that is still inside the phase,
-    /// before `finish()`.
-    loops: Vec<(i32, Option<String>)>,
-    /// A `for`/`while`/`loop` keyword was seen and its body `{` is
-    /// pending (armed at this paren depth, with the loop's label if it
-    /// had one).
-    pending_loop: Option<(i32, Option<String>)>,
-}
-
-/// The `'label` immediately preceding a loop keyword at `i`
-/// (`'outer: for …`), if any.
-fn label_before(stream: &[(char, usize)], i: usize) -> Option<String> {
-    let mut j = i;
-    while j > 0 && stream[j - 1].0.is_whitespace() {
-        j -= 1;
-    }
-    if j == 0 || stream[j - 1].0 != ':' {
-        return None;
-    }
-    j -= 1;
-    let end = j;
-    while j > 0 && is_ident_char(stream[j - 1].0) {
-        j -= 1;
-    }
-    if j == end || j == 0 || stream[j - 1].0 != '\'' {
-        return None;
-    }
-    Some(stream[j..end].iter().map(|&(c, _)| c).collect())
-}
-
-/// R1 — every `.exchange()` must reach exactly one `.finish()` with no
-/// early exit in between. Token-level approximation of "paired on all
-/// control-flow paths": flags `return`, `?`, `break`/`continue` whose
-/// target loop encloses the phase (plain ones with no phase-interior
-/// loop active, labeled ones whose label names no phase-interior loop),
-/// plus overlapping phases and phases whose scope ends unfinished.
-fn check_exchange_discipline(stream: &[(char, usize)]) -> Vec<(usize, String)> {
-    let mut out = Vec::new();
-    let mut phase: Option<OpenPhase> = None;
-    let mut depth = 0i32;
-    let mut parens = 0i32;
-    let mut i = 0usize;
-    while i < stream.len() {
-        let (c, line) = stream[i];
-        if matches_at(stream, i, ".exchange(") {
-            if let Some(ph) = &phase {
-                out.push((
-                    line,
-                    format!(
-                        "`exchange()` while the phase opened at line {} has not reached \
-                         `finish()`: phases must not overlap",
-                        ph.start_line
-                    ),
-                ));
-            }
-            phase = Some(OpenPhase {
-                start_line: line,
-                start_depth: depth,
-                loops: Vec::new(),
-                pending_loop: None,
-            });
-            i += ".exchange(".len();
-            continue;
-        }
-        if matches_at(stream, i, ".finish(") {
-            phase = None;
-            i += ".finish(".len();
-            continue;
-        }
-        let Some(ph) = phase.as_mut() else {
-            match c {
-                '{' => depth += 1,
-                '}' => depth -= 1,
-                '(' => parens += 1,
-                ')' => parens -= 1,
-                _ => {}
-            }
-            i += 1;
-            continue;
-        };
-        for kw in ["for", "while", "loop"] {
-            if keyword_at(stream, i, kw) {
-                ph.pending_loop = Some((parens, label_before(stream, i)));
-            }
-        }
-        if keyword_at(stream, i, "return") {
-            out.push((
-                line,
-                format!(
-                    "`return` inside the exchange phase opened at line {}: the phase \
-                     never reaches `finish()` on this path and peer ranks deadlock",
-                    ph.start_line
-                ),
-            ));
-            i += "return".len();
-            continue;
-        }
-        if keyword_at(stream, i, "break") || keyword_at(stream, i, "continue") {
-            let kw_len = if stream[i].0 == 'b' { 5 } else { 8 };
-            let j = skip_ws(stream, i + kw_len);
-            let label: Option<String> = stream
-                .get(j)
-                .filter(|&&(c, _)| c == '\'')
-                .map(|_| {
-                    let mut k = j + 1;
-                    let mut s = String::new();
-                    while stream.get(k).is_some_and(|&(c, _)| is_ident_char(c)) {
-                        s.push(stream[k].0);
-                        k += 1;
-                    }
-                    s
-                })
-                .filter(|s| !s.is_empty());
-            let escapes_phase = match &label {
-                Some(l) => !ph.loops.iter().any(|(_, ll)| ll.as_deref() == Some(l)),
-                None => ph.loops.is_empty(),
-            };
-            if escapes_phase {
-                out.push((
-                    line,
-                    format!(
-                        "`break`/`continue` jumps out of the exchange phase opened at \
-                         line {}: `finish()` is skipped on this path",
-                        ph.start_line
-                    ),
-                ));
-            }
-            i += kw_len;
-            continue;
-        }
-        match c {
-            '?' => out.push((
-                line,
-                format!(
-                    "`?` early-exit inside the exchange phase opened at line {}: an \
-                     error return skips `finish()` and deadlocks peer ranks",
-                    ph.start_line
-                ),
-            )),
-            '(' => parens += 1,
-            ')' => parens -= 1,
-            '{' => {
-                depth += 1;
-                if ph.pending_loop.as_ref().is_some_and(|&(p, _)| p == parens) {
-                    let (_, lbl) = ph.pending_loop.take().expect("checked above");
-                    ph.loops.push((depth, lbl));
-                }
-            }
-            '}' => {
-                if ph.loops.last().is_some_and(|&(d, _)| d == depth) {
-                    ph.loops.pop();
-                }
-                depth -= 1;
-                if depth < ph.start_depth {
-                    out.push((
-                        line,
-                        format!(
-                            "scope ends before the exchange phase opened at line {} \
-                             reached `finish()`",
-                            ph.start_line
-                        ),
-                    ));
-                    phase = None;
-                }
-            }
-            _ => {}
-        }
-        i += 1;
-    }
-    if let Some(ph) = phase {
-        out.push((
-            ph.start_line,
-            "exchange phase is never completed with `finish()`".to_string(),
-        ));
-    }
-    out
-}
-
-/// The collective entry points of the runtime's `RankCtx`/`Exchange`
-/// surface, as method-call prefixes.
-const COLLECTIVE_CALLS: [&str; 7] = [
-    ".barrier(",
-    ".allreduce_",
-    ".allgather_",
-    ".sim_sync(",
-    ".sim_time_units(",
-    ".exchange(",
-    ".finish(",
-];
-
-/// R2 — no collective inside a rank-divergent conditional. The
-/// conservative "branches on rank-local data" heuristic: any
-/// `if`/`while`/`match` whose condition mentions the token `rank` (the
-/// universal spelling of rank-local identity in this workspace) is
-/// considered divergent, and its branch bodies — including the attached
-/// `else`/`else if` chain — must not enter a collective: ranks taking
-/// different arms would enter different collective sequences.
-fn check_rank_divergent_collectives(stream: &[(char, usize)]) -> Vec<(usize, String)> {
-    let mut out: Vec<(usize, String)> = Vec::new();
-    let mut i = 0usize;
-    while i < stream.len() {
-        let kw = ["if", "while", "match"]
-            .into_iter()
-            .find(|kw| keyword_at(stream, i, kw));
-        let Some(kw) = kw else {
-            i += 1;
-            continue;
-        };
-        let cond_line = stream[i].1;
-        // Condition: everything up to the body `{` at bracket depth 0.
-        let mut j = i + kw.len();
-        let mut cond = String::new();
-        let mut nest = 0i32;
-        while let Some(&(c, _)) = stream.get(j) {
-            match c {
-                '(' | '[' => nest += 1,
-                ')' | ']' => nest -= 1,
-                '{' if nest == 0 => break,
-                ';' if nest == 0 => break, // not a block construct after all
-                _ => {}
-            }
-            cond.push(c);
-            j += 1;
-        }
-        if stream.get(j).map(|&(c, _)| c) != Some('{') || !has_token(&cond, "rank") {
-            i += kw.len();
-            continue;
-        }
-        // Scan the branch body and any else/else-if chain.
-        let mut region_end = block_end(stream, j);
-        scan_region_for_collectives(stream, j, region_end, kw, cond_line, &mut out);
-        loop {
-            let k = skip_ws(stream, region_end);
-            if !keyword_at(stream, k, "else") {
-                break;
-            }
-            let mut b = skip_ws(stream, k + "else".len());
-            if keyword_at(stream, b, "if") {
-                // Skip the else-if condition up to its body brace.
-                let mut nest = 0i32;
-                while let Some(&(c, _)) = stream.get(b) {
-                    match c {
-                        '(' | '[' => nest += 1,
-                        ')' | ']' => nest -= 1,
-                        '{' if nest == 0 => break,
-                        _ => {}
-                    }
-                    b += 1;
-                }
-            }
-            if stream.get(b).map(|&(c, _)| c) != Some('{') {
-                break;
-            }
-            region_end = block_end(stream, b);
-            scan_region_for_collectives(stream, b, region_end, kw, cond_line, &mut out);
-        }
-        i += kw.len();
-    }
-    out.sort();
-    out.dedup_by_key(|(line, _)| *line);
-    out
-}
-
 /// Index one past the `}` matching the `{` at `open`.
 pub(crate) fn block_end(stream: &[(char, usize)], open: usize) -> usize {
     let mut depth = 0i32;
@@ -1006,31 +724,6 @@ pub(crate) fn block_end(stream: &[(char, usize)], open: usize) -> usize {
     stream.len()
 }
 
-fn scan_region_for_collectives(
-    stream: &[(char, usize)],
-    start: usize,
-    end: usize,
-    kw: &str,
-    cond_line: usize,
-    out: &mut Vec<(usize, String)>,
-) {
-    for i in start..end {
-        for call in COLLECTIVE_CALLS {
-            if matches_at(stream, i, call) {
-                out.push((
-                    stream[i].1,
-                    format!(
-                        "collective `{call}..)` inside a rank-divergent `{kw}` (condition \
-                         on line {cond_line} reads `rank`): ranks taking different \
-                         branches enter different collective sequences and deadlock \
-                         or corrupt the protocol"
-                    ),
-                ));
-            }
-        }
-    }
-}
-
 // ---------------------------------------------------------------------------
 // The pass.
 // ---------------------------------------------------------------------------
@@ -1040,7 +733,7 @@ fn scan_region_for_collectives(
 const FIXTURE_PATH_MARKER: &str = "lint-fixture-path:";
 
 /// One scanned file: the input of both the per-file rules and the
-/// cross-file R4/R5 pass.
+/// phase-graph pass.
 struct ScannedFile {
     rel_path: String,
     lines: Vec<LineView>,
@@ -1111,7 +804,7 @@ fn lint_files(files: &[ScannedFile]) -> Vec<Finding> {
 }
 
 /// Every rule over one scanned file, with its phase-graph trees and
-/// precomputed R4/R5 findings when it has a race stream.
+/// precomputed R1/R2/R4/R5 findings when it has a race stream.
 fn lint_scanned(
     file: &ScannedFile,
     checked: Option<(FileInfo, Vec<ProtocolFinding>)>,
@@ -1280,15 +973,9 @@ fn lint_scanned(
         }
     }
 
-    // R1/R2/R4/R5 — cross-line collective-discipline passes over the
-    // non-test code region.
+    // R1/R2/R4/R5 — the collective-discipline rules, checked on the
+    // phase-graph trees of the non-test code region.
     if let (Some((_, stream)), Some((tree, protocol))) = (&file.race_stream, checked) {
-        for (lineno, message) in check_exchange_discipline(stream) {
-            push(lineno, Rule::R1, message, &mut findings);
-        }
-        for (lineno, message) in check_rank_divergent_collectives(stream) {
-            push(lineno, Rule::R2, message, &mut findings);
-        }
         for pf in protocol {
             push(pf.line, pf.rule, pf.message, &mut findings);
         }
@@ -1489,11 +1176,24 @@ mod tests {
         assert!(lint_source("crates/core/src/other.rs", bad).is_empty());
     }
 
+    /// The lines of `rule`'s findings on `src` linted as solver code.
+    fn rule_lines(src: &str, rule: Rule) -> Vec<usize> {
+        lint_source("crates/core/src/foo.rs", src)
+            .iter()
+            .filter(|f| f.rule == rule)
+            .map(|f| f.line)
+            .collect()
+    }
+
     #[test]
     fn r1_accepts_well_formed_phase_and_loop_local_breaks() {
         let src = "fn f(ctx: &mut C) {\n    let mut ex = ctx.exchange();\n    for x in xs {\n        if x == 0 { continue; }\n        if x == 9 { break; }\n        ex.send(0, x);\n    }\n    ex.finish(|_| {});\n}\n";
         let fs = lint_source("crates/core/src/foo.rs", src);
         assert!(fs.iter().all(|f| f.rule != Rule::R1), "{fs:?}");
+        // A `return` inside the closure handed to `finish` leaves the
+        // closure, and a `?` after `finish` runs outside the phase.
+        let src = "fn f(ctx: &mut C) -> Result<(), E> {\n    let mut ex = ctx.exchange();\n    ex.send(0, 1);\n    ex.finish(|m| {\n        if m == 0 { return; }\n        log(m);\n    });\n    let v = parse(s)?;\n    Ok(())\n}\n";
+        assert_eq!(rule_lines(src, Rule::R1), Vec::<usize>::new());
     }
 
     #[test]
@@ -1510,26 +1210,25 @@ mod tests {
         // Here the labeled loop encloses the `.exchange()` itself, so the
         // jump skips `finish()`.
         let src = "fn f(ctx: &mut C) {\n    'outer: for x in xs {\n        let mut ex = ctx.exchange();\n        for y in ys {\n            if y == 0 { break 'outer; }\n            ex.send(0, x);\n        }\n        ex.finish(|_| {});\n    }\n}\n";
-        let fs = lint_source("crates/core/src/foo.rs", src);
-        assert_eq!(
-            fs.iter().filter(|f| f.rule == Rule::R1).count(),
-            1,
-            "{fs:?}"
-        );
+        assert_eq!(rule_lines(src, Rule::R1), [5]);
+        // `continue 'outer` skips `finish()` just the same.
+        let src = "fn f(ctx: &mut C) {\n    'outer: for x in xs {\n        let mut ex = ctx.exchange();\n        for y in ys {\n            if y == x { continue 'outer; }\n            ex.send(0, y);\n        }\n        ex.finish(|_| {});\n    }\n}\n";
+        assert_eq!(rule_lines(src, Rule::R1), [5]);
     }
 
     #[test]
     fn r1_fires_on_question_mark_and_return_inside_phase() {
         let src = "fn f(ctx: &mut C) -> Result<(), E> {\n    let mut ex = ctx.exchange();\n    let v = parse(s)?;\n    if v == 0 { return Ok(()); }\n    ex.send(0, v);\n    ex.finish(|_| {});\n    Ok(())\n}\n";
-        let fs = lint_source("crates/core/src/foo.rs", src);
-        assert_eq!(fs.iter().filter(|f| f.rule == Rule::R1).count(), 2);
+        assert_eq!(rule_lines(src, Rule::R1), [3, 4]);
     }
 
     #[test]
     fn r1_fires_on_scope_exit_without_finish() {
         let src = "fn f(ctx: &mut C) {\n    {\n        let mut ex = ctx.exchange();\n        ex.send(0, 1);\n    }\n}\n";
-        let fs = lint_source("crates/core/src/foo.rs", src);
-        assert!(fs.iter().any(|f| f.rule == Rule::R1));
+        assert_eq!(rule_lines(src, Rule::R1).len(), 1);
+        // A second `exchange()` before the first phase's `finish()`.
+        let src = "fn f(ctx: &mut C) {\n    let mut a = ctx.exchange();\n    let mut b = ctx.exchange();\n    a.finish(|_| {});\n    b.finish(|_| {});\n}\n";
+        assert_eq!(rule_lines(src, Rule::R1), [3]);
     }
 
     #[test]
@@ -1550,6 +1249,18 @@ mod tests {
         assert!(lint_source("crates/core/src/foo.rs", bad)
             .iter()
             .any(|f| f.rule == Rule::R2));
+        // Equal arms on a `rank` scrutinee: R2 on each arm, R4 silent.
+        let eq = "fn f(ctx: &C, rank: usize) {\n    match rank {\n        0 => ctx.barrier(),\n        _ => ctx.barrier(),\n    }\n}\n";
+        assert_eq!(rule_lines(eq, Rule::R2), [3, 4]);
+        assert_eq!(rule_lines(eq, Rule::R4), Vec::<usize>::new());
+        // `rank` only as a call argument: taint treats the call result as
+        // replicated, so R4 is silent, but the `rank` token triggers R2.
+        let call = "fn f(ctx: &C, rank: usize) {\n    if is_leader(rank) {\n        ctx.barrier();\n    }\n}\n";
+        assert_eq!(rule_lines(call, Rule::R2), [3]);
+        assert_eq!(rule_lines(call, Rule::R4), Vec::<usize>::new());
+        // A `rank` test in `else if` covers the arms after it only.
+        let chain = "fn f(ctx: &C, n: usize, rank: usize) {\n    if n > 0 {\n        ctx.barrier();\n    } else if rank == 1 {\n        ctx.barrier();\n    } else {\n        ctx.barrier();\n    }\n}\n";
+        assert_eq!(rule_lines(chain, Rule::R2), [5, 7]);
     }
 
     #[test]

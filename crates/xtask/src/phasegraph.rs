@@ -20,7 +20,9 @@
 //!    the solver entry point (`rank_main` in `crates/core/src/parallel.rs`)
 //!    down through `crates/runtime`, resolving calls with `lookup`,
 //!    which the cost analysis shares;
-//! 3. two semantic rules generalize the syntactic `R2`:
+//! 3. four lint rules read the same trees: **R1** (every `exchange()`
+//!    reaches `finish()` on every path), **R2** (no collective under a
+//!    condition that mentions `rank`), and two that follow calls:
 //!    * **R4** — a conditional whose condition depends on rank-local
 //!      data must have equal protocol effect on every arm (including
 //!      early exits: a divergent `return`/`break` that skips later
@@ -401,12 +403,13 @@ pub(crate) enum PNode {
     /// A collective op (kind name) recorded at this line.
     Op(String, usize),
     /// A method call into the runtime's communication API (a
-    /// [`BUILTIN_EFFECTS`] name) with its argument span. Its arguments'
-    /// nodes precede it and the `Op`s it records follow it.
+    /// [`BUILTIN_EFFECTS`] name) with its argument span and the nodes of
+    /// its arguments. The `Op`s it records follow it.
     Api {
         name: String,
         line: usize,
         args: Span,
+        inner: Vec<PNode>,
     },
     /// An unresolved call site with its argument span and the nodes of
     /// its arguments, which evaluate before the callee runs.
@@ -417,23 +420,43 @@ pub(crate) enum PNode {
         args: Span,
         inner: Vec<PNode>,
     },
-    /// A conditional; `tainted` = condition reads rank-local data.
+    /// A conditional; `tainted` = some condition reads rank-local data;
+    /// `guarded` = the arm bodies that a condition mentioning `rank`
+    /// guards (an `else if` guards the arms after it).
     Branch {
         arms: Vec<Vec<PNode>>,
         tainted: bool,
         line: usize,
+        guarded: Vec<Span>,
     },
     /// A loop; `tainted` = header reads rank-local data; `iter` = the
-    /// `for` iterator span (`None` for `while` and `loop`).
+    /// `for` iterator span (`None` for `while` and `loop`); `guarded` =
+    /// the body of a `while` whose condition mentions `rank`.
     Loop {
         body: Vec<PNode>,
         tainted: bool,
         line: usize,
         iter: Option<Span>,
+        label: Option<String>,
+        guarded: Option<Span>,
     },
-    Break,
-    Continue,
-    Return,
+    /// `break`/`continue` with its optional `'label` and its line.
+    Break(Option<String>, usize),
+    Continue(Option<String>, usize),
+    /// `return` or the error branch of `?`, at its line.
+    Return(usize),
+}
+
+impl PNode {
+    /// The node lists nested in this node: call arguments, arms, a body.
+    pub(crate) fn children(&self) -> &[Vec<PNode>] {
+        match self {
+            PNode::Api { inner, .. } | PNode::Call { inner, .. } => std::slice::from_ref(inner),
+            PNode::Loop { body, .. } => std::slice::from_ref(body),
+            PNode::Branch { arms, .. } => arms,
+            _ => &[],
+        }
+    }
 }
 
 /// One function found in a file's stream.
@@ -940,6 +963,33 @@ pub(crate) fn find_body_open(stream: &Stream, s: usize, e: usize) -> Option<usiz
     None
 }
 
+/// Does `stream[s..e)` mention the token `rank`? R2's trigger: unlike
+/// taint, it sees `rank` passed to a call, but no assignments.
+fn mentions_rank(stream: &Stream, s: usize, e: usize) -> bool {
+    (s..e).any(|i| keyword_at(stream, i, "rank"))
+}
+
+/// The `'label:` right before the loop keyword at `i`, if any.
+fn loop_label(stream: &Stream, i: usize) -> Option<String> {
+    let mut j = i;
+    while j > 0 && stream[j - 1].0.is_whitespace() {
+        j -= 1;
+    }
+    let colon = j.checked_sub(1).filter(|&k| stream[k].0 == ':')?;
+    let mut k = colon;
+    while k > 0 && is_ident_char(stream[k - 1].0) {
+        k -= 1;
+    }
+    (k < colon && k > 0 && stream[k - 1].0 == '\'').then(|| read_word(stream, k))
+}
+
+/// The `'label` a `break`/`continue` ending at `i` names, if any.
+fn jump_label(stream: &Stream, i: usize) -> Option<String> {
+    let j = skip_ws(stream, i);
+    let w = read_word(stream, j + 1);
+    (stream.get(j).map(|&(c, _)| c) == Some('\'') && !w.is_empty()).then_some(w)
+}
+
 /// Parse an `if`/`else if`/`else` chain starting at the `if` keyword
 /// into `out`, in evaluation order: the first condition, then one branch
 /// whose later arms start with the `else if` conditions tested to reach
@@ -953,7 +1003,8 @@ fn parse_if(
 ) -> usize {
     let line = stream[start].1;
     let mut arms: Vec<Vec<PNode>> = Vec::new();
-    let mut any_tainted = false;
+    let (mut any_tainted, mut guarding) = (false, false);
+    let mut guarded = Vec::new();
     // Conditions evaluated on the way to the current arm.
     let mut conds: Vec<PNode> = Vec::new();
     let mut cur = start;
@@ -963,6 +1014,7 @@ fn parse_if(
             return cond_start;
         };
         any_tainted |= expr_tainted(stream, cond_start, body_open, tainted);
+        guarding |= mentions_rank(stream, cond_start, body_open);
         conds.extend(walk_range(stream, cond_start, body_open, tainted));
         if arms.is_empty() {
             out.append(&mut conds);
@@ -971,6 +1023,7 @@ fn parse_if(
         let mut arm = conds.clone();
         arm.extend(walk_range(stream, body_open + 1, close - 1, tainted));
         arms.push(arm);
+        guarded.extend(guarding.then_some((body_open, close)));
         let k = skip_ws(stream, close);
         if keyword_at(stream, k, "else") {
             let b = skip_ws(stream, k + 4);
@@ -982,6 +1035,7 @@ fn parse_if(
                 let c2 = block_end(stream, b);
                 conds.extend(walk_range(stream, b + 1, c2 - 1, tainted));
                 arms.push(conds);
+                guarded.extend(guarding.then_some((b, c2)));
                 break c2;
             }
         }
@@ -993,6 +1047,7 @@ fn parse_if(
         arms,
         tainted: any_tainted,
         line,
+        guarded,
     });
     end
 }
@@ -1014,6 +1069,8 @@ fn parse_match(
     let cond_tainted = expr_tainted(stream, scrut_start, body_open, tainted);
     out.extend(walk_range(stream, scrut_start, body_open, tainted));
     let close = block_end(stream, body_open);
+    let guarded =
+        Vec::from_iter(mentions_rank(stream, scrut_start, body_open).then_some((body_open, close)));
     let inner_end = close - 1;
     let mut arms: Vec<Vec<PNode>> = Vec::new();
     let mut j = body_open + 1;
@@ -1069,6 +1126,7 @@ fn parse_match(
             arms,
             tainted: cond_tainted,
             line,
+            guarded,
         });
     }
     close
@@ -1110,13 +1168,12 @@ fn walk_range(stream: &Stream, s: usize, e: usize, tainted: &BTreeSet<String>) -
                         out.push(PNode::Op(kind, line));
                     }
                 } else if let Some((_, effects)) = BUILTIN_EFFECTS.iter().find(|(n, _)| *n == w) {
-                    // Arguments evaluate before the collective runs.
                     let args = (after + 1, args_end - 1);
-                    out.extend(walk_range(stream, args.0, args.1, tainted));
                     out.push(PNode::Api {
                         name: w,
                         line,
                         args,
+                        inner: walk_range(stream, args.0, args.1, tainted),
                     });
                     for k in *effects {
                         out.push(PNode::Op((*k).to_string(), line));
@@ -1155,6 +1212,9 @@ fn walk_range(stream: &Stream, s: usize, e: usize, tainted: &BTreeSet<String>) -
                         tainted: expr_tainted(stream, cond_start, body_open, tainted),
                         line,
                         iter: None,
+                        label: loop_label(stream, i),
+                        guarded: mentions_rank(stream, cond_start, body_open)
+                            .then_some((body_open, close)),
                     });
                     i = close;
                     continue;
@@ -1171,6 +1231,8 @@ fn walk_range(stream: &Stream, s: usize, e: usize, tainted: &BTreeSet<String>) -
                         tainted: false,
                         line,
                         iter: None,
+                        label: loop_label(stream, i),
+                        guarded: None,
                     });
                     i = close;
                     continue;
@@ -1190,6 +1252,8 @@ fn walk_range(stream: &Stream, s: usize, e: usize, tainted: &BTreeSet<String>) -
                             tainted: expr_tainted(stream, in_at + 2, body_open, tainted),
                             line,
                             iter: Some((in_at + 2, body_open)),
+                            label: loop_label(stream, i),
+                            guarded: None,
                         });
                         i = close;
                         continue;
@@ -1201,17 +1265,17 @@ fn walk_range(stream: &Stream, s: usize, e: usize, tainted: &BTreeSet<String>) -
             if keyword_at(stream, i, "return") {
                 let end = ret_expr_end(stream, i + 6, e);
                 out.extend(walk_range(stream, i + 6, end, tainted));
-                out.push(PNode::Return);
+                out.push(PNode::Return(line));
                 i = end;
                 continue;
             }
             if keyword_at(stream, i, "break") {
-                out.push(PNode::Break);
+                out.push(PNode::Break(jump_label(stream, i + 5), line));
                 i += 5;
                 continue;
             }
             if keyword_at(stream, i, "continue") {
-                out.push(PNode::Continue);
+                out.push(PNode::Continue(jump_label(stream, i + 8), line));
                 i += 8;
                 continue;
             }
@@ -1253,6 +1317,7 @@ fn walk_range(stream: &Stream, s: usize, e: usize, tainted: &BTreeSet<String>) -
                         arms: vec![walk_range(stream, b + 1, close - 1, tainted), Vec::new()],
                         tainted: false,
                         line,
+                        guarded: Vec::new(),
                     });
                     i = close;
                     continue;
@@ -1292,9 +1357,10 @@ fn walk_range(stream: &Stream, s: usize, e: usize, tainted: &BTreeSet<String>) -
         }
         if c == '?' {
             out.push(PNode::Branch {
-                arms: vec![vec![PNode::Return], Vec::new()],
+                arms: vec![vec![PNode::Return(line)], Vec::new()],
                 tainted: false,
                 line,
+                guarded: Vec::new(),
             });
             i += 1;
             continue;
@@ -1344,7 +1410,7 @@ enum Memo {
 pub(crate) struct ProtocolFinding {
     /// 1-based line of the offending construct.
     pub(crate) line: usize,
-    /// [`Rule::R4`] or [`Rule::R5`].
+    /// [`Rule::R1`], [`Rule::R2`], [`Rule::R4`] or [`Rule::R5`].
     pub(crate) rule: Rule,
     /// Human-readable explanation.
     pub(crate) message: String,
@@ -1598,7 +1664,7 @@ impl Analyzer {
         for node in nodes {
             match node {
                 PNode::Op(k, _) => out.push(SpecNode::Op(k.clone())),
-                PNode::Api { .. } => {}
+                PNode::Api { inner, .. } => out.extend(self.canon(fi, inner)?),
                 PNode::Call {
                     name,
                     method,
@@ -1640,9 +1706,9 @@ impl Analyzer {
                         out.push(SpecNode::Loop(cb));
                     }
                 }
-                PNode::Break => out.push(SpecNode::Break),
-                PNode::Continue => out.push(SpecNode::Continue),
-                PNode::Return => out.push(SpecNode::Return),
+                PNode::Break(..) => out.push(SpecNode::Break),
+                PNode::Continue(..) => out.push(SpecNode::Continue),
+                PNode::Return(_) => out.push(SpecNode::Return),
             }
         }
         Ok(out)
@@ -1664,13 +1730,11 @@ impl Analyzer {
                 inner,
                 ..
             } => self.pnodes_have_op(fi, inner) || self.call_has_op(fi, name, *method),
-            PNode::Branch { arms, .. } => arms.iter().any(|a| self.pnodes_have_op(fi, a)),
-            PNode::Loop { body, .. } => self.pnodes_have_op(fi, body),
-            _ => false,
+            _ => n.children().iter().any(|c| self.pnodes_have_op(fi, c)),
         })
     }
 
-    /// R4/R5 over one function summary. `follow` = collectives happen
+    /// R2/R4/R5 over one function summary. `follow` = collectives happen
     /// after this node list in the enclosing context; `loops` = one
     /// entry per enclosing loop (true when its body has collectives).
     fn check_nodes(
@@ -1694,8 +1758,10 @@ impl Analyzer {
                     arms,
                     tainted,
                     line,
+                    guarded,
                 } => {
                     for a in arms {
+                        r2_sites(a, guarded, out);
                         self.check_nodes(fi, a, suffix[i], loops, out);
                     }
                     if !*tainted {
@@ -1750,6 +1816,7 @@ impl Analyzer {
                         });
                     }
                 }
+                PNode::Api { inner, .. } => self.check_nodes(fi, inner, suffix[i], loops, out),
                 PNode::Call {
                     name,
                     method,
@@ -1764,8 +1831,10 @@ impl Analyzer {
                     body,
                     tainted,
                     line,
+                    guarded,
                     ..
                 } => {
+                    r2_sites(body, guarded.as_slice(), out);
                     let body_op = self.pnodes_have_op(fi, body);
                     if *tainted && body_op {
                         out.push(ProtocolFinding {
@@ -1789,7 +1858,140 @@ impl Analyzer {
     }
 }
 
-/// Run the R4/R5 phase-graph checks over the stripped streams of a set
+/// R2 over `nodes`: every collective `Api` at any depth (each builtin
+/// but the point-to-point sends) whose call starts inside one of the
+/// `guarded` bodies.
+fn r2_sites(nodes: &[PNode], guarded: &[Span], out: &mut Vec<ProtocolFinding>) {
+    if guarded.is_empty() {
+        return;
+    }
+    for n in nodes {
+        if let PNode::Api {
+            name, line, args, ..
+        } = n
+        {
+            let collective = name != "send" && name != "send_keyed";
+            if collective && guarded.iter().any(|&(s, e)| s < args.0 && args.0 < e) {
+                out.push(ProtocolFinding {
+                    line: *line,
+                    rule: Rule::R2,
+                    message: format!(
+                        "collective `{name}` under a condition that reads `rank`: ranks \
+                         taking different branches enter different collective sequences \
+                         and deadlock or corrupt the protocol"
+                    ),
+                });
+            }
+        }
+        for kids in n.children() {
+            r2_sites(kids, guarded, out);
+        }
+    }
+}
+
+/// An exchange phase open on R1's path walk: the line of its
+/// `exchange()` and the number of loops around it.
+#[derive(Clone, Copy, PartialEq)]
+struct Phase {
+    line: usize,
+    depth: usize,
+}
+
+/// Report an R1 finding: `what` at `line` leaves the phase `ph` open.
+fn r1(out: &mut Vec<ProtocolFinding>, line: usize, what: &str, ph: Phase) {
+    out.push(ProtocolFinding {
+        line,
+        rule: Rule::R1,
+        message: format!(
+            "{what} before the exchange phase opened at line {} reaches `finish()`: \
+             peer ranks deadlock on this path",
+            ph.line
+        ),
+    });
+}
+
+/// R1 over `nodes` on every path: `exchange()` opens a phase and
+/// `finish()` closes it. While it is open, a `return`/`?`, a
+/// `break`/`continue` whose target loop encloses the `exchange()`, or a
+/// second `exchange()` is flagged. `loops` holds the labels of the
+/// enclosing loops. Returns the phase left open on some path.
+fn r1_paths(
+    nodes: &[PNode],
+    mut phase: Option<Phase>,
+    loops: &mut Vec<Option<String>>,
+    out: &mut Vec<ProtocolFinding>,
+) -> Option<Phase> {
+    for n in nodes {
+        match n {
+            PNode::Api { name, line, .. } if name == "exchange" => {
+                if let Some(ph) = phase {
+                    r1(out, *line, "`exchange()`", ph);
+                }
+                phase = Some(Phase {
+                    line: *line,
+                    depth: loops.len(),
+                });
+            }
+            PNode::Api { name, .. } if name == "finish" => phase = None,
+            PNode::Return(line) => {
+                if let Some(ph) = phase {
+                    r1(out, *line, "`return`/`?`", ph);
+                }
+            }
+            PNode::Break(label, line) | PNode::Continue(label, line) => {
+                // Only a jump to a loop inside the phase stays in it.
+                if let Some(ph) = phase {
+                    let inside = &loops[ph.depth..];
+                    let stays = match label {
+                        Some(l) => inside.iter().any(|x| x.as_ref() == Some(l)),
+                        None => !inside.is_empty(),
+                    };
+                    if !stays {
+                        r1(out, *line, "`break`/`continue`", ph);
+                    }
+                }
+            }
+            PNode::Branch { arms, .. } => {
+                let entry = phase.take();
+                for a in arms {
+                    phase = phase.or(r1_block(a, entry, loops, out));
+                }
+            }
+            PNode::Loop { body, label, .. } => {
+                loops.push(label.clone());
+                r1_block(body, phase, loops, out);
+                loops.pop();
+            }
+            _ => {}
+        }
+        // A call's arguments run after the phase change: the closure
+        // handed to `finish` runs once the phase is flushed.
+        if let PNode::Api { inner, .. } | PNode::Call { inner, .. } = n {
+            phase = r1_paths(inner, phase, loops, out);
+        }
+    }
+    phase
+}
+
+/// [`r1_paths`] over a block entered with `entry` open: a phase the
+/// block opens must also finish in it.
+fn r1_block(
+    nodes: &[PNode],
+    entry: Option<Phase>,
+    loops: &mut Vec<Option<String>>,
+    out: &mut Vec<ProtocolFinding>,
+) -> Option<Phase> {
+    let end = r1_paths(nodes, entry, loops, out);
+    match end {
+        Some(ph) if end != entry => {
+            r1(out, ph.line, "the end of the block", ph);
+            None
+        }
+        _ => end,
+    }
+}
+
+/// Run the R1/R2/R4/R5 phase-graph checks over the stripped streams of a set
 /// of files, each given with its workspace-relative path, returning per
 /// stream its analyzed trees (for the cost rule M1) and its findings.
 /// Calls resolve through [`lookup`]; an ambiguous or unknown callee
@@ -1803,6 +2005,7 @@ pub(crate) fn check_streams(streams: &[(&str, &Stream)]) -> Vec<(FileInfo, Vec<P
             for gi in 0..an.files[fi].fns.len() {
                 let nodes = an.files[fi].nodes[gi].clone();
                 an.check_nodes(fi, &nodes, false, &mut Vec::new(), &mut out);
+                r1_block(&nodes, None, &mut Vec::new(), &mut out);
             }
             out.sort_by_key(|a| (a.line, a.rule));
             out.dedup_by(|a, b| a.line == b.line && a.rule == b.rule);

@@ -184,6 +184,51 @@ fn r4_follows_calls_into_sibling_files() {
     assert!(lint_fixture("cross_file/caller.rs").is_empty());
 }
 
+/// The whole fixture directory, linted as one set the way
+/// `xtask lint crates/xtask/tests/fixtures` does, pinned finding by
+/// finding: a rule change that moves, adds or drops a line fails here
+/// even when every fixture still trips its own rule.
+#[test]
+fn fixture_directory_findings_are_pinned_line_for_line() {
+    let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures");
+    let got: Vec<(String, Rule, usize)> = xtask::lint_workspace(&dir)
+        .expect("fixture walk")
+        .into_iter()
+        .map(|f| (f.path, f.rule, f.line))
+        .collect();
+    let want: Vec<(String, Rule, usize)> = [
+        ("a1.rs", Rule::A1, 14),
+        ("c1.rs", Rule::C1, 1),
+        ("c1.rs", Rule::C1, 1),
+        ("cross_file/caller.rs", Rule::R4, 8),
+        ("d1.rs", Rule::D1, 4),
+        ("d1.rs", Rule::D1, 9),
+        ("f1.rs", Rule::F1, 6),
+        ("f2.rs", Rule::F2, 6),
+        ("m1.rs", Rule::M1, 11),
+        ("m1.rs", Rule::M1, 19),
+        ("midfile_cfg_test.rs", Rule::P1, 25),
+        ("p1.rs", Rule::P1, 6),
+        ("r1.rs", Rule::R1, 12),
+        ("r2.rs", Rule::R4, 10),
+        ("r2.rs", Rule::R2, 11),
+        ("r3.rs", Rule::R3, 9),
+        ("r4.rs", Rule::R4, 10),
+        ("r4.rs", Rule::R4, 19),
+        ("r5.rs", Rule::R5, 9),
+        ("r5.rs", Rule::R5, 17),
+        ("r5.rs", Rule::R5, 27),
+        ("sup.rs", Rule::Sup, 6),
+        ("t1.rs", Rule::T1, 10),
+        ("u1.rs", Rule::U1, 6),
+        ("x1.rs", Rule::X1, 14),
+    ]
+    .into_iter()
+    .map(|(p, r, l)| (p.to_string(), r, l))
+    .collect();
+    assert_eq!(got, want);
+}
+
 /// Regression for the test-region blind spot: a mid-file `#[cfg(test)]`
 /// module is masked, but library code *after* it is linted again. The
 /// old file-tail heuristic masked everything to EOF.

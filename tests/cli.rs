@@ -111,3 +111,23 @@ fn rejects_bad_arguments() {
         assert_eq!(out.status.code(), Some(2), "args {args:?} should fail");
     }
 }
+
+/// Weights near `f64::MAX` pass the reader; every solver must still
+/// print a finite Q (their sums overflowed to `Q = NaN` before the
+/// solvers rescaled out-of-band weights).
+#[test]
+fn near_max_weights_print_a_finite_q() {
+    let input = std::env::temp_dir().join("louvain_cli_test_near_max.edges");
+    std::fs::write(&input, "0 1 1e308\n1 2 1e308\n0 2 1e308\n").unwrap();
+    for solver in ["seq", "smp", "parallel"] {
+        let out = Command::new(louvain_bin())
+            .args([input.to_str().unwrap(), "--solver", solver])
+            .output()
+            .expect("binary runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(out.status.success(), "{solver}: {stderr}");
+        assert!(stderr.contains("Q = "), "{solver}: {stderr}");
+        assert!(!stderr.contains("NaN"), "{solver}: {stderr}");
+    }
+    let _ = std::fs::remove_file(&input);
+}

@@ -121,6 +121,20 @@ fn parallel_parts_reject_out_of_range_ids_on_one_rank() {
         ParallelLouvain::new(ParallelConfig::with_ranks(1)).run_from_parts(3, |_| chunk.clone());
 }
 
+/// `run_from_parts` never holds the whole input, so it cannot rescale
+/// weights the solver's products would overflow on: it rejects them.
+#[test]
+#[should_panic(expected = "rank 1: largest chunk weight 1e300 lies outside [2^-64, 2^64]")]
+fn parallel_parts_reject_out_of_band_weights() {
+    let chunk = |w: f64| {
+        let mut b = EdgeListBuilder::new(3);
+        b.add_edge(0, 1, w);
+        b.build()
+    };
+    let _ = ParallelLouvain::new(ParallelConfig::with_ranks(2))
+        .run_from_parts(3, |r| chunk(if r == 1 { 1e300 } else { 1.0 }));
+}
+
 /// Under `ArcBalanced` the id check runs before the degree count that
 /// builds the partition.
 #[test]
