@@ -19,11 +19,12 @@
 //!   state-propagation delta wakes the local neighbors of the migrated
 //!   vertex (the remote piggyback, via the `OutTable` source
 //!   index) — and W2 — a bitwise change in a community's replicated
-//!   `Σ_tot`/size snapshot wakes everyone with a live Out-Table row
-//!   into it and every member holding an external candidate row
-//!   (interior members' scans are constants, so they sleep through
-//!   their own community's breathing), plus the solver's self-wake of
-//!   each mover, whose label change invalidates its cached scan.
+//!   `Σ_tot`/size snapshot wakes every member holding an external
+//!   candidate row (interior members' scans are constants, so they
+//!   sleep through their own community's breathing) and hands everyone
+//!   else with a live Out-Table row into it a scan patch — plus the
+//!   solver's self-wake of each mover, whose label change invalidates
+//!   its cached scan.
 //!
 //! - the **eligibility ledger** — a bitset recording which vertices'
 //!   cached gain is positive. An ε-throttled vertex may
@@ -43,7 +44,7 @@
 //! (DESIGN.md §8) holds for the frontier-scheduled solver exactly as it
 //! did for the full scan.
 
-use crate::parallel::OutTable;
+use crate::parallel::{group_by_index, OutTable, RowScratch};
 
 /// Frontier counters of one solver run, summed over ranks, levels and
 /// inner iterations (also exported as the trace counters
@@ -155,7 +156,8 @@ impl Bitset {
 ///
 /// Lifecycle per inner iteration: wake rules accumulate into `pending`
 /// (during the previous iteration's update/propagation and this
-/// iteration's snapshot diff), [`Frontier::commit`] swaps `pending` into
+/// iteration's snapshot diff, which also hands the solver each patched
+/// vertex's candidate group), [`Frontier::commit`] swaps `pending` into
 /// the committed `active` set and rebuilds the sorted [`Frontier::worklist`],
 /// the FIND BEST sweep scans that worklist and records each scanned
 /// vertex's eligibility (`set_eligible`), and the UPDATE sweep iterates
@@ -178,37 +180,29 @@ pub(crate) struct Frontier {
     /// iteration (global community id space).
     changed: Bitset,
     changed_ids: Vec<u32>,
-    /// Scratch: changed communities already patched for the vertex the
-    /// adjacency pass is walking (global community id space).
-    seen: Bitset,
-    /// Scratch: vertices whose own row the W1 drain already probed.
-    probed: Bitset,
+    /// Scratch: the W1-dirty candidate rows of the vertex the pass is
+    /// at (global community id space).
+    marked: Bitset,
     /// The committed scan vertices, ascending. Rebuilt by `commit`.
     pub(crate) worklist: Vec<u32>,
     /// The eligible vertices, ascending. Rebuilt by `commit_eligible`.
     pub(crate) eligible_list: Vec<u32>,
-    /// Scan patches of this iteration: `(local vertex, changed
-    /// candidate community)` pairs for vertices whose only dependency
-    /// changes are individual candidate entries. The solver folds just
-    /// these candidates over the cached decision instead of re-scanning
-    /// the vertex's whole row set — bitwise equal to a full re-scan,
-    /// because the f64 lexmax (`total_cmp`, larger-id tie-break) needs
-    /// no history when the incumbent entry survives; when the incumbent
-    /// itself weakens or vanishes, the patch pass escalates the vertex
-    /// to a full re-scan instead. Sorted by `(vertex, community)` and
-    /// deduplicated, so the pass can group per vertex and visit
-    /// candidates in the full scan's ascending community order.
-    pub(crate) patches: Vec<(u32, u32)>,
-    /// Wake rule W1 input: `(local vertex, community)` rows that a
-    /// relabelled arc left or joined during the last delta application,
-    /// duplicates included. Row weights are the one find-best input the
-    /// snapshot-diff rule W2 cannot observe — a community that loses one
-    /// vertex and gains another of bitwise-equal degree lands its
-    /// `Σ_tot`/size back on identical bits while its neighbors' rows
-    /// still moved. The next [`Frontier::wake_snapshot_changes`] call
-    /// drains this list through the same wake-or-patch classification as
-    /// the snapshot diff.
+    /// Wake rule W1 input: `(local vertex, community)` candidate rows
+    /// that a relabelled arc left or joined during the last delta
+    /// application, duplicates included. Row weights are the one
+    /// find-best input the snapshot-diff rule W2 cannot observe — a
+    /// community that loses one vertex and gains another of
+    /// bitwise-equal degree lands its `Σ_tot`/size back on identical bits
+    /// while its neighbors' rows still moved. The next
+    /// [`Frontier::wake_snapshot_changes`] call drains this list through
+    /// the same wake-or-patch classification as the snapshot diff.
     row_dirty: Vec<(u32, u32)>,
+    /// W1 input for own rows: the vertices whose own-community row a
+    /// relabelled arc left or joined.
+    own_dirty: Bitset,
+    /// Scratch: `row_dirty` grouped by vertex (`dirty_off`, `dirty_c`).
+    dirty_off: Vec<usize>,
+    dirty_c: Vec<u32>,
     pub(crate) stats: FrontierStats,
 }
 
@@ -238,23 +232,15 @@ impl Frontier {
             eligible: Bitset::new(local_n),
             changed: Bitset::new(global_n),
             changed_ids: Vec::new(),
-            seen: Bitset::new(global_n),
-            probed: Bitset::new(local_n),
+            marked: Bitset::new(global_n),
             worklist: Vec::with_capacity(local_n),
             eligible_list: Vec::new(),
-            patches: Vec::new(),
             row_dirty: Vec::new(),
+            own_dirty: Bitset::new(local_n),
+            dirty_off: Vec::new(),
+            dirty_c: Vec::new(),
             stats: FrontierStats::default(),
         }
-    }
-
-    /// Whether `li` is scheduled for a full re-scan this iteration
-    /// (patches are skipped for such vertices — the re-scan supersedes
-    /// them). The patch pass runs between [`Frontier::wake_snapshot_changes`]
-    /// and [`Frontier::commit`], so the schedule lives in the pending set.
-    #[inline]
-    pub(crate) fn is_pending(&self, li: usize) -> bool {
-        self.pending.contains(li)
     }
 
     /// Schedules local vertex `li` for the next committed iteration.
@@ -288,13 +274,19 @@ impl Frontier {
         self.eligible_list = list;
     }
 
-    /// Records a `(local vertex, community)` Out-Table row that a
-    /// relabelled arc left or joined (wake rule W1, fed by the delta
-    /// application). Dirt on a vertex already due for a full re-scan is
+    /// Records Out-Table row `(li, c)` of a vertex in community `c_u`
+    /// as one a relabelled arc left or joined (wake rule W1, fed by the
+    /// delta application): a bit for the own row, a list entry for a
+    /// candidate row. Dirt on a vertex already due for a full re-scan is
     /// dropped: the re-scan supersedes it.
     #[inline]
-    pub(crate) fn mark_row_dirty(&mut self, li: usize, c: u32) {
-        if !self.pending.contains(li) {
+    pub(crate) fn mark_row_dirty(&mut self, li: usize, c_u: u32, c: u32) {
+        if self.pending.contains(li) {
+            return;
+        }
+        if c == c_u {
+            self.own_dirty.set(li);
+        } else {
             self.row_dirty.push((li as u32, c));
         }
     }
@@ -306,49 +298,46 @@ impl Frontier {
     pub(crate) fn wake_all(&mut self) {
         self.pending.set_all(self.local_n);
         self.row_dirty.clear();
+        self.own_dirty.clear();
     }
 
     /// Wake rule W2 (DESIGN.md §13): diff the replicated `Σ_tot` and
     /// size snapshots against the previous iteration's — **bitwise**, so
     /// the diff itself can never depend on rounding-mode subtleties or
-    /// trip lint rule F1 — and for every changed community `c`:
+    /// trip lint rule F1 — and drain the W1 row-dirty list, in one
+    /// ascending pass over the local vertices not already pending.
     ///
-    /// (a) wake every local member of `c` that holds a live Out-Table
-    /// row into some *other* community. The external-candidate test is
-    /// what keeps mature levels cheap: an **interior** vertex — every
-    /// live row inside its own community — computes `(m_u = 0,
-    /// best = c_u)` no matter what the snapshots say (the candidate loop
-    /// never runs), so its cached scan stays exact while its community
-    /// breathes. A member's own `Σ_tot` enters the remove term of every
-    /// candidate sum, so members with a foot outside the door need the
-    /// full re-scan.
+    /// A vertex whose own-community row or own community's snapshot
+    /// changed is woken for a full re-scan — `w_own` and `Σ_tot(c_u)`
+    /// feed the remove term of every candidate sum — unless it is
+    /// **interior** (no live row outside `c_u`): its candidate loop never
+    /// runs, so its cached `(m_u = 0, best = c_u)` stays exact while its
+    /// community breathes. That exclusion is what keeps mature levels
+    /// cheap.
     ///
-    /// (b) for every local non-member with a live Out-Table row into `c`
-    /// (one pass over the arc labels of `rows`): only the single
-    /// candidate sum for `c` moved,
-    /// so the vertex gets a **scan patch** — the solver re-folds just
-    /// that candidate over the cached incumbent, `O(changed rows)`
-    /// instead of `O(degree)`, escalating to a full re-scan only when
-    /// the cached winner's own entry weakened (the sole case where the
-    /// new maximum can hide among the unchanged candidates).
-    ///
-    /// The call also drains the W1 row-dirty list (rows an arc moved into
-    /// or out of under the last delta application — the input the
-    /// snapshot diff cannot observe) through the same classification:
-    /// own-community row touched → full re-scan unless interior,
-    /// anything else → scan patch.
+    /// Any other vertex gets a **scan patch** when some candidate entry
+    /// moved: its W1-dirty candidate rows, plus its live rows into
+    /// changed communities (one candidate's insert term moved each). One
+    /// walk of its arcs ([`OutTable::gather_into`], restricted to the own
+    /// label, the dirty rows and the changed communities) yields the
+    /// group, deduplicated, with fresh row sums: `scratch.rows[0]` is the
+    /// own row, the rest the distinct candidates, each bitwise the value
+    /// a full gather computes. `patch(li, scratch)` re-folds the group
+    /// over the cached incumbent, `O(group)` instead of `O(degree)`, and
+    /// returns the vertex's new eligibility — or `None` when the new
+    /// maximum may hide among the unchanged candidates, which wakes the
+    /// vertex for a full re-scan instead.
     pub(crate) fn wake_snapshot_changes(
         &mut self,
-        prev_tot: &[f64],
-        tot: &[f64],
-        prev_size: &[f64],
-        size: &[f64],
+        snapshots: [&[f64]; 4],
         label: &[u32],
         rows: &OutTable,
+        scratch: &mut RowScratch,
+        mut patch: impl FnMut(usize, &RowScratch) -> Option<bool>,
     ) {
+        let [prev_tot, tot, prev_size, size] = snapshots;
         debug_assert_eq!(prev_tot.len(), tot.len());
         debug_assert_eq!(prev_size.len(), size.len());
-        self.patches.clear();
         self.changed_ids.clear();
         for c in 0..tot.len() {
             // The size snapshot enters FIND BEST only through the
@@ -364,86 +353,59 @@ impl Frontier {
                 self.changed_ids.push(c as u32);
             }
         }
-        // (a) members of changed communities, interior members excluded.
-        // The probe stops at the first arc labelled outside `c`.
-        // Skipped entirely (an O(n_local) sweep) when no snapshot moved.
-        if !self.changed_ids.is_empty() {
-            for (li, &c) in label.iter().enumerate() {
-                if self.changed.contains(c as usize) && rows.has_external(li, c) {
-                    self.pending.set(li);
-                }
-            }
-        }
-        // (W1) rows a relabelled arc left or joined. The list repeats a
-        // row once per arc that moved it; the patch list below is
-        // deduplicated anyway, and `probed` runs each vertex's O(degree)
-        // interior probe at most once. Index-based loop: `row_dirty` and
-        // `pending` are both fields of self.
-        for i in 0..self.row_dirty.len() {
-            let (lv, c) = self.row_dirty[i];
-            let li = lv as usize;
-            if label[li] == c {
-                // The own-community row moved: `w_own` feeds the remove
-                // term of every candidate sum, so the whole cached fold
-                // is stale — unless the vertex is interior (no live
-                // external row), whose scan is the constant `(0, c_u)`.
-                if !self.pending.contains(li) && !self.probed.contains(li) {
-                    self.probed.set(li);
-                    if rows.has_external(li, c) {
-                        self.pending.set(li);
-                    }
-                }
-            } else if !self.pending.contains(li) {
-                // A candidate entry moved (or died, or was born): defer
-                // to the patch pass, which re-folds it in O(1) — and
-                // escalates to a full re-scan itself when the *cached
-                // winner's* entry weakened (only then can the new
-                // maximum hide among the unchanged candidates). Vertices
-                // already pending are re-scanned in full anyway.
-                self.patches.push((lv, c));
-            }
-        }
+        // W1's rows, grouped by vertex. The list repeats a row once per
+        // arc that moved it; the row scratch deduplicates.
+        group_by_index(
+            &self.row_dirty,
+            self.local_n,
+            &mut self.dirty_off,
+            &mut self.dirty_c,
+        );
         self.row_dirty.clear();
-        self.probed.clear();
-        // (b) vertices adjacent to changed communities: one pass over the
-        // arc labels of every vertex not already due for a full re-scan.
-        // A member's own-community row was already decided (with the
-        // interior test) by the membership scan above; any other row
-        // into a changed community is an external candidate whose gain
-        // term moved — hand it to the patch pass, once per vertex (the
-        // `seen` marks are cleared through the vertex's new patches).
-        // Skipped when no snapshot moved.
-        if !self.changed_ids.is_empty() {
-            for (li, &own) in label.iter().enumerate() {
-                if self.pending.contains(li) {
-                    continue;
-                }
-                let first = self.patches.len();
-                for &c in rows.labels(li) {
-                    let ci = c as usize;
-                    if c != own && self.changed.contains(ci) && !self.seen.contains(ci) {
-                        self.seen.set(ci);
-                        self.patches.push((li as u32, c));
-                    }
-                }
-                for i in first..self.patches.len() {
-                    self.seen.unset(self.patches[i].1 as usize);
-                }
+        let any_changed = !self.changed_ids.is_empty();
+        debug_assert_eq!(label.len(), self.local_n);
+        for (li, &own) in label.iter().enumerate() {
+            let dirty = &self.dirty_c[self.dirty_off[li]..self.dirty_off[li + 1]];
+            if self.pending.contains(li) {
+                continue;
+            }
+            if (self.changed.contains(own as usize) || self.own_dirty.contains(li))
+                && rows.has_external(li, own)
+            {
+                self.pending.set(li);
+                continue;
+            }
+            if !any_changed && dirty.is_empty() {
+                continue;
+            }
+            scratch.begin();
+            scratch.admit(own);
+            for &c in dirty {
+                scratch.admit(c);
+                self.marked.set(c as usize);
+            }
+            let (changed, marked) = (&self.changed, &self.marked);
+            let admit =
+                |c: u32| c == own || changed.contains(c as usize) || marked.contains(c as usize);
+            rows.gather_into(li, scratch, admit);
+            for &c in dirty {
+                self.marked.unset(c as usize);
+            }
+            if scratch.rows.len() == 1 {
+                continue;
+            }
+            match patch(li, scratch) {
+                Some(true) => self.eligible.set(li),
+                Some(false) => self.eligible.unset(li),
+                None => self.pending.set(li),
             }
         }
-        // Ascending (vertex, community), deduplicated: W1 and W2 can
-        // nominate the same candidate (the fold is idempotent, but the
-        // work counter should not double-charge), and the patch fold must
-        // visit a vertex's changed candidates in the same relative order
-        // as the full scan's ascending candidate sweep.
-        self.patches.sort_unstable();
-        self.patches.dedup();
         // Reset the scratch bitset through the id list (cheaper than a
         // full-word sweep when few communities changed).
-        for i in 0..self.changed_ids.len() {
-            let c = self.changed_ids[i] as usize;
-            self.changed.words[c / 64] &= !(1u64 << (c % 64));
+        for &c in &self.changed_ids {
+            self.changed.unset(c as usize);
         }
+        self.own_dirty.clear();
     }
 
     /// Promotes the pending wakes to the committed active set, rebuilds
@@ -537,6 +499,42 @@ mod tests {
         OutTable::from_arcs(offsets, flat, weights)
     }
 
+    /// Runs the snapshot diff and returns every candidate group it hands
+    /// to the patch pass as `(vertex, candidate)` pairs, ascending by
+    /// vertex and, within a group, by candidate. Each group must open
+    /// with the vertex's own row and carry every row's fresh sum, bitwise
+    /// [`OutTable::weight`]; `resolve` is the patch pass's verdict.
+    fn diff_with(
+        f: &mut Frontier,
+        snapshots: [&[f64]; 4],
+        label: &[u32],
+        rows: &OutTable,
+        resolve: Option<bool>,
+    ) -> Vec<(u32, u32)> {
+        let mut scratch = RowScratch::new(snapshots[1].len());
+        let mut groups = Vec::new();
+        f.wake_snapshot_changes(snapshots, label, rows, &mut scratch, |li, g| {
+            assert_eq!(g.rows[0].0, label[li], "vertex {li}: own row first");
+            for &(c, w) in &g.rows {
+                assert_eq!(w.to_bits(), rows.weight(li, c).to_bits(), "row ({li}, {c})");
+            }
+            let mut cs: Vec<u32> = g.rows[1..].iter().map(|&(c, _)| c).collect();
+            cs.sort_unstable();
+            groups.extend(cs.into_iter().map(|c| (li as u32, c)));
+            resolve
+        });
+        groups
+    }
+
+    fn diff(
+        f: &mut Frontier,
+        snapshots: [&[f64]; 4],
+        label: &[u32],
+        rows: &OutTable,
+    ) -> Vec<(u32, u32)> {
+        diff_with(f, snapshots, label, rows, Some(false))
+    }
+
     #[test]
     fn snapshot_diff_wakes_members_and_patches_adjacent_vertices() {
         // 4 local vertices, labels over 6 communities.
@@ -548,11 +546,11 @@ mod tests {
         tot[3] = 2.0; // community 3 changed
         let size = prev.clone();
         let mut f = Frontier::new(4, 6);
-        f.wake_snapshot_changes(&prev, &tot, &prev, &size, &label, &rows);
+        let patches = diff(&mut f, [&prev, &tot, &prev, &size], &label, &rows);
         // Nobody is labelled 3; only vertex 2 is adjacent to it — a
         // single candidate sum moved, so it gets a patch, not a wake
         // (the solver's patch pass escalates if 3 was its winner).
-        assert_eq!(f.patches, vec![(2, 3)]);
+        assert_eq!(patches, vec![(2, 3)]);
         f.commit(false);
         assert!(f.worklist.is_empty());
 
@@ -562,10 +560,10 @@ mod tests {
         let mut size2 = prev.clone();
         size2[2] = 3.0;
         let mut f = Frontier::new(4, 6);
-        f.wake_snapshot_changes(&prev, &prev, &prev, &size2, &label, &rows);
+        let patches = diff(&mut f, [&prev, &prev, &prev, &size2], &label, &rows);
         f.commit(false);
         assert_eq!(f.worklist, vec![0]);
-        assert!(f.patches.is_empty());
+        assert!(patches.is_empty());
     }
 
     #[test]
@@ -579,10 +577,10 @@ mod tests {
         let mut tot = prev.clone();
         tot[3] = 2.0;
         let mut f = Frontier::new(2, 4);
-        f.wake_snapshot_changes(&prev, &tot, &prev, &prev, &label, &rows);
+        let patches = diff(&mut f, [&prev, &tot, &prev, &prev], &label, &rows);
         f.commit(false);
         assert!(f.worklist.is_empty());
-        assert_eq!(f.patches, vec![(0, 3)]);
+        assert_eq!(patches, vec![(0, 3)]);
 
         // Both candidates change: one patch group, ascending community
         // order — the winner-escalation decision needs the gain values,
@@ -591,18 +589,35 @@ mod tests {
         tot[2] = 2.0;
         tot[3] = 2.0;
         let mut f = Frontier::new(2, 4);
-        f.wake_snapshot_changes(&prev, &tot, &prev, &prev, &label, &rows);
-        assert_eq!(f.patches, vec![(0, 2), (0, 3)]);
-        assert!(!f.is_pending(0));
+        let patches = diff(&mut f, [&prev, &tot, &prev, &prev], &label, &rows);
+        assert_eq!(patches, vec![(0, 2), (0, 3)]);
+        assert!(!f.pending.contains(0));
+
+        // W1 dirt (twice over) and a snapshot change name the same
+        // candidate: it is patched — and counted — once.
+        let mut tot = prev.clone();
+        tot[3] = 2.0;
+        let mut f = Frontier::new(2, 4);
+        f.mark_row_dirty(0, label[0], 3);
+        f.mark_row_dirty(0, label[0], 3);
+        let patches = diff(&mut f, [&prev, &tot, &prev, &prev], &label, &rows);
+        assert_eq!(patches, vec![(0, 3)]);
+
+        // The patch pass's escalation verdict wakes the vertex.
+        let mut f = Frontier::new(2, 4);
+        let patches = diff_with(&mut f, [&prev, &tot, &prev, &prev], &label, &rows, None);
+        assert_eq!(patches, vec![(0, 3)]);
+        f.commit(false);
+        assert_eq!(f.worklist, vec![0]);
 
         // A pending vertex's full re-scan supersedes its patches: W1
         // dirt on a candidate row of an already-woken vertex is dropped.
         let mut f = Frontier::new(2, 4);
         f.wake(0);
-        f.mark_row_dirty(0, 3);
-        f.wake_snapshot_changes(&prev, &prev, &prev, &prev, &label, &rows);
-        assert!(f.patches.is_empty(), "pending vertices are not patched");
-        assert!(f.is_pending(0));
+        f.mark_row_dirty(0, label[0], 3);
+        let patches = diff(&mut f, [&prev, &prev, &prev, &prev], &label, &rows);
+        assert!(patches.is_empty(), "pending vertices are not patched");
+        assert!(f.pending.contains(0));
         f.commit(false);
         assert_eq!(f.worklist, vec![0]);
     }
@@ -618,28 +633,35 @@ mod tests {
         // Own-community row moved: the remove term of every candidate
         // sum is stale — full re-scan for the straddler.
         let mut f = Frontier::new(2, 3);
-        f.mark_row_dirty(0, 0);
-        f.wake_snapshot_changes(&snap, &snap, &snap, &snap, &label, &rows);
-        assert!(f.patches.is_empty());
+        f.mark_row_dirty(0, label[0], 0);
+        let patches = diff(&mut f, [&snap, &snap, &snap, &snap], &label, &rows);
+        assert!(patches.is_empty());
         f.commit(false);
         assert_eq!(f.worklist, vec![0]);
 
         // Interior vertex: its scan is the constant (0, c_u), so even an
         // own-row change leaves the cached decision exact.
         let mut f = Frontier::new(2, 3);
-        f.mark_row_dirty(1, 1);
-        f.wake_snapshot_changes(&snap, &snap, &snap, &snap, &label, &rows);
+        f.mark_row_dirty(1, label[1], 1);
+        let patches = diff(&mut f, [&snap, &snap, &snap, &snap], &label, &rows);
         f.commit(false);
         assert!(f.worklist.is_empty());
-        assert!(f.patches.is_empty());
+        assert!(patches.is_empty());
 
         // Candidate row moved (all snapshots cancelled bitwise): patch.
         let mut f = Frontier::new(2, 3);
-        f.mark_row_dirty(0, 2);
-        f.wake_snapshot_changes(&snap, &snap, &snap, &snap, &label, &rows);
-        assert_eq!(f.patches, vec![(0, 2)]);
+        f.mark_row_dirty(0, label[0], 2);
+        let patches = diff(&mut f, [&snap, &snap, &snap, &snap], &label, &rows);
+        assert_eq!(patches, vec![(0, 2)]);
         f.commit(false);
         assert!(f.worklist.is_empty());
+
+        // A candidate row the arcs left is dead, but still patched: the
+        // solver must drop its cached entry (it reads 0.0).
+        let mut f = Frontier::new(2, 3);
+        f.mark_row_dirty(1, label[1], 0);
+        let patches = diff(&mut f, [&snap, &snap, &snap, &snap], &label, &rows);
+        assert_eq!(patches, vec![(1, 0)]);
     }
 
     #[test]
@@ -653,7 +675,8 @@ mod tests {
         let mut tot = prev.clone();
         tot[2] = 5.0; // the vertices' own community breathes
         let mut f = Frontier::new(2, 4);
-        f.wake_snapshot_changes(&prev, &tot, &prev, &prev, &label, &rows);
+        let patches = diff(&mut f, [&prev, &tot, &prev, &prev], &label, &rows);
+        assert!(patches.is_empty());
         f.commit(false);
         assert_eq!(
             f.worklist,
@@ -668,7 +691,7 @@ mod tests {
         let rows = index(&[&[] as &[u32]; 8]);
         let snap = vec![0.25f64; 8];
         let mut f = Frontier::new(8, 8);
-        f.wake_snapshot_changes(&snap, &snap, &snap, &snap, &label, &rows);
+        assert!(diff(&mut f, [&snap, &snap, &snap, &snap], &label, &rows).is_empty());
         f.commit(false);
         assert!(f.worklist.is_empty());
         assert_eq!(f.stats.skipped_scans, 8);

@@ -84,7 +84,7 @@ mod resume;
 
 pub(crate) use inner_loop::propagate_deltas;
 pub(crate) use level::build_initial_level;
-pub(crate) use out_table::{OutTable, RowScratch};
+pub(crate) use out_table::{group_by_index, OutTable, RowScratch};
 
 use crate::checkpoint::CheckpointStore;
 use crate::frontier::FrontierStats;

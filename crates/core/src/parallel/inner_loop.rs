@@ -3,7 +3,7 @@
 //! PROPAGATION (Algorithm 3) and the modularity reduction.
 
 use super::level::RankLevel;
-use super::out_table::{OutTable, RowScratch};
+use super::out_table::{group_by_index, OutTable, RowScratch};
 use super::{LoopState, Msg, ParallelConfig};
 use crate::dq;
 use crate::frontier::Frontier;
@@ -44,14 +44,14 @@ fn send_full_rebuild(
 /// — keyed sends, so a vertex with many neighbors on one rank costs one
 /// message. Received deltas relabel the arcs of the migrated vertex in
 /// the Out-Table through [`OutTable::apply_deltas`] (DESIGN.md §10),
-/// which hands every row a relabelled arc left or entered to `dirty`.
+/// which hands `dirty` the two rows each relabelled arc moved between.
 pub(crate) fn propagate_deltas(
     ctx: &mut RankCtx<'_, Msg>,
     lvl: &RankLevel,
     table: &mut OutTable,
     migrated: &[(u32, u32)],
     v1_state_rebuild: bool,
-    dirty: impl FnMut(u32, u32),
+    dirty: impl FnMut(u32, u32, u32),
 ) {
     let part = &lvl.part;
     let rank = ctx.rank();
@@ -168,6 +168,35 @@ impl CandSummary {
         }
     }
 
+    /// Resolves a patch fold — the sentinel, the group's fresh entries
+    /// and the cached prefix entries outside the group — against the
+    /// cached summary's `bound` on every entry the fold did not see:
+    /// `None` when the fold's max falls short of it (the new maximum may
+    /// hide among the unchanged candidates, so the vertex needs a full
+    /// re-scan), else the new exact-prefix summary.
+    fn resolve(mut self, bound: (f64, u32)) -> Option<Self> {
+        // A `-∞` bound means the cached fold enumerated every
+        // contributing entry, so nothing is hiding below the prefix.
+        let bounded = bound.0.is_finite();
+        if bounded && lex_gt(bound.0, bound.1, self.e[0].0, self.e[0].1) {
+            return None;
+        }
+        // The fold entries that clear the bound are exactly the top of
+        // the new entry set (no hidden entry can interleave above them —
+        // pairs are unique, so a hidden entry equal to the bound still
+        // loses to a fold entry at the bound). Entries below stay
+        // covered: hidden ones by the old bound, fold overflow by the
+        // last slot when the prefix is full.
+        if bounded {
+            let filled = self.v as usize;
+            self.v = (0..filled)
+                .take_while(|&i| !lex_gt(bound.0, bound.1, self.e[i].0, self.e[i].1))
+                .count() as u8;
+        }
+        self.seal(bound);
+        Some(self)
+    }
+
     /// Closes a fold whose prefix is exact: anything pushed off the
     /// bottom is bounded by the last slot when the prefix is full, and
     /// every entry the fold never saw by `unseen` (`-∞` after a full
@@ -204,7 +233,14 @@ impl GainKernel<'_> {
         k_u: f64,
     ) -> f64 {
         table.gather(li, scratch);
-        let w_own = scratch.get(c_u) - table.self_loop(li);
+        self.remove(table, li, c_u, scratch.get(c_u), k_u)
+    }
+
+    /// The gain of removing local vertex `li` (degree `k_u`) from its
+    /// community `c_u`, whose gathered own row weighs `w_c_u`.
+    #[inline]
+    fn remove(&self, table: &OutTable, li: usize, c_u: u32, w_c_u: f64, k_u: f64) -> f64 {
+        let w_own = w_c_u - table.self_loop(li);
         dq::remove_gain(w_own, k_u, self.tot_snap[c_u as usize], self.s)
     }
 
@@ -275,6 +311,11 @@ pub(super) fn refine(
     // so the untouched entries still feed `compute_threshold` and the
     // UPDATE sweep the exact values a full rescan would produce.
     let mut frontier = Frontier::new(local_n, lvl.n);
+    // Σ_in's per-vertex input (DESIGN.md §10): each vertex's own-row
+    // weight `w_{u→c_u}`, cached across iterations; `None` (stale) when
+    // the vertex moved in UPDATE or the delta application reported its
+    // own row, and re-walked only then.
+    let mut own_w: Vec<Option<f64>> = vec![None; local_n];
     let mut prev_tot: Vec<f64> = Vec::new();
     let mut prev_size: Vec<f64> = Vec::new();
     let mut fractions = Vec::new();
@@ -326,110 +367,65 @@ pub(super) fn refine(
         let wake_all = iter == 1 || cfg.full_rescan;
         #[cfg(not(test))]
         let wake_all = iter == 1;
+        // --- Scan patches (DESIGN.md §13) ---
+        // The snapshot diff hands over each patched vertex's candidate
+        // group before `commit`: a vertex promoted to a full re-scan — by
+        // a wake rule or by the escalation below — is pending, and the
+        // re-scan supersedes its patches. Each group re-folds only the
+        // changed candidate entries over the cached summary instead of
+        // re-scanning every row. The result is bitwise equal to a full
+        // re-scan: every entry outside the group is bitwise unchanged
+        // (rows by W1, snapshots by W2, label/`a_uu`/`k`/own-row by the
+        // self-wake and own-row rules — any of those firing makes the
+        // vertex pending), and the group's rows are fresh sums.
+        let mut rows_patched = 0usize;
         if wake_all {
             frontier.wake_all();
         } else {
+            let k = &lvl.k;
             frontier.wake_snapshot_changes(
-                &prev_tot, &tot_snap, &prev_size, &size_snap, &lvl.label, table,
+                [&prev_tot, &tot_snap, &prev_size, &size_snap],
+                &lvl.label,
+                table,
+                &mut scratch,
+                |li, group| {
+                    let (c_u, w_c_u) = group.rows[0];
+                    let remove_u = kernel.remove(table, li, c_u, w_c_u, k[li]);
+                    // Fold the *known-exact* entries into a fresh summary:
+                    // the sentinel `(0.0, c_u)`, each candidate's freshly
+                    // recomputed entry, and every cached prefix entry
+                    // outside the group (unchanged, so its cached value is
+                    // still bitwise what a re-scan would compute). Every
+                    // entry outside this fold is lexicographically ≤ the
+                    // cached bound, so the fold's max is the true new max
+                    // whenever it reaches the bound — and only when it
+                    // falls short (the new maximum may hide among the
+                    // unchanged candidates) does the vertex escalate to a
+                    // full re-scan.
+                    let old = summ[li];
+                    let mut f = CandSummary::sentinel(c_u);
+                    rows_patched += group.rows.len() - 1;
+                    for &(c_new, w) in &group.rows[1..] {
+                        // A removed or guard-skipped entry contributes nothing.
+                        if let Some(gain) = kernel.gain(c_u, remove_u, k[li], c_new, w) {
+                            f.fold(gain, c_new);
+                        }
+                    }
+                    // The group holds `c_u` too, whose sentinel seeds the fold.
+                    for &(g, c) in &old.e[..old.v as usize] {
+                        if !group.holds(c) {
+                            f.fold(g, c);
+                        }
+                    }
+                    f.resolve(old.bound).map(|f| {
+                        m_u[li] = f.e[0].0;
+                        summ[li] = f;
+                        // A patch fold keeps the cached decision exact, so
+                        // eligibility routes through the ledger as usual.
+                        m_u[li] > 0.0
+                    })
+                },
             );
-        }
-        // --- Scan patches (DESIGN.md §13) ---
-        // Runs *before* `commit`: a vertex promoted to a full re-scan —
-        // by a wake rule above or by the winner escalation below — sits
-        // in the pending set, and `is_pending` supersedes its patches.
-        // Each surviving patch re-folds one changed candidate entry over
-        // the cached incumbent instead of re-scanning every row. The
-        // result is bitwise equal to a full re-scan: the cached
-        // `(m_u, best)` is the f64 lexmax (`total_cmp`, larger-id
-        // tie-break) over the previous entry set, and every entry
-        // outside the patch group is bitwise unchanged (rows by W1,
-        // snapshots by W2, label/`a_uu`/`k`/own-row by the self-wake and
-        // own-row rules — any of those firing makes the vertex pending).
-        // Two cases per group:
-        //   * the cached winner's own entry changed: recompute its gain
-        //     g'. If g' ≥ cached `m_u` (`total_cmp`), no unchanged entry
-        //     can overtake it — O(1) winner update (on Equal the id
-        //     tie-break keeps the incumbent: every equal-gain unchanged
-        //     entry lost the tie to `b0` before, so it has a smaller
-        //     id). If g' < `m_u`, or the entry is now skipped entirely
-        //     (dead row, singleton guard), the cached max is invalidated
-        //     and the vertex escalates to a full re-scan.
-        //   * a non-winning entry changed: removing a non-argmax entry
-        //     from a lexmax leaves it intact, so folding the entry's
-        //     *new* value over the cached incumbent is exact.
-        let mut rows_patched = 0usize;
-        let mut pi = 0;
-        while pi < frontier.patches.len() {
-            let lv = frontier.patches[pi].0;
-            let li = lv as usize;
-            let mut pj = pi;
-            while pj < frontier.patches.len() && frontier.patches[pj].0 == lv {
-                pj += 1;
-            }
-            if !frontier.is_pending(li) {
-                let c_u = lvl.label[li];
-                let remove_u = kernel.gather(table, &mut scratch, li, c_u, lvl.k[li]);
-                // Fold the *known-exact* entries into a fresh summary:
-                // the sentinel `(0.0, c_u)`, each patched candidate's
-                // freshly recomputed entry, and every cached prefix
-                // entry whose candidate is not in the group (unchanged,
-                // so its cached value is still bitwise what a re-scan
-                // would compute). Every entry outside this fold is
-                // lexicographically ≤ the cached bound, so the fold's
-                // max is the true new max whenever it reaches the bound
-                // — and only when it falls short (the new maximum may
-                // hide among the unchanged candidates) does the vertex
-                // escalate to a full re-scan.
-                let old = summ[li];
-                let mut f = CandSummary::sentinel(c_u);
-                for px in pi..pj {
-                    let c_new = frontier.patches[px].1;
-                    debug_assert_ne!(c_new, c_u);
-                    rows_patched += 1;
-                    // A removed or guard-skipped entry contributes nothing.
-                    let w = scratch.get(c_new);
-                    if let Some(gain) = kernel.gain(c_u, remove_u, lvl.k[li], c_new, w) {
-                        f.fold(gain, c_new);
-                    }
-                }
-                for i in 0..old.v as usize {
-                    let (g, c) = old.e[i];
-                    // The sentinel is already the fold's seed; a prefix
-                    // entry is unchanged iff it has no patch in the
-                    // group (ids are distinct, groups are small).
-                    if c != c_u && !(pi..pj).any(|px| frontier.patches[px].1 == c) {
-                        f.fold(g, c);
-                    }
-                }
-                // Resolution: a `-∞` bound means the cached fold
-                // enumerated every contributing entry, so nothing is
-                // hiding below the prefix.
-                let bounded = old.bound.0.is_finite();
-                if bounded && lex_gt(old.bound.0, old.bound.1, f.e[0].0, f.e[0].1) {
-                    frontier.wake(li);
-                } else {
-                    // The fold entries that clear the bound are exactly
-                    // the top of the new entry set (no hidden entry can
-                    // interleave above them — pairs are unique, so a
-                    // hidden entry equal to the bound still loses to a
-                    // fold entry at the bound). Entries below stay
-                    // covered: hidden ones by the old bound, fold
-                    // overflow by the last slot when the prefix is full.
-                    if bounded {
-                        let filled = f.v as usize;
-                        f.v = (0..filled)
-                            .take_while(|&i| !lex_gt(old.bound.0, old.bound.1, f.e[i].0, f.e[i].1))
-                            .count() as u8;
-                    }
-                    f.seal(old.bound);
-                    m_u[li] = f.e[0].0;
-                    summ[li] = f;
-                    // A patch fold keeps the cached decision exact, so
-                    // eligibility routes through the ledger as usual.
-                    frontier.set_eligible(li, m_u[li] > 0.0);
-                }
-            }
-            pi = pj;
         }
         frontier.commit(iter == 1);
         if first_level {
@@ -553,6 +549,7 @@ pub(super) fn refine(
                         tot_view[c_new as usize] += k_u;
                     }
                     label[li] = c_new;
+                    own_w[li] = None;
                     local_moves += 1;
                     migrated.push((u, c_new));
                     // Mover self-wake: the label change invalidates the
@@ -598,20 +595,20 @@ pub(super) fn refine(
             // point, so the accumulation must be a function of the
             // delta *multiset*, not of the (perturbable, and for
             // mixed-magnitude weights ulp-visible) delivery order.
-            let mut tot_deltas: Vec<(u32, u32, u64)> = Vec::new();
-            ex.finish(|m| tot_deltas.push((m.a, m.b, m.w.to_bits())));
-            tot_deltas.sort_unstable();
+            let mut tot_deltas: Vec<(u32, (u32, u64))> = Vec::new();
+            ex.finish(|m| tot_deltas.push((part.local_index(m.a) as u32, (m.b, m.w.to_bits()))));
             let tot = &mut lvl.tot;
             let size = &mut lvl.size;
-            for &(a, b, w_bits) in &tot_deltas {
-                let li = part.local_index(a);
-                tot[li] += f64::from_bits(w_bits);
-                if b == 1 {
-                    size[li] += 1;
-                } else {
-                    size[li] -= 1;
+            for_each_sorted_bucket(&tot_deltas, tot.len(), |li, deltas| {
+                for &(b, w_bits) in deltas {
+                    tot[li] += f64::from_bits(w_bits);
+                    if b == 1 {
+                        size[li] += 1;
+                    } else {
+                        size[li] -= 1;
+                    }
                 }
-            }
+            });
         }
         let moves = ctx.allreduce_sum_u64(local_moves);
         meter.lap(ctx, Phase::UpdateCommunity);
@@ -632,16 +629,30 @@ pub(super) fn refine(
         // or cached winner touched) or an O(1) scan patch. No-op
         // announcements (the v1 full rebuild re-sends unmoved labels)
         // relabel nothing and dirty nothing, so both ablations schedule
-        // identically.
+        // identically. The same report keeps Σ_in's own-row cache exact:
+        // a vertex whose own row an arc left or joined is re-walked.
         if moves > 0 {
-            propagate_deltas(ctx, lvl, table, &migrated, cfg.v1_state_rebuild, |li, c| {
-                frontier.mark_row_dirty(li as usize, c)
-            });
+            let label = &lvl.label;
+            propagate_deltas(
+                ctx,
+                lvl,
+                table,
+                &migrated,
+                cfg.v1_state_rebuild,
+                |li, a, b| {
+                    let (li, c_u) = (li as usize, label[li as usize]);
+                    frontier.mark_row_dirty(li, c_u, a);
+                    frontier.mark_row_dirty(li, c_u, b);
+                    if c_u == a || c_u == b {
+                        own_w[li] = None;
+                    }
+                },
+            );
         }
         meter.lap(ctx, Phase::StatePropagation);
 
         // --- Σ_in and modularity (Algorithm 4, lines 18–25) ---
-        q = compute_modularity(ctx, lvl, table, s);
+        q = compute_modularity(ctx, lvl, table, &mut own_w, s);
         meter.lap(ctx, Phase::ComputeModularity);
         meter.end_iteration(first_level);
         q_trace.push(q);
@@ -712,11 +723,33 @@ fn compute_threshold(
     0.0
 }
 
-/// Σ_in accumulation and global modularity (Algorithm 4, lines 18–25).
+/// Visits `items` grouped by index (`0..n`) in ascending index order,
+/// each group sorted: the order one global sort of the pairs would give,
+/// at the cost of a counting pass and a sort per (small) group.
+fn for_each_sorted_bucket<T: Copy + Default + Ord>(
+    items: &[(u32, T)],
+    n: usize,
+    mut visit: impl FnMut(usize, &[T]),
+) {
+    let (mut off, mut flat) = (Vec::new(), Vec::new());
+    group_by_index(items, n, &mut off, &mut flat);
+    for i in 0..n {
+        let bucket = &mut flat[off[i]..off[i + 1]];
+        if !bucket.is_empty() {
+            bucket.sort_unstable();
+            visit(i, bucket);
+        }
+    }
+}
+
+/// Σ_in accumulation and global modularity (Algorithm 4, lines 18–25),
+/// from the own-row weights cached in `own_w` (a stale `None` entry is
+/// walked afresh).
 fn compute_modularity(
     ctx: &mut RankCtx<'_, Msg>,
     lvl: &mut RankLevel,
     out_table: &OutTable,
+    own_w: &mut [Option<f64>],
     s: f64,
 ) -> f64 {
     lvl.internal.iter_mut().for_each(|x| *x = 0.0);
@@ -726,7 +759,12 @@ fn compute_modularity(
         let mut ex = ctx.exchange();
         // Each local vertex contributes its own-community row, if live.
         for (li, &c) in label.iter().enumerate() {
-            let w = out_table.weight(li, c);
+            let w = *own_w[li].get_or_insert_with(|| out_table.weight(li, c));
+            debug_assert_eq!(
+                w.to_bits(),
+                out_table.weight(li, c).to_bits(),
+                "stale own-row weight of local vertex {li}"
+            );
             // Dead rows (see the find-best scan) carry no weight and
             // must not be shipped.
             #[allow(clippy::float_cmp)]
@@ -736,17 +774,18 @@ fn compute_modularity(
                 ex.send(part.owner(c), Msg { a: c, b: 0, w });
             }
         }
-        // Σ_in is floating point: sort the contributions so the sum is a
-        // function of the message multiset, independent of delivery order
-        // (which the perturbation harness scrambles and mixed-magnitude
-        // weights expose at ulp scale).
+        // Σ_in is floating point: each community sums its contributions
+        // in ascending bit order, a function of the message multiset,
+        // independent of delivery order (which the perturbation harness
+        // scrambles and mixed-magnitude weights expose at ulp scale).
         let mut contribs: Vec<(u32, u64)> = Vec::new();
-        ex.finish(|m| contribs.push((m.a, m.w.to_bits())));
-        contribs.sort_unstable();
+        ex.finish(|m| contribs.push((part.local_index(m.a) as u32, m.w.to_bits())));
         let internal = &mut lvl.internal;
-        for &(c, w_bits) in &contribs {
-            internal[part.local_index(c)] += f64::from_bits(w_bits);
-        }
+        for_each_sorted_bucket(&contribs, internal.len(), |li, bits| {
+            for &w_bits in bits {
+                internal[li] += f64::from_bits(w_bits);
+            }
+        });
     }
     let mut q_local = 0.0;
     for li in 0..lvl.internal.len() {
@@ -766,14 +805,10 @@ mod tests {
     use louvain_graph::edgelist::EdgeListBuilder;
     use louvain_metrics::modularity;
 
-    #[test]
-    fn mixed_magnitude_weights_survive_delta_patching() {
-        // End-to-end: non-integer, mixed-magnitude weights whose sums
-        // are not exactly representable, run under the perturbation
-        // harness. Pre-structural-liveness this could panic in
-        // reconstruction (`map[&c_old]` on a phantom residue row); now
-        // the run must complete with a self-consistent modularity at
-        // every rank count and perturb seed.
+    /// The planted graph with non-integer, mixed-magnitude weights whose
+    /// sums are not exactly representable, so any change of fold order
+    /// shows in the bits.
+    fn mixed_magnitude_graph() -> louvain_graph::edgelist::EdgeList {
         let (el0, _) = planted_graph(23);
         let mut b = EdgeListBuilder::new(el0.num_vertices());
         for (i, e) in el0.edges().iter().enumerate() {
@@ -784,7 +819,18 @@ mod tests {
             };
             b.add_edge(e.u, e.v, w);
         }
-        let el = b.build();
+        b.build()
+    }
+
+    #[test]
+    fn mixed_magnitude_weights_survive_delta_patching() {
+        // End-to-end: non-integer, mixed-magnitude weights whose sums
+        // are not exactly representable, run under the perturbation
+        // harness. Pre-structural-liveness this could panic in
+        // reconstruction (`map[&c_old]` on a phantom residue row); now
+        // the run must complete with a self-consistent modularity at
+        // every rank count and perturb seed.
+        let el = mixed_magnitude_graph();
         let g = el.to_csr();
         for ranks in [2, 4] {
             for seed in [None, Some(1), Some(7)] {
@@ -804,6 +850,52 @@ mod tests {
         }
     }
 
+    /// Σ_in's own-row cache on a vertex whose own row changes while it
+    /// never moves. The hub of a star keeps its community: while it is a
+    /// singleton the guard closes the (singleton, higher-labelled) leaf
+    /// communities to it, and afterwards the heaviest leaves have joined
+    /// it, so leaving would lose gain. Its own row grows only as leaves
+    /// relabel into its community, news that reaches the hub's rank as
+    /// delta reports — from the other rank's leaves too at 2 ranks.
+    /// `compute_modularity` checks every cached weight against a fresh
+    /// walk in debug builds; the run must also report the recomputed
+    /// modularity, with the same bits under every delivery schedule.
+    #[test]
+    fn own_row_cache_follows_relabels_around_a_static_vertex() {
+        let n = 16u32;
+        let mut b = EdgeListBuilder::new(n as usize);
+        for leaf in 1..n {
+            b.add_edge(0, leaf, 0.1 * f64::from(leaf));
+        }
+        let el = b.build();
+        let g = el.to_csr();
+        let mut q_bits = None;
+        for seed in [None, Some(1), Some(7)] {
+            let r = ParallelLouvain::new(ParallelConfig {
+                perturb_seed: seed,
+                ..ParallelConfig::with_ranks(2)
+            })
+            .run(&el);
+            let first = &r.result.levels[0];
+            assert!(
+                first.inner_iterations > 1,
+                "seed {seed:?}: the leaves join in one sweep"
+            );
+            assert_eq!(
+                first.num_communities, 1,
+                "seed {seed:?}: the star did not merge"
+            );
+            let q = r.result.final_modularity;
+            let want = modularity(&g, &r.result.final_partition);
+            assert!((q - want).abs() <= 1e-12, "seed {seed:?}: {q} vs {want}");
+            assert_eq!(
+                *q_bits.get_or_insert(q.to_bits()),
+                q.to_bits(),
+                "seed {seed:?}"
+            );
+        }
+    }
+
     /// Property test: frontier scheduling is an
     /// optimization, not a semantic change. A frontier-scheduled run and
     /// a full-scan (`full_rescan`) run must produce bit-identical
@@ -813,17 +905,7 @@ mod tests {
     /// surface first (the mixed-magnitude generator).
     #[test]
     fn frontier_matches_full_rescan_bit_for_bit() {
-        let (el0, _) = planted_graph(23);
-        let mut b = EdgeListBuilder::new(el0.num_vertices());
-        for (i, e) in el0.edges().iter().enumerate() {
-            let w = match i % 3 {
-                0 => 1e8,
-                1 => 0.1,
-                _ => 0.3,
-            };
-            b.add_edge(e.u, e.v, w);
-        }
-        let el = b.build();
+        let el = mixed_magnitude_graph();
         for ranks in [2, 4] {
             for seed in [None, Some(1), Some(7)] {
                 let run = |full_rescan: bool| {
@@ -854,6 +936,132 @@ mod tests {
                     );
                 }
             }
+        }
+    }
+
+    /// The frontier's schedule and the simulated charges, pinned on a
+    /// fixed planted graph: bookkeeping changes to FIND BEST or the
+    /// modularity reduction must leave every scan, patch and message —
+    /// and so every simulated unit — exactly where it was.
+    #[test]
+    fn schedule_and_charges_are_pinned() {
+        // (graph, ranks, sim_total_units, sim_breakdown as [loading,
+        // state propagation, find best, update, modularity,
+        // reconstruction], frontier [active, skipped, reactivations]).
+        type Pin = (&'static str, usize, f64, [f64; 6], [u64; 3]);
+        let pins: [Pin; 6] = [
+            (
+                "planted",
+                1,
+                1250798.8000000005,
+                [
+                    5000.0,
+                    115414.0,
+                    519939.2000000003,
+                    260828.0,
+                    264011.9999999999,
+                    75605.60000000033,
+                ],
+                [1570, 2590, 148],
+            ),
+            (
+                "planted",
+                2,
+                1243057.1,
+                [
+                    5000.0,
+                    115644.0,
+                    513131.2000000002,
+                    260612.0,
+                    263160.0,
+                    75509.8999999999,
+                ],
+                [1570, 2590, 148],
+            ),
+            (
+                "planted",
+                4,
+                1238481.7,
+                [
+                    5000.0,
+                    115784.0,
+                    509725.2000000002,
+                    260399.0,
+                    262222.0,
+                    75351.49999999977,
+                ],
+                [1570, 2590, 148],
+            ),
+            (
+                "mixed",
+                1,
+                1016551.3000000002,
+                [
+                    5000.0,
+                    90463.0,
+                    406441.80000000034,
+                    200925.99999999994,
+                    201632.0,
+                    102088.49999999988,
+                ],
+                [1018, 795, 53],
+            ),
+            (
+                "mixed",
+                2,
+                1258410.4999999998,
+                [
+                    5000.0,
+                    115733.0,
+                    498902.39999999997,
+                    250695.0,
+                    251294.0,
+                    126786.0999999998,
+                ],
+                [1047, 904, 48],
+            ),
+            (
+                "mixed",
+                4,
+                822367.8000000002,
+                [
+                    5000.0,
+                    70806.99999999994,
+                    314372.60000000015,
+                    160379.0,
+                    160709.0,
+                    101100.20000000007,
+                ],
+                [979, 691, 51],
+            ),
+        ];
+        let planted = planted_graph(11).0;
+        let mixed = mixed_magnitude_graph();
+        for (name, ranks, total, breakdown, frontier) in pins {
+            let el = if name == "planted" { &planted } else { &mixed };
+            let r = ParallelLouvain::new(ParallelConfig::with_ranks(ranks)).run(el);
+            let b = r.sim_breakdown;
+            let got = [
+                b.loading,
+                b.state_propagation,
+                b.find_best,
+                b.update,
+                b.modularity,
+                b.reconstruction,
+            ];
+            let f = r.frontier;
+            let at = format!("{name} at {ranks} ranks");
+            assert_eq!(r.sim_total_units.to_bits(), total.to_bits(), "{at}: total");
+            assert_eq!(
+                got.map(f64::to_bits),
+                breakdown.map(f64::to_bits),
+                "{at}: {got:?}"
+            );
+            assert_eq!(
+                [f.active_vertices, f.skipped_scans, f.reactivations],
+                frontier,
+                "{at}: frontier"
+            );
         }
     }
 

@@ -128,7 +128,7 @@ impl OutTable {
 
     /// Cached source labels of local vertex `li`'s arcs, in arc order.
     #[inline]
-    pub(crate) fn labels(&self, li: usize) -> &[u32] {
+    fn labels(&self, li: usize) -> &[u32] {
         &self.label[self.segment(li)]
     }
 
@@ -149,8 +149,28 @@ impl OutTable {
     #[inline]
     pub(crate) fn gather(&self, li: usize, scratch: &mut RowScratch) {
         scratch.begin();
+        self.gather_into(li, scratch, |_| true);
+    }
+
+    /// Sums into `scratch` the rows of local vertex `li` whose label
+    /// `admit` accepts, skipping every other arc; `admit` is tested
+    /// before the accumulator is touched, so a cheap filter keeps a walk
+    /// over a long segment cheap. A row [`RowScratch::admit`] opened
+    /// earlier is summed in place (`admit` must accept it). Each summed
+    /// row folds its arcs in arc order from 0.0, so it is bitwise the row
+    /// [`OutTable::gather`] computes.
+    #[inline]
+    pub(crate) fn gather_into(
+        &self,
+        li: usize,
+        scratch: &mut RowScratch,
+        admit: impl Fn(u32) -> bool,
+    ) {
         let seg = self.segment(li);
         for (&c, &w) in self.label[seg.clone()].iter().zip(&self.w[seg]) {
+            if !admit(c) {
+                continue;
+            }
             let slot = &mut scratch.slot[c as usize];
             if slot.0 != scratch.epoch {
                 *slot = (scratch.epoch, scratch.rows.len() as u32);
@@ -163,7 +183,7 @@ impl OutTable {
     /// Weight of row `(li, c)`; 0.0 when the row is dead. Folds in the
     /// same order as [`OutTable::gather`], so the two agree bitwise.
     #[inline]
-    pub(super) fn weight(&self, li: usize, c: u32) -> f64 {
+    pub(crate) fn weight(&self, li: usize, c: u32) -> f64 {
         let seg = self.segment(li);
         let mut sum = 0.0;
         for (&e, &w) in self.label[seg.clone()].iter().zip(&self.w[seg]) {
@@ -197,16 +217,20 @@ impl OutTable {
     }
 
     /// Applies a batch of received `(vertex, new_community)` deltas to
-    /// the arc labels, reporting to `dirty` as `(local vertex,
-    /// community)` both rows each relabelled arc moved between: wake
-    /// rule W1's input.
+    /// the arc labels, reporting each relabelled arc to `dirty` as
+    /// `(local vertex, old community, new community)`: the two rows it
+    /// moved between, wake rule W1's input.
     ///
     /// The result is independent of delivery order: each vertex migrates
     /// at most once per sweep and only its owner announces it, so the
     /// deltas of one batch touch disjoint labels, and the frontier
     /// consumes the reported rows as a set. (The v1 full rebuild
     /// re-announces unmoved labels; those are no-ops.)
-    pub(super) fn apply_deltas(&mut self, deltas: &[(u32, u32)], mut dirty: impl FnMut(u32, u32)) {
+    pub(super) fn apply_deltas(
+        &mut self,
+        deltas: &[(u32, u32)],
+        mut dirty: impl FnMut(u32, u32, u32),
+    ) {
         for &(u, c_new) in deltas {
             // Only owners of neighbors of `u` receive its delta, so the
             // lookup always hits; guard anyway rather than unwrap (P1).
@@ -220,8 +244,7 @@ impl OutTable {
             }
             for &(li, j) in &self.pairs[self.src_offsets[idx]..self.src_offsets[idx + 1]] {
                 self.label[j as usize] = c_new;
-                dirty(li, c_old);
-                dirty(li, c_new);
+                dirty(li, c_old, c_new);
             }
         }
     }
@@ -252,13 +275,30 @@ impl RowScratch {
 
     /// Invalidates every slot.
     #[inline]
-    fn begin(&mut self) {
+    pub(crate) fn begin(&mut self) {
         self.rows.clear();
         self.epoch = self.epoch.wrapping_add(1);
         if self.epoch == 0 {
             self.slot.fill((0, 0));
             self.epoch = 1;
         }
+    }
+
+    /// Opens row `c` at 0.0 unless it is already held, so the next
+    /// [`OutTable::gather_into`] that admits `c` sums it in place (a dead
+    /// row stays at 0.0).
+    #[inline]
+    pub(crate) fn admit(&mut self, c: u32) {
+        if !self.holds(c) {
+            self.slot[c as usize] = (self.epoch, self.rows.len() as u32);
+            self.rows.push((c, 0.0));
+        }
+    }
+
+    /// Whether row `c` has been opened since the last `begin`.
+    #[inline]
+    pub(crate) fn holds(&self, c: u32) -> bool {
+        self.slot[c as usize].0 == self.epoch
     }
 
     /// Gathered weight of row `c`; 0.0 when the row is dead.
@@ -268,6 +308,34 @@ impl RowScratch {
             (stamp, i) if stamp == self.epoch => self.rows[i as usize].1,
             _ => 0.0,
         }
+    }
+}
+
+/// Counting sort of `items` by index (`0..n`): afterwards bucket `i` is
+/// `flat[off[i]..off[i + 1]]`, in no particular order within the bucket.
+/// One pass to count, one to place — no comparison across buckets.
+pub(crate) fn group_by_index<T: Copy + Default>(
+    items: &[(u32, T)],
+    n: usize,
+    off: &mut Vec<usize>,
+    flat: &mut Vec<T>,
+) {
+    off.clear();
+    off.resize(n + 1, 0);
+    for &(i, _) in items {
+        off[i as usize] += 1;
+    }
+    // Inclusive prefix sums make `off[i]` the end of bucket `i`; placing
+    // each item at `--off[i]` then leaves `off[i]` at the bucket's start.
+    for i in 1..n {
+        off[i] += off[i - 1];
+    }
+    off[n] = items.len();
+    flat.clear();
+    flat.resize(items.len(), T::default());
+    for &(i, x) in items {
+        off[i as usize] -= 1;
+        flat[off[i as usize]] = x;
     }
 }
 
@@ -386,9 +454,9 @@ mod tests {
             let want_dirt = expected_dirt(lvl, &table, batch);
             let (labels_before, rows_before) = (table.label.clone(), live_rows(lvl, &table));
             let (mut dirt, mut rev_dirt) = (Vec::new(), Vec::new());
-            table.apply_deltas(batch, |li, c| dirt.push((li, c)));
+            table.apply_deltas(batch, |li, a, b| dirt.extend([(li, a), (li, b)]));
             let rev_batch: Vec<(u32, u32)> = batch.iter().rev().copied().collect();
-            reversed.apply_deltas(&rev_batch, |li, c| rev_dirt.push((li, c)));
+            reversed.apply_deltas(&rev_batch, |li, a, b| rev_dirt.extend([(li, a), (li, b)]));
             for d in [&mut dirt, &mut rev_dirt] {
                 d.sort_unstable();
                 d.dedup();
@@ -466,11 +534,31 @@ mod tests {
         // The vacated row reads exact 0.0, and its re-join starts from it.
         let mut table = OutTable::build(&lvl, 0);
         for batch in &batches[..3] {
-            table.apply_deltas(batch, |_, _| {});
+            table.apply_deltas(batch, |_, _, _| {});
         }
         assert_eq!(table.weight(0, 4).to_bits(), 0.0f64.to_bits());
-        table.apply_deltas(&[(1, 4)], |_, _| {});
+        table.apply_deltas(&[(1, 4)], |_, _, _| {});
         assert_eq!(table.weight(0, 4).to_bits(), 1e16f64.to_bits());
+    }
+
+    #[test]
+    fn group_by_index_buckets_every_item_under_its_index() {
+        let items = [(3u32, 'a'), (0, 'b'), (3, 'c'), (1, 'd'), (3, 'e')];
+        let (mut off, mut flat) = (Vec::new(), Vec::new());
+        group_by_index(&items, 5, &mut off, &mut flat);
+        assert_eq!(off.len(), 6);
+        let bucket = |i: usize| {
+            let mut b = flat[off[i]..off[i + 1]].to_vec();
+            b.sort_unstable();
+            b
+        };
+        assert_eq!(
+            (0..5).map(bucket).collect::<Vec<_>>(),
+            [vec!['b'], vec!['d'], vec![], vec!['a', 'c', 'e'], vec![]]
+        );
+        // The buffers are reused: a second, empty grouping leaves no trace.
+        group_by_index(&[] as &[(u32, char)], 2, &mut off, &mut flat);
+        assert_eq!((off, flat), (vec![0, 0, 0], vec![]));
     }
 
     /// Edge weights spanning 23 orders of magnitude, so the row sums

@@ -85,6 +85,27 @@ impl EdgeList {
     }
 }
 
+/// An edge whose merged weight, or doubled self-loop arc weight, is not
+/// finite: [`EdgeListBuilder::try_build`]'s error.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct WeightOverflow {
+    /// The smaller endpoint.
+    pub u: VertexId,
+    /// The larger endpoint (`u == v` for a self-loop).
+    pub v: VertexId,
+}
+
+impl std::fmt::Display for WeightOverflow {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let (u, v) = (self.u, self.v);
+        if u == v {
+            write!(f, "self-loop {u}-{v}: its doubled arc weight overflows f64")
+        } else {
+            write!(f, "edge {u}-{v}: its merged weight overflows f64")
+        }
+    }
+}
+
 /// Accumulating builder for [`EdgeList`].
 ///
 /// `add_edge` may be called with duplicates and either endpoint order;
@@ -145,18 +166,42 @@ impl EdgeListBuilder {
 
     /// Canonicalizes, deduplicates (summing weights) and returns the edge
     /// list.
+    ///
+    /// # Panics
+    ///
+    /// When a merged weight, or a self-loop's doubled arc weight, is not
+    /// finite (see [`EdgeListBuilder::try_build`]) — in release builds
+    /// too.
     #[must_use]
-    pub fn build(mut self) -> EdgeList {
-        // Sort by packed key; merge runs.
-        self.raw.sort_unstable_by_key(|e| pack_key(e.u, e.v));
-        let mut edges: Vec<Edge> = Vec::with_capacity(self.raw.len());
-        for e in self.raw {
-            match edges.last_mut() {
-                Some(last) if last.u == e.u && last.v == e.v => last.w += e.w,
-                _ => edges.push(e),
+    pub fn build(self) -> EdgeList {
+        self.try_build().unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// [`EdgeListBuilder::build`], or the first edge, ascending by
+    /// `(u, v)`, whose merged weight overflows `f64` — or, for a
+    /// self-loop, whose doubled arc weight `2w` does (the CSR and the
+    /// In-Table store a loop that way). Each added weight is finite, but
+    /// their sum need not be.
+    pub fn try_build(self) -> Result<EdgeList, WeightOverflow> {
+        // Sort by packed key; merge runs in place, left to right.
+        let mut edges = self.raw;
+        edges.sort_unstable_by_key(|e| pack_key(e.u, e.v));
+        edges.dedup_by(|e, last| {
+            let dup = (e.u, e.v) == (last.u, last.v);
+            if dup {
+                last.w += e.w;
             }
+            dup
+        });
+        let arc = |e: &Edge| if e.u == e.v { 2.0 * e.w } else { e.w };
+        if let Some(e) = edges.iter().find(|e| !arc(e).is_finite()) {
+            return Err(WeightOverflow { u: e.u, v: e.v });
         }
-        EdgeList { n: self.n, edges }
+        // Return the merged-away tail: duplicate-heavy inputs (R-MAT,
+        // both-orientation edge lists) would otherwise keep it resident
+        // for the list's lifetime.
+        edges.shrink_to_fit();
+        Ok(EdgeList { n: self.n, edges })
     }
 
     /// Convenience: build the edge list and immediately convert to CSR.
@@ -191,6 +236,32 @@ mod tests {
         let el = b.build();
         assert_eq!(el.num_edges(), 1);
         assert_eq!(el.edges()[0], Edge { u: 1, v: 1, w: 6.0 });
+    }
+
+    #[test]
+    fn overflowing_merged_and_self_loop_weights_are_rejected() {
+        let mut b = EdgeListBuilder::new(3);
+        b.add_edge(0, 1, 1e308);
+        b.add_edge(1, 0, 1e308);
+        b.add_edge(1, 2, 1e308);
+        assert_eq!(b.try_build().unwrap_err(), WeightOverflow { u: 0, v: 1 });
+        // A loop's arc weight is 2w: 1e308 overflows it, half of MAX not.
+        let mut b = EdgeListBuilder::new(3);
+        b.add_edge(2, 2, 1e308);
+        assert_eq!(b.try_build().unwrap_err(), WeightOverflow { u: 2, v: 2 });
+        let mut b = EdgeListBuilder::new(3);
+        b.add_edge(2, 2, f64::MAX / 2.0);
+        b.add_edge(0, 1, 1e308);
+        assert_eq!(b.try_build().unwrap().num_edges(), 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "edge 0-1: its merged weight overflows f64")]
+    fn build_panics_on_an_overflowing_merge() {
+        let mut b = EdgeListBuilder::new(2);
+        b.add_edge(0, 1, f64::MAX);
+        b.add_edge(0, 1, f64::MAX);
+        let _ = b.build();
     }
 
     #[test]

@@ -37,16 +37,25 @@ impl From<std::io::Error> for IoError {
     }
 }
 
-/// Reads a weighted edge list from any reader.
+/// Reads a weighted edge list from any reader. Duplicate edges merge by
+/// summing their weights; a merged weight, or a self-loop's doubled arc
+/// weight, that overflows `f64` is a parse error on the last line naming
+/// the edge.
 pub fn read_edge_list<R: Read>(reader: R) -> Result<EdgeList, IoError> {
     let mut edges: Vec<(u32, u32, f64)> = Vec::new();
     let mut declared_n: Option<usize> = None;
     // The largest vertex id and the 1-based line that first names it.
     let mut max_id: Option<(u32, usize)> = None;
+    // The 1-based lines that hold no edge, ascending: with them an edge's
+    // index recovers its line, without storing a line per edge.
+    let mut skipped: Vec<usize> = Vec::new();
     let br = BufReader::new(reader);
     for (idx, line) in br.lines().enumerate() {
         let line = line?;
         let t = line.trim();
+        if t.is_empty() || t.starts_with(['#', '%']) {
+            skipped.push(idx + 1);
+        }
         if t.is_empty() {
             continue;
         }
@@ -99,10 +108,20 @@ pub fn read_edge_list<R: Read>(reader: R) -> Result<EdgeList, IoError> {
         (None, None) => 0,
     };
     let mut b = EdgeListBuilder::with_capacity(n, edges.len());
-    for (u, v, w) in edges {
+    for &(u, v, w) in &edges {
         b.add_edge(u, v, w);
     }
-    Ok(b.build())
+    b.try_build().map_err(|e| {
+        let pair = |&(u, v, _): &(u32, u32, f64)| (u.min(v), u.max(v)) == (e.u, e.v);
+        let i = edges.iter().rposition(pair).unwrap_or(0);
+        let mut line = i + 1;
+        for &s in &skipped {
+            if s <= line {
+                line += 1;
+            }
+        }
+        IoError::Parse(line, e.to_string())
+    })
 }
 
 /// Reads a weighted edge list from a file path.
@@ -181,6 +200,24 @@ mod tests {
                 "weight {w}"
             );
         }
+    }
+
+    #[test]
+    fn overflowing_merged_weights_are_rejected_on_their_last_line() {
+        assert_eq!(parse_error_line("0 1 1e308\n1 0 1e308\n"), 2);
+        // Comment and blank lines shift the reported line.
+        assert_eq!(
+            parse_error_line("# n 4\n1 0 1e308\n\n2 3\n% c\n0 1 1e308\n2 2\n"),
+            6
+        );
+        // A self-loop's arc weight is doubled.
+        assert_eq!(parse_error_line("0 1\n2 2 1e308\n"), 2);
+        match read_edge_list("0 1 1e308\n1 0 1e308\n".as_bytes()) {
+            Err(IoError::Parse(_, msg)) => assert!(msg.contains("0-1"), "{msg}"),
+            other => panic!("expected a parse error, got {other:?}"),
+        }
+        let el = read_edge_list("0 1 1e308\n1 2 1e308\n0 2 1e308\n".as_bytes()).unwrap();
+        assert_eq!(el.num_edges(), 3);
     }
 
     #[test]

@@ -131,3 +131,28 @@ fn near_max_weights_print_a_finite_q() {
     }
     let _ = std::fs::remove_file(&input);
 }
+
+/// Each weight is finite, but the merged duplicate (or a self-loop's
+/// doubled arc weight) overflows: the reader rejects the input like any
+/// malformed line, naming the line and the edge, instead of solving to
+/// `Q = NaN`.
+#[test]
+fn overflowing_merged_weights_are_rejected() {
+    for (name, text, line, pair) in [
+        ("merged", "0 1 1e308\n1 0 1e308\n", 2, "0-1"),
+        ("loop", "0 1\n1 1 1e308\n", 2, "1-1"),
+    ] {
+        let input = std::env::temp_dir().join(format!("louvain_cli_test_overflow_{name}.edges"));
+        std::fs::write(&input, text).unwrap();
+        let out = Command::new(louvain_bin())
+            .arg(input.to_str().unwrap())
+            .output()
+            .expect("binary runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{name}: {stderr}");
+        assert!(stderr.contains(&format!("line {line}")), "{name}: {stderr}");
+        assert!(stderr.contains(pair), "{name}: {stderr}");
+        assert!(!stderr.contains("Q = "), "{name}: {stderr}");
+        let _ = std::fs::remove_file(&input);
+    }
+}
