@@ -149,18 +149,18 @@ fn workload_entry(name: &str, vertices: usize, r: &ParallelResult) -> Json {
         ("syncs".into(), Json::UInt(r.syncs)),
         ("bytes_sent".into(), Json::UInt(r.bytes_sent)),
         // Delta-mode volumes (schema v2): how much of the wire traffic is
-        // state propagation, how many keyed sends the coalescing layer
-        // absorbed, and how many per-level caches reconstruction retired.
+        // state propagation, how many per-arc announcements it collapsed,
+        // and how many per-level caches reconstruction retired.
         // `delta_messages` is the observable of the one `O(deltas)` site in
         // `results/cost_spec.json` (DESIGN.md §12); `dedup_hits` is the gap
-        // between the raw keyed-send stream and that bound. The conformance
+        // between one announcement per arc and that bound. The conformance
         // suite (cost_conformance.rs) checks the bound per run; this
         // snapshot tracks its trajectory across PRs.
         (
             "delta_messages".into(),
             Json::UInt(r.comm_breakdown.state_propagation),
         ),
-        ("dedup_hits".into(), Json::UInt(r.comm.dedup_hits)),
+        ("dedup_hits".into(), Json::UInt(r.dedup_hits)),
         (
             "cache_invalidations".into(),
             Json::UInt(r.cache_invalidations),

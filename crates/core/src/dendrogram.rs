@@ -53,12 +53,6 @@ impl Dendrogram {
         self.modularity[level]
     }
 
-    /// Community of vertex `v` at `level`.
-    #[must_use]
-    pub fn community_at(&self, v: u32, level: usize) -> u32 {
-        self.levels[level].community(v)
-    }
-
     /// Community counts per level, finest first — the coarsening profile
     /// (strictly non-increasing).
     #[must_use]

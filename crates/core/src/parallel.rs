@@ -153,9 +153,9 @@ pub struct ParallelConfig {
     /// When `false`, every positive-gain vertex moves each iteration —
     /// the "parallel without heuristic" ablation of Figure 4.
     pub use_heuristic: bool,
-    /// Inner-loop iteration cap per level.
+    /// Inner-loop iteration cap per level; at least 1.
     pub max_inner_iterations: usize,
-    /// Maximum hierarchy levels.
+    /// Maximum hierarchy levels; at least 1.
     pub max_levels: usize,
     /// Schedule-perturbation seed forwarded to the runtime (see
     /// [`louvain_runtime::RuntimeConfig::perturb_seed`]): `Some(seed)`
@@ -263,6 +263,11 @@ pub struct ParallelResult {
     pub first_level_time: Duration,
     /// Communication counters.
     pub comm: CommStats,
+    /// Announcements state propagation collapsed, summed across ranks:
+    /// arcs of a migrated vertex whose owner rank the same sweep had
+    /// already told (DESIGN.md §10). Counted like
+    /// [`ParallelResult::comm`], over the final attempt only.
+    pub dedup_hits: u64,
     /// Undirected input edges.
     pub input_edges: usize,
     /// BSP-simulated time of the whole run, in work units (see
@@ -448,6 +453,16 @@ impl ParallelLouvain {
             cfg.ranks >= 1,
             "ParallelLouvain needs at least one rank, got 0"
         );
+        // A zero cap would return the singleton partition with no level
+        // run to measure its modularity.
+        assert!(
+            cfg.max_levels >= 1,
+            "ParallelLouvain needs max_levels >= 1, got 0"
+        );
+        assert!(
+            cfg.max_inner_iterations >= 1,
+            "ParallelLouvain needs max_inner_iterations >= 1, got 0"
+        );
         Self { cfg }
     }
 
@@ -587,6 +602,7 @@ impl ParallelLouvain {
             .fold(SimBreakdown::default(), |acc, r| acc.max(&r.meter.sim));
         let syncs = rank_outputs[0].syncs;
         let bytes_sent = rank_outputs.iter().map(|r| r.bytes_sent).sum();
+        let dedup_hits = rank_outputs.iter().map(|r| r.meter.dedup_hits).sum();
         let cache_invalidations = rank_outputs.iter().map(|r| r.st.cache_invalidations).sum();
         let frontier = rank_outputs
             .iter()
@@ -626,6 +642,7 @@ impl ParallelLouvain {
             total_time,
             first_level_time,
             comm,
+            dedup_hits,
             input_edges: rank_outputs.iter().map(|r| r.st.input_edges).sum(),
             sim_total_units,
             sim_first_level_units,
@@ -800,15 +817,14 @@ fn rank_main(
     louvain_trace::count("runtime.syncs", ctx.sync_count());
     louvain_trace::count("runtime.bytes_sent", ctx.bytes_sent());
     louvain_trace::count("runtime.messages_sent", ctx.sent_messages());
-    // Delta-mode counters (all rank-local program-order quantities;
-    // dedup_hits is a per-phase multiset property, so none of these can
-    // vary with the perturbed delivery schedule).
+    // Delta-mode counters (all rank-local program-order quantities, so
+    // none of these can vary with the perturbed delivery schedule).
     louvain_trace::count(
         "delta.state_propagation_messages",
         meter.comm.state_propagation,
     );
     louvain_trace::count("delta.cache_invalidations", st.cache_invalidations);
-    louvain_trace::count("runtime.dedup_hits", ctx.dedup_hits());
+    louvain_trace::count("delta.dedup_hits", meter.dedup_hits);
     // Frontier-scheduling counters (DESIGN.md §13). All three are
     // rank-local program-order tallies over schedule-invariant wake
     // sets, so the trace contract of §9 holds.
@@ -1013,9 +1029,9 @@ mod tests {
         // Every remote message belongs to exactly one phase.
         assert_eq!(cb.total(), r.comm.messages);
         // Delta mode: migrations did happen, so state propagation is not
-        // silent, and its keyed sends are where dedup lives.
+        // silent, and its announcements are where dedup lives.
         assert!(cb.state_propagation > 0);
-        assert!(r.comm.dedup_hits > 0);
+        assert!(r.dedup_hits > 0);
         assert!(r.cache_invalidations > 0);
         // Strictly below the v1 rebuild volume of one message per arc
         // per inner iteration (robust to phase tuning, unlike comparing

@@ -40,11 +40,13 @@ fn send_full_rebuild(
 
 /// STATE PROPAGATION (Algorithm 3), steady-state edition: instead of
 /// rebuilding the Out-Table from scratch, each rank announces only the
-/// vertices that migrated this sweep as `(vertex, new_community)` deltas
-/// — keyed sends, so a vertex with many neighbors on one rank costs one
-/// message. Received deltas relabel the arcs of the migrated vertex in
-/// the Out-Table through [`OutTable::apply_deltas`] (DESIGN.md §10),
-/// which hands `dirty` the two rows each relabelled arc moved between.
+/// vertices that migrated this sweep as `(vertex, new_community)` deltas,
+/// once per rank that holds an arc of the vertex, however many such arcs
+/// that rank holds. Received deltas relabel the arcs of the migrated
+/// vertex in the Out-Table through [`OutTable::apply_deltas`] (DESIGN.md
+/// §10), which hands `dirty` the two rows each relabelled arc moved
+/// between. Returns the announcements this collapsed: arcs whose rank
+/// had already been told.
 pub(crate) fn propagate_deltas(
     ctx: &mut RankCtx<'_, Msg>,
     lvl: &RankLevel,
@@ -52,31 +54,51 @@ pub(crate) fn propagate_deltas(
     migrated: &[(u32, u32)],
     v1_state_rebuild: bool,
     dirty: impl FnMut(u32, u32, u32),
-) {
+) -> u64 {
     let part = &lvl.part;
     let rank = ctx.rank();
+    let p = ctx.num_ranks();
     let mut ex = ctx.exchange();
+    let mut collapsed = 0u64;
     if v1_state_rebuild {
         send_full_rebuild(&mut ex, lvl, table, rank);
     } else {
-        for &(u, c_new) in migrated {
-            let li = part.local_index(u);
-            for &s in table.out_srcs(li) {
-                ex.send_keyed(
-                    part.owner(s),
-                    u64::from(u),
-                    Msg {
-                        a: u,
-                        b: c_new,
-                        w: 0.0,
-                    },
-                );
+        // `told[dest] == i`: migrated vertex `i` already reaches `dest`.
+        // Each vertex moves at most once per sweep and `migrated` is
+        // ascending, so every rank receives its deltas in vertex order.
+        let mut told = vec![usize::MAX; p];
+        for (i, &(u, c_new)) in migrated.iter().enumerate() {
+            debug_assert!(i == 0 || migrated[i - 1].0 < u, "migrated not ascending");
+            for &s in table.out_srcs(part.local_index(u)) {
+                let dest = part.owner(s);
+                if told[dest] == i {
+                    collapsed += 1;
+                } else {
+                    told[dest] = i;
+                }
+            }
+            let msg = Msg {
+                a: u,
+                b: c_new,
+                w: 0.0,
+            };
+            for (dest, &last) in told.iter().enumerate() {
+                if last == i {
+                    ex.send(dest, msg);
+                }
             }
         }
     }
+    let announced = !v1_state_rebuild && ex.sent_count() > 0;
     let mut deltas: Vec<(u32, u32)> = Vec::new();
     ex.finish(|m| deltas.push((m.a, m.b)));
+    if announced {
+        // One sample per phase this rank announced in: a rank-local
+        // program-order tally, so schedule-invariant like every field.
+        louvain_trace::count("delta.phase_dedup_hits", collapsed);
+    }
     table.apply_deltas(&deltas, dirty);
+    collapsed
 }
 
 /// Gathers a replicated snapshot (global community id → value) from each
@@ -633,7 +655,7 @@ pub(super) fn refine(
         // a vertex whose own row an arc left or joined is re-walked.
         if moves > 0 {
             let label = &lvl.label;
-            propagate_deltas(
+            meter.dedup_hits += propagate_deltas(
                 ctx,
                 lvl,
                 table,
@@ -943,6 +965,122 @@ mod tests {
     /// fixed planted graph: bookkeeping changes to FIND BEST or the
     /// modularity reduction must leave every scan, patch and message —
     /// and so every simulated unit — exactly where it was.
+    /// Wire traffic of the planted seed-11 and mixed-magnitude graphs
+    /// at 1, 2 and 4 ranks under both partition strategies: messages,
+    /// packets, payload bytes, syncs, state-propagation messages, the
+    /// duplicate announcements state propagation collapsed, and each
+    /// rank's trace length. Every value is schedule-invariant, so the
+    /// perturbed run must match the unperturbed one exactly. Label
+    /// propagation's message and packet counts ride along, since it
+    /// shares `propagate_deltas`.
+    #[test]
+    fn wire_traffic_is_pinned() {
+        use crate::labelprop::LabelPropagation;
+        use louvain_graph::partition::PartitionStrategy::{ArcBalanced, Modulo};
+        // [messages, packets, bytes_sent, syncs, state_propagation,
+        //  dedup_hits], then trace events per rank.
+        let pins = [
+            ("planted", 1, Modulo, [0, 0, 0, 246, 0, 4341], &[376][..]),
+            ("planted", 1, ArcBalanced, [0, 0, 0, 250, 0, 4341], &[381]),
+            (
+                "planted",
+                2,
+                Modulo,
+                [3038, 119, 48608, 246, 414, 3927],
+                &[370, 371],
+            ),
+            (
+                "planted",
+                2,
+                ArcBalanced,
+                [3098, 125, 49568, 250, 411, 3930],
+                &[377, 377],
+            ),
+            (
+                "planted",
+                4,
+                Modulo,
+                [5094, 563, 81504, 246, 1200, 3161],
+                &[365, 368, 366, 365],
+            ),
+            (
+                "planted",
+                4,
+                ArcBalanced,
+                [5153, 604, 82448, 250, 1194, 3166],
+                &[370, 370, 371, 371],
+            ),
+            ("mixed", 1, Modulo, [0, 0, 0, 199, 0, 5055], &[314]),
+            ("mixed", 1, ArcBalanced, [0, 0, 0, 204, 0, 5055], &[320]),
+            (
+                "mixed",
+                2,
+                Modulo,
+                [2652, 158, 42432, 249, 472, 4702],
+                &[390, 391],
+            ),
+            (
+                "mixed",
+                2,
+                ArcBalanced,
+                [2722, 147, 43552, 262, 456, 4580],
+                &[402, 405],
+            ),
+            (
+                "mixed",
+                4,
+                Modulo,
+                [4253, 547, 68048, 163, 1240, 3360],
+                &[262, 259, 260, 261],
+            ),
+            (
+                "mixed",
+                4,
+                ArcBalanced,
+                [4441, 588, 71056, 186, 1270, 3514],
+                &[294, 288, 294, 287],
+            ),
+        ];
+        let planted = planted_graph(11).0;
+        let mixed = mixed_magnitude_graph();
+        for (name, ranks, partition, counts, events) in pins {
+            let el = if name == "planted" { &planted } else { &mixed };
+            for perturb_seed in [None, Some(7)] {
+                let r = ParallelLouvain::new(ParallelConfig {
+                    partition,
+                    perturb_seed,
+                    ..ParallelConfig::with_ranks(ranks)
+                })
+                .run(el);
+                let got = [
+                    r.comm.messages,
+                    r.comm.packets,
+                    r.bytes_sent,
+                    r.syncs,
+                    r.comm_breakdown.state_propagation,
+                    r.dedup_hits,
+                ];
+                let got_events: Vec<usize> = r.traces.iter().map(|t| t.events.len()).collect();
+                let at =
+                    format!("{name} at {ranks} ranks, {partition:?}, perturb {perturb_seed:?}");
+                assert_eq!(got, counts, "{at}");
+                assert_eq!(got_events, events, "{at}: trace events");
+            }
+        }
+        for (ranks, planted_counts, mixed_counts) in
+            [(2, [324, 10], [359, 17]), (4, [932, 56], [1044, 93])]
+        {
+            for (el, counts) in [(&planted, planted_counts), (&mixed, mixed_counts)] {
+                let r = LabelPropagation::new(ranks).run(el);
+                assert_eq!(
+                    [r.comm.messages, r.comm.packets],
+                    counts,
+                    "label propagation at {ranks} ranks"
+                );
+            }
+        }
+    }
+
     #[test]
     fn schedule_and_charges_are_pinned() {
         // (graph, ranks, sim_total_units, sim_breakdown as [loading,

@@ -308,6 +308,9 @@ pub(crate) struct PhaseMeter {
     pub(crate) timers: PhaseTimers,
     /// Remote messages per phase.
     pub(crate) comm: CommBreakdown,
+    /// Duplicate announcements state propagation collapsed (see
+    /// `propagate_deltas`).
+    pub(crate) dedup_hits: u64,
     /// Simulated-clock deltas per phase (identical on every rank).
     pub(crate) sim: SimBreakdown,
     /// This rank's own charged work per phase.
@@ -331,6 +334,7 @@ impl PhaseMeter {
                 loading: last.sent,
                 ..CommBreakdown::default()
             },
+            dedup_hits: 0,
             sim: SimBreakdown {
                 loading: last.clock,
                 ..SimBreakdown::default()
@@ -381,6 +385,7 @@ impl PhaseMeter {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use louvain_runtime::sim::{CHARGE_PER_MESSAGE, SYNC_LATENCY_UNITS};
     use louvain_runtime::{run_with_config, RuntimeConfig};
 
     #[test]
@@ -425,14 +430,7 @@ mod tests {
     fn lap_puts_messages_clock_and_work_into_one_phase() {
         const K: u32 = 7;
         const C: f64 = 250.0;
-        // Messages and syncs cost nothing, so every clock and work unit
-        // is an explicit charge.
-        let cfg = RuntimeConfig {
-            charge_per_message: 0.0,
-            sync_latency_units: 0.0,
-            ..RuntimeConfig::new(2)
-        };
-        let (out, _) = run_with_config::<u32, _, _>(cfg, |ctx| {
+        let (out, _) = run_with_config::<u32, _, _>(RuntimeConfig::new(2), |ctx| {
             ctx.charge(100.0);
             ctx.sim_sync();
             let mut meter = PhaseMeter::after_loading(ctx);
@@ -447,15 +445,22 @@ mod tests {
             meter.lap(ctx, Phase::UpdateCommunity);
             meter
         });
+        // Each rank sends and receives K messages in the lapped exchange,
+        // and the lap spans two syncs.
+        let work = 2.0 * f64::from(K) * CHARGE_PER_MESSAGE + C;
+        let clock = work + 2.0 * SYNC_LATENCY_UNITS;
         for meter in out {
             assert_eq!(
                 (meter.comm.update, meter.comm.total()),
                 (u64::from(K), u64::from(K))
             );
-            assert_eq!((meter.work.loading, meter.work.update), (100.0, C));
-            assert_eq!((meter.sim.loading, meter.sim.update), (100.0, C));
-            assert_eq!(meter.work.total(), 100.0 + C);
-            assert_eq!(meter.sim.total(), 100.0 + C);
+            assert_eq!((meter.work.loading, meter.work.update), (100.0, work));
+            assert_eq!(
+                (meter.sim.loading, meter.sim.update),
+                (100.0 + SYNC_LATENCY_UNITS, clock)
+            );
+            assert_eq!(meter.work.total(), 100.0 + work);
+            assert_eq!(meter.sim.total(), 100.0 + SYNC_LATENCY_UNITS + clock);
             assert!(meter.timers.get(Phase::UpdateCommunity) > Duration::ZERO);
             assert_eq!(meter.timers.get(Phase::FindBestCommunity), Duration::ZERO);
         }

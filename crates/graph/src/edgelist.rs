@@ -142,12 +142,6 @@ impl EdgeListBuilder {
         self.n
     }
 
-    /// Number of raw (pre-dedup) edges added so far.
-    #[must_use]
-    pub fn raw_len(&self) -> usize {
-        self.raw.len()
-    }
-
     /// Adds an undirected edge.
     ///
     /// # Panics

@@ -144,11 +144,6 @@ pub fn write_edge_list<W: Write>(el: &EdgeList, writer: W) -> Result<(), IoError
     Ok(())
 }
 
-/// Writes an edge list to a file path.
-pub fn write_edge_list_file<P: AsRef<Path>>(el: &EdgeList, path: P) -> Result<(), IoError> {
-    write_edge_list(el, std::fs::File::create(path)?)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

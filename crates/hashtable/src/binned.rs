@@ -42,12 +42,6 @@ impl<H: HashFn64> BinnedTable<H> {
         self.len == 0
     }
 
-    /// Number of bins.
-    #[must_use]
-    pub fn num_bins(&self) -> usize {
-        self.bins.len()
-    }
-
     /// Inserts `key` with weight `w`, or accumulates into the existing
     /// entry. Returns `true` if newly inserted.
     pub fn accumulate(&mut self, key: u64, w: f64) -> bool {

@@ -7,6 +7,7 @@
 //! prevents a fast rank from overwriting slots of the current collective
 //! while slow ranks are still reading.
 
+use crate::sim::CHARGE_PER_MESSAGE;
 use crate::world::{CollectiveKind, RankCtx};
 use std::panic::Location;
 
@@ -61,7 +62,7 @@ impl<'w, M: Send> RankCtx<'w, M> {
         };
         // Bandwidth charge: element-wise reduction touches p*len values,
         // modeled at a tenth of a message per element received.
-        self.charge(out.len() as f64 * 0.1 * self.world.charge_per_message);
+        self.charge(out.len() as f64 * 0.1 * CHARGE_PER_MESSAGE);
         self.sim_sync();
         out
     }
@@ -86,7 +87,7 @@ impl<'w, M: Send> RankCtx<'w, M> {
             out
         };
         // Bandwidth charge: every rank receives the concatenation.
-        self.charge(out.len() as f64 * 0.1 * self.world.charge_per_message);
+        self.charge(out.len() as f64 * 0.1 * CHARGE_PER_MESSAGE);
         self.sim_sync();
         out
     }

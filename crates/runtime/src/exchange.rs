@@ -16,21 +16,12 @@
 //! 3. a final barrier guarantees no rank starts the next phase while
 //!    others are still draining this one.
 //!
-//! Besides plain [`Exchange::send`], a phase supports **keyed sends**
-//! ([`Exchange::send_keyed`]): append-only per-destination buffers that
-//! deduplicate same-key updates with last-writer-wins semantics and pack
-//! the surviving messages, ascending by key, into full packets at
-//! [`Exchange::finish`]. A key equal to the buffer's last key overwrites
-//! it in place, so a caller issuing ascending keys never sorts. This is
-//! the communication-reduction primitive behind delta-based state
-//! propagation — a vertex whose community is announced twice within one
-//! phase costs one message, not two. Last-writer dedup is safe under the
-//! BSP model because nothing is delivered until the phase closes: within
-//! a phase, only the final value of a key is observable anyway (see
-//! DESIGN.md §10).
+//! A phase has the one send path above, as MPI's point-to-point layer
+//! does; a caller that must not repeat a message to a rank (delta-based
+//! state propagation, DESIGN.md §10) filters on the sender side.
 
 use crate::fault::{Packet, PacketFault};
-use crate::sim::PerturbRng;
+use crate::sim::{PerturbRng, CHARGE_PER_MESSAGE};
 use crate::world::{CollectiveKind, RankCtx};
 use std::panic::Location;
 use std::sync::atomic::Ordering;
@@ -47,17 +38,6 @@ pub struct Exchange<'a, 'w, M: Send> {
     /// the handler at `finish`.
     self_buf: Vec<M>,
     self_rank: usize,
-    /// Per-destination keyed buffers ([`Exchange::send_keyed`]) in send
-    /// order, with equal adjacent keys already collapsed.
-    keyed: Vec<Vec<(u64, M)>>,
-    /// Per destination: a key arrived below its buffer's last key, so
-    /// the buffer must be sorted (and deduplicated) at flush.
-    keyed_unsorted: Vec<bool>,
-    /// Keyed sends absorbed by same-key dedup in this phase.
-    keyed_hits: u64,
-    /// Whether any keyed send happened this phase (gates the dedup trace
-    /// sample so plain phases stay byte-identical to the pre-keyed era).
-    keyed_used: bool,
     /// This rank's phase number (seeds the perturbation RNG).
     phase: u64,
     /// Rank-cumulative [`RankCtx::bytes_sent`] when the phase opened, so
@@ -99,10 +79,6 @@ impl<'w, M: Send> RankCtx<'w, M> {
         Exchange {
             outbufs: (0..p).map(|_| Vec::new()).collect(),
             sent: vec![0; p],
-            keyed: (0..p).map(|_| Vec::new()).collect(),
-            keyed_unsorted: vec![false; p],
-            keyed_hits: 0,
-            keyed_used: false,
             self_buf: Vec::new(),
             self_rank: rank,
             phase,
@@ -125,7 +101,7 @@ impl<'a, 'w, M: Send> Exchange<'a, 'w, M> {
             self.self_buf.push(msg);
             return;
         }
-        self.ctx.charge(self.ctx.world.charge_per_message);
+        self.ctx.charge(CHARGE_PER_MESSAGE);
         let buf = &mut self.outbufs[dest];
         buf.push(msg);
         self.sent[dest] += 1;
@@ -135,69 +111,7 @@ impl<'a, 'w, M: Send> Exchange<'a, 'w, M> {
         }
     }
 
-    /// Buffers `msg` for `dest` under `key`, deduplicating against any
-    /// earlier keyed send to the same `(dest, key)` in this phase —
-    /// last writer wins. Surviving messages are packed into packets in
-    /// ascending key order and charged when the phase flushes at
-    /// [`Exchange::finish`], so a deduplicated update costs nothing on
-    /// the wire.
-    ///
-    /// Cost: a key equal to the destination's last key overwrites that
-    /// entry in place and a larger key appends, both O(1); a smaller key
-    /// appends too but makes the flush sort that destination's buffer.
-    ///
-    /// Determinism contract: within one phase, either all keyed sends to
-    /// the same `(dest, key)` must carry an equal payload, or the caller
-    /// must issue them in a deterministic order — otherwise "last writer"
-    /// would depend on iteration order. Delta-based state propagation
-    /// satisfies the first form (a vertex announces one new community per
-    /// phase, however many of its arcs point at the destination).
-    pub fn send_keyed(&mut self, dest: usize, key: u64, msg: M) {
-        debug_assert!(dest < self.keyed.len(), "destination out of range");
-        self.keyed_used = true;
-        let buf = &mut self.keyed[dest];
-        if let Some((last, slot)) = buf.last_mut() {
-            if *last == key {
-                *slot = msg;
-                self.keyed_hits += 1;
-                return;
-            }
-            if *last > key {
-                self.keyed_unsorted[dest] = true;
-            }
-        }
-        buf.push((key, msg));
-    }
-
-    /// Drains the keyed buffers through the plain send path (which
-    /// charges, counts, and packs each surviving message), in destination
-    /// order and key order — deterministic regardless of the order the
-    /// keyed sends were issued in. An out-of-order buffer is stably
-    /// sorted first, so each equal-key run ends with its last writer; the
-    /// run's earlier entries are dropped and counted as dedup hits.
-    fn flush_keyed(&mut self) {
-        if !self.keyed_used {
-            return;
-        }
-        for dest in 0..self.keyed.len() {
-            let mut buf = std::mem::take(&mut self.keyed[dest]);
-            if std::mem::take(&mut self.keyed_unsorted[dest]) {
-                buf.sort_by_key(|&(key, _)| key);
-            }
-            let mut entries = buf.into_iter().peekable();
-            while let Some((key, msg)) = entries.next() {
-                if entries.peek().is_some_and(|&(next, _)| next == key) {
-                    self.keyed_hits += 1;
-                    continue;
-                }
-                self.send(dest, msg);
-            }
-        }
-    }
-
-    /// Messages sent so far in this phase (including self-sends). Keyed
-    /// sends are counted only once flushed at [`Exchange::finish`], when
-    /// deduplication has resolved.
+    /// Messages sent so far in this phase (including self-sends).
     #[must_use]
     pub fn sent_count(&self) -> u64 {
         self.sent.iter().sum::<u64>() + self.self_buf.len() as u64
@@ -315,9 +229,6 @@ impl<'a, 'w, M: Send> Exchange<'a, 'w, M> {
     pub fn finish<F: FnMut(M)>(mut self, mut handler: F) -> u64 {
         let p = self.ctx.num_ranks();
         let rank = self.ctx.rank();
-        // Resolve keyed buffers into the packet path, then flush partial
-        // packets.
-        self.flush_keyed();
         for dest in 0..p {
             let packet = std::mem::take(&mut self.outbufs[dest]);
             self.flush_packet(dest, packet);
@@ -352,8 +263,7 @@ impl<'a, 'w, M: Send> Exchange<'a, 'w, M> {
         // Delivery cost (self and remote alike), then close the BSP
         // superstep — sim_sync's barriers double as the phase exit
         // barrier.
-        self.ctx
-            .charge(received as f64 * self.ctx.world.charge_per_message);
+        self.ctx.charge(received as f64 * CHARGE_PER_MESSAGE);
         let clock = self.ctx.sim_sync();
         // Every field here is schedule-invariant: counts and bytes are
         // rank-local program-order quantities and `clock` is the globally
@@ -366,15 +276,6 @@ impl<'a, 'w, M: Send> Exchange<'a, 'w, M> {
             bytes: self.ctx.bytes_sent.get() - self.bytes_at_start,
             clock,
         });
-        if self.keyed_used {
-            // Dedup hits are a multiset property of this rank's own keyed
-            // sends (count minus distinct keys per destination), so the
-            // sample is schedule-invariant like every other trace field.
-            self.ctx
-                .dedup_hits
-                .set(self.ctx.dedup_hits.get() + self.keyed_hits);
-            louvain_trace::count("exchange.dedup_hits", self.keyed_hits);
-        }
         received
     }
 
@@ -498,8 +399,6 @@ impl<'a, 'w, M: Send> Exchange<'a, 'w, M> {
 #[cfg(test)]
 mod tests {
     use crate::world::{run, run_with_config, RuntimeConfig};
-    use proptest::prelude::*;
-    use std::collections::BTreeMap;
 
     #[test]
     fn all_to_all_delivers_exact_multiset() {
@@ -747,214 +646,6 @@ mod tests {
                 .collect::<Vec<_>>()
         };
         assert_eq!(sorted(&a1), sorted(&b));
-    }
-
-    #[test]
-    fn keyed_sends_deduplicate_last_writer_wins() {
-        // Rank 0 announces key 7 three times with different payloads and
-        // key 9 once; rank 1 must receive exactly two messages, with the
-        // last payload winning for key 7, and the two absorbed updates
-        // must show up in the dedup counter — not on the wire.
-        let cfg = RuntimeConfig {
-            check_protocol: true,
-            ..RuntimeConfig::new(2)
-        };
-        let (out, stats) = run_with_config::<u64, _, _>(cfg, |ctx| {
-            let rank = ctx.rank();
-            let mut ex = ctx.exchange();
-            if rank == 0 {
-                ex.send_keyed(1, 7, 100);
-                ex.send_keyed(1, 7, 200);
-                ex.send_keyed(1, 9, 900);
-                ex.send_keyed(1, 7, 300);
-            }
-            let mut got = Vec::new();
-            ex.finish(|m| got.push(m));
-            got
-        });
-        assert_eq!(out[0], Vec::<u64>::new());
-        // Flush order is key order: key 7's survivor before key 9's.
-        assert_eq!(out[1], vec![300, 900]);
-        assert_eq!(stats.messages, 2, "deduplicated updates must not ship");
-        assert_eq!(stats.dedup_hits, 2);
-    }
-
-    #[test]
-    fn keyed_self_sends_bypass_the_wire() {
-        // Keyed self-sends dedup like remote ones but never become
-        // packets; they reach the handler through the self-send buffer.
-        let (out, stats) = run_with_config::<u64, _, _>(
-            RuntimeConfig {
-                check_protocol: true,
-                ..RuntimeConfig::new(2)
-            },
-            |ctx| {
-                let rank = ctx.rank();
-                let mut ex = ctx.exchange();
-                ex.send_keyed(rank, 1, 10);
-                ex.send_keyed(rank, 1, 20);
-                ex.send_keyed(rank, 2, 30);
-                let mut sum = 0u64;
-                ex.finish(|m| sum += m);
-                sum
-            },
-        );
-        assert_eq!(out, vec![50, 50]);
-        assert_eq!(stats.messages, 0, "self-sends never touch the channel");
-        assert_eq!(stats.packets, 0);
-        assert_eq!(stats.dedup_hits, 2);
-    }
-
-    #[test]
-    fn keyed_and_plain_sends_share_a_phase() {
-        // Plain sends flush eagerly, keyed sends flush at finish; counts
-        // and quiescence must hold with both in flight in one phase.
-        let cfg = RuntimeConfig {
-            coalesce_capacity: 2,
-            check_protocol: true,
-            ..RuntimeConfig::new(3)
-        };
-        let (out, stats) = run_with_config::<(u64, u64), _, _>(cfg, |ctx| {
-            let p = ctx.num_ranks();
-            let rank = ctx.rank() as u64;
-            let mut ex = ctx.exchange();
-            for d in 0..p {
-                ex.send(d, (rank, 1));
-                ex.send_keyed(d, 42, (rank, 2));
-                ex.send_keyed(d, 42, (rank, 3)); // superseded
-            }
-            let mut got = Vec::new();
-            ex.finish(|m| got.push(m));
-            got.sort_unstable();
-            got
-        });
-        for (rank, got) in out.iter().enumerate() {
-            // One plain + one keyed survivor from each of the 3 senders.
-            assert_eq!(got.len(), 6, "rank {rank}: {got:?}");
-            assert!(got.iter().all(|&(_, tag)| tag == 1 || tag == 3));
-        }
-        assert_eq!(stats.dedup_hits, 9);
-    }
-
-    #[test]
-    fn keyed_flush_order_is_independent_of_send_order() {
-        // Two runs feeding the same (key, payload) set in opposite orders
-        // must put identical packets on the wire: the keyed buffer sorts
-        // by key at flush, so arrival at the receiver is order-identical.
-        let run_order = |rev: bool| {
-            run_with_config::<u64, _, _>(RuntimeConfig::new(2), move |ctx| {
-                let rank = ctx.rank();
-                let mut ex = ctx.exchange();
-                if rank == 0 {
-                    let keys: Vec<u64> = if rev {
-                        (0..16).rev().collect()
-                    } else {
-                        (0..16).collect()
-                    };
-                    for k in keys {
-                        ex.send_keyed(1, k, k * 10);
-                    }
-                }
-                let mut got = Vec::new();
-                ex.finish(|m| got.push(m));
-                got
-            })
-            .0
-        };
-        assert_eq!(run_order(false), run_order(true));
-    }
-
-    /// One send of the keyed-buffer property: a plain send when `keyed`
-    /// is false, else a keyed send under `key`.
-    #[derive(Clone, Copy, Debug)]
-    struct Op {
-        dest: usize,
-        keyed: bool,
-        key: u64,
-    }
-
-    /// Sends whose keys walk up, stay and step down, so buffers take the
-    /// in-place, append and out-of-order paths in one phase.
-    fn arb_ops() -> impl Strategy<Value = Vec<Op>> {
-        proptest::collection::vec((0usize..3, 0u8..4, -2i64..3), 0..256).prop_map(|raw| {
-            let mut key = 4i64;
-            raw.into_iter()
-                .map(|(dest, kind, step)| {
-                    key = (key + step).max(0);
-                    Op {
-                        dest,
-                        keyed: kind > 0,
-                        key: key as u64,
-                    }
-                })
-                .collect()
-        })
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(64))]
-
-        /// Keyed sends in any key order, interleaved with plain sends,
-        /// deliver what an ordered-map model predicts: per destination
-        /// the plain sends in send order, then each key's last payload
-        /// ascending by key, with every superseded send a dedup hit.
-        #[test]
-        fn keyed_sends_match_an_ordered_map_model(ops in arb_ops()) {
-            let p = 3;
-            let mut plain: Vec<Vec<u64>> = vec![Vec::new(); p];
-            let mut keyed: Vec<BTreeMap<u64, u64>> = vec![BTreeMap::new(); p];
-            let mut hits = 0u64;
-            for (i, op) in ops.iter().enumerate() {
-                if !op.keyed {
-                    plain[op.dest].push(i as u64);
-                } else if keyed[op.dest].insert(op.key, i as u64).is_some() {
-                    hits += 1;
-                }
-            }
-            let cfg = RuntimeConfig {
-                coalesce_capacity: 2,
-                check_protocol: true,
-                ..RuntimeConfig::new(p)
-            };
-            let (out, stats) = run_with_config::<u64, _, _>(cfg, |ctx| {
-                let sender = ctx.rank() == 0;
-                let mut ex = ctx.exchange();
-                if sender {
-                    for (i, op) in ops.iter().enumerate() {
-                        if op.keyed {
-                            ex.send_keyed(op.dest, op.key, i as u64);
-                        } else {
-                            ex.send(op.dest, i as u64);
-                        }
-                    }
-                }
-                let mut got = Vec::new();
-                ex.finish(|m| got.push(m));
-                got
-            });
-            for dest in 0..p {
-                let mut want = plain[dest].clone();
-                want.extend(keyed[dest].values());
-                prop_assert_eq!(&out[dest], &want, "destination {}", dest);
-            }
-            prop_assert_eq!(stats.dedup_hits, hits);
-        }
-    }
-
-    #[test]
-    fn unused_keyed_path_changes_nothing() {
-        // A phase that never calls send_keyed must behave exactly as
-        // before the keyed layer existed: no dedup accounting.
-        let (out, stats) = run_with_config::<u64, _, _>(RuntimeConfig::new(2), |ctx| {
-            let dest = 1 - ctx.rank();
-            let mut ex = ctx.exchange();
-            ex.send(dest, 5);
-            let mut n = 0u64;
-            ex.finish(|_| n += 1);
-            n
-        });
-        assert_eq!(out, vec![1, 1]);
-        assert_eq!(stats.dedup_hits, 0);
     }
 
     #[test]

@@ -9,19 +9,27 @@
 //! > *maximum* work any rank accumulated since the previous
 //! > synchronization, plus a fixed synchronization latency.
 //!
-//! Work units are charged automatically by the messaging layer (one unit
-//! per remote message sent and per message delivered, configurable via
-//! [`crate::RuntimeConfig::charge_per_message`]) and manually by
+//! Work units are charged automatically by the messaging layer
+//! ([`CHARGE_PER_MESSAGE`] per remote message sent and per message
+//! delivered, a tenth of that per collective element) and manually by
 //! algorithms via [`RankCtx::charge`] for local compute. Load imbalance
 //! shows up naturally through the `max`, and latency-dominated
 //! strong-scaling rolloff through the per-sync constant
-//! ([`crate::RuntimeConfig::sync_latency_units`]).
+//! ([`SYNC_LATENCY_UNITS`]).
 //!
 //! The model intentionally has only those two calibration constants;
 //! everything else is *measured* from the actual execution.
 
 use crate::world::{CollectiveKind, RankCtx};
 use std::panic::Location;
+
+/// Clock units charged per remote message sent and per message
+/// delivered; collectives charge a tenth of it per element received.
+pub const CHARGE_PER_MESSAGE: f64 = 1.0;
+
+/// Clock units every synchronization point adds (models collective and
+/// barrier latency).
+pub const SYNC_LATENCY_UNITS: f64 = 5000.0;
 
 /// Global simulated-clock state (one per world, behind a mutex).
 #[derive(Debug, Default)]
@@ -76,7 +84,7 @@ impl<'w, M: Send> RankCtx<'w, M> {
         if self.rank == 0 {
             let mut sim = self.world.sim.lock();
             let max = sim.pending.iter().copied().fold(0.0f64, f64::max);
-            sim.clock += max + self.world.sync_latency_units;
+            sim.clock += max + SYNC_LATENCY_UNITS;
             sim.pending.iter_mut().for_each(|x| *x = 0.0);
         }
         self.wait_raw();
@@ -160,13 +168,13 @@ impl PerturbRng {
 
 #[cfg(test)]
 mod tests {
+    use super::{CHARGE_PER_MESSAGE as C, SYNC_LATENCY_UNITS as L};
     use crate::world::{run, run_with_config, RuntimeConfig};
 
     #[test]
     fn clock_advances_by_max_work_plus_latency() {
         let cfg = RuntimeConfig {
             coalesce_capacity: 64,
-            sync_latency_units: 100.0,
             ..RuntimeConfig::new(4)
         };
         let (out, _) = run_with_config::<(), _, _>(cfg, |ctx| {
@@ -175,15 +183,15 @@ mod tests {
             ctx.charge(5.0);
             ctx.sim_time_units()
         });
-        // First sync: 40 + 100; second: 5 + 100. Total 245.
-        assert!(out.iter().all(|&t| (t - 245.0).abs() < 1e-9), "{out:?}");
+        // First sync: 40 + L; second: 5 + L.
+        let want = 40.0 + L + 5.0 + L;
+        assert!(out.iter().all(|&t| (t - want).abs() < 1e-9), "{out:?}");
     }
 
     #[test]
     fn messages_are_charged_to_both_sides() {
         let cfg = RuntimeConfig {
             coalesce_capacity: 8,
-            sync_latency_units: 0.0,
             ..RuntimeConfig::new(2)
         };
         let (out, _) = run_with_config::<u32, _, _>(cfg, |ctx| {
@@ -199,15 +207,16 @@ mod tests {
             ctx.sim_time_units()
         });
         // One superstep: rank 0 charged 10 sends, rank 1 charged 10
-        // deliveries. Clock = max(10, 10) = 10; final sync adds nothing.
-        assert!(out.iter().all(|&t| (t - 10.0).abs() < 1e-9), "{out:?}");
+        // deliveries, so it costs max(10C, 10C) + L; the final sync adds
+        // only its latency.
+        let want = 10.0 * C + L + L;
+        assert!(out.iter().all(|&t| (t - want).abs() < 1e-9), "{out:?}");
     }
 
     #[test]
     fn self_sends_charge_delivery_only() {
         let cfg = RuntimeConfig {
             coalesce_capacity: 8,
-            sync_latency_units: 0.0,
             ..RuntimeConfig::new(2)
         };
         let (out, _) = run_with_config::<u32, _, _>(cfg, |ctx| {
@@ -220,20 +229,20 @@ mod tests {
             ctx.sim_time_units()
         });
         // Self-sends bypass the network; only the 10 deliveries cost.
-        assert!(out.iter().all(|&t| (t - 10.0).abs() < 1e-9), "{out:?}");
+        let want = 10.0 * C + L + L;
+        assert!(out.iter().all(|&t| (t - want).abs() < 1e-9), "{out:?}");
     }
 
     #[test]
     fn more_ranks_reduce_simulated_time_for_fixed_total_work() {
-        // A fixed pool of 1200 work units split evenly: sim time must
-        // shrink with rank count — the property wall-clock cannot show on
-        // a single-core host.
-        let total = 1200.0;
+        // A fixed pool of 120 sync latencies of work split evenly: sim
+        // time must shrink with rank count — the property wall-clock
+        // cannot show on a single-core host.
+        let total = 120.0 * L;
         let mut times = Vec::new();
         for p in [1usize, 2, 4, 8] {
             let cfg = RuntimeConfig {
                 coalesce_capacity: 64,
-                sync_latency_units: 10.0,
                 ..RuntimeConfig::new(p)
             };
             let (out, _) = run_with_config::<(), _, _>(cfg, |ctx| {
@@ -243,7 +252,7 @@ mod tests {
             times.push(out[0]);
         }
         assert!(times[0] > times[1] && times[1] > times[2] && times[2] > times[3]);
-        // Near-ideal speedup at small p: (1200+10) vs (600+10).
+        // Near-ideal speedup at small p: (120 + 1) L vs (60 + 1) L.
         let speedup = times[0] / times[1];
         assert!((speedup - 1.98).abs() < 0.05, "{times:?}");
     }
@@ -255,8 +264,8 @@ mod tests {
             let _ = ctx.allreduce_sum(1.0);
             ctx.sim_time_units()
         });
-        // Default latency is non-zero, so two collectives + final sync
-        // must have advanced the clock, and all ranks agree.
+        // Latency is non-zero, so two collectives + final sync must have
+        // advanced the clock, and all ranks agree.
         assert!(out.iter().all(|&t| t > 0.0));
         assert!(out.windows(2).all(|w| (w[0] - w[1]).abs() < 1e-9));
     }
@@ -265,7 +274,6 @@ mod tests {
     fn imbalance_dominates_the_clock() {
         let cfg = RuntimeConfig {
             coalesce_capacity: 64,
-            sync_latency_units: 0.0,
             ..RuntimeConfig::new(4)
         };
         // One straggler with 1000 units; everyone else idle.
@@ -275,6 +283,7 @@ mod tests {
             }
             ctx.sim_time_units()
         });
-        assert!(out.iter().all(|&t| (t - 1000.0).abs() < 1e-9));
+        let want = 1000.0 + L;
+        assert!(out.iter().all(|&t| (t - want).abs() < 1e-9), "{out:?}");
     }
 }

@@ -19,12 +19,6 @@ pub struct RuntimeConfig {
     /// Messages buffered per destination before a packet is flushed —
     /// the coalescing granularity of the messaging layer.
     pub coalesce_capacity: usize,
-    /// BSP cost model: clock units added per synchronization point
-    /// (models collective/barrier latency). See [`crate::sim`].
-    pub sync_latency_units: f64,
-    /// BSP cost model: clock units charged per remote message sent and
-    /// per message delivered.
-    pub charge_per_message: f64,
     /// Enables the collective-protocol shadow checks: per-rank operation
     /// sequence numbers, collective type tags, and per-phase send-count
     /// reconciliation. Mismatched collectives become an immediate panic
@@ -49,15 +43,12 @@ pub struct RuntimeConfig {
 
 impl RuntimeConfig {
     /// `ranks` ranks with the default coalescing capacity (1024 messages,
-    /// ~16 KiB packets for 16-byte messages) and default cost model
-    /// (1 unit/message, 5000 units/sync).
+    /// ~16 KiB packets for 16-byte messages).
     #[must_use]
     pub fn new(ranks: usize) -> Self {
         Self {
             ranks,
             coalesce_capacity: 1024,
-            sync_latency_units: 5000.0,
-            charge_per_message: 1.0,
             check_protocol: cfg!(debug_assertions),
             perturb_seed: None,
             record_protocol: false,
@@ -154,11 +145,6 @@ pub struct CommStats {
     pub messages: u64,
     /// Total packets (coalesced message batches) sent.
     pub packets: u64,
-    /// Keyed sends absorbed by same-key deduplication
-    /// ([`Exchange::send_keyed`](crate::Exchange::send_keyed)): messages
-    /// that never reached the wire because a later update to the same
-    /// `(destination, key)` superseded them within the phase.
-    pub dedup_hits: u64,
 }
 
 /// The world's rank barrier. A rank thread that unwinds poisons it, and
@@ -264,11 +250,8 @@ pub(crate) struct World<M: Send> {
     pub(crate) perturb_seed: Option<u64>,
     pub(crate) msg_counter: AtomicU64,
     pub(crate) packet_counter: AtomicU64,
-    pub(crate) dedup_counter: AtomicU64,
     /// BSP simulated clock (see [`crate::sim`]).
     pub(crate) sim: Mutex<SimState>,
-    pub(crate) sync_latency_units: f64,
-    pub(crate) charge_per_message: f64,
     /// Fault-injection state, present only under
     /// [`run_with_config_faulted`].
     pub(crate) fault: Option<FaultState>,
@@ -295,8 +278,6 @@ pub struct RankCtx<'w, M: Send> {
     pub(crate) syncs: Cell<u64>,
     /// Payload bytes this rank has pushed into remote packets.
     pub(crate) bytes_sent: Cell<u64>,
-    /// Keyed sends absorbed by same-key dedup on this rank (all phases).
-    pub(crate) dedup_hits: Cell<u64>,
     /// Observed collective sequence (program order), populated only when
     /// [`RuntimeConfig::record_protocol`] is set.
     pub(crate) protocol_log: RefCell<Vec<CollectiveKind>>,
@@ -344,15 +325,6 @@ impl<'w, M: Send> RankCtx<'w, M> {
     #[must_use]
     pub fn bytes_sent(&self) -> u64 {
         self.bytes_sent.get()
-    }
-
-    /// Keyed sends ([`Exchange::send_keyed`](crate::Exchange::send_keyed))
-    /// this rank has absorbed through same-key deduplication so far. A
-    /// rank-local program-order quantity: it depends only on the multiset
-    /// of keys this rank fed into each phase, never on delivery order.
-    #[must_use]
-    pub fn dedup_hits(&self) -> u64 {
-        self.dedup_hits.get()
     }
 
     /// `true` when this world runs under fault injection
@@ -646,13 +618,10 @@ where
         perturb_seed: cfg.perturb_seed,
         msg_counter: AtomicU64::new(0),
         packet_counter: AtomicU64::new(0),
-        dedup_counter: AtomicU64::new(0),
         sim: Mutex::new(SimState {
             clock: 0.0,
             pending: vec![0.0; p],
         }),
-        sync_latency_units: cfg.sync_latency_units,
-        charge_per_message: cfg.charge_per_message,
         fault: plan.map(|plan| FaultState {
             plan: plan.clone(),
             crashed: Mutex::new(None),
@@ -679,7 +648,6 @@ where
                         exchange_seq: Cell::new(0),
                         syncs: Cell::new(0),
                         bytes_sent: Cell::new(0),
-                        dedup_hits: Cell::new(0),
                         protocol_log: RefCell::new(Vec::new()),
                         fault_drops: Cell::new(0),
                         fault_dups: Cell::new(0),
@@ -689,9 +657,6 @@ where
                     world
                         .msg_counter
                         .fetch_add(ctx.sent_messages, Ordering::Relaxed);
-                    world
-                        .dedup_counter
-                        .fetch_add(ctx.dedup_hits.get(), Ordering::Relaxed);
                     if let Some(fault) = &world.fault {
                         fault
                             .drops
@@ -752,7 +717,6 @@ where
     let stats = CommStats {
         messages: world.msg_counter.load(Ordering::Relaxed),
         packets: world.packet_counter.load(Ordering::Relaxed),
-        dedup_hits: world.dedup_counter.load(Ordering::Relaxed),
     };
     let logs = std::mem::take(&mut *world.protocol_logs.lock());
     let results = results

@@ -166,9 +166,10 @@ pub enum Event {
     /// Names in use (all rank-local program-order quantities, so every
     /// one is invariant under schedule perturbation):
     /// `runtime.syncs`, `runtime.bytes_sent`, `runtime.messages_sent`,
-    /// `runtime.dedup_hits` (keyed sends absorbed by last-writer
-    /// coalescing), `exchange.dedup_hits` (the per-phase slice of the
-    /// same), `delta.state_propagation_messages` (wire volume of the
+    /// `delta.dedup_hits` (announcements state propagation collapsed
+    /// because the destination rank had already been told),
+    /// `delta.phase_dedup_hits` (the per-exchange slice of the same),
+    /// `delta.state_propagation_messages` (wire volume of the
     /// delta protocol), `delta.cache_invalidations` (remote-state
     /// caches retired by graph reconstruction), and the frontier
     /// scheduler's `frontier.active_vertices` (vertices scanned by the

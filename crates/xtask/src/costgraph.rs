@@ -14,9 +14,8 @@
 //!
 //! * **payload bound** — the lattice `O(1) ≤ O(deltas) ≤ O(n_local) ≤
 //!   O(local_arcs) ≤ Unbounded`, derived from the provenance of the
-//!   buffer (for vector collectives), the coalescing key (for
-//!   `send_keyed`: dedup bounds a phase's volume by distinct keys), or
-//!   the enclosing data-bounded loops (for plain `send`);
+//!   buffer (for vector collectives) or the enclosing data-bounded
+//!   loops (for `send`);
 //! * **invocation multiplicity** — `per_run`, `per_level` (inside the
 //!   `max_levels` driver loop), `per_iteration` (inside the
 //!   `max_inner_iterations` loop), or `rank_tainted_loop` (a loop whose
@@ -260,7 +259,7 @@ impl LoopMark {
 /// The communication surface classified at [`PNode::Api`] sites: the
 /// runtime API minus the structural `exchange`/`finish` pair. Each entry
 /// carries whether its first argument is a payload buffer.
-const SITE_OPS: [(&str, bool); 10] = [
+const SITE_OPS: [(&str, bool); 9] = [
     ("barrier", false),
     ("allreduce_sum", false),
     ("allreduce_max", false),
@@ -270,7 +269,6 @@ const SITE_OPS: [(&str, bool); 10] = [
     ("sim_sync", false),
     ("sim_time_units", false),
     ("send", false),
-    ("send_keyed", false),
 ];
 
 fn site_op(w: &str) -> Option<bool> {
@@ -350,32 +348,25 @@ fn loop_mark(
     LoopMark::Data(expr_class(stream, s, e, env))
 }
 
-/// Abstract payload of an [`PNode::Api`] call and whether it is keyed;
-/// `None` when the call is not a cost site (the structural
-/// `exchange`/`finish` pair). For `send`: `O(1)` (volume comes from the
-/// loop marks). For `send_keyed`: the coalescing key's class. For vector
-/// collectives: the buffer argument's class.
+/// Abstract payload of an [`PNode::Api`] call; `None` when the call is
+/// not a cost site (the structural `exchange`/`finish` pair). For `send`
+/// and scalar collectives: `O(1)` (a send's volume comes from the loop
+/// marks). For vector collectives: the buffer argument's class.
 fn site_payload(
     stream: &Stream,
     name: &str,
     args: Span,
     env: &BTreeMap<String, AbsClass>,
-) -> Option<(AbsClass, bool)> {
+) -> Option<AbsClass> {
     let vec_payload = site_op(name)?;
     let args = split_args(stream, args.0, args.1);
-    let class = |arg: Option<&Span>| {
-        arg.map(|&(s, e)| expr_class(stream, s, e, env))
-            .unwrap_or_default()
-    };
     let fixed = |&(s, e): &Span| is_array_literal(stream, s, e);
-    Some(if name == "send_keyed" {
-        // Coalescing bounds a phase's volume by the distinct keys,
-        // overriding the loop structure.
-        (class(args.get(1)), true)
-    } else if !vec_payload || args.first().is_some_and(fixed) {
-        (AbsClass::known(PayloadClass::O1), false)
+    Some(if !vec_payload || args.first().is_some_and(fixed) {
+        AbsClass::known(PayloadClass::O1)
     } else {
-        (class(args.first()), false)
+        args.first()
+            .map(|&(s, e)| expr_class(stream, s, e, env))
+            .unwrap_or_default()
     })
 }
 
@@ -477,16 +468,11 @@ fn resolve_abs(a: &AbsClass, binding: &BTreeMap<String, PayloadClass>) -> Option
 /// Is this site's payload `Unbounded` under the optimistic rule? Unbound
 /// parameters are assumed caller-bounded; only a fully unknown
 /// component (no base, no parameter provenance) is a defect.
-fn site_unbounded(payload: &AbsClass, keyed: bool, marks: &[LoopMark]) -> bool {
-    let data_unknown = marks
-        .iter()
-        .any(|m| matches!(m, LoopMark::Data(a) if a.is_unknown()));
-    if keyed {
-        // A recognized key bounds the phase regardless of the loops.
-        payload.is_unknown() && data_unknown
-    } else {
-        payload.is_unknown() || data_unknown
-    }
+fn site_unbounded(payload: &AbsClass, marks: &[LoopMark]) -> bool {
+    payload.is_unknown()
+        || marks
+            .iter()
+            .any(|m| matches!(m, LoopMark::Data(a) if a.is_unknown()))
 }
 
 // ---------------------------------------------------------------------------
@@ -504,10 +490,10 @@ fn check_m1(stream: &Stream, file: &FileInfo, out: &mut Vec<ProtocolFinding>) {
             else {
                 return;
             };
-            let Some((payload, keyed)) = site_payload(stream, name, *args, &env) else {
+            let Some(payload) = site_payload(stream, name, *args, &env) else {
                 return;
             };
-            if site_unbounded(&payload, keyed, marks) {
+            if site_unbounded(&payload, marks) {
                 out.push(ProtocolFinding {
                     line: *line,
                     rule: Rule::M1,
@@ -975,16 +961,11 @@ impl CostAnalysis {
             });
             match node {
                 PNode::Api { name, args, .. } => {
-                    let Some((payload, keyed)) = site_payload(stream, name, *args, &fc.env) else {
+                    let Some(payload) = site_payload(stream, name, *args, &fc.env) else {
                         return;
                     };
-                    let p = match (keyed, resolve_abs(&payload, binding)) {
-                        // A recognized key bounds the phase regardless of
-                        // the loops.
-                        (true, Some(c)) => c,
-                        (true, None) => data.fold(PayloadClass::O1, Ord::max),
-                        (false, c) => data.fold(c.unwrap_or(PayloadClass::Unbounded), Ord::max),
-                    };
+                    let p = resolve_abs(&payload, binding).unwrap_or(PayloadClass::Unbounded);
+                    let p = data.fold(p, Ord::max);
                     let p = inherited.iter().fold(p, |a, &c| a.max(c));
                     let key = (
                         self.files[fi].path.clone(),
@@ -1143,24 +1124,6 @@ fn f(ctx: &mut Ctx) {
 }
 ";
         assert_eq!(findings_of(src), vec![(5, Rule::M1)]);
-    }
-
-    #[test]
-    fn keyed_send_with_recognized_key_overrides_loop_class() {
-        // The keyed site rides in an O(local_arcs) loop but dedups by a
-        // delta-derived key: bounded, no M1.
-        let src = r"
-fn f(ctx: &mut Ctx, migrated: &[(u32, u32)], out_srcs: &[u32]) {
-    let mut ex = ctx.exchange();
-    for &(u, c) in migrated {
-        for &s in out_srcs.iter() {
-            ex.send_keyed(0, u64::from(u), c);
-        }
-    }
-    ex.finish(|_| {});
-}
-";
-        assert_eq!(findings_of(src), Vec::new());
     }
 
     #[test]

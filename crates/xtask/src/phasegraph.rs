@@ -79,7 +79,7 @@ const SPEC_DIRS: [&str; 6] = [
 /// source). `exchange` opens a phase and the point-to-point sends fill
 /// it, recording nothing; `finish` records the `Exchange` plus the
 /// closing `SimSync`.
-const BUILTIN_EFFECTS: [(&str, &[&str]); 12] = [
+const BUILTIN_EFFECTS: [(&str, &[&str]); 11] = [
     ("barrier", &["Barrier"]),
     ("allreduce_sum", &["ReduceF64", "SimSync"]),
     ("allreduce_max", &["ReduceF64", "SimSync"]),
@@ -91,7 +91,6 @@ const BUILTIN_EFFECTS: [(&str, &[&str]); 12] = [
     ("finish", &["Exchange", "SimSync"]),
     ("exchange", &[]),
     ("send", &[]),
-    ("send_keyed", &[]),
 ];
 
 /// Rust keywords the identifier passes must not mistake for variables.
@@ -1870,7 +1869,7 @@ fn r2_sites(nodes: &[PNode], guarded: &[Span], out: &mut Vec<ProtocolFinding>) {
             name, line, args, ..
         } = n
         {
-            let collective = name != "send" && name != "send_keyed";
+            let collective = name != "send";
             if collective && guarded.iter().any(|&(s, e)| s < args.0 && args.0 < e) {
                 out.push(ProtocolFinding {
                     line: *line,

@@ -74,7 +74,7 @@ fn violations(r: &ParallelResult, ranks: u64, raw_edges: u64, distributed: bool)
         ("comm_breakdown.modularity", cb.modularity),
         ("comm_breakdown.reconstruction", cb.reconstruction),
         ("comm.messages", r.comm.messages),
-        ("comm.dedup_hits", r.comm.dedup_hits),
+        ("dedup_hits", r.dedup_hits),
         ("bytes_sent", r.bytes_sent),
         ("frontier.active_vertices", r.frontier.active_vertices),
         ("frontier.skipped_scans", r.frontier.skipped_scans),
@@ -127,8 +127,8 @@ fn violations(r: &ParallelResult, ranks: u64, raw_edges: u64, distributed: bool)
     } else {
         check("loading", cb.loading, 0, "replicated-build zero-message");
     }
-    // state propagation — `propagate_deltas` is O(deltas) × per_iteration
-    // with keyed coalescing: each migrated vertex reaches at most `ranks`
+    // state propagation — `propagate_deltas` is O(deltas) × per_iteration:
+    // each migrated vertex is announced once to each of at most `ranks`
     // distinct owners per iteration, never the per-arc rebuild volume.
     check(
         "state_propagation",
@@ -189,20 +189,20 @@ fn committed_spec_matches_fresh_extraction() {
 }
 
 /// Static invariants the rest of this suite leans on: the delta path is
-/// classified as keyed O(deltas) per iteration, the v1 fallback as
+/// classified as O(deltas) per iteration, the v1 fallback as
 /// O(local_arcs), and nothing in the tree ships an unbounded payload or
 /// sits in a rank-tainted loop.
 #[test]
 fn spec_classifies_the_delta_path_and_bans_unbounded() {
     let s = spec();
-    let keyed = s
+    let delta = s
         .sites
         .iter()
         .find(|c| c.site.ends_with("::propagate_deltas#0"))
         .expect("propagate_deltas site present");
-    assert_eq!(keyed.op, "send_keyed");
-    assert_eq!(keyed.payload, "O(deltas)");
-    assert_eq!(keyed.multiplicity, "per_iteration");
+    assert_eq!(delta.op, "send");
+    assert_eq!(delta.payload, "O(deltas)");
+    assert_eq!(delta.multiplicity, "per_iteration");
     // The two Σ_tot announcements of the update sweep ride the frontier
     // worklist, not the full vertex range: the scan work class tightened
     // from O(n_local) to O(frontier) (DESIGN.md §13).

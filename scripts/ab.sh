@@ -9,8 +9,13 @@
 # (tracked and untracked, non-ignored files) into target/ab/parent and
 # target/ab/work, builds louvain-perf in each, then runs the
 # BENCHMARK.json command there `<pairs>` times each, alternating which
-# side goes first. Prints each pair's solve_s and winner, then both
-# sides' median and quartiles. Run it on an otherwise idle host.
+# side goes first. Prints each pair's solve_s and winner, then, for every
+# `end_to_end` metric of BENCHMARK.json, both sides' median and quartiles
+# over the runs, the working tree's relative move, and a verdict against
+# the metric's `bound` (a share of the parent's median) in its `better`
+# direction: better, within bound, or worse beyond bound — or unresolved
+# when either side's interquartile range, as a share of its median, is
+# wider than the bound. Run it on an otherwise idle host.
 set -euo pipefail
 if [ $# -ne 3 ]; then
   echo "usage: $0 <parent-rev> <workload> <pairs>" >&2
@@ -41,33 +46,76 @@ for side in parent work; do
   (cd "$ab/$side" && "${build[@]}")
 done
 
-# One run of one side: prints its solve_s.
-solve_s() {
-  (cd "$ab/$1" && "${cmd[@]}" --workload "$workload" --seconds "$seconds") |
-    tail -n 1 | jq -r '.metrics.solve_s.value'
+# One run of one side: prints its JSON summary line.
+summary() {
+  (cd "$ab/$1" && "${cmd[@]}" --workload "$workload" --seconds "$seconds") | tail -n 1
 }
 
-results="$ab/results.txt"
-: >"$results"
+runs="$ab/runs.jsonl"
+: >"$runs"
 for p in $(seq 1 "$pairs"); do
   if [ $((p % 2)) -eq 1 ]; then
-    a=$(solve_s parent)
-    b=$(solve_s work)
+    a=$(summary parent)
+    b=$(summary work)
   else
-    b=$(solve_s work)
-    a=$(solve_s parent)
+    b=$(summary work)
+    a=$(summary parent)
   fi
-  echo "$a $b" >>"$results"
-  winner=$(awk -v a="$a" -v b="$b" 'BEGIN { print (b < a) ? "work" : "parent" }')
-  printf 'pair %2d: parent %.4f s  work %.4f s  -> %s\n' "$p" "$a" "$b" "$winner"
+  jq -c -n --argjson a "$a" --argjson b "$b" '{parent: $a.metrics, work: $b.metrics}' >>"$runs"
+  sa=$(jq -r '.metrics.solve_s.value' <<<"$a")
+  sb=$(jq -r '.metrics.solve_s.value' <<<"$b")
+  winner=$(awk -v a="$sa" -v b="$sb" 'BEGIN { print (b < a) ? "work" : "parent" }')
+  printf 'pair %2d: parent %.4f s  work %.4f s  -> %s\n' "$p" "$sa" "$sb" "$winner"
 done
 
-python3 - "$results" <<'EOF'
-import statistics, sys
-rows = [tuple(map(float, line.split())) for line in open(sys.argv[1])]
-wins = sum(b < a for a, b in rows)
-print(f"work wins {wins}/{len(rows)} pairs on solve_s")
-for name, xs in (("parent", [a for a, _ in rows]), ("work", [b for _, b in rows])):
-    q1, med, q3 = statistics.quantiles(xs, n=4, method="inclusive") if len(xs) > 1 else (xs[0],) * 3
-    print(f"{name:6}: median {med:.4f} s  quartiles {q1:.4f} .. {q3:.4f} s  (IQR {q3 - q1:.4f} s)")
+python3 - "$runs" "$root/BENCHMARK.json" <<'EOF'
+import json, statistics, sys
+
+rows = [json.loads(line) for line in open(sys.argv[1])]
+spec = json.load(open(sys.argv[2]))["end_to_end"]
+
+
+def side(name, metric):
+    return [r[name][metric]["value"] for r in rows]
+
+
+solve = list(zip(side("parent", "solve_s"), side("work", "solve_s")))
+print(f"work wins {sum(b < a for a, b in solve)}/{len(solve)} pairs on solve_s")
+
+
+def quartiles(xs):
+    if len(xs) == 1:
+        return xs * 3
+    return statistics.quantiles(xs, n=4, method="inclusive")
+
+
+def spread(xs):
+    q1, med, q3 = quartiles(xs)
+    return (q3 - q1) / abs(med) if med else 0.0
+
+
+def show(xs):
+    q1, med, q3 = quartiles(xs)
+    return f"{med:.10g} [{q1:.6g}, {q3:.6g}]"
+
+
+print(f"{'metric':15} {'parent median [q1, q3]':36} {'work median [q1, q3]':36} {'move':>8}  verdict")
+for m in spec:
+    a, b = side("parent", m["name"]), side("work", m["name"])
+    am, bm = quartiles(a)[1], quartiles(b)[1]
+    worsening = bm - am if m["better"] == "lower" else am - bm
+    base = abs(am)
+    move = (bm - am) / base if base > 0 else 0.0
+    if max(spread(a), spread(b)) > m["bound"]:
+        verdict = "unresolved"
+    elif worsening < 0:
+        verdict = "better"
+    elif (worsening / base if base > 0 else worsening) > m["bound"]:
+        verdict = "WORSE beyond bound"
+    else:
+        verdict = "within bound"
+    print(
+        f"{m['name']:15} {show(a):36} {show(b):36} {move:+8.2%}  {verdict} "
+        f"(bound {m['bound']:.1%}, {m['better']} is better)"
+    )
 EOF

@@ -74,7 +74,7 @@ run_step() {
       # Real workloads end to end; every run's output checks must pass
       # (the summary line ends the output). amazon-1r runs on 1 rank, so
       # the insufficient-cores guard never fires. amazon runs on 2 ranks,
-      # which puts the keyed-send path and the replicated loader under
+      # which puts remote state propagation and the replicated loader under
       # louvain-perf's repeat and Q checks; rmat-skew is the one
       # ArcBalanced workload, so it covers the repartition inside
       # reconstruction and the hub-degree row gathers. uk2005 is the

@@ -108,6 +108,27 @@ fn parallel_rejects_zero_ranks() {
     });
 }
 
+// With no level or no sweep run, the solver would report modularity 0.0
+// for a singleton partition whose modularity is negative.
+
+#[test]
+#[should_panic(expected = "needs max_levels >= 1, got 0")]
+fn parallel_rejects_zero_level_cap() {
+    let _ = ParallelLouvain::new(ParallelConfig {
+        max_levels: 0,
+        ..ParallelConfig::with_ranks(2)
+    });
+}
+
+#[test]
+#[should_panic(expected = "needs max_inner_iterations >= 1, got 0")]
+fn parallel_rejects_zero_iteration_cap() {
+    let _ = ParallelLouvain::new(ParallelConfig {
+        max_inner_iterations: 0,
+        ..ParallelConfig::with_ranks(2)
+    });
+}
+
 // `run_from_parts` takes its chunks from the caller unchecked, so the
 // loader checks every id against `num_vertices`, in release builds too.
 

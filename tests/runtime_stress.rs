@@ -1,6 +1,7 @@
 //! Stress and soak tests for the simulated distributed runtime — the
 //! substrate every distributed experiment rests on.
 
+use louvain_runtime::sim::{CHARGE_PER_MESSAGE, SYNC_LATENCY_UNITS};
 use louvain_runtime::{run, run_with_config, RuntimeConfig};
 
 /// Many small alternating exchange/collective phases: the pattern the
@@ -83,7 +84,6 @@ fn skewed_all_to_one() {
 fn bsp_clock_sees_receiver_hotspot() {
     let cfg = RuntimeConfig {
         coalesce_capacity: 256,
-        sync_latency_units: 0.0,
         ..RuntimeConfig::new(4)
     };
     let (out, _) = run_with_config::<u64, _, _>(cfg, |ctx| {
@@ -98,8 +98,10 @@ fn bsp_clock_sees_receiver_hotspot() {
         ctx.sim_time_units()
     });
     // Receiver handles 3000 deliveries; each sender only 1000 sends. The
-    // superstep costs max = 3000.
-    assert!(out.iter().all(|&t| (t - 3000.0).abs() < 1e-9), "{out:?}");
+    // superstep costs max = 3000 messages plus its latency, and the final
+    // sync adds only its latency.
+    let want = 3000.0 * CHARGE_PER_MESSAGE + 2.0 * SYNC_LATENCY_UNITS;
+    assert!(out.iter().all(|&t| (t - want).abs() < 1e-9), "{out:?}");
 }
 
 /// Mixed-size vector collectives under iteration.
