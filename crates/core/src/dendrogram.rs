@@ -53,13 +53,6 @@ impl Dendrogram {
         self.modularity[level]
     }
 
-    /// Community counts per level, finest first — the coarsening profile
-    /// (strictly non-increasing).
-    #[must_use]
-    pub fn community_counts(&self) -> Vec<usize> {
-        self.levels.iter().map(Partition::num_communities).collect()
-    }
-
     /// The level with the highest modularity.
     #[must_use]
     pub fn best_level(&self) -> Option<usize> {
@@ -153,7 +146,7 @@ mod tests {
         let d = Dendrogram::from_result(&r);
         assert!(d.num_levels() >= 1);
         assert!(d.is_nested());
-        let counts = d.community_counts();
+        let counts: Vec<usize> = d.levels.iter().map(Partition::num_communities).collect();
         for w in counts.windows(2) {
             assert!(w[1] <= w[0], "coarsening must not split: {counts:?}");
         }

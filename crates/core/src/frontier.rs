@@ -26,16 +26,16 @@
 //!   solver's self-wake of each mover, whose label change invalidates
 //!   its cached scan.
 //!
-//! - the **eligibility ledger** — a bitset recording which vertices'
-//!   cached gain is positive. An ε-throttled vertex may
-//!   migrate in a *later* iteration with no further input change, so it
-//!   must stay reachable by the UPDATE sweep — but since its inputs are
-//!   unchanged, its cached decision is still exact and **re-scanning it
-//!   would be pure waste**. The ledger keeps it addressable without
-//!   keeping it on the scan frontier; the UPDATE sweep walks the
-//!   eligible vertices (in ascending order, same relative order as the
-//!   full `0..n_local` sweep) and re-vets each cached move against the
-//!   live Gauss-Seidel `Σ_tot` view exactly as the full scan did.
+//! - the **eligible list** — the vertices whose cached gain `m_u` is
+//!   positive, rebuilt from the gains after every FIND BEST sweep. An
+//!   ε-throttled vertex may migrate in a *later* iteration with no
+//!   further input change, so it must stay reachable by the UPDATE
+//!   sweep — but since its inputs are unchanged, its cached decision is
+//!   still exact and **re-scanning it would be pure waste**. The list
+//!   keeps it addressable without keeping it on the scan frontier; the
+//!   UPDATE sweep walks it (in ascending order, same relative order as
+//!   the full `0..n_local` sweep) and re-vets each cached move against
+//!   the live Gauss-Seidel `Σ_tot` view exactly as the full scan did.
 //!
 //! Everything here is rank-local and schedule-invariant: the wake set is
 //! a function of the migration *set* and the (deterministic) snapshots,
@@ -78,8 +78,8 @@ pub struct FrontierStats {
     /// Vertices scanned by FIND BEST COMMUNITY (scan-worklist occupancy,
     /// summed over iterations). The full scan's equivalent is
     /// `Σ_iterations n_local`. ε-throttled vertices waiting on the
-    /// eligibility ledger do **not** count — their cached decision is
-    /// reused without a scan.
+    /// eligible list do **not** count — their cached decision is reused
+    /// without a scan.
     pub active_vertices: u64,
     /// Vertices re-activated by a wake rule after having left the scan
     /// frontier (level-start seeding of the whole vertex set is not
@@ -159,9 +159,9 @@ impl Bitset {
 /// iteration's snapshot diff, which also hands the solver each patched
 /// vertex's candidate group), [`Frontier::commit`] swaps `pending` into
 /// the committed `active` set and rebuilds the sorted [`Frontier::worklist`],
-/// the FIND BEST sweep scans that worklist and records each scanned
-/// vertex's eligibility (`set_eligible`), and the UPDATE sweep iterates
-/// the [`Frontier::eligible_list`] rebuilt by [`Frontier::commit_eligible`].
+/// the FIND BEST sweep scans that worklist, and the UPDATE sweep iterates
+/// the [`Frontier::eligible_list`] that [`Frontier::commit_eligible`]
+/// rebuilds from the gains.
 /// Both worklists are ascending in local-vertex order — the same relative
 /// order as the full scan, which the bit-identity argument of
 /// DESIGN.md §13 relies on.
@@ -171,11 +171,6 @@ pub(crate) struct Frontier {
     active: Bitset,
     /// Wakes accumulated for the next iteration.
     pending: Bitset,
-    /// The eligibility ledger: vertices whose cached gain clears the
-    /// configured threshold. Updated only when a vertex is scanned or
-    /// patched — otherwise the cached gain is bitwise unchanged, so the
-    /// stale bit is still exact.
-    eligible: Bitset,
     /// Scratch: communities whose `Σ_tot`/size snapshot changed this
     /// iteration (global community id space).
     changed: Bitset,
@@ -229,7 +224,6 @@ impl Frontier {
             local_n,
             active: Bitset::new(local_n),
             pending: Bitset::new(local_n),
-            eligible: Bitset::new(local_n),
             changed: Bitset::new(global_n),
             changed_ids: Vec::new(),
             marked: Bitset::new(global_n),
@@ -249,29 +243,16 @@ impl Frontier {
         self.pending.set(li);
     }
 
-    /// Records whether local vertex `li`'s freshly computed gain clears
-    /// the move threshold. Called exactly once per scanned vertex per
-    /// iteration; unscanned vertices keep their previous bit, which is
-    /// still exact because their cached gain is bitwise unchanged.
-    #[inline]
-    pub(crate) fn set_eligible(&mut self, li: usize, on: bool) {
-        if on {
-            self.eligible.set(li);
-        } else {
-            self.eligible.unset(li);
-        }
-    }
-
-    /// Rebuilds [`Frontier::eligible_list`] (ascending) from the
-    /// eligibility ledger. Called after the FIND BEST sweep, before the
-    /// UPDATE sweep consumes the list.
-    pub(crate) fn commit_eligible(&mut self) {
-        // Index decode keeps the UPDATE sweep in ascending vertex order —
-        // the same relative order as the full `0..n_local` scan, which
-        // the Gauss-Seidel `tot_view` bit-identity relies on.
-        let mut list = std::mem::take(&mut self.eligible_list);
-        decode_into(&self.eligible.words, &mut list);
-        self.eligible_list = list;
+    /// Rebuilds [`Frontier::eligible_list`] from the local vertices'
+    /// cached gains `m_u`: every vertex with a positive gain, ascending —
+    /// the same relative order as the full `0..n_local` sweep, which the
+    /// Gauss-Seidel `tot_view` bit-identity relies on. Called after the
+    /// FIND BEST sweep, before the UPDATE sweep consumes the list.
+    pub(crate) fn commit_eligible(&mut self, m_u: &[f64]) {
+        debug_assert_eq!(m_u.len(), self.local_n);
+        self.eligible_list.clear();
+        let eligible = m_u.iter().enumerate().filter(|&(_, &g)| g > 0.0);
+        self.eligible_list.extend(eligible.map(|(li, _)| li as u32));
     }
 
     /// Records Out-Table row `(li, c)` of a vertex in community `c_u`
@@ -324,16 +305,16 @@ impl Frontier {
     /// own row, the rest the distinct candidates, each bitwise the value
     /// a full gather computes. `patch(li, scratch)` re-folds the group
     /// over the cached incumbent, `O(group)` instead of `O(degree)`, and
-    /// returns the vertex's new eligibility — or `None` when the new
-    /// maximum may hide among the unchanged candidates, which wakes the
-    /// vertex for a full re-scan instead.
+    /// returns whether that fold resolved — `false` when the new maximum
+    /// may hide among the unchanged candidates, which wakes the vertex
+    /// for a full re-scan instead.
     pub(crate) fn wake_snapshot_changes(
         &mut self,
         snapshots: [&[f64]; 4],
         label: &[u32],
         rows: &OutTable,
         scratch: &mut RowScratch,
-        mut patch: impl FnMut(usize, &RowScratch) -> Option<bool>,
+        mut patch: impl FnMut(usize, &RowScratch) -> bool,
     ) {
         let [prev_tot, tot, prev_size, size] = snapshots;
         debug_assert_eq!(prev_tot.len(), tot.len());
@@ -394,10 +375,8 @@ impl Frontier {
             if scratch.rows.len() == 1 {
                 continue;
             }
-            match patch(li, scratch) {
-                Some(true) => self.eligible.set(li),
-                Some(false) => self.eligible.unset(li),
-                None => self.pending.set(li),
+            if !patch(li, scratch) {
+                self.pending.set(li);
             }
         }
         // Reset the scratch bitset through the id list (cheaper than a
@@ -503,13 +482,13 @@ mod tests {
     /// to the patch pass as `(vertex, candidate)` pairs, ascending by
     /// vertex and, within a group, by candidate. Each group must open
     /// with the vertex's own row and carry every row's fresh sum, bitwise
-    /// [`OutTable::weight`]; `resolve` is the patch pass's verdict.
+    /// [`OutTable::weight`]; `resolved` is the patch pass's verdict.
     fn diff_with(
         f: &mut Frontier,
         snapshots: [&[f64]; 4],
         label: &[u32],
         rows: &OutTable,
-        resolve: Option<bool>,
+        resolved: bool,
     ) -> Vec<(u32, u32)> {
         let mut scratch = RowScratch::new(snapshots[1].len());
         let mut groups = Vec::new();
@@ -521,7 +500,7 @@ mod tests {
             let mut cs: Vec<u32> = g.rows[1..].iter().map(|&(c, _)| c).collect();
             cs.sort_unstable();
             groups.extend(cs.into_iter().map(|c| (li as u32, c)));
-            resolve
+            resolved
         });
         groups
     }
@@ -532,7 +511,7 @@ mod tests {
         label: &[u32],
         rows: &OutTable,
     ) -> Vec<(u32, u32)> {
-        diff_with(f, snapshots, label, rows, Some(false))
+        diff_with(f, snapshots, label, rows, true)
     }
 
     #[test]
@@ -605,7 +584,7 @@ mod tests {
 
         // The patch pass's escalation verdict wakes the vertex.
         let mut f = Frontier::new(2, 4);
-        let patches = diff_with(&mut f, [&prev, &tot, &prev, &prev], &label, &rows, None);
+        let patches = diff_with(&mut f, [&prev, &tot, &prev, &prev], &label, &rows, false);
         assert_eq!(patches, vec![(0, 3)]);
         f.commit(false);
         assert_eq!(f.worklist, vec![0]);
@@ -698,23 +677,24 @@ mod tests {
     }
 
     #[test]
-    fn eligibility_ledger_is_sticky_and_sorted() {
+    fn eligible_list_is_the_sorted_positive_gains() {
         let mut f = Frontier::new(70, 70);
-        f.set_eligible(69, true);
-        f.set_eligible(3, true);
-        f.set_eligible(64, true);
-        f.commit_eligible();
+        let mut m_u = vec![0.0f64; 70];
+        m_u[69] = 0.5;
+        m_u[3] = 1e-300;
+        m_u[64] = 2.0;
+        m_u[10] = -1.0;
+        f.commit_eligible(&m_u);
         assert_eq!(f.eligible_list, vec![3, 64, 69]);
-        // Unscanned vertices keep their bit across rebuilds (sticky);
-        // a rescan that finds no gain clears it.
-        f.set_eligible(64, false);
-        f.commit_eligible();
+        // A rebuild reflects the current gains only.
+        m_u[64] = 0.0;
+        f.commit_eligible(&m_u);
         assert_eq!(f.eligible_list, vec![3, 69]);
-        // The ledger is independent of the scan frontier.
+        // The list is independent of the scan frontier.
         f.wake(5);
         f.commit(false);
         assert_eq!(f.worklist, vec![5]);
-        f.commit_eligible();
+        f.commit_eligible(&m_u);
         assert_eq!(f.eligible_list, vec![3, 69]);
     }
 

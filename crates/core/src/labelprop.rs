@@ -157,7 +157,7 @@ fn rank_main(
             break;
         }
         // Announce the changed labels to the ranks holding their arcs.
-        propagate_deltas(ctx, &lvl, &mut table, &changed, false, |_, _, _| {});
+        propagate_deltas(ctx, &lvl, &mut table, &changed, |_, _, _| {});
     }
     (lvl.label, fractions, ctx.sim_time_units())
 }

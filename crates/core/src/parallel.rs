@@ -44,9 +44,11 @@
 //! source index) and vertices whose own or adjacent community changed
 //! in the replicated `Σ_tot`/size snapshots. Everyone else's cached
 //! `m_u`/`best` decision is bitwise what a fresh scan would compute, so
-//! an ε-throttled vertex waits on the *eligibility ledger* — reachable
-//! by the UPDATE sweep, but never re-scanned while its inputs hold
-//! still. A rank whose frontier drained skips the scan entirely; every
+//! an ε-throttled vertex waits on the *eligible list* (every vertex with
+//! a positive cached gain) — reachable by the UPDATE sweep, but never
+//! re-scanned while its inputs hold still. A scan and a patch of a
+//! cached decision run the same fold. A rank whose frontier drained
+//! skips the scan entirely; every
 //! collective stays outside the frontier conditionals, so lockstep is
 //! preserved and the output is bit-identical to the full scan at the
 //! default configuration.
@@ -167,14 +169,6 @@ pub struct ParallelConfig {
     /// [`ParallelResult::protocol_logs`] and must be accepted by the
     /// static protocol spec (DESIGN.md §11).
     pub record_protocol: bool,
-    /// Testing/ablation knob: when `true`, STATE PROPAGATION falls back
-    /// to the v1 full per-arc rebuild (every local vertex announces its
-    /// label along every out-arc, every iteration) instead of the
-    /// delta-compressed path of DESIGN.md §10. Results are identical;
-    /// only the message volume differs. The cost-conformance suite flips
-    /// this to prove the volume verifier rejects the regression
-    /// (DESIGN.md §12).
-    pub v1_state_rebuild: bool,
     /// Test oracle: when `true`, every vertex is re-activated every
     /// iteration, reducing the frontier scheduler to the full scan the
     /// paper describes. Output is bit-identical either way (the frontier
@@ -225,7 +219,6 @@ impl Default for ParallelConfig {
             max_levels: 16,
             perturb_seed: None,
             record_protocol: false,
-            v1_state_rebuild: false,
             #[cfg(test)]
             full_rescan: false,
             checkpoint_every_level: 0,
@@ -1033,8 +1026,8 @@ mod tests {
         assert!(cb.state_propagation > 0);
         assert!(r.dedup_hits > 0);
         assert!(r.cache_invalidations > 0);
-        // Strictly below the v1 rebuild volume of one message per arc
-        // per inner iteration (robust to phase tuning, unlike comparing
+        // Strictly below a per-arc rebuild's volume of one message per
+        // arc per inner iteration (robust to phase tuning, unlike comparing
         // against another phase's incidental message count).
         let arcs = 2 * el.num_edges() as u64;
         let inner: u64 = r

@@ -9,34 +9,10 @@ use crate::dq;
 use crate::frontier::Frontier;
 use crate::heuristic::{MIN_MOVE_FRACTION, MIN_Q_IMPROVEMENT};
 use crate::timing::{Phase, PhaseMeter};
-use louvain_runtime::{Exchange, RankCtx};
+use louvain_runtime::RankCtx;
 
 /// Bins of the global gain histogram that translates ε into `ΔQ̂`.
 const HISTOGRAM_BINS: usize = 64;
-
-/// The v1 full per-arc rebuild (ablation/testing only): re-announce every
-/// local vertex's label along every out-arc, whether it moved or not.
-/// [`OutTable::apply_deltas`] skips unchanged labels, so the table ends
-/// identical to the delta path's — this arm exists so the cost-conformance
-/// suite can show the volume verifier catching the
-/// `O(local_arcs)`-per-iteration regression the delta path was built to
-/// eliminate (DESIGN.md §12).
-fn send_full_rebuild(
-    ex: &mut Exchange<'_, '_, Msg>,
-    lvl: &RankLevel,
-    table: &OutTable,
-    rank: usize,
-) {
-    let part = &lvl.part;
-    let local_n = part.local_count(rank);
-    for li in 0..local_n {
-        let v = part.global(rank, li);
-        let c = lvl.label[li];
-        for &s in table.out_srcs(li) {
-            ex.send(part.owner(s), Msg { a: v, b: c, w: 0.0 });
-        }
-    }
-}
 
 /// STATE PROPAGATION (Algorithm 3), steady-state edition: instead of
 /// rebuilding the Out-Table from scratch, each rank announces only the
@@ -52,44 +28,38 @@ pub(crate) fn propagate_deltas(
     lvl: &RankLevel,
     table: &mut OutTable,
     migrated: &[(u32, u32)],
-    v1_state_rebuild: bool,
     dirty: impl FnMut(u32, u32, u32),
 ) -> u64 {
     let part = &lvl.part;
-    let rank = ctx.rank();
     let p = ctx.num_ranks();
     let mut ex = ctx.exchange();
     let mut collapsed = 0u64;
-    if v1_state_rebuild {
-        send_full_rebuild(&mut ex, lvl, table, rank);
-    } else {
-        // `told[dest] == i`: migrated vertex `i` already reaches `dest`.
-        // Each vertex moves at most once per sweep and `migrated` is
-        // ascending, so every rank receives its deltas in vertex order.
-        let mut told = vec![usize::MAX; p];
-        for (i, &(u, c_new)) in migrated.iter().enumerate() {
-            debug_assert!(i == 0 || migrated[i - 1].0 < u, "migrated not ascending");
-            for &s in table.out_srcs(part.local_index(u)) {
-                let dest = part.owner(s);
-                if told[dest] == i {
-                    collapsed += 1;
-                } else {
-                    told[dest] = i;
-                }
+    // `told[dest] == i`: migrated vertex `i` already reaches `dest`.
+    // Each vertex moves at most once per sweep and `migrated` is
+    // ascending, so every rank receives its deltas in vertex order.
+    let mut told = vec![usize::MAX; p];
+    for (i, &(u, c_new)) in migrated.iter().enumerate() {
+        debug_assert!(i == 0 || migrated[i - 1].0 < u, "migrated not ascending");
+        for &s in table.out_srcs(part.local_index(u)) {
+            let dest = part.owner(s);
+            if told[dest] == i {
+                collapsed += 1;
+            } else {
+                told[dest] = i;
             }
-            let msg = Msg {
-                a: u,
-                b: c_new,
-                w: 0.0,
-            };
-            for (dest, &last) in told.iter().enumerate() {
-                if last == i {
-                    ex.send(dest, msg);
-                }
+        }
+        let msg = Msg {
+            a: u,
+            b: c_new,
+            w: 0.0,
+        };
+        for (dest, &last) in told.iter().enumerate() {
+            if last == i {
+                ex.send(dest, msg);
             }
         }
     }
-    let announced = !v1_state_rebuild && ex.sent_count() > 0;
+    let announced = ex.sent_count() > 0;
     let mut deltas: Vec<(u32, u32)> = Vec::new();
     ex.finish(|m| deltas.push((m.a, m.b)));
     if announced {
@@ -170,7 +140,7 @@ impl CandSummary {
     /// Sorted insert of one contributing entry. Entry ids are distinct,
     /// so the `(gain, id)` order is strict and the fold result does not
     /// depend on the fold order. Entries pushed off the bottom are
-    /// ≤ the final last slot, which `seal` folds into the bound.
+    /// ≤ the final last slot, which `resolve` folds into the bound.
     #[inline]
     fn fold(&mut self, g: f64, c: u32) {
         let filled = self.v as usize;
@@ -190,15 +160,15 @@ impl CandSummary {
         }
     }
 
-    /// Resolves a patch fold — the sentinel, the group's fresh entries
-    /// and the cached prefix entries outside the group — against the
-    /// cached summary's `bound` on every entry the fold did not see:
-    /// `None` when the fold's max falls short of it (the new maximum may
-    /// hide among the unchanged candidates, so the vertex needs a full
-    /// re-scan), else the new exact-prefix summary.
+    /// Resolves a fold — the sentinel, the fresh entries and the cached
+    /// prefix entries outside them — against the cached summary's
+    /// `bound` on every entry the fold did not see: `None` when the
+    /// fold's max falls short of it (the new maximum may hide among the
+    /// unchanged candidates), else the new exact-prefix summary.
     fn resolve(mut self, bound: (f64, u32)) -> Option<Self> {
         // A `-∞` bound means the cached fold enumerated every
-        // contributing entry, so nothing is hiding below the prefix.
+        // contributing entry (or there is no cached fold: a full scan),
+        // so nothing is hiding below the prefix.
         let bounded = bound.0.is_finite();
         if bounded && lex_gt(bound.0, bound.1, self.e[0].0, self.e[0].1) {
             return None;
@@ -215,25 +185,17 @@ impl CandSummary {
                 .take_while(|&i| !lex_gt(bound.0, bound.1, self.e[i].0, self.e[i].1))
                 .count() as u8;
         }
-        self.seal(bound);
-        Some(self)
-    }
-
-    /// Closes a fold whose prefix is exact: anything pushed off the
-    /// bottom is bounded by the last slot when the prefix is full, and
-    /// every entry the fold never saw by `unseen` (`-∞` after a full
-    /// scan, which enumerates every entry).
-    fn seal(&mut self, unseen: (f64, u32)) {
         self.bound = if (self.v as usize) == SUMMARY_K {
             self.e[SUMMARY_K - 1]
         } else {
-            unseen
+            bound
         };
+        Some(self)
     }
 }
 
 /// FIND BEST's per-vertex kernel over one iteration's replicated
-/// snapshots. The full scan and the patch pass both call it, so a
+/// snapshots. The full scan and the patch pass share its one fold, so a
 /// patched entry is bitwise the entry a re-scan would fold.
 struct GainKernel<'a> {
     tot_snap: &'a [f64],
@@ -243,27 +205,58 @@ struct GainKernel<'a> {
 }
 
 impl GainKernel<'_> {
-    /// Gathers local vertex `li`'s live rows into `scratch` and returns
-    /// the gain of removing it (degree `k_u`) from its community `c_u`.
-    #[inline]
-    fn gather(
+    /// FIND BEST's one fold (DESIGN.md §13) for a vertex of degree `k_u`
+    /// and self-loop weight `a_uu` in community `c_u`: the sentinel
+    /// `(0.0, c_u)`, the fresh entry of every candidate row in `rows`
+    /// (whose own row feeds the remove term), and every prefix entry of
+    /// the cached summary `summ` that `rows` does not hold — unchanged,
+    /// so its cached value is still bitwise what a re-scan would
+    /// compute. Every entry outside the fold is lexicographically ≤ the
+    /// cached bound, so the fold's max is the true new max whenever it
+    /// reaches the bound; then the result replaces `summ` and its gain
+    /// `m_u`. A full scan gathers every row over [`CandSummary::empty`],
+    /// whose `-∞` bound always resolves. Returns whether the fold
+    /// resolved; when it did not, the new maximum may hide among the
+    /// unchanged candidates and the vertex needs a full re-scan.
+    fn refold(
         &self,
-        table: &OutTable,
-        scratch: &mut RowScratch,
-        li: usize,
         c_u: u32,
         k_u: f64,
-    ) -> f64 {
-        table.gather(li, scratch);
-        self.remove(table, li, c_u, scratch.get(c_u), k_u)
-    }
-
-    /// The gain of removing local vertex `li` (degree `k_u`) from its
-    /// community `c_u`, whose gathered own row weighs `w_c_u`.
-    #[inline]
-    fn remove(&self, table: &OutTable, li: usize, c_u: u32, w_c_u: f64, k_u: f64) -> f64 {
-        let w_own = w_c_u - table.self_loop(li);
-        dq::remove_gain(w_own, k_u, self.tot_snap[c_u as usize], self.s)
+        a_uu: f64,
+        rows: &RowScratch,
+        summ: &mut CandSummary,
+        m_u: &mut f64,
+    ) -> bool {
+        let w_own = rows.get(c_u) - a_uu;
+        let remove_u = dq::remove_gain(w_own, k_u, self.tot_snap[c_u as usize], self.s);
+        let mut f = CandSummary::sentinel(c_u);
+        // The best move is the lexicographic max over (gain, community
+        // id) — order-independent, so any candidate order selects the
+        // identical candidate (the id tie-break the perturbation harness
+        // forced). Demoted entries cascade down the summary, keeping the
+        // exact top-`SUMMARY_K` of the fold for the patch pass.
+        for &(c, w) in &rows.rows {
+            if c == c_u {
+                continue;
+            }
+            // A removed or guard-skipped entry contributes nothing.
+            if let Some(gain) = self.gain(c_u, remove_u, k_u, c, w) {
+                f.fold(gain, c);
+            }
+        }
+        // Cached entries that `rows` holds were refolded above; a patch
+        // group always holds `c_u`, whose sentinel seeds the fold.
+        for &(g, c) in &summ.e[..summ.v as usize] {
+            if !rows.holds(c) {
+                f.fold(g, c);
+            }
+        }
+        let resolved = f.resolve(summ.bound);
+        if let Some(f) = resolved {
+            *m_u = f.e[0].0;
+            *summ = f;
+        }
+        resolved.is_some()
     }
 
     /// The fold entry of candidate `c`, reached over a row of weight `w`,
@@ -392,7 +385,7 @@ pub(super) fn refine(
         // --- Scan patches (DESIGN.md §13) ---
         // The snapshot diff hands over each patched vertex's candidate
         // group before `commit`: a vertex promoted to a full re-scan — by
-        // a wake rule or by the escalation below — is pending, and the
+        // a wake rule or by an unresolved fold — is pending, and the
         // re-scan supersedes its patches. Each group re-folds only the
         // changed candidate entries over the cached summary instead of
         // re-scanning every row. The result is bitwise equal to a full
@@ -411,41 +404,9 @@ pub(super) fn refine(
                 table,
                 &mut scratch,
                 |li, group| {
-                    let (c_u, w_c_u) = group.rows[0];
-                    let remove_u = kernel.remove(table, li, c_u, w_c_u, k[li]);
-                    // Fold the *known-exact* entries into a fresh summary:
-                    // the sentinel `(0.0, c_u)`, each candidate's freshly
-                    // recomputed entry, and every cached prefix entry
-                    // outside the group (unchanged, so its cached value is
-                    // still bitwise what a re-scan would compute). Every
-                    // entry outside this fold is lexicographically ≤ the
-                    // cached bound, so the fold's max is the true new max
-                    // whenever it reaches the bound — and only when it
-                    // falls short (the new maximum may hide among the
-                    // unchanged candidates) does the vertex escalate to a
-                    // full re-scan.
-                    let old = summ[li];
-                    let mut f = CandSummary::sentinel(c_u);
                     rows_patched += group.rows.len() - 1;
-                    for &(c_new, w) in &group.rows[1..] {
-                        // A removed or guard-skipped entry contributes nothing.
-                        if let Some(gain) = kernel.gain(c_u, remove_u, k[li], c_new, w) {
-                            f.fold(gain, c_new);
-                        }
-                    }
-                    // The group holds `c_u` too, whose sentinel seeds the fold.
-                    for &(g, c) in &old.e[..old.v as usize] {
-                        if !group.holds(c) {
-                            f.fold(g, c);
-                        }
-                    }
-                    f.resolve(old.bound).map(|f| {
-                        m_u[li] = f.e[0].0;
-                        summ[li] = f;
-                        // A patch fold keeps the cached decision exact, so
-                        // eligibility routes through the ledger as usual.
-                        m_u[li] > 0.0
-                    })
+                    let (c_u, a_uu) = (group.rows[0].0, table.self_loop(li));
+                    kernel.refold(c_u, k[li], a_uu, group, &mut summ[li], &mut m_u[li])
                 },
             );
         }
@@ -455,50 +416,23 @@ pub(super) fn refine(
         }
         prev_tot.clone_from(&tot_snap);
         prev_size.clone_from(&size_snap);
+        // The full scan: the same fold over every live row, with nothing
+        // cached. Candidate communities are exactly the live Out-Table
+        // rows of `u`, gathered in first-seen arc order; the fold is
+        // order-independent, so that order never shows.
         let mut rows_scanned = 0usize;
-        // Index loop instead of a worklist iterator: the scan updates the
-        // eligibility ledger of the same frontier mid-iteration.
-        for wi in 0..frontier.worklist.len() {
-            let li = frontier.worklist[wi] as usize;
-            let c_u = lvl.label[li];
-            let mut cs = CandSummary::sentinel(c_u);
-            let remove_u = kernel.gather(table, &mut scratch, li, c_u, lvl.k[li]);
-            // Candidate communities are exactly the live Out-Table rows
-            // of `u`, gathered in first-seen arc order. The fold below is
-            // order-independent, so that order never shows.
-            for &(c_new, w) in &scratch.rows {
-                rows_scanned += 1;
-                if c_new == c_u {
-                    continue;
-                }
-                // The best move is the lexicographic max over
-                // (gain, community id) — order-independent, so any
-                // candidate order selects the identical candidate (the
-                // id tie-break the perturbation harness forced).
-                // Demoted entries cascade down the summary, keeping the
-                // exact top-`SUMMARY_K` of the fold for the patch pass
-                // (`total_cmp` Equal means identical bits, so the
-                // equal-gain promote leaves the max unchanged).
-                if let Some(gain) = kernel.gain(c_u, remove_u, lvl.k[li], c_new, w) {
-                    cs.fold(gain, c_new);
-                }
-            }
-            cs.seal((f64::NEG_INFINITY, 0));
-            m_u[li] = cs.e[0].0;
-            summ[li] = cs;
-            // Eligibility ledger: a vertex that still sees a worthwhile
-            // gain may merely be ε-throttled this sweep — it can migrate
-            // in a later iteration with *no* further input change, so it
-            // must stay reachable by the UPDATE sweep. Re-scanning it
-            // would be waste, though: with unchanged inputs the cached
-            // decision is already exact, so the ledger — not the scan
-            // frontier — carries it forward.
-            frontier.set_eligible(li, m_u[li] > 0.0);
+        for &li in &frontier.worklist {
+            let li = li as usize;
+            table.gather(li, &mut scratch);
+            rows_scanned += scratch.rows.len();
+            summ[li] = CandSummary::empty();
+            let (c_u, k_u, a_uu) = (lvl.label[li], lvl.k[li], table.self_loop(li));
+            kernel.refold(c_u, k_u, a_uu, &scratch, &mut summ[li], &mut m_u[li]);
         }
-        // The UPDATE sweep below consumes the rebuilt (ascending)
-        // eligible list: freshly scanned vertices contribute their new
-        // verdict, unscanned ones their sticky — and still exact — one.
-        frontier.commit_eligible();
+        // The UPDATE sweep below walks the vertices with a positive
+        // gain: freshly scanned or patched vertices contribute their new
+        // verdict, the rest their cached — and still exact — one.
+        frontier.commit_eligible(&m_u);
         // Local compute charge: one unit per candidate row scanned or
         // patched plus one per active vertex (the remove-gain pass). The
         // frontier is schedule-invariant, so the charge — and the
@@ -534,15 +468,15 @@ pub(super) fn refine(
             let label = &mut lvl.label;
             let k = &lvl.k;
             let mut ex = ctx.exchange();
-            // Movers are a subset of the eligibility ledger (by
-            // construction: eligible ⟺ cached `m_u` clears the
-            // threshold), and the eligible list is ascending — so this
-            // sweep visits the same candidate vertices in the same order
-            // as the full `0..local_n` scan, and the Gauss-Seidel
-            // `tot_view` evolves bit-identically. ε-throttled vertices
-            // ride along on their cached decision without having been
-            // re-scanned. Index loop: the mover self-wake below re-arms
-            // the pending set of the same frontier mid-sweep.
+            // Movers are a subset of the eligible list (a mover's
+            // cached `m_u` is positive and clears the threshold), and
+            // the list is ascending — so this sweep visits the same
+            // candidate vertices in the same order as the full
+            // `0..local_n` scan, and the Gauss-Seidel `tot_view` evolves
+            // bit-identically. ε-throttled vertices ride along on their
+            // cached decision without having been re-scanned. Index
+            // loop: the mover self-wake below re-arms the pending set of
+            // the same frontier mid-sweep.
             for ei in 0..frontier.eligible_list.len() {
                 let li = frontier.eligible_list[ei] as usize;
                 if m_u[li] > 0.0 && m_u[li] >= threshold {
@@ -590,7 +524,6 @@ pub(super) fn refine(
                     if !table.has_external(li, c_new) {
                         m_u[li] = 0.0;
                         summ[li] = CandSummary::sentinel(c_new);
-                        frontier.set_eligible(li, m_u[li] > 0.0);
                     } else {
                         frontier.wake(li);
                     }
@@ -648,28 +581,19 @@ pub(super) fn refine(
         // cached label moves each of `u`'s arcs from row `(d, c_old)` to
         // row `(d, c_new)`. Both rows are handed to the frontier; the next
         // snapshot-diff pass classifies each into a full re-scan (own row
-        // or cached winner touched) or an O(1) scan patch. No-op
-        // announcements (the v1 full rebuild re-sends unmoved labels)
-        // relabel nothing and dirty nothing, so both ablations schedule
-        // identically. The same report keeps Σ_in's own-row cache exact:
-        // a vertex whose own row an arc left or joined is re-walked.
+        // or cached winner touched) or an O(1) scan patch. The same
+        // report keeps Σ_in's own-row cache exact: a vertex whose own
+        // row an arc left or joined is re-walked.
         if moves > 0 {
             let label = &lvl.label;
-            meter.dedup_hits += propagate_deltas(
-                ctx,
-                lvl,
-                table,
-                &migrated,
-                cfg.v1_state_rebuild,
-                |li, a, b| {
-                    let (li, c_u) = (li as usize, label[li as usize]);
-                    frontier.mark_row_dirty(li, c_u, a);
-                    frontier.mark_row_dirty(li, c_u, b);
-                    if c_u == a || c_u == b {
-                        own_w[li] = None;
-                    }
-                },
-            );
+            meter.dedup_hits += propagate_deltas(ctx, lvl, table, &migrated, |li, a, b| {
+                let (li, c_u) = (li as usize, label[li as usize]);
+                frontier.mark_row_dirty(li, c_u, a);
+                frontier.mark_row_dirty(li, c_u, b);
+                if c_u == a || c_u == b {
+                    own_w[li] = None;
+                }
+            });
         }
         meter.lap(ctx, Phase::StatePropagation);
 
@@ -961,10 +885,6 @@ mod tests {
         }
     }
 
-    /// The frontier's schedule and the simulated charges, pinned on a
-    /// fixed planted graph: bookkeeping changes to FIND BEST or the
-    /// modularity reduction must leave every scan, patch and message —
-    /// and so every simulated unit — exactly where it was.
     /// Wire traffic of the planted seed-11 and mixed-magnitude graphs
     /// at 1, 2 and 4 ranks under both partition strategies: messages,
     /// packets, payload bytes, syncs, state-propagation messages, the
@@ -1081,13 +1001,21 @@ mod tests {
         }
     }
 
+    /// The frontier's schedule and the simulated charges, pinned on a
+    /// fixed planted graph: bookkeeping changes to FIND BEST or the
+    /// modularity reduction must leave every scan, patch and message —
+    /// and so every simulated unit — exactly where it was. The
+    /// `strawman` rows run the planted graph under the Figure-4
+    /// no-heuristic configuration, whose UPDATE sweep skips the re-vet
+    /// and whose FIND BEST skips the singleton guard.
     #[test]
     fn schedule_and_charges_are_pinned() {
-        // (graph, ranks, sim_total_units, sim_breakdown as [loading,
+        // (case, ranks, sim_total_units, sim_breakdown as [loading,
         // state propagation, find best, update, modularity,
-        // reconstruction], frontier [active, skipped, reactivations]).
-        type Pin = (&'static str, usize, f64, [f64; 6], [u64; 3]);
-        let pins: [Pin; 6] = [
+        // reconstruction], frontier [active, skipped, reactivations],
+        // final modularity bits).
+        type Pin = (&'static str, usize, f64, [f64; 6], [u64; 3], u64);
+        let pins: [Pin; 9] = [
             (
                 "planted",
                 1,
@@ -1101,6 +1029,7 @@ mod tests {
                     75605.60000000033,
                 ],
                 [1570, 2590, 148],
+                0x3fe6_22bc_8858_63ac,
             ),
             (
                 "planted",
@@ -1115,6 +1044,7 @@ mod tests {
                     75509.8999999999,
                 ],
                 [1570, 2590, 148],
+                0x3fe6_22bc_8858_63ac,
             ),
             (
                 "planted",
@@ -1129,6 +1059,7 @@ mod tests {
                     75351.49999999977,
                 ],
                 [1570, 2590, 148],
+                0x3fe6_22bc_8858_63ac,
             ),
             (
                 "mixed",
@@ -1143,6 +1074,7 @@ mod tests {
                     102088.49999999988,
                 ],
                 [1018, 795, 53],
+                0x3fe5_4765_21e2_3d7e,
             ),
             (
                 "mixed",
@@ -1157,6 +1089,7 @@ mod tests {
                     126786.0999999998,
                 ],
                 [1047, 904, 48],
+                0x3fe5_4765_21e2_3d80,
             ),
             (
                 "mixed",
@@ -1171,13 +1104,69 @@ mod tests {
                     101100.20000000007,
                 ],
                 [979, 691, 51],
+                0x3fe5_3ae8_48ab_ba89,
+            ),
+            (
+                "strawman",
+                1,
+                1375312.299999998,
+                [
+                    5000.0,
+                    181584.0,
+                    362777.99999999814,
+                    378000.9999999999,
+                    362119.0,
+                    75830.29999999993,
+                ],
+                [2097, 303, 4],
+                0x3fdd_fd84_5954_649b,
+            ),
+            (
+                "strawman",
+                2,
+                1366521.599999998,
+                [
+                    5000.0,
+                    182408.0,
+                    361636.99999999814,
+                    370151.99999999994,
+                    361648.0000000001,
+                    75676.5999999998,
+                ],
+                [2097, 303, 4],
+                0x3fdd_fd84_5954_649d,
+            ),
+            (
+                "strawman",
+                4,
+                1360932.1999999979,
+                [
+                    5000.0,
+                    182813.0,
+                    361082.99999999814,
+                    365449.0,
+                    361091.9999999999,
+                    75495.19999999984,
+                ],
+                [2097, 303, 4],
+                0x3fdd_fd84_5954_649d,
             ),
         ];
         let planted = planted_graph(11).0;
         let mixed = mixed_magnitude_graph();
-        for (name, ranks, total, breakdown, frontier) in pins {
-            let el = if name == "planted" { &planted } else { &mixed };
-            let r = ParallelLouvain::new(ParallelConfig::with_ranks(ranks)).run(el);
+        for (name, ranks, total, breakdown, frontier, q_bits) in pins {
+            let el = if name == "mixed" { &mixed } else { &planted };
+            let cfg = if name == "strawman" {
+                ParallelConfig {
+                    use_heuristic: false,
+                    max_inner_iterations: 12,
+                    max_levels: 6,
+                    ..ParallelConfig::with_ranks(ranks)
+                }
+            } else {
+                ParallelConfig::with_ranks(ranks)
+            };
+            let r = ParallelLouvain::new(cfg).run(el);
             let b = r.sim_breakdown;
             let got = [
                 b.loading,
@@ -1199,6 +1188,11 @@ mod tests {
                 [f.active_vertices, f.skipped_scans, f.reactivations],
                 frontier,
                 "{at}: frontier"
+            );
+            assert_eq!(
+                r.result.final_modularity.to_bits(),
+                q_bits,
+                "{at}: modularity"
             );
         }
     }

@@ -224,8 +224,8 @@ impl OutTable {
     /// The result is independent of delivery order: each vertex migrates
     /// at most once per sweep and only its owner announces it, so the
     /// deltas of one batch touch disjoint labels, and the frontier
-    /// consumes the reported rows as a set. (The v1 full rebuild
-    /// re-announces unmoved labels; those are no-ops.)
+    /// consumes the reported rows as a set. Only migrations are
+    /// announced, so every delta changes its vertex's label.
     pub(super) fn apply_deltas(
         &mut self,
         deltas: &[(u32, u32)],
@@ -239,9 +239,7 @@ impl OutTable {
             };
             // Every arc of `u` carries its label: read the first one.
             let c_old = self.label[self.pairs[self.src_offsets[idx]].1 as usize];
-            if c_old == c_new {
-                continue;
-            }
+            debug_assert_ne!(c_old, c_new, "delta of an unmoved vertex {u}");
             for &(li, j) in &self.pairs[self.src_offsets[idx]..self.src_offsets[idx + 1]] {
                 self.label[j as usize] = c_new;
                 dirty(li, c_old, c_new);
@@ -516,13 +514,11 @@ mod tests {
     /// Delta batches over [`MIXED_EDGES`]: rows are born, shared,
     /// vacated and re-joined. Vacating row `(0, 4)` after `1e16` and
     /// `1.0` shared it is the case where patched `+w`/`-w` arithmetic
-    /// would leave a residue. The last batch re-announces the one before
-    /// it, as the v1 full rebuild does: a no-op that dirties nothing.
-    const MIXED_BATCHES: [&[(u32, u32)]; 5] = [
+    /// would leave a residue.
+    const MIXED_BATCHES: [&[(u32, u32)]; 4] = [
         &[(1, 4), (2, 4), (3, 4)],
         &[(1, 3), (2, 3)],
         &[(2, 0), (3, 0), (1, 0)],
-        &[(1, 4)],
         &[(1, 4)],
     ];
 
@@ -578,14 +574,19 @@ mod tests {
         ) {
             let edges: Vec<(u32, u32, f64)> =
                 edges.iter().map(|&(u, v, i)| (u, v, ORACLE_WEIGHTS[i])).collect();
-            // A vertex migrates at most once per sweep: keep each
-            // vertex's first delta in a batch.
+            // A vertex migrates at most once per sweep, and only a
+            // migration is announced: keep each vertex's first delta in a
+            // batch, and only if it changes the vertex's label.
+            let mut cur: Vec<u32> = (0..12).collect();
             let batches: Vec<Vec<(u32, u32)>> = batches
                 .into_iter()
                 .map(|b| {
                     let mut seen = [false; 12];
                     b.into_iter()
-                        .filter(|&(u, _)| !std::mem::replace(&mut seen[u as usize], true))
+                        .filter(|&(u, c)| {
+                            let first = !std::mem::replace(&mut seen[u as usize], true);
+                            first && std::mem::replace(&mut cur[u as usize], c) != c
+                        })
                         .collect()
                 })
                 .collect();

@@ -57,27 +57,6 @@ pub fn lo_for_mean(exp: f64, hi: usize, target: f64) -> usize {
     lo
 }
 
-/// Draws `n` samples and deterministically adjusts the last few so the sum
-/// is even (required by stub-matching generators).
-pub fn sample_sequence_even_sum<R: Rng + ?Sized>(
-    rng: &mut R,
-    n: usize,
-    exp: f64,
-    lo: usize,
-    hi: usize,
-) -> Vec<usize> {
-    let mut seq: Vec<usize> = (0..n).map(|_| sample(rng, exp, lo, hi)).collect();
-    if seq.iter().sum::<usize>() % 2 == 1 {
-        // Bump one entry by ±1 without leaving [lo, hi].
-        if let Some(x) = seq.iter_mut().find(|x| **x < hi) {
-            *x += 1;
-        } else if let Some(x) = seq.iter_mut().find(|x| **x > lo) {
-            *x -= 1;
-        }
-    }
-    seq
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -126,16 +105,6 @@ mod tests {
         assert!(mean(2.5, lo, hi) >= target);
         if lo > 1 {
             assert!(mean(2.5, lo - 1, hi) < target);
-        }
-    }
-
-    #[test]
-    fn even_sum_sequence() {
-        let mut rng = StdRng::seed_from_u64(4);
-        for _ in 0..50 {
-            let seq = sample_sequence_even_sum(&mut rng, 101, 2.2, 2, 40);
-            assert_eq!(seq.iter().sum::<usize>() % 2, 0);
-            assert!(seq.iter().all(|&d| (2..=40).contains(&d)));
         }
     }
 

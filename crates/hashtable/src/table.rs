@@ -147,8 +147,12 @@ impl<H: HashFn64> EdgeTable<H> {
 
     /// Inserts `key` with weight `w`, or adds `w` to the existing weight.
     /// Returns `true` if the key was newly inserted.
+    ///
+    /// # Panics
+    ///
+    /// If `key` is `u64::MAX`, the value reserved for empty slots.
     pub fn accumulate(&mut self, key: u64, w: f64) -> bool {
-        debug_assert_ne!(key, EMPTY, "key value reserved for empty slots");
+        assert_ne!(key, EMPTY, "key value reserved for empty slots");
         if (self.len + 1) as f64 > self.max_load * self.keys.len() as f64 {
             self.grow();
         }
@@ -179,18 +183,20 @@ impl<H: HashFn64> EdgeTable<H> {
         inserted
     }
 
-    /// Looks up the accumulated weight for `key`.
+    /// Looks up the accumulated weight for `key`; `None` for the
+    /// reserved key `u64::MAX`, which no entry can hold.
     #[must_use]
     pub fn get(&self, key: u64) -> Option<f64> {
         let cap = self.keys.len();
         let mut slot = self.hash.bin(key, cap);
         loop {
             let k = self.keys[slot];
-            if k == key {
-                return Some(self.weights[slot]);
-            }
+            // Empty first: the reserved key matches every empty slot.
             if k == EMPTY {
                 return None;
+            }
+            if k == key {
+                return Some(self.weights[slot]);
             }
             slot += 1;
             if slot == cap {
@@ -279,6 +285,20 @@ mod tests {
         assert!(t.accumulate(pack_key(1, 2), 1.5));
         assert_eq!(t.get(pack_key(1, 2)), Some(1.5));
         assert_eq!(t.get(pack_key(2, 1)), None);
+    }
+
+    #[test]
+    fn the_reserved_key_is_never_found() {
+        let mut t = EdgeTable::new(16);
+        assert_eq!(t.get(u64::MAX), None);
+        t.accumulate(pack_key(1, 2), 1.0);
+        assert_eq!(t.get(u64::MAX), None);
+    }
+
+    #[test]
+    #[should_panic(expected = "reserved for empty slots")]
+    fn accumulate_rejects_the_reserved_key() {
+        EdgeTable::new(16).accumulate(u64::MAX, 7.0);
     }
 
     #[test]

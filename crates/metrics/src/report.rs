@@ -74,20 +74,6 @@ impl PartitionReport {
     pub fn largest(&self) -> Option<&CommunitySummary> {
         self.communities.first()
     }
-
-    /// Mean conductance weighted by community volume.
-    #[must_use]
-    pub fn mean_conductance(&self) -> f64 {
-        let vol: f64 = self.communities.iter().map(|c| c.volume).sum();
-        if vol <= 0.0 {
-            return 0.0;
-        }
-        self.communities
-            .iter()
-            .map(|c| c.conductance * c.volume)
-            .sum::<f64>()
-            / vol
-    }
 }
 
 #[cfg(test)]
@@ -118,7 +104,6 @@ mod tests {
             assert!((c.density - 1.0).abs() < 1e-12); // triangles are cliques
         }
         assert!((r.modularity - 2.0 * (6.0 / 14.0 - 0.25)).abs() < 1e-12);
-        assert!((r.mean_conductance() - 1.0 / 7.0).abs() < 1e-12);
     }
 
     #[test]

@@ -45,8 +45,8 @@
 //! schema-versioned lockfile `results/cost_spec.json` (`xtask cost`,
 //! `--check`/`--update` like `xtask protocol`); the dynamic half of the
 //! contract lives in `crates/xtask/tests/cost_conformance.rs`, which
-//! maps each class to the PR 3/4 trace counters and rejects a seeded
-//! reversion to the v1 per-arc rebuild volume.
+//! maps each class to the solver's per-phase message counters and
+//! rejects a seeded state-propagation volume past the O(deltas) bound.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::Path;
@@ -1384,6 +1384,35 @@ fn rank_main(ctx: &mut Ctx, labels: &[f64]) {
                 site("rank_main#0", "allreduce_sum", "O(1)", "rank_tainted_loop"),
                 site("rank_main#1", "allgather_f64", "O(n_local)", "per_run"),
             ]
+        );
+    }
+
+    #[test]
+    fn per_arc_send_in_the_inner_loop_is_local_arcs_per_iteration() {
+        // A per-arc state rebuild — every local vertex announcing its
+        // label along every out-arc, every inner iteration — is the
+        // volume the delta path replaced: the spec must say so.
+        let src = r"
+fn rank_main(ctx: &mut Ctx, cfg: &Cfg, table: &Table, local_n: usize) {
+    for iter in 1..=cfg.max_inner_iterations {
+        let mut ex = ctx.exchange();
+        for li in 0..local_n {
+            for &s in table.out_srcs(li) {
+                ex.send(owner(s), li);
+            }
+        }
+        ex.finish(|_| {});
+    }
+}
+";
+        assert_eq!(
+            spec_sites("per-arc", src),
+            vec![site(
+                "rank_main#0",
+                "send",
+                "O(local_arcs)",
+                "per_iteration"
+            )]
         );
     }
 

@@ -3,9 +3,9 @@
 //! and invocation multiplicity for every communication site; these tests
 //! check the *observed* per-phase message counters against the concrete
 //! bounds those classes imply, at 2/4/8 ranks and under every perturbed
-//! delivery schedule — and prove the bounds have teeth by flipping the
-//! solver to the v1 full-rebuild state propagation and watching the
-//! check reject the regression that bench drift alone might miss.
+//! delivery schedule — and prove the bounds have teeth by inflating a
+//! run's state-propagation volume to the per-arc rebuild's order and
+//! watching the check reject it.
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -61,6 +61,19 @@ fn not_pegged(name: &str, v: u64) -> u64 {
     v
 }
 
+/// Total migrations of a run over every level and inner iteration.
+fn moves_total(r: &ParallelResult) -> u64 {
+    let mut moves = 0u64;
+    for lvl in &r.result.levels {
+        for &f in &lvl.move_fractions {
+            // `f` was computed as moves / n, so this recovers the exact
+            // per-iteration global move count.
+            moves += (f * lvl.num_vertices as f64).round() as u64;
+        }
+    }
+    moves
+}
+
 /// Concrete per-phase message bounds implied by the committed cost
 /// classes, evaluated against the observed `CommBreakdown` (summed over
 /// ranks). Returns violations instead of asserting so the mutation test
@@ -88,17 +101,12 @@ fn violations(r: &ParallelResult, ranks: u64, raw_edges: u64, distributed: bool)
     // Recover the solver quantities the symbolic classes are expressed
     // in from the per-level result: total migrations (`deltas`), and the
     // per-iteration sums weighted by level size.
-    let mut moves_total = 0u64;
+    let moves_total = moves_total(r);
     let mut iters_total = 0u64;
     let mut recon_terms = 0u64;
     for lvl in &r.result.levels {
         let n = lvl.num_vertices as u64;
         iters_total += lvl.inner_iterations as u64;
-        for &f in &lvl.move_fractions {
-            // `f` was computed as moves / n, so this recovers the exact
-            // per-iteration global move count.
-            moves_total += (f * lvl.num_vertices as f64).round() as u64;
-        }
         // reconstruct, per level: one O(n_local) announcement of the
         // distinct community ids, one relabel round of at most
         // `num_communities × ranks` messages, one O(local_arcs) edge
@@ -137,12 +145,13 @@ fn violations(r: &ParallelResult, ranks: u64, raw_edges: u64, distributed: bool)
         "O(deltas) per-iteration",
     );
     // community update — two O(frontier) sites per inner iteration: the
-    // sweep walks the eligibility ledger (frontier-bounded), and each
-    // mover — a subset of the ledger — ships exactly two Σ_tot messages
-    // (leave + join). `moves_total` is recovered exactly from the move
-    // fractions, so this concrete bound is exact, and anything that
-    // respects it trivially respects the looser O(frontier) and the old
-    // O(n_local) classes it tightened from.
+    // sweep walks the frontier's eligible list (the vertices with a
+    // positive cached gain), and each mover — a subset of that list —
+    // ships exactly two Σ_tot messages (leave + join). `moves_total` is
+    // recovered exactly from the move fractions, so this concrete bound
+    // is exact, and anything that respects it trivially respects the
+    // looser O(frontier) and the old O(n_local) classes it tightened
+    // from.
     check(
         "update",
         cb.update,
@@ -189,9 +198,8 @@ fn committed_spec_matches_fresh_extraction() {
 }
 
 /// Static invariants the rest of this suite leans on: the delta path is
-/// classified as O(deltas) per iteration, the v1 fallback as
-/// O(local_arcs), and nothing in the tree ships an unbounded payload or
-/// sits in a rank-tainted loop.
+/// classified as O(deltas) per iteration, and nothing in the tree ships
+/// an unbounded payload or sits in a rank-tainted loop.
 #[test]
 fn spec_classifies_the_delta_path_and_bans_unbounded() {
     let s = spec();
@@ -216,14 +224,6 @@ fn spec_classifies_the_delta_path_and_bans_unbounded() {
         assert_eq!(upd.payload, "O(frontier)");
         assert_eq!(upd.multiplicity, "per_iteration");
     }
-    let v1 = s
-        .sites
-        .iter()
-        .find(|c| c.site.ends_with("::send_full_rebuild#0"))
-        .expect("v1 rebuild site present");
-    assert_eq!(v1.op, "send");
-    assert_eq!(v1.payload, "O(local_arcs)");
-    assert_eq!(v1.multiplicity, "per_iteration");
     for c in &s.sites {
         assert_ne!(
             c.payload, "Unbounded",
@@ -295,39 +295,25 @@ fn distributed_build_volumes_respect_declared_bounds() {
     );
 }
 
-/// The seeded mutation: reverting state propagation to the v1 full
-/// per-arc rebuild keeps the solver output bit-identical (so output
-/// tests cannot catch it) but must blow through the O(deltas) bound —
-/// the volume verifier, not bench drift, rejects the regression.
+/// The seeded mutation: a run whose state propagation ships more than
+/// one announcement per migration and destination rank — the volume of
+/// a per-arc rebuild, which leaves the solver output unchanged, so output
+/// tests cannot catch it — must blow through the O(deltas) bound: the
+/// volume verifier, not bench drift, rejects the regression.
 #[test]
-fn v1_full_rebuild_is_rejected_by_the_volume_bounds() {
+fn inflated_state_propagation_is_rejected_by_the_volume_bounds() {
     let edges = test_graph();
     let raw = edges.num_edges() as u64;
-    let delta = ParallelLouvain::new(ParallelConfig::with_ranks(2)).run(&edges);
-    let v1 = ParallelLouvain::new(ParallelConfig {
-        v1_state_rebuild: true,
-        ..ParallelConfig::with_ranks(2)
-    })
-    .run(&edges);
-    assert_eq!(
-        v1.result.final_modularity.to_bits(),
-        delta.result.final_modularity.to_bits(),
-        "the v1 rebuild must be behavior-preserving (same modularity)"
-    );
-    assert_eq!(
-        v1.result.final_partition.labels(),
-        delta.result.final_partition.labels(),
-        "the v1 rebuild must be behavior-preserving (same partition)"
-    );
-    assert!(
-        v1.comm_breakdown.state_propagation > delta.comm_breakdown.state_propagation,
-        "the v1 rebuild should ship strictly more state-propagation volume"
-    );
-    let v = violations(&v1, 2, raw, false);
+    let mut r = ParallelLouvain::new(ParallelConfig::with_ranks(2)).run(&edges);
+    assert!(violations(&r, 2, raw, false).is_empty());
+    let bound = moves_total(&r) * 2;
+    assert!(r.comm_breakdown.state_propagation <= bound);
+    r.comm_breakdown.state_propagation = bound + 1;
+    let v = violations(&r, 2, raw, false);
     assert!(
         v.iter().any(|m| m.starts_with("state_propagation")),
-        "the v1 per-arc rebuild must violate the O(deltas) state-propagation \
-         bound; got violations: {v:?}"
+        "state propagation past the O(deltas) bound must be reported; \
+         got violations: {v:?}"
     );
 }
 

@@ -1,32 +1,42 @@
 #!/usr/bin/env bash
-# Wall-clock A/B of the working tree against a parent revision on one
-# louvain-perf workload: the alternating-pairs protocol a performance
+# Wall-clock A/B of the working tree against a parent revision on
+# louvain-perf workloads: the alternating-pairs protocol a performance
 # claim is measured with.
 #
 #   scripts/ab.sh <parent-rev> <workload> <pairs>
+#   scripts/ab.sh <parent-rev> all <pairs>
 #
 # Copies the parent revision (`git archive`) and the working tree
 # (tracked and untracked, non-ignored files) into target/ab/parent and
-# target/ab/work, builds louvain-perf in each, then runs the
-# BENCHMARK.json command there `<pairs>` times each, alternating which
-# side goes first. Prints each pair's solve_s and winner, then, for every
-# `end_to_end` metric of BENCHMARK.json, both sides' median and quartiles
-# over the runs, the working tree's relative move, and a verdict against
-# the metric's `bound` (a share of the parent's median) in its `better`
-# direction: better, within bound, or worse beyond bound — or unresolved
-# when either side's interquartile range, as a share of its median, is
-# wider than the bound. Run it on an otherwise idle host.
+# target/ab/work and builds louvain-perf in each once. Then, for the
+# named workload, or with `all` for every BENCHMARK.json workload in
+# turn, it runs the BENCHMARK.json command there `<pairs>` times each,
+# alternating which side goes first, and prints each pair's solve_s and
+# winner, then, for every `end_to_end` metric of BENCHMARK.json, both
+# sides' median and quartiles over the runs, the working tree's
+# relative move, and a verdict against the metric's `bound` (a share of
+# the parent's median) in its `better` direction: better, within bound,
+# or worse beyond bound — or unresolved when either side's
+# interquartile range, as a share of its median, is wider than the
+# bound. Every run's summary pair lands in target/ab/runs.jsonl, tagged
+# with its workload. Run it on an otherwise idle host.
 set -euo pipefail
 if [ $# -ne 3 ]; then
-  echo "usage: $0 <parent-rev> <workload> <pairs>" >&2
+  echo "usage: $0 <parent-rev> <workload|all> <pairs>" >&2
   exit 2
 fi
-rev=$1 workload=$2 pairs=$3
+rev=$1 pairs=$3
 root=$(git rev-parse --show-toplevel)
 ab="$root/target/ab"
 
-# The benchmark command, its build command and its run length.
+# The benchmark command, its build command, its run length and the
+# workloads to run.
 mapfile -t cmd < <(jq -r '.command[]' "$root/BENCHMARK.json")
+if [ "$2" = all ]; then
+  mapfile -t workloads < <(jq -r '.workloads[].name' "$root/BENCHMARK.json")
+else
+  workloads=("$2")
+fi
 seconds=$(jq -r '.run_seconds' "$root/BENCHMARK.json")
 build=("${cmd[@]}")
 build[1]=build
@@ -46,32 +56,12 @@ for side in parent work; do
   (cd "$ab/$side" && "${build[@]}")
 done
 
-# One run of one side: prints its JSON summary line.
-summary() {
-  (cd "$ab/$1" && "${cmd[@]}" --workload "$workload" --seconds "$seconds") | tail -n 1
-}
-
-runs="$ab/runs.jsonl"
-: >"$runs"
-for p in $(seq 1 "$pairs"); do
-  if [ $((p % 2)) -eq 1 ]; then
-    a=$(summary parent)
-    b=$(summary work)
-  else
-    b=$(summary work)
-    a=$(summary parent)
-  fi
-  jq -c -n --argjson a "$a" --argjson b "$b" '{parent: $a.metrics, work: $b.metrics}' >>"$runs"
-  sa=$(jq -r '.metrics.solve_s.value' <<<"$a")
-  sb=$(jq -r '.metrics.solve_s.value' <<<"$b")
-  winner=$(awk -v a="$sa" -v b="$sb" 'BEGIN { print (b < a) ? "work" : "parent" }')
-  printf 'pair %2d: parent %.4f s  work %.4f s  -> %s\n' "$p" "$sa" "$sb" "$winner"
-done
-
-python3 - "$runs" "$root/BENCHMARK.json" <<'EOF'
+# The verdict table of one workload's runs.
+verdicts() {
+  python3 - "$runs" "$root/BENCHMARK.json" "$1" <<'EOF'
 import json, statistics, sys
 
-rows = [json.loads(line) for line in open(sys.argv[1])]
+rows = [r for r in map(json.loads, open(sys.argv[1])) if r["workload"] == sys.argv[3]]
 spec = json.load(open(sys.argv[2]))["end_to_end"]
 
 
@@ -119,3 +109,31 @@ for m in spec:
         f"(bound {m['bound']:.1%}, {m['better']} is better)"
     )
 EOF
+}
+
+# One run of one side on one workload: prints its JSON summary line.
+summary() {
+  (cd "$ab/$1" && "${cmd[@]}" --workload "$2" --seconds "$seconds") | tail -n 1
+}
+
+runs="$ab/runs.jsonl"
+: >"$runs"
+for workload in "${workloads[@]}"; do
+  echo "== $workload"
+  for p in $(seq 1 "$pairs"); do
+    if [ $((p % 2)) -eq 1 ]; then
+      a=$(summary parent "$workload")
+      b=$(summary work "$workload")
+    else
+      b=$(summary work "$workload")
+      a=$(summary parent "$workload")
+    fi
+    jq -c -n --arg w "$workload" --argjson a "$a" --argjson b "$b" \
+      '{workload: $w, parent: $a.metrics, work: $b.metrics}' >>"$runs"
+    sa=$(jq -r '.metrics.solve_s.value' <<<"$a")
+    sb=$(jq -r '.metrics.solve_s.value' <<<"$b")
+    winner=$(awk -v a="$sa" -v b="$sb" 'BEGIN { print (b < a) ? "work" : "parent" }')
+    printf 'pair %2d: parent %.4f s  work %.4f s  -> %s\n' "$p" "$sa" "$sb" "$winner"
+  done
+  verdicts "$workload"
+done
