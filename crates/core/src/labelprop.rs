@@ -7,11 +7,11 @@
 //! weighted label propagation *on the parallel Louvain solver's own
 //! code*: the replicated loader (`build_initial_level`), the Out-Table's
 //! per-vertex row gather, and the delta state propagation
-//! (`propagate_deltas`) that announces only changed labels. The two algorithms are therefore
-//! compared end-to-end on equal footing (`louvain-bench baseline-lp`): LP
-//! is cheaper per iteration (no `Σ_tot` snapshot, no histogram, no
-//! modularity pass) but plateaus at lower modularity and offers no
-//! hierarchy.
+//! (`announce_migrations`) that announces only changed labels. The two
+//! algorithms are therefore compared end-to-end on equal footing
+//! (`louvain-bench baseline-lp`): LP is cheaper per iteration (no `Σ_tot`
+//! snapshot, no histogram, no modularity pass) but plateaus at lower
+//! modularity and offers no hierarchy.
 //!
 //! Update rule: each vertex adopts the label with the largest incident
 //! weight among its neighbors, keeping its current label on ties
@@ -26,7 +26,7 @@ use louvain_runtime::{run_with_config, CommStats, RankCtx, RuntimeConfig};
 use std::time::Duration;
 
 use crate::parallel::{
-    build_initial_level, propagate_deltas, Msg, OutTable, ParallelConfig, RowScratch,
+    announce_migrations, build_initial_level, Msg, OutTable, ParallelConfig, RowScratch,
 };
 use crate::timing::Stopwatch;
 
@@ -157,7 +157,11 @@ fn rank_main(
             break;
         }
         // Announce the changed labels to the ranks holding their arcs.
-        propagate_deltas(ctx, &lvl, &mut table, &changed, |_, _, _| {});
+        let mut ex = ctx.exchange();
+        announce_migrations(&mut ex, rank, &lvl.part, &table, &changed);
+        let mut deltas: Vec<(u32, u32)> = Vec::new();
+        ex.finish(|m| deltas.push((m.a, m.b)));
+        table.apply_deltas(&deltas, |_, _, _| {});
     }
     (lvl.label, fractions, ctx.sim_time_units())
 }

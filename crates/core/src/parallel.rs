@@ -30,10 +30,13 @@
 //! relabel the migrated vertex's arcs through the per-level `OutTable`;
 //! no row weight is stored, so there is nothing to patch, and a row's
 //! weight is a fresh sum under the current labels whenever it is read.
-//! The cache is invalidated (rebuilt) at every GRAPH RECONSTRUCTION. An
-//! iteration in which no vertex migrates anywhere exchanges zero
-//! state-propagation messages — the inner loop then terminates through
-//! the modularity collective that follows.
+//! The cache is invalidated (rebuilt) at every GRAPH RECONSTRUCTION. The
+//! announcements ride the UPDATE exchange alongside the `Σ_tot` deltas,
+//! so STATE PROPAGATION adds no superstep of its own, and the global move
+//! count rides the modularity reduction: an inner iteration is six
+//! supersteps. An iteration in which no vertex migrates anywhere sends
+//! zero state-propagation messages, and every rank leaves the inner loop
+//! on the move count of that reduction.
 //!
 //! The FIND BEST / UPDATE sweeps are **frontier-scheduled** (DESIGN.md
 //! §13): each rank keeps a scan frontier over its local vertices
@@ -84,7 +87,7 @@ mod out_table;
 mod reconstruct;
 mod resume;
 
-pub(crate) use inner_loop::propagate_deltas;
+pub(crate) use inner_loop::announce_migrations;
 pub(crate) use level::build_initial_level;
 pub(crate) use out_table::{group_by_index, OutTable, RowScratch};
 
@@ -1058,13 +1061,13 @@ mod tests {
     }
 
     #[test]
-    fn zero_delta_fast_path_sends_no_state_propagation_messages() {
+    fn no_migration_sends_no_state_propagation_messages() {
         // Two vertices with only self-loops: no vertex ever migrates, so
         // the inner loop runs exactly one iteration in which (a) the
-        // Out-Table is built from local data and (b) the delta exchange
-        // is skipped in lockstep — zero state-propagation messages —
-        // while the phase still terminates through the closing
-        // modularity collective.
+        // Out-Table is built from local data and (b) the UPDATE exchange
+        // carries no announcement — zero state-propagation messages —
+        // and every rank leaves the loop on the move count that rides
+        // the closing modularity reduction.
         let mut b = EdgeListBuilder::new(2);
         b.add_edge(0, 0, 1.0);
         b.add_edge(1, 1, 1.0);

@@ -9,34 +9,33 @@ use crate::dq;
 use crate::frontier::Frontier;
 use crate::heuristic::{MIN_MOVE_FRACTION, MIN_Q_IMPROVEMENT};
 use crate::timing::{Phase, PhaseMeter};
-use louvain_runtime::RankCtx;
+use louvain_graph::partition::AnyPartition;
+use louvain_runtime::{Exchange, RankCtx};
 
 /// Bins of the global gain histogram that translates ε into `ΔQ̂`.
 const HISTOGRAM_BINS: usize = 64;
 
 /// STATE PROPAGATION (Algorithm 3), steady-state edition: instead of
 /// rebuilding the Out-Table from scratch, each rank announces only the
-/// vertices that migrated this sweep as `(vertex, new_community)` deltas,
-/// once per rank that holds an arc of the vertex, however many such arcs
-/// that rank holds. Received deltas relabel the arcs of the migrated
-/// vertex in the Out-Table through [`OutTable::apply_deltas`] (DESIGN.md
-/// §10), which hands `dirty` the two rows each relabelled arc moved
-/// between. Returns the announcements this collapsed: arcs whose rank
-/// had already been told.
-pub(crate) fn propagate_deltas(
-    ctx: &mut RankCtx<'_, Msg>,
-    lvl: &RankLevel,
-    table: &mut OutTable,
+/// vertices that migrated this sweep as `(vertex, new_community)` deltas
+/// into `ex`, once per rank that holds an arc of the vertex, however many
+/// such arcs that rank holds. The receiver relabels the arcs of the
+/// migrated vertex in its Out-Table through [`OutTable::apply_deltas`]
+/// (DESIGN.md §10). A delta's weight is `0.0`, which tells it apart from
+/// the Σ_tot deltas that share REFINE's UPDATE exchange
+/// ([`is_migration`]). Returns the announcements this collapsed (arcs
+/// whose rank had already been told) and the announcements sent to other
+/// ranks.
+pub(crate) fn announce_migrations(
+    ex: &mut Exchange<'_, '_, Msg>,
+    rank: usize,
+    part: &AnyPartition,
+    table: &OutTable,
     migrated: &[(u32, u32)],
-    dirty: impl FnMut(u32, u32, u32),
-) -> u64 {
-    let part = &lvl.part;
-    let p = ctx.num_ranks();
-    let mut ex = ctx.exchange();
-    let mut collapsed = 0u64;
+) -> (u64, u64) {
+    let p = part.num_ranks();
+    let (mut collapsed, mut remote) = (0u64, 0u64);
     // `told[dest] == i`: migrated vertex `i` already reaches `dest`.
-    // Each vertex moves at most once per sweep and `migrated` is
-    // ascending, so every rank receives its deltas in vertex order.
     let mut told = vec![usize::MAX; p];
     for (i, &(u, c_new)) in migrated.iter().enumerate() {
         debug_assert!(i == 0 || migrated[i - 1].0 < u, "migrated not ascending");
@@ -56,37 +55,55 @@ pub(crate) fn propagate_deltas(
         for (dest, &last) in told.iter().enumerate() {
             if last == i {
                 ex.send(dest, msg);
+                remote += u64::from(dest != rank);
             }
         }
     }
-    let announced = ex.sent_count() > 0;
-    let mut deltas: Vec<(u32, u32)> = Vec::new();
-    ex.finish(|m| deltas.push((m.a, m.b)));
-    if announced {
-        // One sample per phase this rank announced in: a rank-local
+    if !migrated.is_empty() {
+        // One sample per phase this rank announced in (a migrated vertex
+        // has an arc, so it is announced somewhere): a rank-local
         // program-order tally, so schedule-invariant like every field.
         louvain_trace::count("delta.phase_dedup_hits", collapsed);
     }
-    table.apply_deltas(&deltas, dirty);
-    collapsed
+    (collapsed, remote)
 }
 
-/// Gathers a replicated snapshot (global community id → value) from each
-/// owner's dense local array, laid out in the modulo partition order.
-fn gather_snapshot(ctx: &RankCtx<'_, Msg>, lvl: &RankLevel, local: &[f64]) -> Vec<f64> {
+/// Whether `m`, received from REFINE's UPDATE exchange, is a migration
+/// announcement rather than a Σ_tot delta. A Σ_tot delta carries `±k_u`
+/// of a mover, and every mover has `k_u > 0`: a vertex moves only for a
+/// positive gain, which only a row of positive weight offers, and that
+/// row's arcs count toward `k_u`. So only an announcement weighs `0.0`.
+#[inline]
+#[allow(clippy::float_cmp)]
+fn is_migration(m: &Msg) -> bool {
+    // lint: allow(F1) — announcements carry an exact 0.0, Σ_tot deltas ±k_u ≠ 0
+    m.w == 0.0
+}
+
+/// Gathers the replicated `(Σ_tot, size)` snapshots (global community id
+/// → value) in one allgather of each owner's dense local pairs, laid out
+/// in the modulo partition order.
+fn gather_snapshot(ctx: &RankCtx<'_, Msg>, lvl: &RankLevel) -> (Vec<f64>, Vec<f64>) {
     let p = ctx.num_ranks();
-    let gathered = ctx.allgather_f64(local);
+    let local: Vec<f64> = lvl
+        .tot
+        .iter()
+        .zip(&lvl.size)
+        .flat_map(|(&t, &z)| [t, f64::from(z)])
+        .collect();
+    let gathered = ctx.allgather_f64(&local);
     let mut offsets = vec![0usize; p + 1];
     for r in 0..p {
         offsets[r + 1] = offsets[r] + lvl.part.local_count(r);
     }
-    debug_assert_eq!(offsets[p], gathered.len());
-    let mut global = vec![0.0f64; lvl.n];
-    for (c, g) in global.iter_mut().enumerate() {
+    debug_assert_eq!(2 * offsets[p], gathered.len());
+    let (mut tot, mut size) = (vec![0.0f64; lvl.n], vec![0.0f64; lvl.n]);
+    for c in 0..lvl.n {
         let r = lvl.part.owner(c as u32);
-        *g = gathered[offsets[r] + lvl.part.local_index(c as u32)];
+        let i = 2 * (offsets[r] + lvl.part.local_index(c as u32));
+        (tot[c], size[c]) = (gathered[i], gathered[i + 1]);
     }
-    global
+    (tot, size)
 }
 
 /// The `(gain, community)` lexicographic order of the best-move fold:
@@ -359,9 +376,7 @@ pub(super) fn refine(
         iterations = iter;
 
         // --- FIND BEST COMMUNITY (frontier-scheduled, DESIGN.md §13) ---
-        let tot_snap = gather_snapshot(ctx, lvl, &lvl.tot);
-        let size_local: Vec<f64> = lvl.size.iter().map(|&x| f64::from(x)).collect();
-        let size_snap = gather_snapshot(ctx, lvl, &size_local);
+        let (tot_snap, size_snap) = gather_snapshot(ctx, lvl);
         let kernel = GainKernel {
             tot_snap: &tot_snap,
             size_snap: &size_snap,
@@ -463,7 +478,8 @@ pub(super) fn refine(
         let mut tot_view = tot_snap;
         let mut local_moves = 0u64;
         migrated.clear();
-        {
+        let mut deltas: Vec<(u32, u32)> = Vec::new();
+        let announced_remote = {
             let part = &lvl.part;
             let label = &mut lvl.label;
             let k = &lvl.k;
@@ -519,7 +535,7 @@ pub(super) fn refine(
                     // new home, a scan's candidate loop never runs, so
                     // the exact fresh result is the sentinel — install
                     // it directly. (Rows are frozen during this sweep —
-                    // the deltas land in the next propagation, where W1
+                    // the deltas land in the propagation below, where W1
                     // catches any subsequent row birth.)
                     if !table.has_external(li, c_new) {
                         m_u[li] = 0.0;
@@ -527,6 +543,10 @@ pub(super) fn refine(
                     } else {
                         frontier.wake(li);
                     }
+                    // The discriminator of the shared exchange
+                    // (`is_migration`) reads a Σ_tot delta by its
+                    // nonzero weight.
+                    debug_assert!(k_u > 0.0, "mover {u} has k_u = {k_u}");
                     // b flags join (1) vs leave (0) for size tracking.
                     ex.send(
                         part.owner(c_old),
@@ -546,16 +566,26 @@ pub(super) fn refine(
                     );
                 }
             }
+            // STATE PROPAGATION's announcements ride the same superstep.
+            let (collapsed, remote) = announce_migrations(&mut ex, rank, part, table, &migrated);
+            meter.dedup_hits += collapsed;
             // Buffer first, apply in sorted order: Σ_tot is floating
             // point, so the accumulation must be a function of the
             // delta *multiset*, not of the (perturbable, and for
             // mixed-magnitude weights ulp-visible) delivery order.
             let mut tot_deltas: Vec<(u32, (u32, u64))> = Vec::new();
-            ex.finish(|m| tot_deltas.push((part.local_index(m.a) as u32, (m.b, m.w.to_bits()))));
+            ex.finish(|m| {
+                if is_migration(&m) {
+                    deltas.push((m.a, m.b));
+                } else {
+                    debug_assert!(part.owner(m.a) == rank && m.b <= 1, "stray Σ_tot delta");
+                    tot_deltas.push((part.local_index(m.a) as u32, (m.b, m.w.to_bits())));
+                }
+            });
             let tot = &mut lvl.tot;
             let size = &mut lvl.size;
-            for_each_sorted_bucket(&tot_deltas, tot.len(), |li, deltas| {
-                for &(b, w_bits) in deltas {
+            for_each_sorted_bucket(&tot_deltas, tot.len(), |li, bucket| {
+                for &(b, w_bits) in bucket {
                     tot[li] += f64::from_bits(w_bits);
                     if b == 1 {
                         size[li] += 1;
@@ -564,17 +594,15 @@ pub(super) fn refine(
                     }
                 }
             });
-        }
-        let moves = ctx.allreduce_sum_u64(local_moves);
+            remote
+        };
         meter.lap(ctx, Phase::UpdateCommunity);
-        fractions.push(moves as f64 / lvl.n.max(1) as f64);
 
         // --- STATE PROPAGATION (Algorithm 4, line 16) ---
-        // Delta mode: only migrated vertices are announced. `moves` is
-        // the allreduce result, identical on every rank, so when nothing
-        // moved anywhere the exchange is skipped in lockstep (the
-        // zero-delta fast path) and the iteration still terminates
-        // through the modularity collective below.
+        // Delta mode: only migrated vertices were announced, inside the
+        // UPDATE exchange above, so this phase has no superstep of its
+        // own; its lap is the wall time of applying the received deltas,
+        // and its messages move over from the UPDATE lap that sent them.
         //
         // Wake rule W1 — remote re-activation, piggybacked on the deltas
         // (DESIGN.md §13): a received `(u, c_new)` that changes `u`'s
@@ -584,29 +612,33 @@ pub(super) fn refine(
         // or cached winner touched) or an O(1) scan patch. The same
         // report keeps Σ_in's own-row cache exact: a vertex whose own
         // row an arc left or joined is re-walked.
-        if moves > 0 {
-            let label = &lvl.label;
-            meter.dedup_hits += propagate_deltas(ctx, lvl, table, &migrated, |li, a, b| {
-                let (li, c_u) = (li as usize, label[li as usize]);
-                frontier.mark_row_dirty(li, c_u, a);
-                frontier.mark_row_dirty(li, c_u, b);
-                if c_u == a || c_u == b {
-                    own_w[li] = None;
-                }
-            });
-        }
+        let label = &lvl.label;
+        table.apply_deltas(&deltas, |li, a, b| {
+            let (li, c_u) = (li as usize, label[li as usize]);
+            frontier.mark_row_dirty(li, c_u, a);
+            frontier.mark_row_dirty(li, c_u, b);
+            if c_u == a || c_u == b {
+                own_w[li] = None;
+            }
+        });
         meter.lap(ctx, Phase::StatePropagation);
+        meter.comm.update -= announced_remote;
+        meter.comm.state_propagation += announced_remote;
 
         // --- Σ_in and modularity (Algorithm 4, lines 18–25) ---
-        q = compute_modularity(ctx, lvl, table, &mut own_w, s);
+        // The global move count rides the modularity reduction: when
+        // nothing moved anywhere, every rank leaves the loop in lockstep.
+        let (q_iter, moves) = compute_modularity(ctx, lvl, table, &mut own_w, s, local_moves);
+        q = q_iter;
         meter.lap(ctx, Phase::ComputeModularity);
         meter.end_iteration(first_level);
         q_trace.push(q);
+        let fraction = moves as f64 / lvl.n.max(1) as f64;
+        fractions.push(fraction);
 
         if moves == 0 {
             break;
         }
-        let fraction = moves as f64 / lvl.n.max(1) as f64;
         if cfg.use_heuristic
             && iter > 1
             && (q - q_prev < MIN_Q_IMPROVEMENT || fraction < MIN_MOVE_FRACTION)
@@ -690,14 +722,17 @@ fn for_each_sorted_bucket<T: Copy + Default + Ord>(
 
 /// Σ_in accumulation and global modularity (Algorithm 4, lines 18–25),
 /// from the own-row weights cached in `own_w` (a stale `None` entry is
-/// walked afresh).
+/// walked afresh). One reduction sums the modularity and this rank's
+/// `local_moves` into the global move count; it folds in rank order
+/// from 0.0, as the scalar one does, so the modularity keeps its bits.
 fn compute_modularity(
     ctx: &mut RankCtx<'_, Msg>,
     lvl: &mut RankLevel,
     out_table: &OutTable,
     own_w: &mut [Option<f64>],
     s: f64,
-) -> f64 {
+    local_moves: u64,
+) -> (f64, u64) {
     lvl.internal.iter_mut().for_each(|x| *x = 0.0);
     {
         let part = &lvl.part;
@@ -741,7 +776,8 @@ fn compute_modularity(
             q_local += lvl.internal[li] / s - (tot / s) * (tot / s);
         }
     }
-    ctx.allreduce_sum(q_local)
+    let sums = ctx.allreduce_sum_vec(&[q_local, local_moves as f64]);
+    (sums[0], sums[1] as u64)
 }
 
 #[cfg(test)]
@@ -885,6 +921,64 @@ mod tests {
         }
     }
 
+    /// The UPDATE exchange carries Σ_tot deltas and migration
+    /// announcements side by side, told apart by weight alone: an
+    /// announcement weighs exactly 0.0 and a Σ_tot delta `±k_u ≠ 0`. The
+    /// input here is one the edge-list reader accepts and that stresses
+    /// the rule: a quarter of the planted graph's arcs weigh 0.0, and
+    /// three extra vertices carry only zero-weight arcs (one of them a
+    /// self-loop), so `k_u = 0.0` for them. Debug builds check the kind
+    /// of every message: the send asserts `k_u > 0` for each mover, a
+    /// Σ_tot delta must name a community its receiver owns with a
+    /// join/leave flag, and a migration must change its vertex's cached
+    /// label. At 1, 2 and 4 ranks, every delivery schedule must
+    /// give the same labels, and the reported modularity must equal the
+    /// recomputation.
+    #[test]
+    fn zero_weight_arcs_never_pass_for_migrations() {
+        let (el0, _) = planted_graph(11);
+        let n = el0.num_vertices() as u32;
+        let mut b = EdgeListBuilder::new(n as usize + 3);
+        for (i, e) in el0.edges().iter().enumerate() {
+            b.add_edge(e.u, e.v, if i % 4 == 0 { 0.0 } else { e.w });
+        }
+        b.add_edge(n, 0, 0.0);
+        b.add_edge(n + 1, n, 0.0);
+        b.add_edge(n + 2, n + 2, 0.0);
+        let el = b.build();
+        let g = el.to_csr();
+        for ranks in [1, 2, 4] {
+            let run = |perturb_seed| {
+                ParallelLouvain::new(ParallelConfig {
+                    perturb_seed,
+                    ..ParallelConfig::with_ranks(ranks)
+                })
+                .run(&el)
+            };
+            let base = run(None);
+            assert!(base.comm_breakdown.state_propagation > 0 || ranks == 1);
+            let q = modularity(&g, &base.result.final_partition);
+            assert!(
+                (q - base.result.final_modularity).abs() <= 1e-12,
+                "ranks={ranks}: reported {} vs recomputed {q}",
+                base.result.final_modularity
+            );
+            for seed in [Some(1), Some(7)] {
+                let r = run(seed);
+                assert_eq!(
+                    r.result.final_partition.labels(),
+                    base.result.final_partition.labels(),
+                    "ranks={ranks} seed={seed:?}: labels diverged"
+                );
+                assert_eq!(
+                    r.result.final_modularity.to_bits(),
+                    base.result.final_modularity.to_bits(),
+                    "ranks={ranks} seed={seed:?}"
+                );
+            }
+        }
+    }
+
     /// Wire traffic of the planted seed-11 and mixed-magnitude graphs
     /// at 1, 2 and 4 ranks under both partition strategies: messages,
     /// packets, payload bytes, syncs, state-propagation messages, the
@@ -892,7 +986,7 @@ mod tests {
     /// rank's trace length. Every value is schedule-invariant, so the
     /// perturbed run must match the unperturbed one exactly. Label
     /// propagation's message and packet counts ride along, since it
-    /// shares `propagate_deltas`.
+    /// shares `announce_migrations`.
     #[test]
     fn wire_traffic_is_pinned() {
         use crate::labelprop::LabelPropagation;
@@ -900,65 +994,65 @@ mod tests {
         // [messages, packets, bytes_sent, syncs, state_propagation,
         //  dedup_hits], then trace events per rank.
         let pins = [
-            ("planted", 1, Modulo, [0, 0, 0, 246, 0, 4341], &[376][..]),
-            ("planted", 1, ArcBalanced, [0, 0, 0, 250, 0, 4341], &[381]),
+            ("planted", 1, Modulo, [0, 0, 0, 171, 0, 4341], &[278][..]),
+            ("planted", 1, ArcBalanced, [0, 0, 0, 175, 0, 4341], &[283]),
             (
                 "planted",
                 2,
                 Modulo,
-                [3038, 119, 48608, 246, 414, 3927],
-                &[370, 371],
+                [3038, 95, 48608, 171, 414, 3927],
+                &[272, 273],
             ),
             (
                 "planted",
                 2,
                 ArcBalanced,
-                [3098, 125, 49568, 250, 411, 3930],
-                &[377, 377],
+                [3098, 98, 49568, 175, 411, 3930],
+                &[279, 279],
             ),
             (
                 "planted",
                 4,
                 Modulo,
-                [5094, 563, 81504, 246, 1200, 3161],
-                &[365, 368, 366, 365],
+                [5094, 462, 81504, 171, 1200, 3161],
+                &[267, 270, 268, 267],
             ),
             (
                 "planted",
                 4,
                 ArcBalanced,
-                [5153, 604, 82448, 250, 1194, 3166],
-                &[370, 370, 371, 371],
+                [5153, 512, 82448, 175, 1194, 3166],
+                &[272, 272, 273, 273],
             ),
-            ("mixed", 1, Modulo, [0, 0, 0, 199, 0, 5055], &[314]),
-            ("mixed", 1, ArcBalanced, [0, 0, 0, 204, 0, 5055], &[320]),
+            ("mixed", 1, Modulo, [0, 0, 0, 141, 0, 5055], &[238]),
+            ("mixed", 1, ArcBalanced, [0, 0, 0, 146, 0, 5055], &[244]),
             (
                 "mixed",
                 2,
                 Modulo,
-                [2652, 158, 42432, 249, 472, 4702],
-                &[390, 391],
+                [2652, 115, 42432, 176, 472, 4702],
+                &[294, 295],
             ),
             (
                 "mixed",
                 2,
                 ArcBalanced,
-                [2722, 147, 43552, 262, 456, 4580],
-                &[402, 405],
+                [2722, 111, 43552, 187, 456, 4580],
+                &[304, 307],
             ),
             (
                 "mixed",
                 4,
                 Modulo,
-                [4253, 547, 68048, 163, 1240, 3360],
-                &[262, 259, 260, 261],
+                [4253, 431, 68048, 117, 1240, 3360],
+                &[202, 199, 200, 201],
             ),
             (
                 "mixed",
                 4,
                 ArcBalanced,
-                [4441, 588, 71056, 186, 1270, 3514],
-                &[294, 288, 294, 287],
+                [4441, 463, 71056, 134, 1270, 3514],
+                &[226, 220, 226, 219],
             ),
         ];
         let planted = planted_graph(11).0;
@@ -1019,14 +1113,14 @@ mod tests {
             (
                 "planted",
                 1,
-                1250798.8000000005,
+                875803.9999999999,
                 [
                     5000.0,
-                    115414.0,
-                    519939.2000000003,
-                    260828.0,
-                    264011.9999999999,
-                    75605.60000000033,
+                    0.0,
+                    389939.2000000003,
+                    131242.0,
+                    264017.19999999966,
+                    75605.59999999986,
                 ],
                 [1570, 2590, 148],
                 0x3fe6_22bc_8858_63ac,
@@ -1034,14 +1128,14 @@ mod tests {
             (
                 "planted",
                 2,
-                1243057.1,
+                868058.2999999998,
                 [
                     5000.0,
-                    115644.0,
-                    513131.2000000002,
-                    260612.0,
-                    263160.0,
-                    75509.8999999999,
+                    0.0,
+                    383131.2000000003,
+                    131252.0,
+                    263165.1999999997,
+                    75509.89999999979,
                 ],
                 [1570, 2590, 148],
                 0x3fe6_22bc_8858_63ac,
@@ -1049,14 +1143,14 @@ mod tests {
             (
                 "planted",
                 4,
-                1238481.7,
+                863460.9,
                 [
                     5000.0,
-                    115784.0,
-                    509725.2000000002,
-                    260399.0,
-                    262222.0,
-                    75351.49999999977,
+                    0.0,
+                    379725.2000000003,
+                    131157.0,
+                    262227.1999999997,
+                    75351.5,
                 ],
                 [1570, 2590, 148],
                 0x3fe6_22bc_8858_63ac,
@@ -1064,14 +1158,14 @@ mod tests {
             (
                 "mixed",
                 1,
-                1016551.3000000002,
+                726555.2999999999,
                 [
                     5000.0,
-                    90463.0,
-                    406441.80000000034,
-                    200925.99999999994,
-                    201632.0,
-                    102088.49999999988,
+                    0.0,
+                    306441.80000000016,
+                    101389.0,
+                    201635.99999999983,
+                    102088.49999999991,
                 ],
                 [1018, 795, 53],
                 0x3fe5_4765_21e2_3d7e,
@@ -1079,14 +1173,14 @@ mod tests {
             (
                 "mixed",
                 2,
-                1258410.4999999998,
+                893414.4999999999,
                 [
                     5000.0,
-                    115733.0,
-                    498902.39999999997,
-                    250695.0,
-                    251294.0,
-                    126786.0999999998,
+                    0.0,
+                    373902.4000000004,
+                    126427.0,
+                    251298.9999999997,
+                    126786.09999999977,
                 ],
                 [1047, 904, 48],
                 0x3fe5_4765_21e2_3d80,
@@ -1094,13 +1188,13 @@ mod tests {
             (
                 "mixed",
                 4,
-                822367.8000000002,
+                592358.0000000002,
                 [
                     5000.0,
-                    70806.99999999994,
-                    314372.60000000015,
-                    160379.0,
-                    160709.0,
+                    0.0,
+                    234372.6000000001,
+                    81173.0,
+                    160712.20000000007,
                     101100.20000000007,
                 ],
                 [979, 691, 51],
@@ -1109,13 +1203,13 @@ mod tests {
             (
                 "strawman",
                 1,
-                1375312.299999998,
+                835319.5000000002,
                 [
                     5000.0,
-                    181584.0,
-                    362777.99999999814,
-                    378000.9999999999,
-                    362119.0,
+                    0.0,
+                    182778.0000000007,
+                    199585.0,
+                    362126.1999999996,
                     75830.29999999993,
                 ],
                 [2097, 303, 4],
@@ -1124,14 +1218,14 @@ mod tests {
             (
                 "strawman",
                 2,
-                1366521.599999998,
+                826522.8000000002,
                 [
                     5000.0,
-                    182408.0,
-                    361636.99999999814,
-                    370151.99999999994,
-                    361648.0000000001,
-                    75676.5999999998,
+                    0.0,
+                    181637.0000000007,
+                    192554.0,
+                    361655.1999999996,
+                    75676.59999999989,
                 ],
                 [2097, 303, 4],
                 0x3fdd_fd84_5954_649d,
@@ -1139,14 +1233,14 @@ mod tests {
             (
                 "strawman",
                 4,
-                1360932.1999999979,
+                820855.4000000004,
                 [
                     5000.0,
-                    182813.0,
-                    361082.99999999814,
-                    365449.0,
-                    361091.9999999999,
-                    75495.19999999984,
+                    0.0,
+                    181083.0000000007,
+                    188178.0,
+                    361099.1999999996,
+                    75495.20000000004,
                 ],
                 [2097, 303, 4],
                 0x3fdd_fd84_5954_649d,

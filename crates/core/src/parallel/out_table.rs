@@ -226,7 +226,7 @@ impl OutTable {
     /// deltas of one batch touch disjoint labels, and the frontier
     /// consumes the reported rows as a set. Only migrations are
     /// announced, so every delta changes its vertex's label.
-    pub(super) fn apply_deltas(
+    pub(crate) fn apply_deltas(
         &mut self,
         deltas: &[(u32, u32)],
         mut dirty: impl FnMut(u32, u32, u32),

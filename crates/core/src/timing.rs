@@ -309,7 +309,7 @@ pub(crate) struct PhaseMeter {
     /// Remote messages per phase.
     pub(crate) comm: CommBreakdown,
     /// Duplicate announcements state propagation collapsed (see
-    /// `propagate_deltas`).
+    /// `announce_migrations`).
     pub(crate) dedup_hits: u64,
     /// Simulated-clock deltas per phase (identical on every rank).
     pub(crate) sim: SimBreakdown,

@@ -135,7 +135,7 @@ fn violations(r: &ParallelResult, ranks: u64, raw_edges: u64, distributed: bool)
     } else {
         check("loading", cb.loading, 0, "replicated-build zero-message");
     }
-    // state propagation — `propagate_deltas` is O(deltas) × per_iteration:
+    // state propagation — `announce_migrations` is O(deltas) × per_iteration:
     // each migrated vertex is announced once to each of at most `ranks`
     // distinct owners per iteration, never the per-arc rebuild volume.
     check(
@@ -206,8 +206,8 @@ fn spec_classifies_the_delta_path_and_bans_unbounded() {
     let delta = s
         .sites
         .iter()
-        .find(|c| c.site.ends_with("::propagate_deltas#0"))
-        .expect("propagate_deltas site present");
+        .find(|c| c.site.ends_with("::announce_migrations#0"))
+        .expect("announce_migrations site present");
     assert_eq!(delta.op, "send");
     assert_eq!(delta.payload, "O(deltas)");
     assert_eq!(delta.multiplicity, "per_iteration");

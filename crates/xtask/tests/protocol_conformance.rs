@@ -70,6 +70,52 @@ fn committed_spec_matches_fresh_extraction() {
     );
 }
 
+/// Supersteps on the longest path through `nodes`: the `SimSync`s a
+/// single pass can close, taking the longest arm of every branch, one
+/// pass of every nested loop, and ignoring early exits (which only
+/// shorten a path).
+fn longest_sync_path(nodes: &[SpecNode]) -> usize {
+    nodes
+        .iter()
+        .map(|n| match n {
+            SpecNode::Op(op) => usize::from(op == "SimSync"),
+            SpecNode::Call { body, .. } | SpecNode::Loop(body) => longest_sync_path(body),
+            SpecNode::Branch(arms) => arms.iter().map(|a| longest_sync_path(a)).max().unwrap_or(0),
+            SpecNode::Break | SpecNode::Continue | SpecNode::Return => 0,
+        })
+        .sum()
+}
+
+/// One inner iteration of REFINE (Algorithm 4) is six BSP supersteps:
+/// the (Σ_tot, size) snapshot allgather, the two ε-threshold reductions,
+/// the UPDATE exchange that also carries the state-propagation deltas,
+/// the Σ_in exchange, and the reduction that sums modularity and the
+/// move count. Each sync costs a latency on every rank, so a change that
+/// adds one fails here by name before it shows as a lockfile diff.
+#[test]
+fn refine_iteration_closes_six_supersteps() {
+    let spec = spec();
+    let refine = spec
+        .protocol
+        .iter()
+        .find_map(|n| match n {
+            SpecNode::Loop(body) => body.iter().find_map(|m| match m {
+                SpecNode::Call { name, body } if name == "refine" => Some(body),
+                _ => None,
+            }),
+            _ => None,
+        })
+        .expect("spec has a refine call inside the level loop");
+    let iteration = refine
+        .iter()
+        .find_map(|n| match n {
+            SpecNode::Loop(body) => Some(body),
+            _ => None,
+        })
+        .expect("refine has an inner iteration loop");
+    assert_eq!(longest_sync_path(iteration), 6);
+}
+
 /// The acceptance test: at 2/4/8 ranks, under the unperturbed and every
 /// perturbed schedule, all ranks observe one identical collective
 /// sequence, the static NFA accepts it, and the solver output stays

@@ -14,12 +14,14 @@
 # alternating which side goes first, and prints each pair's solve_s and
 # winner, then, for every `end_to_end` metric of BENCHMARK.json, both
 # sides' median and quartiles over the runs, the working tree's
-# relative move, and a verdict against the metric's `bound` (a share of
-# the parent's median) in its `better` direction: better, within bound,
-# or worse beyond bound — or unresolved when either side's
-# interquartile range, as a share of its median, is wider than the
-# bound. Every run's summary pair lands in target/ab/runs.jsonl, tagged
-# with its workload. Run it on an otherwise idle host.
+# relative move, the pairs each side won in the metric's `better`
+# direction (a tie counts for neither side), how many distinct values
+# each side produced (a deterministic metric shows 1), and a verdict
+# against the metric's `bound` (a share of the parent's median): better,
+# within bound, or worse beyond bound — or unresolved when either
+# side's interquartile range, as a share of its median, is wider than
+# the bound. Every run's summary pair lands in target/ab/runs.jsonl,
+# tagged with its workload. Run it on an otherwise idle host.
 set -euo pipefail
 if [ $# -ne 3 ]; then
   echo "usage: $0 <parent-rev> <workload|all> <pairs>" >&2
@@ -69,10 +71,6 @@ def side(name, metric):
     return [r[name][metric]["value"] for r in rows]
 
 
-solve = list(zip(side("parent", "solve_s"), side("work", "solve_s")))
-print(f"work wins {sum(b < a for a, b in solve)}/{len(solve)} pairs on solve_s")
-
-
 def quartiles(xs):
     if len(xs) == 1:
         return xs * 3
@@ -89,9 +87,17 @@ def show(xs):
     return f"{med:.10g} [{q1:.6g}, {q3:.6g}]"
 
 
-print(f"{'metric':15} {'parent median [q1, q3]':36} {'work median [q1, q3]':36} {'move':>8}  verdict")
+print(
+    f"{'metric':15} {'parent median [q1, q3]':36} {'work median [q1, q3]':36} {'move':>8}"
+    f"  {'wins w/p/tie':>12}  {'distinct p/w':>12}  verdict"
+)
 for m in spec:
     a, b = side("parent", m["name"]), side("work", m["name"])
+    sign = 1 if m["better"] == "lower" else -1
+    work_wins = sum(sign * (y - x) < 0 for x, y in zip(a, b))
+    parent_wins = sum(sign * (y - x) > 0 for x, y in zip(a, b))
+    wins = f"{work_wins}/{parent_wins}/{len(a) - work_wins - parent_wins}"
+    distinct = f"{len(set(a))}/{len(set(b))}"
     am, bm = quartiles(a)[1], quartiles(b)[1]
     worsening = bm - am if m["better"] == "lower" else am - bm
     base = abs(am)
@@ -105,7 +111,7 @@ for m in spec:
     else:
         verdict = "within bound"
     print(
-        f"{m['name']:15} {show(a):36} {show(b):36} {move:+8.2%}  {verdict} "
+        f"{m['name']:15} {show(a):36} {show(b):36} {move:+8.2%}  {wins:>12}  {distinct:>12}  {verdict} "
         f"(bound {m['bound']:.1%}, {m['better']} is better)"
     )
 EOF
@@ -132,7 +138,7 @@ for workload in "${workloads[@]}"; do
       '{workload: $w, parent: $a.metrics, work: $b.metrics}' >>"$runs"
     sa=$(jq -r '.metrics.solve_s.value' <<<"$a")
     sb=$(jq -r '.metrics.solve_s.value' <<<"$b")
-    winner=$(awk -v a="$sa" -v b="$sb" 'BEGIN { print (b < a) ? "work" : "parent" }')
+    winner=$(awk -v a="$sa" -v b="$sb" 'BEGIN { print (b < a) ? "work" : (a < b) ? "parent" : "tie" }')
     printf 'pair %2d: parent %.4f s  work %.4f s  -> %s\n' "$p" "$sa" "$sb" "$winner"
   done
   verdicts "$workload"
