@@ -1,7 +1,7 @@
 //! Checkpoint/restart for the distributed solver (DESIGN.md §14).
 //!
 //! At every level boundary the solver can snapshot each rank's complete
-//! state — labels, `Σ_tot`/`Σ_in`, the In-Table, the dendrogram prefix,
+//! state — labels, `Σ_tot`, the In-Table, the dendrogram prefix,
 //! frontier counters, and the recorded protocol-log prefix — into an
 //! in-memory [`CheckpointStore`]. When a scheduled fault kills a rank
 //! (see `louvain_runtime::fault`), the driver rewinds every rank to the
@@ -154,8 +154,6 @@ pub struct Checkpoint {
     pub label: Vec<u32>,
     /// `to_bits()` of `Σ_tot` per owned community.
     pub tot_bits: Vec<u64>,
-    /// `to_bits()` of `Σ_in` per owned community.
-    pub internal_bits: Vec<u64>,
     /// Member count per owned community.
     pub size: Vec<u32>,
     /// Current community of each originally-local vertex.
@@ -266,7 +264,6 @@ impl Checkpoint {
             ("k_bits".into(), uints(&self.k_bits)),
             ("label".into(), uints32(&self.label)),
             ("tot_bits".into(), uints(&self.tot_bits)),
-            ("internal_bits".into(), uints(&self.internal_bits)),
             ("size".into(), uints32(&self.size)),
             ("orig_comm".into(), uints32(&self.orig_comm)),
             ("orig_vertices".into(), uints32(&self.orig_vertices)),
@@ -384,7 +381,6 @@ impl Checkpoint {
             k_bits: ck_u64s(doc, "k_bits")?,
             label: ck_u32s(doc, "label")?,
             tot_bits: ck_u64s(doc, "tot_bits")?,
-            internal_bits: ck_u64s(doc, "internal_bits")?,
             size: ck_u32s(doc, "size")?,
             orig_comm: ck_u32s(doc, "orig_comm")?,
             orig_vertices: ck_u32s(doc, "orig_vertices")?,
@@ -426,14 +422,9 @@ impl Checkpoint {
             return Err(CheckpointError::Corrupt("in_keys not strictly sorted"));
         }
         let local_n = self.k_bits.len();
-        if [
-            self.label.len(),
-            self.tot_bits.len(),
-            self.internal_bits.len(),
-            self.size.len(),
-        ]
-        .iter()
-        .any(|&l| l != local_n)
+        if [self.label.len(), self.tot_bits.len(), self.size.len()]
+            .iter()
+            .any(|&l| l != local_n)
         {
             return Err(CheckpointError::Corrupt("per-vertex array length skew"));
         }
@@ -697,7 +688,6 @@ mod tests {
             k_bits: vec![2.5f64.to_bits(), (-0.0f64).to_bits()],
             label: vec![5, 9],
             tot_bits: vec![1e8f64.to_bits(), 0.1f64.to_bits()],
-            internal_bits: vec![0u64, 0.3f64.to_bits()],
             size: vec![3, 1],
             orig_comm: vec![1, 5, 9],
             orig_vertices: vec![1, 5, 9],

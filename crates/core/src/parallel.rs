@@ -982,12 +982,31 @@ mod tests {
 
     #[test]
     fn more_ranks_than_vertices() {
+        // Five of the eight ranks own no vertex and no community, so
+        // their Σ_in state is empty; they still take part in every
+        // exchange and reduction, under either partition.
         let mut b = EdgeListBuilder::new(3);
         b.add_edge(0, 1, 1.0);
         b.add_edge(1, 2, 1.0);
         let el = b.build();
-        let r = ParallelLouvain::new(ParallelConfig::with_ranks(8)).run(&el);
-        assert!(r.result.final_partition.num_communities() <= 3);
+        let g = el.to_csr();
+        for partition in [PartitionStrategy::Modulo, PartitionStrategy::ArcBalanced] {
+            let r = ParallelLouvain::new(ParallelConfig {
+                partition,
+                ..ParallelConfig::with_ranks(8)
+            })
+            .run(&el);
+            let p = &r.result.final_partition;
+            assert!(p.num_communities() <= 3, "{partition:?}");
+            assert_eq!(p.num_vertices(), 3, "{partition:?}: unlabelled vertices");
+            assert!(p.is_valid(), "{partition:?}: labels {:?}", p.labels());
+            let q = modularity(&g, p);
+            assert!(
+                (q - r.result.final_modularity).abs() <= 1e-12,
+                "{partition:?}: reported {} vs recomputed {q}",
+                r.result.final_modularity
+            );
+        }
     }
 
     #[test]

@@ -343,11 +343,9 @@ pub(super) fn refine(
     // so the untouched entries still feed `compute_threshold` and the
     // UPDATE sweep the exact values a full rescan would produce.
     let mut frontier = Frontier::new(local_n, lvl.n);
-    // Σ_in's per-vertex input (DESIGN.md §10): each vertex's own-row
-    // weight `w_{u→c_u}`, cached across iterations; `None` (stale) when
-    // the vertex moved in UPDATE or the delta application reported its
-    // own row, and re-walked only then.
-    let mut own_w: Vec<Option<f64>> = vec![None; local_n];
+    // Σ_in's state for this level (DESIGN.md §10): what each local vertex
+    // last shipped, and what each owned community holds.
+    let mut sigma = SigmaIn::new(local_n, lvl.tot.len());
     let mut prev_tot: Vec<f64> = Vec::new();
     let mut prev_size: Vec<f64> = Vec::new();
     let mut fractions = Vec::new();
@@ -521,7 +519,7 @@ pub(super) fn refine(
                         tot_view[c_new as usize] += k_u;
                     }
                     label[li] = c_new;
-                    own_w[li] = None;
+                    sigma.mark_stale(li);
                     local_moves += 1;
                     migrated.push((u, c_new));
                     // Mover self-wake: the label change invalidates the
@@ -610,15 +608,15 @@ pub(super) fn refine(
         // row `(d, c_new)`. Both rows are handed to the frontier; the next
         // snapshot-diff pass classifies each into a full re-scan (own row
         // or cached winner touched) or an O(1) scan patch. The same
-        // report keeps Σ_in's own-row cache exact: a vertex whose own
-        // row an arc left or joined is re-walked.
+        // report keeps Σ_in exact: a vertex whose own row an arc left or
+        // joined goes stale, and its contribution is re-walked.
         let label = &lvl.label;
         table.apply_deltas(&deltas, |li, a, b| {
-            let (li, c_u) = (li as usize, label[li as usize]);
-            frontier.mark_row_dirty(li, c_u, a);
-            frontier.mark_row_dirty(li, c_u, b);
+            let c_u = label[li as usize];
+            frontier.mark_row_dirty(li as usize, c_u, a);
+            frontier.mark_row_dirty(li as usize, c_u, b);
             if c_u == a || c_u == b {
-                own_w[li] = None;
+                sigma.mark_stale(li as usize);
             }
         });
         meter.lap(ctx, Phase::StatePropagation);
@@ -628,7 +626,7 @@ pub(super) fn refine(
         // --- Σ_in and modularity (Algorithm 4, lines 18–25) ---
         // The global move count rides the modularity reduction: when
         // nothing moved anywhere, every rank leaves the loop in lockstep.
-        let (q_iter, moves) = compute_modularity(ctx, lvl, table, &mut own_w, s, local_moves);
+        let (q_iter, moves) = compute_modularity(ctx, lvl, table, &mut sigma, s, local_moves);
         q = q_iter;
         meter.lap(ctx, Phase::ComputeModularity);
         meter.end_iteration(first_level);
@@ -720,60 +718,159 @@ fn for_each_sorted_bucket<T: Copy + Default + Ord>(
     }
 }
 
-/// Σ_in accumulation and global modularity (Algorithm 4, lines 18–25),
-/// from the own-row weights cached in `own_w` (a stale `None` entry is
-/// walked afresh). One reduction sums the modularity and this rank's
+/// `Msg::b` of a Σ_in message that takes a contribution back out; any
+/// other value puts one in.
+const SIGMA_IN_REMOVE: u32 = 0;
+
+/// Σ_in's state for one level (DESIGN.md §10), both halves of it: each
+/// sender remembers what its vertices shipped, and each owner keeps what
+/// its communities hold, so an iteration ships only the contributions
+/// that changed. Built fresh by every `refine`, so nothing of it crosses
+/// a level boundary or enters a checkpoint.
+struct SigmaIn {
+    /// Per local vertex: the `(community, own-row weight)` it last
+    /// shipped. A dead row (weight 0.0) was not shipped.
+    shipped: Vec<(u32, f64)>,
+    /// Local vertices whose own row may differ from `shipped`: the
+    /// movers of UPDATE and the vertices whose own row `apply_deltas`
+    /// reported, each once.
+    stale: Vec<u32>,
+    /// Per local vertex: whether it is on `stale`.
+    queued: Vec<bool>,
+    /// Per owned community: the bit patterns of its members' live
+    /// contributions, ascending.
+    held: Vec<Vec<u64>>,
+    /// Per owned community: Σ_in, the fold of `held` from 0.0.
+    sum: Vec<f64>,
+}
+
+impl SigmaIn {
+    /// Nothing shipped, nothing held, and every local vertex stale, so
+    /// the first iteration ships every live row.
+    fn new(local_n: usize, owned: usize) -> Self {
+        Self {
+            shipped: vec![(0, 0.0); local_n],
+            stale: (0..local_n as u32).collect(),
+            queued: vec![true; local_n],
+            held: vec![Vec::new(); owned],
+            sum: vec![0.0; owned],
+        }
+    }
+
+    /// Puts local vertex `li` on the stale list, unless it is there.
+    fn mark_stale(&mut self, li: usize) {
+        if !self.queued[li] {
+            self.queued[li] = true;
+            self.stale.push(li as u32);
+        }
+    }
+}
+
+/// Applies one community's changes, sorted by `(bits, kind)`, to its
+/// ascending multiset `held`: a removal takes out one copy of its bits,
+/// which must be there, and an insert adds one. The merge goes through
+/// the shared scratch `spare` and is copied back, so each community
+/// keeps a buffer sized to its own members.
+fn patch_held(held: &mut Vec<u64>, changes: &[(u64, u32)], spare: &mut Vec<u64>) {
+    spare.clear();
+    let mut old = held.iter().copied().peekable();
+    for &(bits, kind) in changes {
+        while let Some(x) = old.next_if(|&x| x < bits) {
+            spare.push(x);
+        }
+        if kind == SIGMA_IN_REMOVE {
+            assert!(
+                old.next_if_eq(&bits).is_some(),
+                "Σ_in removal of {bits:#x} finds no such contribution"
+            );
+        } else {
+            spare.push(bits);
+        }
+    }
+    spare.extend(old);
+    held.clear();
+    held.extend_from_slice(spare);
+}
+
+/// Σ_in and global modularity (Algorithm 4, lines 18–25). Each stale
+/// vertex re-walks its own row; if its `(community, weight)` changed, it
+/// sends a removal of the contribution it shipped last to that
+/// community's owner and an insert of the fresh one to the new
+/// community's owner (a dead row ships neither). Each owner patches the
+/// multisets of the communities it was sent and re-folds only those,
+/// from 0.0 in ascending bit order: over the same multiset, the fold a
+/// re-send of every live contribution would compute, so Σ_in keeps its
+/// bits. One reduction sums the modularity and this rank's
 /// `local_moves` into the global move count; it folds in rank order
 /// from 0.0, as the scalar one does, so the modularity keeps its bits.
 fn compute_modularity(
     ctx: &mut RankCtx<'_, Msg>,
-    lvl: &mut RankLevel,
+    lvl: &RankLevel,
     out_table: &OutTable,
-    own_w: &mut [Option<f64>],
+    sigma: &mut SigmaIn,
     s: f64,
     local_moves: u64,
 ) -> (f64, u64) {
-    lvl.internal.iter_mut().for_each(|x| *x = 0.0);
-    {
-        let part = &lvl.part;
-        let label = &lvl.label;
-        let mut ex = ctx.exchange();
-        // Each local vertex contributes its own-community row, if live.
-        for (li, &c) in label.iter().enumerate() {
-            let w = *own_w[li].get_or_insert_with(|| out_table.weight(li, c));
-            debug_assert_eq!(
-                w.to_bits(),
-                out_table.weight(li, c).to_bits(),
-                "stale own-row weight of local vertex {li}"
-            );
-            // Dead rows (see the find-best scan) carry no weight and
-            // must not be shipped.
+    let part = &lvl.part;
+    let label = &lvl.label;
+    let SigmaIn {
+        shipped,
+        stale,
+        queued,
+        held,
+        sum,
+    } = sigma;
+    // Ascending, whatever order the delta reports came in.
+    stale.sort_unstable();
+    let mut ex = ctx.exchange();
+    for &li in stale.iter() {
+        let li = li as usize;
+        queued[li] = false;
+        let fresh = (label[li], out_table.weight(li, label[li]));
+        let prev = shipped[li];
+        if (prev.0, prev.1.to_bits()) == (fresh.0, fresh.1.to_bits()) {
+            continue;
+        }
+        shipped[li] = fresh;
+        // b = 0 removes the bits shipped last, b = 1 inserts the fresh
+        // ones.
+        for b in 0..2u32 {
+            let (c, w) = if b == SIGMA_IN_REMOVE { prev } else { fresh };
+            // Dead rows (see the find-best scan) carry no weight and are
+            // never shipped, so there is nothing to remove either.
             #[allow(clippy::float_cmp)]
             // lint: allow(F1) — a dead row reads exact 0.0 (an empty fold)
             let live = w != 0.0;
             if live {
-                ex.send(part.owner(c), Msg { a: c, b: 0, w });
+                ex.send(part.owner(c), Msg { a: c, b, w });
             }
         }
-        // Σ_in is floating point: each community sums its contributions
-        // in ascending bit order, a function of the message multiset,
-        // independent of delivery order (which the perturbation harness
-        // scrambles and mixed-magnitude weights expose at ulp scale).
-        let mut contribs: Vec<(u32, u64)> = Vec::new();
-        ex.finish(|m| contribs.push((part.local_index(m.a) as u32, m.w.to_bits())));
-        let internal = &mut lvl.internal;
-        for_each_sorted_bucket(&contribs, internal.len(), |li, bits| {
-            for &w_bits in bits {
-                internal[li] += f64::from_bits(w_bits);
-            }
-        });
     }
+    stale.clear();
+    debug_assert!(
+        (0..label.len()).all(|li| {
+            let w = out_table.weight(li, label[li]);
+            (shipped[li].0, shipped[li].1.to_bits()) == (label[li], w.to_bits())
+        }),
+        "a Σ_in contribution went stale unmarked"
+    );
+    // Sorting each community's changes makes the patch a function of the
+    // message multiset, independent of delivery order (which the
+    // perturbation harness scrambles).
+    let mut changes: Vec<(u32, (u64, u32))> = Vec::new();
+    ex.finish(|m| changes.push((part.local_index(m.a) as u32, (m.w.to_bits(), m.b))));
+    let mut spare = Vec::new();
+    for_each_sorted_bucket(&changes, held.len(), |li, bucket| {
+        patch_held(&mut held[li], bucket, &mut spare);
+        sum[li] = held[li]
+            .iter()
+            .fold(0.0, |acc, &bits| acc + f64::from_bits(bits));
+    });
     let mut q_local = 0.0;
-    for li in 0..lvl.internal.len() {
-        let tot = lvl.tot[li];
+    for (&tot, &sum_in) in lvl.tot.iter().zip(sum.iter()) {
         // lint: allow(F1) — exact zero sentinel: empty communities carry Σ_tot = 0.0 exactly
         if tot != 0.0 {
-            q_local += lvl.internal[li] / s - (tot / s) * (tot / s);
+            q_local += sum_in / s - (tot / s) * (tot / s);
         }
     }
     let sums = ctx.allreduce_sum_vec(&[q_local, local_moves as f64]);
@@ -979,12 +1076,120 @@ mod tests {
         }
     }
 
+    /// FNV-1a over the bit patterns of every level's `q_trace`, in level
+    /// and iteration order.
+    fn q_trace_digest(levels: &[crate::result::LevelInfo]) -> u64 {
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        for q in levels.iter().flat_map(|l| &l.q_trace) {
+            for byte in q.to_bits().to_le_bytes() {
+                h = (h ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3);
+            }
+        }
+        h
+    }
+
+    /// Every level's per-iteration modularity, bit for bit, on the
+    /// planted seed-11 and mixed-magnitude graphs at 1, 2 and 4 ranks
+    /// under both partition strategies: the iterations per level and a
+    /// digest of every `q_trace` bit pattern. The Σ_in reduction may
+    /// change how it ships and stores contributions, never what it sums
+    /// or in which order, so none of these may move; a perturbed
+    /// delivery schedule must reproduce the unperturbed trace exactly.
+    #[test]
+    fn modularity_trace_bits_are_pinned() {
+        use louvain_graph::partition::PartitionStrategy::{ArcBalanced, Modulo};
+        let pins = [
+            (
+                "planted",
+                1,
+                Modulo,
+                &[23, 2, 1][..],
+                0xdf3a_b05c_9cd2_8b43u64,
+            ),
+            (
+                "planted",
+                1,
+                ArcBalanced,
+                &[23, 2, 1],
+                0xdf3a_b05c_9cd2_8b43,
+            ),
+            ("planted", 2, Modulo, &[23, 2, 1], 0xd1f8_57d4_02ea_c798),
+            (
+                "planted",
+                2,
+                ArcBalanced,
+                &[23, 2, 1],
+                0x7ef2_ad5e_a099_8574,
+            ),
+            ("planted", 4, Modulo, &[23, 2, 1], 0x74d8_0981_89d2_3352),
+            (
+                "planted",
+                4,
+                ArcBalanced,
+                &[23, 2, 1],
+                0x5893_255c_43b1_78b2,
+            ),
+            ("mixed", 1, Modulo, &[8, 6, 5, 1], 0xee49_d8fa_c770_18ba),
+            (
+                "mixed",
+                1,
+                ArcBalanced,
+                &[8, 6, 5, 1],
+                0xee49_d8fa_c770_18ba,
+            ),
+            ("mixed", 2, Modulo, &[8, 8, 6, 2, 1], 0xae5a_6881_a9e4_cd30),
+            (
+                "mixed",
+                2,
+                ArcBalanced,
+                &[8, 13, 2, 2, 1],
+                0x4fe6_75da_2a74_5979,
+            ),
+            ("mixed", 4, Modulo, &[8, 4, 3, 1], 0x9845_63f7_a3d4_b90d),
+            (
+                "mixed",
+                4,
+                ArcBalanced,
+                &[8, 7, 2, 1],
+                0xaf18_8c0a_7d0f_6609,
+            ),
+        ];
+        let planted = planted_graph(11).0;
+        let mixed = mixed_magnitude_graph();
+        for (name, ranks, partition, iterations, digest) in pins {
+            let el = if name == "planted" { &planted } else { &mixed };
+            let run = |perturb_seed| {
+                ParallelLouvain::new(ParallelConfig {
+                    partition,
+                    perturb_seed,
+                    ..ParallelConfig::with_ranks(ranks)
+                })
+                .run(el)
+                .result
+                .levels
+            };
+            let base = run(None);
+            let at = format!("{name} at {ranks} ranks, {partition:?}");
+            let got: Vec<usize> = base.iter().map(|l| l.q_trace.len()).collect();
+            assert_eq!(got, iterations, "{at}: iterations per level");
+            assert_eq!(q_trace_digest(&base), digest, "{at}: q_trace digest");
+            let perturbed = run(Some(7));
+            for (a, b) in base.iter().zip(&perturbed) {
+                let bits = |l: &crate::result::LevelInfo| -> Vec<u64> {
+                    l.q_trace.iter().map(|q| q.to_bits()).collect()
+                };
+                assert_eq!(bits(a), bits(b), "{at}: perturbed q_trace");
+            }
+        }
+    }
+
     /// Wire traffic of the planted seed-11 and mixed-magnitude graphs
     /// at 1, 2 and 4 ranks under both partition strategies: messages,
-    /// packets, payload bytes, syncs, state-propagation messages, the
-    /// duplicate announcements state propagation collapsed, and each
-    /// rank's trace length. Every value is schedule-invariant, so the
-    /// perturbed run must match the unperturbed one exactly. Label
+    /// packets, payload bytes, syncs, state-propagation and modularity
+    /// messages, the duplicate announcements state propagation
+    /// collapsed, and each rank's trace length. Every value is
+    /// schedule-invariant, so the perturbed run must match the
+    /// unperturbed one exactly. Label
     /// propagation's message and packet counts ride along, since it
     /// shares `announce_migrations`.
     #[test]
@@ -992,66 +1197,72 @@ mod tests {
         use crate::labelprop::LabelPropagation;
         use louvain_graph::partition::PartitionStrategy::{ArcBalanced, Modulo};
         // [messages, packets, bytes_sent, syncs, state_propagation,
-        //  dedup_hits], then trace events per rank.
+        //  modularity, dedup_hits], then trace events per rank.
         let pins = [
-            ("planted", 1, Modulo, [0, 0, 0, 171, 0, 4341], &[278][..]),
-            ("planted", 1, ArcBalanced, [0, 0, 0, 175, 0, 4341], &[283]),
+            ("planted", 1, Modulo, [0, 0, 0, 171, 0, 0, 4341], &[278][..]),
+            (
+                "planted",
+                1,
+                ArcBalanced,
+                [0, 0, 0, 175, 0, 0, 4341],
+                &[283],
+            ),
             (
                 "planted",
                 2,
                 Modulo,
-                [3038, 95, 48608, 171, 414, 3927],
+                [1860, 79, 29760, 171, 414, 814, 3927],
                 &[272, 273],
             ),
             (
                 "planted",
                 2,
                 ArcBalanced,
-                [3098, 98, 49568, 175, 411, 3930],
+                [1836, 83, 29376, 175, 411, 796, 3930],
                 &[279, 279],
             ),
             (
                 "planted",
                 4,
                 Modulo,
-                [5094, 462, 81504, 171, 1200, 3161],
+                [3302, 380, 52832, 171, 1200, 1151, 3161],
                 &[267, 270, 268, 267],
             ),
             (
                 "planted",
                 4,
                 ArcBalanced,
-                [5153, 512, 82448, 175, 1194, 3166],
+                [3333, 365, 53328, 175, 1194, 1184, 3166],
                 &[272, 272, 273, 273],
             ),
-            ("mixed", 1, Modulo, [0, 0, 0, 141, 0, 5055], &[238]),
-            ("mixed", 1, ArcBalanced, [0, 0, 0, 146, 0, 5055], &[244]),
+            ("mixed", 1, Modulo, [0, 0, 0, 141, 0, 0, 5055], &[238]),
+            ("mixed", 1, ArcBalanced, [0, 0, 0, 146, 0, 0, 5055], &[244]),
             (
                 "mixed",
                 2,
                 Modulo,
-                [2652, 115, 42432, 176, 472, 4702],
+                [2319, 113, 37104, 176, 472, 341, 4702],
                 &[294, 295],
             ),
             (
                 "mixed",
                 2,
                 ArcBalanced,
-                [2722, 111, 43552, 187, 456, 4580],
+                [2300, 105, 36800, 187, 456, 378, 4580],
                 &[304, 307],
             ),
             (
                 "mixed",
                 4,
                 Modulo,
-                [4253, 431, 68048, 117, 1240, 3360],
+                [3869, 397, 61904, 117, 1240, 476, 3360],
                 &[202, 199, 200, 201],
             ),
             (
                 "mixed",
                 4,
                 ArcBalanced,
-                [4441, 463, 71056, 134, 1270, 3514],
+                [3984, 400, 63744, 134, 1270, 490, 3514],
                 &[226, 220, 226, 219],
             ),
         ];
@@ -1072,6 +1283,7 @@ mod tests {
                     r.bytes_sent,
                     r.syncs,
                     r.comm_breakdown.state_propagation,
+                    r.comm_breakdown.modularity,
                     r.dedup_hits,
                 ];
                 let got_events: Vec<usize> = r.traces.iter().map(|t| t.events.len()).collect();
@@ -1113,13 +1325,13 @@ mod tests {
             (
                 "planted",
                 1,
-                875803.9999999999,
+                873402.9999999999,
                 [
                     5000.0,
                     0.0,
                     389939.2000000003,
                     131242.0,
-                    264017.19999999966,
+                    261616.19999999966,
                     75605.59999999986,
                 ],
                 [1570, 2590, 148],
@@ -1128,13 +1340,13 @@ mod tests {
             (
                 "planted",
                 2,
-                868058.2999999998,
+                866292.2999999998,
                 [
                     5000.0,
                     0.0,
-                    383131.2000000003,
+                    383131.20000000036,
                     131252.0,
-                    263165.1999999997,
+                    261399.19999999966,
                     75509.89999999979,
                 ],
                 [1570, 2590, 148],
@@ -1143,13 +1355,13 @@ mod tests {
             (
                 "planted",
                 4,
-                863460.9,
+                862275.9,
                 [
                     5000.0,
                     0.0,
                     379725.2000000003,
                     131157.0,
-                    262227.1999999997,
+                    261042.19999999972,
                     75351.5,
                 ],
                 [1570, 2590, 148],
@@ -1158,13 +1370,13 @@ mod tests {
             (
                 "mixed",
                 1,
-                726555.2999999999,
+                725758.2999999999,
                 [
                     5000.0,
                     0.0,
                     306441.80000000016,
                     101389.0,
-                    201635.99999999983,
+                    200838.99999999983,
                     102088.49999999991,
                 ],
                 [1018, 795, 53],
@@ -1173,13 +1385,13 @@ mod tests {
             (
                 "mixed",
                 2,
-                893414.4999999999,
+                892790.4999999999,
                 [
                     5000.0,
                     0.0,
                     373902.4000000004,
                     126427.0,
-                    251298.9999999997,
+                    250674.9999999997,
                     126786.09999999977,
                 ],
                 [1047, 904, 48],
@@ -1188,13 +1400,13 @@ mod tests {
             (
                 "mixed",
                 4,
-                592358.0000000002,
+                592043.0000000002,
                 [
                     5000.0,
                     0.0,
                     234372.6000000001,
                     81173.0,
-                    160712.20000000007,
+                    160397.20000000007,
                     101100.20000000007,
                 ],
                 [979, 691, 51],
@@ -1203,13 +1415,13 @@ mod tests {
             (
                 "strawman",
                 1,
-                835319.5000000002,
+                836273.5000000002,
                 [
                     5000.0,
                     0.0,
                     182778.0000000007,
                     199585.0,
-                    362126.1999999996,
+                    363080.1999999996,
                     75830.29999999993,
                 ],
                 [2097, 303, 4],
@@ -1218,13 +1430,13 @@ mod tests {
             (
                 "strawman",
                 2,
-                826522.8000000002,
+                827413.8000000002,
                 [
                     5000.0,
                     0.0,
                     181637.0000000007,
                     192554.0,
-                    361655.1999999996,
+                    362546.1999999996,
                     75676.59999999989,
                 ],
                 [2097, 303, 4],
@@ -1233,13 +1445,13 @@ mod tests {
             (
                 "strawman",
                 4,
-                820855.4000000004,
+                821385.4000000004,
                 [
                     5000.0,
                     0.0,
                     181083.0000000007,
                     188178.0,
-                    361099.1999999996,
+                    361629.1999999996,
                     75495.20000000004,
                 ],
                 [2097, 303, 4],

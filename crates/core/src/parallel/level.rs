@@ -24,8 +24,6 @@ pub(crate) struct RankLevel {
     pub(crate) label: Vec<u32>,
     /// `Σ_tot` per *owned community* (local community index).
     pub(super) tot: Vec<f64>,
-    /// `Σ_in` per owned community.
-    pub(super) internal: Vec<f64>,
     /// Member count per owned community (for the singleton swap guard).
     pub(super) size: Vec<u32>,
 }
@@ -33,7 +31,7 @@ pub(crate) struct RankLevel {
 impl RankLevel {
     /// The level over `in_table` at singleton communities: every local
     /// vertex is its own community (`c = v`, owned by the same rank), so
-    /// `Σ_tot` starts at the weighted degree and `Σ_in` at zero.
+    /// `Σ_tot` starts at the weighted degree.
     pub(super) fn singletons(part: AnyPartition, in_table: Vec<(u64, f64)>, rank: usize) -> Self {
         debug_assert!(in_table.windows(2).all(|p| p[0].0 < p[1].0));
         let local_n = part.local_count(rank);
@@ -46,7 +44,6 @@ impl RankLevel {
             n: part.num_vertices(),
             label: part.local_vertices(rank).collect(),
             tot: k.clone(),
-            internal: vec![0.0; local_n],
             size: vec![1; local_n],
             k,
             part,

@@ -71,7 +71,6 @@ pub(super) fn take_resume_state(
         k: floats(&cp.k_bits),
         label: cp.label,
         tot: floats(&cp.tot_bits),
-        internal: floats(&cp.internal_bits),
         size: cp.size,
     };
     Some(LoopState {
@@ -117,7 +116,6 @@ pub(super) fn write_level_checkpoint(
         k_bits: lvl.k.iter().map(|x| x.to_bits()).collect(),
         label: lvl.label.clone(),
         tot_bits: lvl.tot.iter().map(|x| x.to_bits()).collect(),
-        internal_bits: lvl.internal.iter().map(|x| x.to_bits()).collect(),
         size: lvl.size.clone(),
         orig_comm: st.orig_comm.clone(),
         orig_vertices: st.orig_vertices.clone(),

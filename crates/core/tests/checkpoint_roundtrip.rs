@@ -66,7 +66,6 @@ fn checkpoint_of(picks: &[usize], labels: &[u8]) -> Checkpoint {
         k_bits: (0..n).map(|i| fold(i + 1)).collect(),
         label: labels.iter().map(|&l| u32::from(l)).collect(),
         tot_bits: (0..n).map(|i| fold(i / 2)).collect(),
-        internal_bits: (0..n).map(|i| fold(i * 2 % (picks.len() + 1))).collect(),
         size: vec![1; n],
         orig_comm: (0..n as u32).collect(),
         orig_vertices: (0..n as u32).collect(),
