@@ -82,28 +82,36 @@ fn is_migration(m: &Msg) -> bool {
 
 /// Gathers the replicated `(Σ_tot, size)` snapshots (global community id
 /// → value) in one allgather of each owner's dense local pairs, laid out
-/// in the modulo partition order.
-fn gather_snapshot(ctx: &RankCtx<'_, Msg>, lvl: &RankLevel) -> (Vec<f64>, Vec<f64>) {
-    let p = ctx.num_ranks();
-    let local: Vec<f64> = lvl
+/// in the modulo partition order, plus every rank's `extra` summed in
+/// rank order from 0.0, the fold of `allreduce_sum_vec`.
+fn gather_snapshot<const E: usize>(
+    ctx: &RankCtx<'_, Msg>,
+    lvl: &RankLevel,
+    extra: [f64; E],
+) -> (Vec<f64>, Vec<f64>, [f64; E]) {
+    let pairs = lvl
         .tot
         .iter()
         .zip(&lvl.size)
-        .flat_map(|(&t, &z)| [t, f64::from(z)])
-        .collect();
+        .flat_map(|(&t, &z)| [t, f64::from(z)]);
+    let local: Vec<f64> = pairs.chain(extra).collect();
     let gathered = ctx.allgather_f64(&local);
-    let mut offsets = vec![0usize; p + 1];
-    for r in 0..p {
-        offsets[r + 1] = offsets[r] + lvl.part.local_count(r);
+    drop(local);
+    // Rank r's block is offsets[r]..offsets[r + 1], its `extra` last.
+    let (mut offsets, mut sums) = (vec![0usize; ctx.num_ranks() + 1], [0.0f64; E]);
+    for r in 0..ctx.num_ranks() {
+        offsets[r + 1] = offsets[r] + 2 * lvl.part.local_count(r) + E;
+        let tail = &gathered[offsets[r + 1] - E..offsets[r + 1]];
+        sums.iter_mut().zip(tail).for_each(|(sum, &x)| *sum += x);
     }
-    debug_assert_eq!(2 * offsets[p], gathered.len());
+    debug_assert_eq!(offsets[ctx.num_ranks()], gathered.len());
     let (mut tot, mut size) = (vec![0.0f64; lvl.n], vec![0.0f64; lvl.n]);
     for c in 0..lvl.n {
         let r = lvl.part.owner(c as u32);
-        let i = 2 * (offsets[r] + lvl.part.local_index(c as u32));
+        let i = offsets[r] + 2 * lvl.part.local_index(c as u32);
         (tot[c], size[c]) = (gathered[i], gathered[i + 1]);
     }
-    (tot, size)
+    (tot, size, sums)
 }
 
 /// The `(gain, community)` lexicographic order of the best-move fold:
@@ -369,12 +377,14 @@ pub(super) fn refine(
     ctx.charge(lvl.in_table.len() as f64);
     meter.lap(ctx, Phase::StatePropagation);
     let mut migrated: Vec<(u32, u32)> = Vec::new();
+    // The level's first snapshot. Every later one is the last superstep
+    // of an iteration and carries that iteration's (Q, moves).
+    let (mut tot_snap, mut size_snap, []) = gather_snapshot(ctx, lvl, []);
 
     for iter in 1..=cfg.max_inner_iterations {
         iterations = iter;
 
         // --- FIND BEST COMMUNITY (frontier-scheduled, DESIGN.md §13) ---
-        let (tot_snap, size_snap) = gather_snapshot(ctx, lvl);
         let kernel = GainKernel {
             tot_snap: &tot_snap,
             size_snap: &size_snap,
@@ -427,8 +437,6 @@ pub(super) fn refine(
         if first_level {
             st.frontier_occupancy.push(frontier.worklist.len() as u64);
         }
-        prev_tot.clone_from(&tot_snap);
-        prev_size.clone_from(&size_snap);
         // The full scan: the same fold over every live row, with nothing
         // cached. Candidate communities are exactly the live Out-Table
         // rows of `u`, gathered in first-seen arc order; the fold is
@@ -442,6 +450,9 @@ pub(super) fn refine(
             let (c_u, k_u, a_uu) = (lvl.label[li], lvl.k[li], table.self_loop(li));
             kernel.refold(c_u, k_u, a_uu, &scratch, &mut summ[li], &mut m_u[li]);
         }
+        // The next iteration's W2 baseline; UPDATE reads only Σ_tot.
+        prev_tot.clone_from(&tot_snap);
+        prev_size = std::mem::take(&mut size_snap);
         // The UPDATE sweep below walks the vertices with a positive
         // gain: freshly scanned or patched vertices contribute their new
         // verdict, the rest their cached — and still exact — one.
@@ -473,11 +484,11 @@ pub(super) fn refine(
         // re-evaluated gain is no longer positive is skipped. This
         // recovers most of the Gauss-Seidel quality a purely synchronous
         // snapshot loses.
-        let mut tot_view = tot_snap;
         let mut local_moves = 0u64;
         migrated.clear();
         let mut deltas: Vec<(u32, u32)> = Vec::new();
         let announced_remote = {
+            let mut tot_view = std::mem::take(&mut tot_snap);
             let part = &lvl.part;
             let label = &mut lvl.label;
             let k = &lvl.k;
@@ -624,10 +635,13 @@ pub(super) fn refine(
         meter.comm.state_propagation += announced_remote;
 
         // --- Σ_in and modularity (Algorithm 4, lines 18–25) ---
-        // The global move count rides the modularity reduction: when
-        // nothing moved anywhere, every rank leaves the loop in lockstep.
-        let (q_iter, moves) = compute_modularity(ctx, lvl, table, &mut sigma, s, local_moves);
-        q = q_iter;
+        // (Q, moves) ride the next iteration's snapshot: every rank reads
+        // the same sums, so all ranks leave the loop in lockstep.
+        let q_local = compute_modularity(ctx, lvl, table, &mut sigma, s);
+        let sums;
+        (tot_snap, size_snap, sums) = gather_snapshot(ctx, lvl, [q_local, local_moves as f64]);
+        q = sums[0];
+        let moves = sums[1] as u64;
         meter.lap(ctx, Phase::ComputeModularity);
         meter.end_iteration(first_level);
         q_trace.push(q);
@@ -800,17 +814,15 @@ fn patch_held(held: &mut Vec<u64>, changes: &[(u64, u32)], spare: &mut Vec<u64>)
 /// multisets of the communities it was sent and re-folds only those,
 /// from 0.0 in ascending bit order: over the same multiset, the fold a
 /// re-send of every live contribution would compute, so Σ_in keeps its
-/// bits. One reduction sums the modularity and this rank's
-/// `local_moves` into the global move count; it folds in rank order
-/// from 0.0, as the scalar one does, so the modularity keeps its bits.
+/// bits. Returns this rank's share of the modularity, which the caller
+/// sums across ranks in the next snapshot gather.
 fn compute_modularity(
     ctx: &mut RankCtx<'_, Msg>,
     lvl: &RankLevel,
     out_table: &OutTable,
     sigma: &mut SigmaIn,
     s: f64,
-    local_moves: u64,
-) -> (f64, u64) {
+) -> f64 {
     let part = &lvl.part;
     let label = &lvl.label;
     let SigmaIn {
@@ -873,8 +885,7 @@ fn compute_modularity(
             q_local += sum_in / s - (tot / s) * (tot / s);
         }
     }
-    let sums = ctx.allreduce_sum_vec(&[q_local, local_moves as f64]);
-    (sums[0], sums[1] as u64)
+    q_local
 }
 
 #[cfg(test)]
@@ -1076,16 +1087,18 @@ mod tests {
         }
     }
 
+    /// FNV-1a over `bytes`.
+    fn fnv1a(bytes: impl IntoIterator<Item = u8>) -> u64 {
+        bytes.into_iter().fold(0xcbf2_9ce4_8422_2325u64, |h, byte| {
+            (h ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3)
+        })
+    }
+
     /// FNV-1a over the bit patterns of every level's `q_trace`, in level
     /// and iteration order.
     fn q_trace_digest(levels: &[crate::result::LevelInfo]) -> u64 {
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
-        for q in levels.iter().flat_map(|l| &l.q_trace) {
-            for byte in q.to_bits().to_le_bytes() {
-                h = (h ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3);
-            }
-        }
-        h
+        let qs = levels.iter().flat_map(|l| &l.q_trace);
+        fnv1a(qs.flat_map(|q| q.to_bits().to_le_bytes()))
     }
 
     /// Every level's per-iteration modularity, bit for bit, on the
@@ -1183,6 +1196,52 @@ mod tests {
         }
     }
 
+    /// REFINE stopped by `max_inner_iterations` rather than by its own
+    /// tests, at caps 1 and 3 on the planted seed-11 graph at 1, 2 and 4
+    /// ranks: every level reports one `q_trace` entry per iteration, the
+    /// reported modularity matches the textbook recomputation, and the
+    /// labels (an FNV-1a digest) and final-Q bits are pinned.
+    #[test]
+    fn iteration_cap_ends_levels_consistently() {
+        // (cap, ranks, label digest, final-Q bits)
+        let pins: [(usize, usize, u64, u64); 6] = [
+            (1, 1, 0xa658_bad5_a602_fdf7, 0x3fe3_5e69_c8fd_e261),
+            (1, 2, 0x382c_d729_13e9_3093, 0x3fe2_b7df_16cd_754e),
+            (1, 4, 0x5520_d138_5e80_d154, 0x3fe3_6a41_5a08_eed7),
+            (3, 1, 0x574a_7bbf_9201_2551, 0x3fe5_e463_ac4f_ed31),
+            (3, 2, 0x574a_7bbf_9201_2551, 0x3fe5_e463_ac4f_ed31),
+            (3, 4, 0x574a_7bbf_9201_2551, 0x3fe5_e463_ac4f_ed31),
+        ];
+        let el = planted_graph(11).0;
+        let g = el.to_csr();
+        for (cap, ranks, label_digest, q_bits) in pins {
+            let r = ParallelLouvain::new(ParallelConfig {
+                max_inner_iterations: cap,
+                ..ParallelConfig::with_ranks(ranks)
+            })
+            .run(&el)
+            .result;
+            let at = format!("cap {cap} at {ranks} ranks");
+            for l in &r.levels {
+                assert_eq!(l.q_trace.len(), l.inner_iterations, "{at}");
+                assert!(l.inner_iterations <= cap, "{at}");
+            }
+            let q = modularity(&g, &r.final_partition);
+            assert!(
+                (q - r.final_modularity).abs() <= 1e-9 * (1.0 + q.abs()),
+                "{at}: reported {} vs recomputed {q}",
+                r.final_modularity
+            );
+            let labels = r.final_partition.labels().iter();
+            assert_eq!(
+                fnv1a(labels.flat_map(|l| l.to_le_bytes())),
+                label_digest,
+                "{at}: labels"
+            );
+            assert_eq!(r.final_modularity.to_bits(), q_bits, "{at}: modularity");
+        }
+    }
+
     /// Wire traffic of the planted seed-11 and mixed-magnitude graphs
     /// at 1, 2 and 4 ranks under both partition strategies: messages,
     /// packets, payload bytes, syncs, state-propagation and modularity
@@ -1199,71 +1258,71 @@ mod tests {
         // [messages, packets, bytes_sent, syncs, state_propagation,
         //  modularity, dedup_hits], then trace events per rank.
         let pins = [
-            ("planted", 1, Modulo, [0, 0, 0, 171, 0, 0, 4341], &[278][..]),
+            ("planted", 1, Modulo, [0, 0, 0, 139, 0, 0, 4341], &[240][..]),
             (
                 "planted",
                 1,
                 ArcBalanced,
-                [0, 0, 0, 175, 0, 0, 4341],
-                &[283],
+                [0, 0, 0, 143, 0, 0, 4341],
+                &[245],
             ),
             (
                 "planted",
                 2,
                 Modulo,
-                [1860, 79, 29760, 171, 414, 814, 3927],
-                &[272, 273],
+                [1834, 71, 29344, 139, 414, 814, 3927],
+                &[234, 235],
             ),
             (
                 "planted",
                 2,
                 ArcBalanced,
-                [1836, 83, 29376, 175, 411, 796, 3930],
-                &[279, 279],
+                [1810, 75, 28960, 143, 411, 796, 3930],
+                &[241, 241],
             ),
             (
                 "planted",
                 4,
                 Modulo,
-                [3302, 380, 52832, 171, 1200, 1151, 3161],
-                &[267, 270, 268, 267],
+                [3224, 338, 51584, 139, 1200, 1151, 3161],
+                &[229, 232, 230, 229],
             ),
             (
                 "planted",
                 4,
                 ArcBalanced,
-                [3333, 365, 53328, 175, 1194, 1184, 3166],
-                &[272, 272, 273, 273],
+                [3254, 316, 52064, 143, 1194, 1184, 3166],
+                &[234, 234, 235, 235],
             ),
-            ("mixed", 1, Modulo, [0, 0, 0, 141, 0, 0, 5055], &[238]),
-            ("mixed", 1, ArcBalanced, [0, 0, 0, 146, 0, 0, 5055], &[244]),
+            ("mixed", 1, Modulo, [0, 0, 0, 113, 0, 0, 5055], &[202]),
+            ("mixed", 1, ArcBalanced, [0, 0, 0, 118, 0, 0, 5055], &[208]),
             (
                 "mixed",
                 2,
                 Modulo,
-                [2319, 113, 37104, 176, 472, 341, 4702],
-                &[294, 295],
+                [2176, 97, 34816, 141, 472, 341, 4702],
+                &[249, 250],
             ),
             (
                 "mixed",
                 2,
                 ArcBalanced,
-                [2300, 105, 36800, 187, 456, 378, 4580],
-                &[304, 307],
+                [2161, 89, 34576, 151, 456, 378, 4580],
+                &[258, 261],
             ),
             (
                 "mixed",
                 4,
                 Modulo,
-                [3869, 397, 61904, 117, 1240, 476, 3360],
-                &[202, 199, 200, 201],
+                [3545, 321, 56720, 93, 1240, 476, 3360],
+                &[170, 167, 168, 169],
             ),
             (
                 "mixed",
                 4,
                 ArcBalanced,
-                [3984, 400, 63744, 134, 1270, 490, 3514],
-                &[226, 220, 226, 219],
+                [3654, 324, 58464, 108, 1270, 490, 3514],
+                &[192, 186, 192, 185],
             ),
         ];
         let planted = planted_graph(11).0;
@@ -1325,14 +1384,14 @@ mod tests {
             (
                 "planted",
                 1,
-                873402.9999999999,
+                713403.3000000002,
                 [
                     5000.0,
                     0.0,
-                    389939.2000000003,
-                    131242.0,
-                    261616.19999999966,
-                    75605.59999999986,
+                    274145.8000000003,
+                    131242.00000000003,
+                    262448.19999999995,
+                    30567.29999999993,
                 ],
                 [1570, 2590, 148],
                 0x3fe6_22bc_8858_63ac,
@@ -1340,14 +1399,14 @@ mod tests {
             (
                 "planted",
                 2,
-                866292.2999999998,
+                706287.5000000006,
                 [
                     5000.0,
                     0.0,
-                    383131.20000000036,
+                    267337.8000000003,
                     131252.0,
-                    261399.19999999966,
-                    75509.89999999979,
+                    262236.4000000004,
+                    30461.29999999993,
                 ],
                 [1570, 2590, 148],
                 0x3fe6_22bc_8858_63ac,
@@ -1355,14 +1414,14 @@ mod tests {
             (
                 "planted",
                 4,
-                862275.9,
+                702268.9,
                 [
                     5000.0,
                     0.0,
-                    379725.2000000003,
+                    263931.80000000016,
                     131157.0,
-                    261042.19999999972,
-                    75351.5,
+                    261889.79999999993,
+                    30290.29999999993,
                 ],
                 [1570, 2590, 148],
                 0x3fe6_22bc_8858_63ac,
@@ -1370,14 +1429,14 @@ mod tests {
             (
                 "mixed",
                 1,
-                725758.2999999999,
+                585652.1000000003,
                 [
                     5000.0,
                     0.0,
-                    306441.80000000016,
+                    226129.4000000002,
                     101389.0,
-                    200838.99999999983,
-                    102088.49999999991,
+                    201201.60000000015,
+                    41932.09999999998,
                 ],
                 [1018, 795, 53],
                 0x3fe5_4765_21e2_3d7e,
@@ -1385,14 +1444,14 @@ mod tests {
             (
                 "mixed",
                 2,
-                892790.4999999999,
+                717606.7000000002,
                 [
                     5000.0,
                     0.0,
-                    373902.4000000004,
+                    273564.4000000003,
                     126427.0,
-                    250674.9999999997,
-                    126786.09999999977,
+                    251070.1999999999,
+                    51545.09999999998,
                 ],
                 [1047, 904, 48],
                 0x3fe5_4765_21e2_3d80,
@@ -1400,14 +1459,14 @@ mod tests {
             (
                 "mixed",
                 4,
-                592043.0000000002,
+                471868.2000000001,
                 [
                     5000.0,
                     0.0,
-                    234372.6000000001,
+                    174087.8000000001,
                     81173.0,
-                    160397.20000000007,
-                    101100.20000000007,
+                    160740.80000000005,
+                    40866.59999999998,
                 ],
                 [979, 691, 51],
                 0x3fe5_3ae8_48ab_ba89,
@@ -1415,14 +1474,14 @@ mod tests {
             (
                 "strawman",
                 1,
-                836273.5000000002,
+                626255.2000000003,
                 [
                     5000.0,
                     0.0,
-                    182778.0000000007,
-                    199585.0,
-                    363080.1999999996,
-                    75830.29999999993,
+                    17338.0,
+                    199585.00000000006,
+                    363560.2000000003,
+                    30772.0,
                 ],
                 [2097, 303, 4],
                 0x3fdd_fd84_5954_649b,
@@ -1430,30 +1489,16 @@ mod tests {
             (
                 "strawman",
                 2,
-                827413.8000000002,
-                [
-                    5000.0,
-                    0.0,
-                    181637.0000000007,
-                    192554.0,
-                    362546.1999999996,
-                    75676.59999999989,
-                ],
+                617384.3999999996,
+                [5000.0, 0.0, 16197.0, 192554.0, 363033.39999999956, 30600.0],
                 [2097, 303, 4],
                 0x3fdd_fd84_5954_649d,
             ),
             (
                 "strawman",
                 4,
-                821385.4000000004,
-                [
-                    5000.0,
-                    0.0,
-                    181083.0000000007,
-                    188178.0,
-                    361629.1999999996,
-                    75495.20000000004,
-                ],
+                611350.7999999997,
+                [5000.0, 0.0, 15643.0, 188178.0, 362130.7999999997, 30399.0],
                 [2097, 303, 4],
                 0x3fdd_fd84_5954_649d,
             ),

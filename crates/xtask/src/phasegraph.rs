@@ -598,16 +598,22 @@ pub(crate) fn extract_fns(stream: &Stream) -> Vec<FnDef> {
         }
         let params_end = match_paren(stream, j);
         let (params, has_self) = params_of(stream, j + 1, params_end.saturating_sub(1));
-        // Find the body `{` (or `;` for a trait/extern declaration).
+        // Find the body `{` (or `;` for a trait/extern declaration). The
+        // `;` of an array type in the signature (`-> [f64; 2]`) ends
+        // nothing.
         let mut k = params_end;
         let mut body_open = None;
+        let mut brackets = 0i32;
         while let Some(&(c, _)) = stream.get(k) {
-            if c == '{' {
-                body_open = Some(k);
-                break;
-            }
-            if c == ';' {
-                break;
+            match c {
+                '{' => {
+                    body_open = Some(k);
+                    break;
+                }
+                '[' => brackets += 1,
+                ']' => brackets -= 1,
+                ';' if brackets == 0 => break,
+                _ => {}
             }
             k += 1;
         }
@@ -2087,13 +2093,19 @@ mod tests {
     #[test]
     fn extract_fns_finds_methods_and_free_fns() {
         let src = "impl Foo {\n    fn with_self(&mut self, x: u32) -> u32 { x }\n}\n\
-                   fn free(y: u32) -> u32 { y }\n";
+                   fn free(y: u32) -> u32 { y }\n\
+                   trait T { fn decl(&self) -> [u32; 2]; }\n\
+                   fn array<const E: usize>(x: [f64; E]) -> (u32, [f64; E]) { (0, x) }\n";
         let fns = extract_fns(&stream_of(src));
-        assert_eq!(fns.len(), 2);
+        assert_eq!(fns.len(), 3);
         assert_eq!(fns[0].name, "with_self");
         assert!(fns[0].has_self);
         assert_eq!(fns[1].name, "free");
         assert!(!fns[1].has_self);
+        // The declaration has no body; an array return type does not end
+        // the signature.
+        assert_eq!(fns[2].name, "array");
+        assert_eq!(fns[2].params.len(), 1);
     }
 
     #[test]

@@ -107,11 +107,9 @@ fn violations(r: &ParallelResult, ranks: u64, raw_edges: u64, distributed: bool)
     for lvl in &r.result.levels {
         let n = lvl.num_vertices as u64;
         vertex_iters += n * lvl.inner_iterations as u64;
-        // reconstruct, per level: one O(n_local) announcement of the
-        // distinct community ids, one relabel round of at most
-        // `num_communities × ranks` messages, one O(local_arcs) edge
-        // re-key of the coarsened tables.
-        recon_terms += 2 * n + lvl.num_communities as u64 * ranks + arcs;
+        // reconstruct, per level: one O(local_arcs) edge re-key of the
+        // coarsened tables, its only send site.
+        recon_terms += arcs;
     }
 
     let mut out = Vec::new();

@@ -86,34 +86,48 @@ fn longest_sync_path(nodes: &[SpecNode]) -> usize {
         .sum()
 }
 
-/// One inner iteration of REFINE (Algorithm 4) is six BSP supersteps:
-/// the (Σ_tot, size) snapshot allgather, the two ε-threshold reductions,
-/// the UPDATE exchange that also carries the state-propagation deltas,
-/// the Σ_in exchange, and the reduction that sums modularity and the
-/// move count. Each sync costs a latency on every rank, so a change that
-/// adds one fails here by name before it shows as a lockfile diff.
-#[test]
-fn refine_iteration_closes_six_supersteps() {
-    let spec = spec();
-    let refine = spec
-        .protocol
+/// The body of the first `Call` named `name` on the path the level loop
+/// runs.
+fn level_call<'a>(spec: &'a ProtocolSpec, name: &str) -> &'a [SpecNode] {
+    spec.protocol
         .iter()
         .find_map(|n| match n {
             SpecNode::Loop(body) => body.iter().find_map(|m| match m {
-                SpecNode::Call { name, body } if name == "refine" => Some(body),
+                SpecNode::Call { name: call, body } if call == name => Some(body.as_slice()),
                 _ => None,
             }),
             _ => None,
         })
-        .expect("spec has a refine call inside the level loop");
-    let iteration = refine
+        .unwrap_or_else(|| panic!("spec has a {name} call inside the level loop"))
+}
+
+/// One inner iteration of REFINE (Algorithm 4) is five BSP supersteps:
+/// the two ε-threshold reductions, the UPDATE exchange that also carries
+/// the state-propagation deltas, the Σ_in exchange, and the (Σ_tot, size)
+/// snapshot allgather that also sums the iteration's modularity and move
+/// count and feeds the next iteration's FIND BEST. Each sync costs a
+/// latency on every rank, so a change that adds one fails here by name
+/// before it shows as a lockfile diff.
+#[test]
+fn refine_iteration_closes_five_supersteps() {
+    let spec = spec();
+    let iteration = level_call(&spec, "refine")
         .iter()
         .find_map(|n| match n {
             SpecNode::Loop(body) => Some(body),
             _ => None,
         })
         .expect("refine has an inner iteration loop");
-    assert_eq!(longest_sync_path(iteration), 6);
+    assert_eq!(longest_sync_path(iteration), 5);
+}
+
+/// GRAPH RECONSTRUCTION (Algorithm 5) is at most three supersteps: the
+/// label allgather, the arc-balanced partition's loads reduction, and the
+/// row exchange. The new community ids come from REFINE's last replicated
+/// size snapshot and cost no superstep.
+#[test]
+fn reconstruction_closes_three_supersteps() {
+    assert_eq!(longest_sync_path(level_call(&spec(), "reconstruct")), 3);
 }
 
 /// The acceptance test: at 2/4/8 ranks, under the unperturbed and every
