@@ -469,7 +469,7 @@ pub(super) fn refine(
         } else {
             0.0
         };
-        // The find-best lap closes at the threshold reductions (the scan
+        // The find-best lap closes at the threshold collectives (the scan
         // itself has no collective; its compute charge is accounted by the
         // sync that follows). Without the heuristic there is no threshold
         // collective, so the scan's clock delta folds into the update lap.
@@ -674,10 +674,20 @@ fn compute_threshold(
     iter: usize,
 ) -> f64 {
     let eps = cfg.schedule.epsilon(iter);
+    // One gather answers whether the budget can bind: every rank's
+    // largest gain and positive-gain count, folded in rank order. The
+    // count is exact, so it equals what the histogram would sum to.
     let local_max = m_u.iter().copied().fold(0.0f64, f64::max);
-    let hi = ctx.allreduce_max(local_max);
-    if hi <= 0.0 {
-        return 0.0; // nobody wants to move
+    let local_positive = m_u.iter().filter(|&&g| g > 0.0).count() as f64;
+    let gathered = ctx.allgather_f64(&[local_max, local_positive]);
+    let (hi, total_positive) = gathered
+        .chunks_exact(2)
+        .fold((0.0f64, 0.0f64), |(hi, n), r| (hi.max(r[0]), n + r[1]));
+    let keep = (eps * n_global as f64).ceil();
+    if keep >= total_positive {
+        // Budget not binding (nobody wanting to move included): all
+        // positive gains move, and the histogram is skipped.
+        return 0.0;
     }
     let bins = HISTOGRAM_BINS;
     let lo = hi * 1e-9;
@@ -696,11 +706,6 @@ fn compute_threshold(
         }
     }
     let hist = ctx.allreduce_sum_vec(&hist);
-    let total_positive: f64 = hist.iter().sum();
-    let keep = (eps * n_global as f64).ceil();
-    if keep >= total_positive {
-        return 0.0; // budget not binding: all positive gains move
-    }
     // Walk bins from the top, accumulating until the budget is filled.
     let mut cum = 0.0;
     for b in (0..bins).rev() {
@@ -1106,8 +1111,10 @@ mod tests {
     /// under both partition strategies: the iterations per level and a
     /// digest of every `q_trace` bit pattern. The Σ_in reduction may
     /// change how it ships and stores contributions, never what it sums
-    /// or in which order, so none of these may move; a perturbed
-    /// delivery schedule must reproduce the unperturbed trace exactly.
+    /// or in which order. Reconstruction sums each super-arc per rank
+    /// first, so the mixed-magnitude rows at 2+ ranks pin that grouping;
+    /// a perturbed delivery schedule must reproduce the unperturbed
+    /// trace exactly.
     #[test]
     fn modularity_trace_bits_are_pinned() {
         use louvain_graph::partition::PartitionStrategy::{ArcBalanced, Modulo};
@@ -1150,7 +1157,7 @@ mod tests {
                 &[8, 6, 5, 1],
                 0xee49_d8fa_c770_18ba,
             ),
-            ("mixed", 2, Modulo, &[8, 8, 6, 2, 1], 0xae5a_6881_a9e4_cd30),
+            ("mixed", 2, Modulo, &[8, 8, 6, 2, 1], 0x5348_515b_2427_0275),
             (
                 "mixed",
                 2,
@@ -1158,13 +1165,13 @@ mod tests {
                 &[8, 13, 2, 2, 1],
                 0x4fe6_75da_2a74_5979,
             ),
-            ("mixed", 4, Modulo, &[8, 4, 3, 1], 0x9845_63f7_a3d4_b90d),
+            ("mixed", 4, Modulo, &[8, 4, 3, 1], 0x8719_88f0_dd43_d3ed),
             (
                 "mixed",
                 4,
                 ArcBalanced,
                 &[8, 7, 2, 1],
-                0xaf18_8c0a_7d0f_6609,
+                0xd3d4_0bef_9c93_fd45,
             ),
         ];
         let planted = planted_graph(11).0;
@@ -1246,83 +1253,95 @@ mod tests {
     /// at 1, 2 and 4 ranks under both partition strategies: messages,
     /// packets, payload bytes, syncs, state-propagation and modularity
     /// messages, the duplicate announcements state propagation
-    /// collapsed, and each rank's trace length. Every value is
-    /// schedule-invariant, so the perturbed run must match the
-    /// unperturbed one exactly. Label
-    /// propagation's message and packet counts ride along, since it
-    /// shares `announce_migrations`.
+    /// collapsed, reconstruction messages, and each rank's trace length.
+    /// Every value is schedule-invariant, so the perturbed run must match
+    /// the unperturbed one exactly. Label propagation's message and
+    /// packet counts ride along, since it shares `announce_migrations`.
     #[test]
     fn wire_traffic_is_pinned() {
         use crate::labelprop::LabelPropagation;
         use louvain_graph::partition::PartitionStrategy::{ArcBalanced, Modulo};
         // [messages, packets, bytes_sent, syncs, state_propagation,
-        //  modularity, dedup_hits], then trace events per rank.
+        //  modularity, dedup_hits, reconstruction], then trace events
+        //  per rank.
         let pins = [
-            ("planted", 1, Modulo, [0, 0, 0, 139, 0, 0, 4341], &[240][..]),
+            (
+                "planted",
+                1,
+                Modulo,
+                [0, 0, 0, 137, 0, 0, 4341, 0],
+                &[238][..],
+            ),
             (
                 "planted",
                 1,
                 ArcBalanced,
-                [0, 0, 0, 143, 0, 0, 4341],
-                &[245],
+                [0, 0, 0, 141, 0, 0, 4341, 0],
+                &[243],
             ),
             (
                 "planted",
                 2,
                 Modulo,
-                [1834, 71, 29344, 139, 414, 814, 3927],
-                &[234, 235],
+                [1633, 71, 26128, 137, 414, 814, 3927, 85],
+                &[232, 233],
             ),
             (
                 "planted",
                 2,
                 ArcBalanced,
-                [1810, 75, 28960, 143, 411, 796, 3930],
-                &[241, 241],
+                [1612, 75, 25792, 141, 411, 796, 3930, 85],
+                &[239, 239],
             ),
             (
                 "planted",
                 4,
                 Modulo,
-                [3224, 338, 51584, 139, 1200, 1151, 3161],
-                &[229, 232, 230, 229],
+                [2989, 338, 47824, 137, 1200, 1151, 3161, 177],
+                &[227, 230, 228, 227],
             ),
             (
                 "planted",
                 4,
                 ArcBalanced,
-                [3254, 316, 52064, 143, 1194, 1184, 3166],
-                &[234, 234, 235, 235],
+                [3029, 316, 48464, 141, 1194, 1184, 3166, 185],
+                &[232, 232, 233, 233],
             ),
-            ("mixed", 1, Modulo, [0, 0, 0, 113, 0, 0, 5055], &[202]),
-            ("mixed", 1, ArcBalanced, [0, 0, 0, 118, 0, 0, 5055], &[208]),
+            ("mixed", 1, Modulo, [0, 0, 0, 112, 0, 0, 5055, 0], &[201]),
+            (
+                "mixed",
+                1,
+                ArcBalanced,
+                [0, 0, 0, 117, 0, 0, 5055, 0],
+                &[207],
+            ),
             (
                 "mixed",
                 2,
                 Modulo,
-                [2176, 97, 34816, 141, 472, 341, 4702],
-                &[249, 250],
+                [1881, 97, 30096, 139, 472, 341, 4702, 712],
+                &[247, 248],
             ),
             (
                 "mixed",
                 2,
                 ArcBalanced,
-                [2161, 89, 34576, 151, 456, 378, 4580],
-                &[258, 261],
+                [1892, 89, 30272, 146, 456, 378, 4580, 699],
+                &[253, 256],
             ),
             (
                 "mixed",
                 4,
                 Modulo,
-                [3545, 321, 56720, 93, 1240, 476, 3360],
-                &[170, 167, 168, 169],
+                [3327, 321, 53232, 88, 1240, 476, 3360, 1132],
+                &[165, 162, 163, 164],
             ),
             (
                 "mixed",
                 4,
                 ArcBalanced,
-                [3654, 324, 58464, 108, 1270, 490, 3514],
-                &[192, 186, 192, 185],
+                [3426, 324, 54816, 107, 1270, 490, 3514, 1169],
+                &[191, 185, 191, 184],
             ),
         ];
         let planted = planted_graph(11).0;
@@ -1344,6 +1363,7 @@ mod tests {
                     r.comm_breakdown.state_propagation,
                     r.comm_breakdown.modularity,
                     r.dedup_hits,
+                    r.comm_breakdown.reconstruction,
                 ];
                 let got_events: Vec<usize> = r.traces.iter().map(|t| t.events.len()).collect();
                 let at =
@@ -1384,14 +1404,14 @@ mod tests {
             (
                 "planted",
                 1,
-                713403.3000000002,
+                702968.7,
                 [
                     5000.0,
                     0.0,
-                    274145.8000000003,
-                    131242.00000000003,
+                    264138.20000000007,
+                    131242.0,
                     262448.19999999995,
-                    30567.29999999993,
+                    30140.29999999993,
                 ],
                 [1570, 2590, 148],
                 0x3fe6_22bc_8858_63ac,
@@ -1399,14 +1419,14 @@ mod tests {
             (
                 "planted",
                 2,
-                706287.5000000006,
+                695977.1000000008,
                 [
                     5000.0,
                     0.0,
-                    267337.8000000003,
+                    257335.40000000052,
                     131252.0,
-                    262236.4000000004,
-                    30461.29999999993,
+                    262236.4000000003,
+                    30153.29999999993,
                 ],
                 [1570, 2590, 148],
                 0x3fe6_22bc_8858_63ac,
@@ -1414,14 +1434,14 @@ mod tests {
             (
                 "planted",
                 4,
-                702268.9,
+                692124.9,
                 [
                     5000.0,
                     0.0,
-                    263931.80000000016,
+                    253939.80000000016,
                     131157.0,
                     261889.79999999993,
-                    30290.29999999993,
+                    30138.29999999993,
                 ],
                 [1570, 2590, 148],
                 0x3fe6_22bc_8858_63ac,
@@ -1429,14 +1449,14 @@ mod tests {
             (
                 "mixed",
                 1,
-                585652.1000000003,
+                579757.7000000004,
                 [
                     5000.0,
                     0.0,
-                    226129.4000000002,
+                    221127.00000000026,
                     101389.0,
-                    201201.60000000015,
-                    41932.09999999998,
+                    201201.60000000018,
+                    41040.09999999998,
                 ],
                 [1018, 795, 53],
                 0x3fe5_4765_21e2_3d7e,
@@ -1444,14 +1464,14 @@ mod tests {
             (
                 "mixed",
                 2,
-                717606.7000000002,
+                707178.9000000005,
                 [
                     5000.0,
                     0.0,
-                    273564.4000000003,
-                    126427.0,
+                    263561.60000000056,
+                    126427.00000000001,
                     251070.1999999999,
-                    51545.09999999998,
+                    51120.09999999998,
                 ],
                 [1047, 904, 48],
                 0x3fe5_4765_21e2_3d80,
@@ -1459,14 +1479,14 @@ mod tests {
             (
                 "mixed",
                 4,
-                471868.2000000001,
+                446703.9999999999,
                 [
                     5000.0,
                     0.0,
-                    174087.8000000001,
+                    149068.59999999986,
                     81173.0,
                     160740.80000000005,
-                    40866.59999999998,
+                    40721.59999999998,
                 ],
                 [979, 691, 51],
                 0x3fe5_3ae8_48ab_ba89,
@@ -1474,14 +1494,14 @@ mod tests {
             (
                 "strawman",
                 1,
-                626255.2000000003,
+                625768.2000000003,
                 [
                     5000.0,
                     0.0,
                     17338.0,
                     199585.00000000006,
                     363560.2000000003,
-                    30772.0,
+                    30285.0,
                 ],
                 [2097, 303, 4],
                 0x3fdd_fd84_5954_649b,
@@ -1489,16 +1509,16 @@ mod tests {
             (
                 "strawman",
                 2,
-                617384.3999999996,
-                [5000.0, 0.0, 16197.0, 192554.0, 363033.39999999956, 30600.0],
+                617063.3999999996,
+                [5000.0, 0.0, 16197.0, 192554.0, 363033.39999999956, 30279.0],
                 [2097, 303, 4],
                 0x3fdd_fd84_5954_649d,
             ),
             (
                 "strawman",
                 4,
-                611350.7999999997,
-                [5000.0, 0.0, 15643.0, 188178.0, 362130.7999999997, 30399.0],
+                611191.7999999997,
+                [5000.0, 0.0, 15643.0, 188178.0, 362130.7999999997, 30240.0],
                 [2097, 303, 4],
                 0x3fdd_fd84_5954_649d,
             ),

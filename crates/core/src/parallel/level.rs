@@ -187,15 +187,23 @@ pub(crate) fn build_initial_level(
 /// Folds arcs sorted by `(key, weight bits)` into the In-Table: one entry
 /// per distinct key, its weight summed in that order — the bits a hashed
 /// insert-or-accumulate table fed the same order would hold.
-pub(super) fn merge_sorted_arcs(arcs: &[(u64, u64)]) -> Vec<(u64, f64)> {
-    let mut in_table: Vec<(u64, f64)> = Vec::with_capacity(arcs.len());
-    for &(key, w_bits) in arcs {
-        let w = f64::from_bits(w_bits);
-        match in_table.last_mut() {
-            Some((last, sum)) if *last == key => *sum += w,
-            _ => in_table.push((key, w)),
+pub(super) fn merge_sorted_arcs(mut arcs: Vec<(u64, u64)>) -> Vec<(u64, f64)> {
+    // `dedup_by` hands each element with the last one kept before it,
+    // so every key's weights are summed left to right, in place.
+    arcs.dedup_by(|(key, w), (last, sum)| {
+        let same = key == last;
+        if same {
+            *sum = (f64::from_bits(*sum) + f64::from_bits(*w)).to_bits();
         }
-    }
+        same
+    });
+    // Same size and alignment: the map reuses the allocation, and the
+    // table, which lives for a level, gives back the merged-away tail.
+    let mut in_table: Vec<(u64, f64)> = arcs
+        .into_iter()
+        .map(|(key, w)| (key, f64::from_bits(w)))
+        .collect();
+    in_table.shrink_to_fit();
     in_table
 }
 
@@ -272,7 +280,7 @@ fn build_initial_level_distributed(
         let mut arcs: Vec<(u64, u64)> = Vec::new();
         ex.finish(|m| arcs.push((pack_key(m.a, m.b), m.w.to_bits())));
         arcs.sort_unstable();
-        merge_sorted_arcs(&arcs)
+        merge_sorted_arcs(arcs)
     };
     RankLevel::singletons(part, in_table, rank)
 }

@@ -199,7 +199,7 @@ pub struct SimBreakdown {
     pub loading: f64,
     /// STATE PROPAGATION exchanges (both per-iteration propagations).
     pub state_propagation: f64,
-    /// FIND BEST COMMUNITY scan plus the ε-threshold reductions.
+    /// FIND BEST COMMUNITY scan plus the ε-threshold collectives.
     pub find_best: f64,
     /// UPDATE COMMUNITY INFORMATION (move application, Σ_tot deltas).
     pub update: f64,

@@ -101,8 +101,9 @@ fn level_call<'a>(spec: &'a ProtocolSpec, name: &str) -> &'a [SpecNode] {
         .unwrap_or_else(|| panic!("spec has a {name} call inside the level loop"))
 }
 
-/// One inner iteration of REFINE (Algorithm 4) is five BSP supersteps:
-/// the two ε-threshold reductions, the UPDATE exchange that also carries
+/// One inner iteration of REFINE (Algorithm 4) is five BSP supersteps at
+/// most: the ε-threshold gather and the histogram reduction it skips
+/// when the budget cannot bind, the UPDATE exchange that also carries
 /// the state-propagation deltas, the Σ_in exchange, and the (Σ_tot, size)
 /// snapshot allgather that also sums the iteration's modularity and move
 /// count and feeds the next iteration's FIND BEST. Each sync costs a

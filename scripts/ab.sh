@@ -7,8 +7,10 @@
 #   scripts/ab.sh <parent-rev> all <pairs>
 #
 # Copies the parent revision (`git archive`) and the working tree
-# (tracked and untracked, non-ignored files) into target/ab/parent and
-# target/ab/work and builds louvain-perf in each once. Then, for the
+# (tracked and untracked, non-ignored files) into target/ab/base and
+# target/ab/work and builds louvain-perf in each once. The two
+# directory names have equal length, so the binaries' embedded paths,
+# and with them the code layout, do not differ by the tree's name. Then, for the
 # named workload, or with `all` for every BENCHMARK.json workload in
 # turn, it runs the BENCHMARK.json command there `<pairs>` times each,
 # alternating which side goes first, and prints each pair's solve_s and
@@ -49,11 +51,11 @@ for i in "${!build[@]}"; do
   fi
 done
 
-rm -rf "$ab/parent" "$ab/work"
-mkdir -p "$ab/parent" "$ab/work"
-git -C "$root" archive "$rev" | tar -x -C "$ab/parent"
+rm -rf "$ab/base" "$ab/work"
+mkdir -p "$ab/base" "$ab/work"
+git -C "$root" archive "$rev" | tar -x -C "$ab/base"
 git -C "$root" ls-files -z -co --exclude-standard | tar -C "$root" --null --ignore-failed-read -T - -c | tar -x -C "$ab/work"
-for side in parent work; do
+for side in base work; do
   echo "building $side" >&2
   (cd "$ab/$side" && "${build[@]}")
 done
@@ -128,11 +130,11 @@ for workload in "${workloads[@]}"; do
   echo "== $workload"
   for p in $(seq 1 "$pairs"); do
     if [ $((p % 2)) -eq 1 ]; then
-      a=$(summary parent "$workload")
+      a=$(summary base "$workload")
       b=$(summary work "$workload")
     else
       b=$(summary work "$workload")
-      a=$(summary parent "$workload")
+      a=$(summary base "$workload")
     fi
     jq -c -n --arg w "$workload" --argjson a "$a" --argjson b "$b" \
       '{workload: $w, parent: $a.metrics, work: $b.metrics}' >>"$runs"
