@@ -45,6 +45,7 @@ pub use report::{Csv, Table};
 /// Default seed for every experiment (deterministic harness).
 pub const SEED: u64 = 0x10_DDAD;
 
-/// Calibration constant for the BSP cost model: nanoseconds per work
-/// unit (≈ handling cost of one fine-grained message). See DESIGN.md §2.
+/// Nanoseconds per work unit of the BSP cost model: an uncalibrated
+/// assumption (a traced `amazon-1r` run measured 37–88 ns per charged
+/// unit, by phase; ROADMAP item 5). See DESIGN.md §2.
 pub const NS_PER_UNIT: f64 = 20.0;

@@ -66,7 +66,13 @@ pub use louvain_core::json::Json;
 /// unlike `phase_units` which is the max-over-ranks simulated clock) —
 /// and the document gains a top-level `partition` section comparing the
 /// modulo and arc-balanced strategies on a skewed unpermuted R-MAT.
-pub const SCHEMA_VERSION: u64 = 5;
+///
+/// v6: workload entries lose `cache_invalidations`, which read ranks ×
+/// (levels − 1) by construction (every level rebuilds its Out-Table), and
+/// with it one trace counter per rank, so `trace_events` falls by
+/// `ranks`. Checkpoints no longer carry the derivable singleton state,
+/// so `chaos.checkpoint_bytes` falls too.
+pub const SCHEMA_VERSION: u64 = 6;
 
 /// Output path, relative to the working directory (the workspace root
 /// under `cargo run`).
@@ -149,8 +155,8 @@ fn workload_entry(name: &str, vertices: usize, r: &ParallelResult) -> Json {
         ("syncs".into(), Json::UInt(r.syncs)),
         ("bytes_sent".into(), Json::UInt(r.bytes_sent)),
         // Delta-mode volumes (schema v2): how much of the wire traffic is
-        // state propagation, how many per-arc announcements it collapsed,
-        // and how many per-level caches reconstruction retired.
+        // state propagation, and how many per-arc announcements it
+        // collapsed.
         // `delta_messages` is the observable of the one `O(deltas)` site in
         // `results/cost_spec.json` (DESIGN.md §12); `dedup_hits` is the gap
         // between one announcement per arc and that bound. The conformance
@@ -161,10 +167,6 @@ fn workload_entry(name: &str, vertices: usize, r: &ParallelResult) -> Json {
             Json::UInt(r.comm_breakdown.state_propagation),
         ),
         ("dedup_hits".into(), Json::UInt(r.dedup_hits)),
-        (
-            "cache_invalidations".into(),
-            Json::UInt(r.cache_invalidations),
-        ),
         // Frontier-scheduling observables (schema v3, DESIGN.md §13):
         // `frontier_active_vertices` is the find-best scan volume the
         // cost spec bounds as `O(frontier)`; `frontier_skipped_scans` is

@@ -23,7 +23,6 @@ const WORKLOAD_KEYS: &[&str] = &[
     "bytes_sent",
     "delta_messages",
     "dedup_hits",
-    "cache_invalidations",
     "trace_events",
 ];
 

@@ -1,15 +1,16 @@
 //! Checkpoint/restart for the distributed solver (DESIGN.md §14).
 //!
-//! At every level boundary the solver can snapshot each rank's complete
-//! state — labels, `Σ_tot`, the In-Table, the dendrogram prefix,
-//! frontier counters, and the recorded protocol-log prefix — into an
-//! in-memory [`CheckpointStore`]. When a scheduled fault kills a rank
+//! At every level boundary the solver can snapshot each rank's state —
+//! the In-Table and its partition, the dendrogram prefix, frontier
+//! counters, and the recorded protocol-log prefix — into an in-memory
+//! [`CheckpointStore`]. A level starts at singleton communities, so the
+//! labels, degrees and `Σ_tot` are a function of the In-Table and are
+//! derived on restore, not stored. When a scheduled fault kills a rank
 //! (see `louvain_runtime::fault`), the driver rewinds every rank to the
-//! last checkpoint and re-executes; because every per-rank quantity is
-//! persisted as exact bit patterns and every downstream consumer folds
-//! its inputs in sorted order, the recovered run is **bit-identical** to
-//! a fault-free run — same modularity, same dendrogram, same protocol
-//! log.
+//! last checkpoint and re-executes; because every persisted quantity is
+//! an exact bit pattern and every downstream consumer folds its inputs
+//! in sorted order, the recovered run is **bit-identical** to a
+//! fault-free run — same modularity, same dendrogram, same protocol log.
 //!
 //! Serialization uses the repo's hand-rolled std-only JSON
 //! ([`crate::json`]): floats travel as `f64::to_bits` integers so
@@ -20,6 +21,7 @@
 use crate::frontier::FrontierStats;
 use crate::json::Json;
 use crate::result::LevelInfo;
+use louvain_hash::unpack_key;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -29,7 +31,10 @@ use std::sync::Mutex;
 /// refused, not reinterpreted. v2 added the partition record
 /// (`part_kind`/`part_owners`) and the level-0 vertex domain
 /// (`orig_vertices`) for the pluggable-partition work (DESIGN.md §15).
-pub const CHECKPOINT_SCHEMA: u64 = 2;
+/// v3 dropped every field a restore derives: the singleton state
+/// (`k_bits`, `label`, `tot_bits`, `size`), `next_level`,
+/// `q_prev_level_bits`, `cache_invalidations` and `orig_comm`.
+pub const CHECKPOINT_SCHEMA: u64 = 3;
 
 /// Why a checkpoint was refused.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -120,48 +125,35 @@ impl LevelSnapshot {
     }
 }
 
-/// One rank's complete solver state at a level boundary.
+/// One rank's solver state at a level boundary.
 ///
-/// Everything the level loop of `rank_main` carries across iterations is
-/// here, with floats as bit patterns. The In-Table is persisted as-is:
-/// the solver already keeps it as `(key, weight)` pairs strictly
-/// ascending by key, which validation re-checks on restore.
+/// Each fact the level loop of `rank_main` carries across levels is
+/// here once, with floats as bit patterns; the rest is derived on
+/// restore. The resumed level is `levels.len()`, it starts at singleton
+/// communities over the In-Table, and the last `level_orig_comms` entry
+/// maps each original vertex into it. The In-Table is
+/// persisted as-is: the solver already keeps it as `(key, weight)` pairs
+/// strictly ascending by key, which validation re-checks on restore.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Checkpoint {
     /// The rank this snapshot belongs to.
     pub rank: usize,
     /// World size the snapshot was taken under.
     pub ranks: usize,
-    /// The level index execution resumes at.
-    pub next_level: usize,
     /// `to_bits()` of the global weight sum `s = 2m`.
     pub s_bits: u64,
     /// This rank's share of the input edge count.
     pub input_edges: u64,
-    /// `to_bits()` of the previous level's modularity (outer-loop stop).
-    pub q_prev_level_bits: u64,
-    /// Remote-cache invalidations so far (trace/result counter).
-    pub cache_invalidations: u64,
     /// Global vertices at the resumed level.
     pub n: u64,
     /// Sorted In-Table keys.
     pub in_keys: Vec<u64>,
     /// `to_bits()` of the weight for each entry of `in_keys`.
     pub in_w_bits: Vec<u64>,
-    /// `to_bits()` of the weighted degree per local vertex.
-    pub k_bits: Vec<u64>,
-    /// Community (global id) per local vertex.
-    pub label: Vec<u32>,
-    /// `to_bits()` of `Σ_tot` per owned community.
-    pub tot_bits: Vec<u64>,
-    /// Member count per owned community.
-    pub size: Vec<u32>,
-    /// Current community of each originally-local vertex.
-    pub orig_comm: Vec<u32>,
-    /// The originally-local vertices themselves (level-0 ids) — the
-    /// domain `orig_comm` is indexed by. Under the modulo partition this
-    /// is derivable from `(rank, ranks, n)`; under a balanced partition
-    /// it is genuine state and must travel with the snapshot.
+    /// The originally-local vertices (level-0 ids) — the domain every
+    /// `level_orig_comms` entry is indexed by. Under the modulo partition
+    /// this is derivable from `(rank, ranks, n)`; under a balanced
+    /// partition it is genuine state and must travel with the snapshot.
     pub orig_vertices: Vec<u32>,
     /// Partition strategy tag of the resumed level (`"modulo"` or
     /// `"arc_balanced"`), restored without communication.
@@ -173,7 +165,8 @@ pub struct Checkpoint {
     /// Completed level summaries (the dendrogram prefix's metadata).
     pub levels: Vec<LevelSnapshot>,
     /// Per-completed-level labels of originally-local vertices (the
-    /// dendrogram prefix itself).
+    /// dendrogram prefix itself); the last entry maps each original
+    /// vertex to a vertex of the resumed level.
     pub level_orig_comms: Vec<Vec<u32>>,
     /// Frontier counters accumulated so far.
     pub frontier: FrontierStats,
@@ -194,20 +187,32 @@ fn ck_u64(obj: &Json, key: &'static str) -> Result<u64, CheckpointError> {
         .ok_or(CheckpointError::Missing(key))
 }
 
-fn ck_u64s(obj: &Json, key: &'static str) -> Result<Vec<u64>, CheckpointError> {
+fn ck_arr<'a>(obj: &'a Json, key: &'static str) -> Result<&'a [Json], CheckpointError> {
     ck_field(obj, key)?
         .as_arr()
-        .ok_or(CheckpointError::Missing(key))?
+        .ok_or(CheckpointError::Missing(key))
+}
+
+fn ck_u64s(obj: &Json, key: &'static str) -> Result<Vec<u64>, CheckpointError> {
+    ck_arr(obj, key)?
         .iter()
         .map(|v| v.as_u64().ok_or(CheckpointError::Missing(key)))
         .collect()
 }
 
-fn ck_u32s(obj: &Json, key: &'static str) -> Result<Vec<u32>, CheckpointError> {
-    ck_u64s(obj, key)?
-        .into_iter()
-        .map(|u| u32::try_from(u).map_err(|_| CheckpointError::Corrupt(key)))
+/// `arr` as `u32`s: a mistyped element is missing, an oversized one corrupt.
+fn u32s(arr: &Json, key: &'static str) -> Result<Vec<u32>, CheckpointError> {
+    let arr = arr.as_arr().ok_or(CheckpointError::Missing(key))?;
+    arr.iter()
+        .map(|v| {
+            let u = v.as_u64().ok_or(CheckpointError::Missing(key))?;
+            u32::try_from(u).map_err(|_| CheckpointError::Corrupt(key))
+        })
         .collect()
+}
+
+fn ck_u32s(obj: &Json, key: &'static str) -> Result<Vec<u32>, CheckpointError> {
+    u32s(ck_field(obj, key)?, key)
 }
 
 fn ck_str(obj: &Json, key: &'static str) -> Result<String, CheckpointError> {
@@ -218,9 +223,7 @@ fn ck_str(obj: &Json, key: &'static str) -> Result<String, CheckpointError> {
 }
 
 fn ck_strs(obj: &Json, key: &'static str) -> Result<Vec<String>, CheckpointError> {
-    ck_field(obj, key)?
-        .as_arr()
-        .ok_or(CheckpointError::Missing(key))?
+    ck_arr(obj, key)?
         .iter()
         .map(|v| {
             v.as_str()
@@ -243,29 +246,16 @@ impl Checkpoint {
     /// bit-for-bit (floats are carried as bit patterns).
     #[must_use]
     pub fn to_json(&self) -> Json {
+        let fr = &self.frontier;
         Json::Obj(vec![
             ("schema".into(), Json::UInt(CHECKPOINT_SCHEMA)),
             ("rank".into(), Json::UInt(self.rank as u64)),
             ("ranks".into(), Json::UInt(self.ranks as u64)),
-            ("next_level".into(), Json::UInt(self.next_level as u64)),
             ("s_bits".into(), Json::UInt(self.s_bits)),
             ("input_edges".into(), Json::UInt(self.input_edges)),
-            (
-                "q_prev_level_bits".into(),
-                Json::UInt(self.q_prev_level_bits),
-            ),
-            (
-                "cache_invalidations".into(),
-                Json::UInt(self.cache_invalidations),
-            ),
             ("n".into(), Json::UInt(self.n)),
             ("in_keys".into(), uints(&self.in_keys)),
             ("in_w_bits".into(), uints(&self.in_w_bits)),
-            ("k_bits".into(), uints(&self.k_bits)),
-            ("label".into(), uints32(&self.label)),
-            ("tot_bits".into(), uints(&self.tot_bits)),
-            ("size".into(), uints32(&self.size)),
-            ("orig_comm".into(), uints32(&self.orig_comm)),
             ("orig_vertices".into(), uints32(&self.orig_vertices)),
             ("part_kind".into(), Json::Str(self.part_kind.clone())),
             ("part_owners".into(), uints32(&self.part_owners)),
@@ -294,18 +284,9 @@ impl Checkpoint {
             (
                 "frontier".into(),
                 Json::Obj(vec![
-                    (
-                        "active_vertices".into(),
-                        Json::UInt(self.frontier.active_vertices),
-                    ),
-                    (
-                        "reactivations".into(),
-                        Json::UInt(self.frontier.reactivations),
-                    ),
-                    (
-                        "skipped_scans".into(),
-                        Json::UInt(self.frontier.skipped_scans),
-                    ),
+                    ("active_vertices".into(), Json::UInt(fr.active_vertices)),
+                    ("reactivations".into(), Json::UInt(fr.reactivations)),
+                    ("skipped_scans".into(), Json::UInt(fr.skipped_scans)),
                 ]),
             ),
             ("frontier_occupancy".into(), uints(&self.frontier_occupancy)),
@@ -336,53 +317,32 @@ impl Checkpoint {
         if schema != CHECKPOINT_SCHEMA {
             return Err(CheckpointError::Schema { found: schema });
         }
-        let levels_json = ck_field(doc, "levels")?
-            .as_arr()
-            .ok_or(CheckpointError::Missing("levels"))?;
-        let mut levels = Vec::with_capacity(levels_json.len());
-        for l in levels_json {
-            levels.push(LevelSnapshot {
-                num_vertices: ck_u64(l, "num_vertices")?,
-                num_communities: ck_u64(l, "num_communities")?,
-                modularity_bits: ck_u64(l, "modularity_bits")?,
-                inner_iterations: ck_u64(l, "inner_iterations")?,
-                move_fraction_bits: ck_u64s(l, "move_fraction_bits")?,
-                q_trace_bits: ck_u64s(l, "q_trace_bits")?,
-            });
-        }
-        let level_orig_comms = ck_field(doc, "level_orig_comms")?
-            .as_arr()
-            .ok_or(CheckpointError::Missing("level_orig_comms"))?
+        let levels = ck_arr(doc, "levels")?
             .iter()
-            .map(|c| {
-                c.as_arr()
-                    .ok_or(CheckpointError::Missing("level_orig_comms"))?
-                    .iter()
-                    .map(|v| {
-                        v.as_u64()
-                            .and_then(|u| u32::try_from(u).ok())
-                            .ok_or(CheckpointError::Corrupt("level_orig_comms"))
-                    })
-                    .collect()
+            .map(|l| {
+                Ok(LevelSnapshot {
+                    num_vertices: ck_u64(l, "num_vertices")?,
+                    num_communities: ck_u64(l, "num_communities")?,
+                    modularity_bits: ck_u64(l, "modularity_bits")?,
+                    inner_iterations: ck_u64(l, "inner_iterations")?,
+                    move_fraction_bits: ck_u64s(l, "move_fraction_bits")?,
+                    q_trace_bits: ck_u64s(l, "q_trace_bits")?,
+                })
             })
-            .collect::<Result<Vec<Vec<u32>>, _>>()?;
+            .collect::<Result<_, CheckpointError>>()?;
+        let level_orig_comms = ck_arr(doc, "level_orig_comms")?
+            .iter()
+            .map(|c| u32s(c, "level_orig_comms"))
+            .collect::<Result<_, _>>()?;
         let fr = ck_field(doc, "frontier")?;
         let cp = Self {
             rank: ck_u64(doc, "rank")? as usize,
             ranks: ck_u64(doc, "ranks")? as usize,
-            next_level: ck_u64(doc, "next_level")? as usize,
             s_bits: ck_u64(doc, "s_bits")?,
             input_edges: ck_u64(doc, "input_edges")?,
-            q_prev_level_bits: ck_u64(doc, "q_prev_level_bits")?,
-            cache_invalidations: ck_u64(doc, "cache_invalidations")?,
             n: ck_u64(doc, "n")?,
             in_keys: ck_u64s(doc, "in_keys")?,
             in_w_bits: ck_u64s(doc, "in_w_bits")?,
-            k_bits: ck_u64s(doc, "k_bits")?,
-            label: ck_u32s(doc, "label")?,
-            tot_bits: ck_u64s(doc, "tot_bits")?,
-            size: ck_u32s(doc, "size")?,
-            orig_comm: ck_u32s(doc, "orig_comm")?,
             orig_vertices: ck_u32s(doc, "orig_vertices")?,
             part_kind: ck_str(doc, "part_kind")?,
             part_owners: ck_u32s(doc, "part_owners")?,
@@ -421,18 +381,6 @@ impl Checkpoint {
         if self.in_keys.windows(2).any(|w| w[0] >= w[1]) {
             return Err(CheckpointError::Corrupt("in_keys not strictly sorted"));
         }
-        let local_n = self.k_bits.len();
-        if [self.label.len(), self.tot_bits.len(), self.size.len()]
-            .iter()
-            .any(|&l| l != local_n)
-        {
-            return Err(CheckpointError::Corrupt("per-vertex array length skew"));
-        }
-        if self.orig_vertices.len() != self.orig_comm.len() {
-            return Err(CheckpointError::Corrupt(
-                "orig_vertices/orig_comm length skew",
-            ));
-        }
         match self.part_kind.as_str() {
             "modulo" => {
                 if !self.part_owners.is_empty() {
@@ -450,14 +398,42 @@ impl Checkpoint {
             }
             _ => return Err(CheckpointError::Corrupt("unknown partition kind")),
         }
+        // Restore sums each arc into its destination's degree by local
+        // index, so a key naming an out-of-range or foreign vertex would
+        // silently corrupt another vertex's state. Only a balanced
+        // checkpoint carries owners; modulo ownership is `v mod ranks`.
+        for &key in &self.in_keys {
+            let (src, dst) = unpack_key(key);
+            if u64::from(src.max(dst)) >= self.n {
+                return Err(CheckpointError::Corrupt(
+                    "in_keys name a vertex outside 0..n",
+                ));
+            }
+            let owner = self
+                .part_owners
+                .get(dst as usize)
+                .map_or(dst as usize % self.ranks, |&r| r as usize);
+            if owner != self.rank {
+                return Err(CheckpointError::Corrupt(
+                    "in_keys name a destination another rank owns",
+                ));
+            }
+        }
+        if self.levels.is_empty() {
+            return Err(CheckpointError::Corrupt("no completed level"));
+        }
         if self.levels.len() != self.level_orig_comms.len() {
             return Err(CheckpointError::Corrupt(
                 "levels/level_orig_comms length skew",
             ));
         }
-        if self.next_level != self.levels.len() {
+        if self
+            .level_orig_comms
+            .iter()
+            .any(|c| c.len() != self.orig_vertices.len())
+        {
             return Err(CheckpointError::Corrupt(
-                "next_level disagrees with completed levels",
+                "orig_vertices/level_orig_comms length skew",
             ));
         }
         Ok(())
@@ -629,9 +605,7 @@ impl ChaosCase {
                     .ok_or(CheckpointError::Missing("perturb_seed"))?,
             ),
         };
-        let crashes = ck_field(doc, "crashes")?
-            .as_arr()
-            .ok_or(CheckpointError::Missing("crashes"))?
+        let crashes = ck_arr(doc, "crashes")?
             .iter()
             .map(|c| {
                 Ok(louvain_runtime::CrashPoint {
@@ -668,28 +642,22 @@ impl ChaosCase {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use louvain_hash::pack_key;
 
     fn sample_checkpoint() -> Checkpoint {
         Checkpoint {
             rank: 1,
             ranks: 4,
-            next_level: 2,
             s_bits: 123.75f64.to_bits(),
             input_edges: 99,
-            q_prev_level_bits: 0.4375f64.to_bits(),
-            cache_invalidations: 1,
             n: 10,
-            in_keys: vec![3, 7, 11],
+            // Rank 1 of 4 owns destinations 1, 5 and 9.
+            in_keys: vec![pack_key(0, 5), pack_key(3, 1), pack_key(9, 9)],
             in_w_bits: vec![
                 1.0f64.to_bits(),
                 f64::NAN.to_bits(),
                 f64::NEG_INFINITY.to_bits(),
             ],
-            k_bits: vec![2.5f64.to_bits(), (-0.0f64).to_bits()],
-            label: vec![5, 9],
-            tot_bits: vec![1e8f64.to_bits(), 0.1f64.to_bits()],
-            size: vec![3, 1],
-            orig_comm: vec![1, 5, 9],
             orig_vertices: vec![1, 5, 9],
             part_kind: "modulo".into(),
             part_owners: vec![],
@@ -760,21 +728,67 @@ mod tests {
             })
         );
 
+        // A checkpoint of the previous layout is refused, not read.
         let mut doc = sample_checkpoint().to_json();
         if let Json::Obj(fields) = &mut doc {
-            fields.retain(|(k, _)| k != "label");
+            fields[0].1 = Json::UInt(2);
         }
         assert_eq!(
             Checkpoint::from_json(&doc),
-            Err(CheckpointError::Missing("label"))
+            Err(CheckpointError::Schema { found: 2 })
         );
 
-        // Truncate one per-vertex array: lengths skew.
-        let mut cp = sample_checkpoint();
-        cp.size.pop();
+        let mut doc = sample_checkpoint().to_json();
+        if let Json::Obj(fields) = &mut doc {
+            fields.retain(|(k, _)| k != "in_w_bits");
+        }
         assert_eq!(
-            Checkpoint::from_json(&cp.to_json()),
-            Err(CheckpointError::Corrupt("per-vertex array length skew"))
+            Checkpoint::from_json(&doc),
+            Err(CheckpointError::Missing("in_w_bits"))
+        );
+
+        // In-Table keys must name vertices of this level (either end)
+        // whose destination this rank owns.
+        let corrupt = |edit: &dyn Fn(&mut Checkpoint)| {
+            let mut cp = sample_checkpoint();
+            edit(&mut cp);
+            Checkpoint::from_json(&cp.to_json())
+        };
+        let outside = Err(CheckpointError::Corrupt(
+            "in_keys name a vertex outside 0..n",
+        ));
+        assert_eq!(corrupt(&|cp| cp.in_keys[2] = pack_key(9, 13)), outside);
+        assert_eq!(corrupt(&|cp| cp.in_keys[2] = pack_key(10, 9)), outside);
+        let foreign = Err(CheckpointError::Corrupt(
+            "in_keys name a destination another rank owns",
+        ));
+        assert_eq!(corrupt(&|cp| cp.in_keys[2] = pack_key(9, 8)), foreign);
+        assert_eq!(
+            corrupt(&|cp| {
+                cp.part_kind = "arc_balanced".into();
+                cp.part_owners = vec![0, 1, 2, 3, 0, 0, 2, 3, 0, 1];
+            }),
+            foreign
+        );
+
+        // Every dendrogram entry covers the level-0 vertex domain.
+        assert_eq!(
+            corrupt(&|cp| {
+                cp.level_orig_comms[1].pop();
+            }),
+            Err(CheckpointError::Corrupt(
+                "orig_vertices/level_orig_comms length skew"
+            ))
+        );
+
+        // Checkpoints are taken after a level completes, and the resumed
+        // level's vertex map is the last completed level's.
+        assert_eq!(
+            corrupt(&|cp| {
+                cp.levels.clear();
+                cp.level_orig_comms.clear();
+            }),
+            Err(CheckpointError::Corrupt("no completed level"))
         );
 
         // Unsorted In-Table keys.
@@ -824,7 +838,6 @@ mod tests {
         assert_eq!(store.total_bytes(), len);
         assert_eq!(store.total_taken(), 1);
         let mut cp2 = cp.clone();
-        cp2.next_level = 3;
         cp2.levels.push(cp2.levels[1].clone());
         cp2.level_orig_comms.push(vec![0, 0, 0]);
         store.save_slot(&cp2);

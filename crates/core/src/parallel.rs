@@ -292,10 +292,6 @@ pub struct ParallelResult {
     /// keyed on the simulated clock and are bit-identical across runs and
     /// across `perturb_seed`s.
     pub traces: Vec<RankTrace>,
-    /// Remote-state cache rebuilds forced by graph reconstruction, summed
-    /// across ranks (the level-0 build is a construction, not an
-    /// invalidation). See DESIGN.md §10.
-    pub cache_invalidations: u64,
     /// Per-rank observed collective sequences, in rank order. Empty
     /// unless [`ParallelConfig::record_protocol`] was set. All ranks
     /// record the identical sequence (the runtime's shadow checker
@@ -360,9 +356,10 @@ impl ParallelResult {
     }
 
     /// TEPS under the BSP cost model: input edges per simulated second,
-    /// with one work unit costing `ns_per_unit` nanoseconds (default
-    /// calibration: 20 ns ≈ the handling cost of one fine-grained
-    /// message).
+    /// with one work unit costing `ns_per_unit` nanoseconds. The
+    /// benchmarks' 20 ns is an uncalibrated assumption: a traced
+    /// `amazon-1r` run measured 37–88 ns per charged unit, by phase
+    /// (ROADMAP item 5).
     #[must_use]
     pub fn teps_simulated(&self, ns_per_unit: f64) -> f64 {
         self.edges_per(self.sim_first_level_units * ns_per_unit * 1e-9)
@@ -552,30 +549,28 @@ impl ParallelLouvain {
         // rather than the driver re-deriving it: under the arc-balanced
         // strategy the level-0 ownership is a function of the allreduced
         // load vector, which only the ranks ever see.
-        let assemble = |selector: &dyn Fn(&RankOutput) -> &[u32]| -> Partition {
+        let assemble = |l: usize| -> Partition {
             let mut raw = vec![0u32; n];
-            for out in rank_outputs.iter() {
-                for (i, &v) in out.st.orig_vertices.iter().enumerate() {
-                    raw[v as usize] = selector(out)[i];
+            for out in &rank_outputs {
+                for (&v, &c) in out.st.orig_vertices.iter().zip(&out.st.level_orig_comms[l]) {
+                    raw[v as usize] = c;
                 }
             }
             Partition::from_labels(&raw)
         };
-        let num_level_parts = rank_outputs[0].st.level_orig_comms.len();
-        let level_partitions: Vec<Partition> = (0..num_level_parts)
-            .map(|l| assemble(&|o| &o.st.level_orig_comms[l]))
+        let level_partitions: Vec<Partition> = (0..rank_outputs[0].st.level_orig_comms.len())
+            .map(assemble)
             .collect();
 
         let levels = rank_outputs[0].st.levels.clone();
         // Unlike the sequential algorithm, stale-state moves can make a
         // later level slightly worse; report the best level as the final
-        // answer (the paper prints C and Q per outer loop).
-        let best_level = levels
-            .iter()
-            .enumerate()
-            .max_by(|a, b| a.1.modularity.total_cmp(&b.1.modularity))
-            .map(|(i, _)| i);
-        let final_modularity = best_level.map_or(0.0, |i| levels[i].modularity);
+        // answer (the paper prints C and Q per outer loop). Every run
+        // completes a level (`max_levels >= 1`, and restore refuses a
+        // checkpoint without one), so `best_level` indexes one.
+        let by_q = |a: &usize, b: &usize| levels[*a].modularity.total_cmp(&levels[*b].modularity);
+        let best_level = (0..levels.len()).max_by(by_q).unwrap_or_default();
+        let final_modularity = levels[best_level].modularity;
         let timers = rank_outputs
             .iter()
             .fold(PhaseTimers::new(), |acc, r| acc.max(&r.meter.timers));
@@ -584,9 +579,7 @@ impl ParallelLouvain {
             .map(|r| r.first_level_time)
             .max()
             .unwrap_or_default();
-        let final_partition = best_level
-            .and_then(|i| level_partitions.get(i).cloned())
-            .unwrap_or_else(|| assemble(&|o| &o.st.orig_comm));
+        let final_partition = level_partitions[best_level].clone();
         let inner_timings = std::mem::take(&mut rank_outputs[0].meter.inner);
         let sim_total_units = rank_outputs[0].sim_total_units;
         let sim_first_level_units = rank_outputs[0].sim_first_level_units;
@@ -599,7 +592,6 @@ impl ParallelLouvain {
         let syncs = rank_outputs[0].syncs;
         let bytes_sent = rank_outputs.iter().map(|r| r.bytes_sent).sum();
         let dedup_hits = rank_outputs.iter().map(|r| r.meter.dedup_hits).sum();
-        let cache_invalidations = rank_outputs.iter().map(|r| r.st.cache_invalidations).sum();
         let frontier = rank_outputs
             .iter()
             .fold(FrontierStats::default(), |acc, r| {
@@ -646,7 +638,6 @@ impl ParallelLouvain {
             sim_breakdown,
             syncs,
             bytes_sent,
-            cache_invalidations,
             traces,
             protocol_logs,
             frontier,
@@ -672,20 +663,14 @@ struct LoopState {
     input_edges: usize,
     /// The global weight sum `s = 2m` (invariant across levels).
     s: f64,
-    /// Community of each originally-local vertex, as a vertex id of the
-    /// current level (the final dense community once the loop ends).
-    orig_comm: Vec<u32>,
-    /// Level-0 local vertices of this rank (the domain of `orig_comm`);
-    /// persisted in checkpoints because a restore may not communicate
-    /// and a balanced level-0 partition is not re-derivable offline.
+    /// Level-0 local vertices of this rank, the domain of every
+    /// `level_orig_comms` entry (persisted: a restore may not communicate,
+    /// and a balanced level-0 partition is not re-derivable offline).
     orig_vertices: Vec<u32>,
     levels: Vec<LevelInfo>,
-    /// Partitions of original local vertices after each level.
+    /// Per completed level, each original vertex's community as a vertex
+    /// of the next level; the last entry maps into the current level.
     level_orig_comms: Vec<Vec<u32>>,
-    q_prev_level: f64,
-    /// Remote-state caches discarded because reconstruction replaced the
-    /// In-Table they indexed.
-    cache_invalidations: u64,
     /// This rank's frontier counters, summed over levels and iterations.
     frontier_stats: FrontierStats,
     /// This rank's first-level frontier occupancy per inner iteration.
@@ -720,7 +705,6 @@ fn rank_main(
     let mut checkpoints_written = 0u64;
     let mut checkpoint_bytes_written = 0u64;
     let mut arc_load = 0u64;
-    let mut repartitions = 0u64;
 
     for level_idx in st.levels.len()..cfg.max_levels {
         // The rank's share of this level's arcs — the quantity the
@@ -730,11 +714,8 @@ fn rank_main(
         let level_start = Stopwatch::start();
         // The Out-Table is an index over the In-Table, which is
         // immutable within a level — its epoch IS the level. Graph
-        // reconstruction replaced the In-Table, so every level after the
-        // first begins by discarding the stale table (DESIGN.md §10).
-        if level_idx > 0 {
-            st.cache_invalidations += 1;
-        }
+        // reconstruction replaced the In-Table, so every level builds a
+        // fresh table (DESIGN.md §10).
         let mut table = OutTable::build(&st.lvl, ctx.rank());
         // --- REFINE (Algorithm 4) ---
         louvain_trace::emit_with(|| Event::Enter {
@@ -755,7 +736,8 @@ fn rank_main(
             phase: "reconstruction",
             clock: ctx.sim_clock_units(),
         });
-        let next = reconstruct(ctx, &st.lvl, &table, &mut st.orig_comm, cfg);
+        let orig_comm = st.level_orig_comms.last().unwrap_or(&st.orig_vertices);
+        let (next, orig_comm) = reconstruct(ctx, &st.lvl, &table, orig_comm, cfg);
         meter.lap(ctx, Phase::Reconstruction);
         louvain_trace::emit_with(|| Event::Exit {
             phase: "reconstruction",
@@ -767,6 +749,9 @@ fn rank_main(
         }
 
         let n_next = next.n;
+        let no_reduction = n_next == st.lvl.n;
+        let q_prev_level = st.levels.last().map_or(f64::NEG_INFINITY, |l| l.modularity);
+        let improved = q - q_prev_level > MIN_Q_IMPROVEMENT;
         st.levels.push(LevelInfo {
             num_vertices: st.lvl.n,
             num_communities: n_next,
@@ -775,15 +760,8 @@ fn rank_main(
             move_fractions: fractions,
             q_trace,
         });
-        st.level_orig_comms.push(st.orig_comm.clone());
-
-        let no_reduction = n_next == st.lvl.n;
-        let improved = q - st.q_prev_level > MIN_Q_IMPROVEMENT;
-        st.q_prev_level = q;
+        st.level_orig_comms.push(orig_comm);
         st.lvl = next;
-        if matches!(st.lvl.part, AnyPartition::Balanced(_)) {
-            repartitions += 1;
-        }
         // Every collective above completed, so this read is identical on
         // all ranks — the aiming grid for deterministic crash injection.
         level_boundary_clocks.push(ctx.sim_clock_units());
@@ -819,7 +797,6 @@ fn rank_main(
         "delta.state_propagation_messages",
         meter.comm.state_propagation,
     );
-    louvain_trace::count("delta.cache_invalidations", st.cache_invalidations);
     louvain_trace::count("delta.dedup_hits", meter.dedup_hits);
     // Frontier-scheduling counters (DESIGN.md §13). All three are
     // rank-local program-order tallies over schedule-invariant wake
@@ -836,10 +813,12 @@ fn rank_main(
     // trace contract holds under any partition. The repartition counter
     // is gated on the arc-balanced strategy, mirroring the chaos gating
     // below: the default modulo trace carries no counter for a
-    // mechanism that never ran.
+    // mechanism that never ran. That strategy repartitions at every
+    // reconstruction, one per level boundary this attempt crossed.
     louvain_trace::count("partition.arc_load", arc_load);
-    louvain_trace::count("partition.local_vertices", st.orig_comm.len() as u64);
+    louvain_trace::count("partition.local_vertices", st.orig_vertices.len() as u64);
     if matches!(cfg.partition, PartitionStrategy::ArcBalanced) {
+        let repartitions = level_boundary_clocks.len() as u64;
         louvain_trace::count("partition.repartitions", repartitions);
     }
     // Chaos observables (DESIGN.md §14), gated so a default-config run's
@@ -1047,7 +1026,6 @@ mod tests {
         // silent, and its announcements are where dedup lives.
         assert!(cb.state_propagation > 0);
         assert!(r.dedup_hits > 0);
-        assert!(r.cache_invalidations > 0);
         // Strictly below a per-arc rebuild's volume of one message per
         // arc per inner iteration (robust to phase tuning, unlike comparing
         // against another phase's incidental message count).

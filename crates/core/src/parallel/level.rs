@@ -87,22 +87,16 @@ pub(super) fn fresh_rank_state(
     };
     // 2m is invariant across levels (reconstruction preserves weight).
     let s = ctx.allreduce_sum(lvl.k.iter().sum());
-    // Current community of each originally-local vertex, expressed as a
-    // vertex id of the *current* level. At level 0 that is the identity:
-    // the vertex set itself, which also becomes the permanent domain
-    // (`orig_vertices`) the driver scatters final labels with.
-    let orig_comm: Vec<u32> = lvl.part.local_vertices(ctx.rank()).collect();
-    let orig_vertices = orig_comm.clone();
+    // The level-0 local vertices: the permanent domain the dendrogram
+    // and the driver's final labels are indexed by.
+    let orig_vertices = lvl.part.local_vertices(ctx.rank()).collect();
     LoopState {
         lvl,
         input_edges,
         s,
-        orig_comm,
         orig_vertices,
         levels: Vec::new(),
         level_orig_comms: Vec::new(),
-        q_prev_level: f64::NEG_INFINITY,
-        cache_invalidations: 0,
         frontier_stats: FrontierStats::default(),
         frontier_occupancy: Vec::new(),
     }

@@ -9,15 +9,17 @@ use louvain_hash::{pack_key, unpack_key};
 use louvain_runtime::RankCtx;
 
 /// GRAPH RECONSTRUCTION (Algorithm 5): compact surviving community ids,
-/// update `orig_comm`, and rebuild the next level's In-Table through an
-/// all-to-all over the Out-Table `rows`. Returns the next level.
+/// and rebuild the next level's In-Table through an all-to-all over the
+/// Out-Table `rows`. `orig_comm` maps each originally-local vertex to a
+/// vertex of this level. Returns the next level and that map projected
+/// onto it: each original vertex's community, as a next-level vertex.
 pub(super) fn reconstruct(
     ctx: &mut RankCtx<'_, Msg>,
     lvl: &RankLevel,
     rows: &OutTable,
-    orig_comm: &mut [u32],
+    orig_comm: &[u32],
     cfg: &ParallelConfig,
-) -> RankLevel {
+) -> (RankLevel, Vec<u32>) {
     let part = &lvl.part;
 
     // 1. Replicate the labels: every rank derives the same dense ids.
@@ -30,10 +32,10 @@ pub(super) fn reconstruct(
     for r in 0..part.num_ranks() {
         offsets[r + 1] = offsets[r] + part.local_count(r);
     }
-    for oc in orig_comm.iter_mut() {
-        let old_label = gathered[offsets[part.owner(*oc)] + part.local_index(*oc)] as u32;
-        *oc = map[old_label as usize];
-    }
+    let orig_comm = orig_comm
+        .iter()
+        .map(|&v| map[gathered[offsets[part.owner(v)] + part.local_index(v)] as usize])
+        .collect();
     drop((labels_f64, gathered));
     let new_id = |c: u32| {
         let id = map[c as usize];
@@ -78,7 +80,10 @@ pub(super) fn reconstruct(
     };
 
     // 4. The next level starts at singleton communities.
-    RankLevel::singletons(part_next, in_table, ctx.rank())
+    (
+        RankLevel::singletons(part_next, in_table, ctx.rank()),
+        orig_comm,
+    )
 }
 
 /// This rank's super-arcs: each live Out-Table row `(li, c_old, w)`

@@ -14,11 +14,10 @@ use louvain_runtime::{CollectiveKind, RankCtx};
 /// uninterrupted run's. Contains no collectives: a restored world goes
 /// straight to the resumed level's first collective, in lockstep.
 ///
-/// The In-Table is rebuilt by accumulating the persisted `(key, weight)`
-/// multiset in sorted key order. Its slot layout and capacity may differ
-/// from the original table's, but every consumer folds table contents in
-/// sorted order (the determinism contract of this module), so the
-/// difference is unobservable in results.
+/// Reconstruction hands every level over at singleton communities, so
+/// the resumed level is `RankLevel::singletons` over the persisted
+/// In-Table — the same call on the same arcs, hence the same degree,
+/// label, `Σ_tot` and size bits the uninterrupted run held.
 pub(super) fn take_resume_state(
     store: &CheckpointStore,
     cfg: &ParallelConfig,
@@ -42,47 +41,31 @@ pub(super) fn take_resume_state(
     let n = cp.n as usize;
     // Restore may not communicate, so the partition is rebuilt from the
     // checkpoint alone: modulo from `(n, ranks)`, balanced from its
-    // persisted owner vector (DESIGN.md §15).
+    // persisted owner vector, whose length validation has checked
+    // (DESIGN.md §15).
     let part = match PartitionStrategy::from_tag(&cp.part_kind) {
         Some(PartitionStrategy::Modulo) => AnyPartition::Modulo(ModuloPartition::new(n, cfg.ranks)),
         Some(PartitionStrategy::ArcBalanced) => {
-            assert_eq!(
-                cp.part_owners.len(),
-                n,
-                "checkpoint owner vector length skew"
-            );
             AnyPartition::Balanced(BalancedPartition::from_owners(&cp.part_owners, cfg.ranks))
         }
         None => panic!("checkpoint names unknown partition kind {:?}", cp.part_kind),
     };
     // The persisted In-Table is already the live form: validation has
-    // checked that its keys are strictly ascending.
+    // checked that its keys are strictly ascending and that each names
+    // a destination this rank owns.
     let in_table = cp
         .in_keys
         .iter()
         .zip(&cp.in_w_bits)
         .map(|(&key, &w_bits)| (key, f64::from_bits(w_bits)))
         .collect();
-    let floats = |bits: &[u64]| bits.iter().map(|&b| f64::from_bits(b)).collect();
-    let lvl = RankLevel {
-        n,
-        part,
-        in_table,
-        k: floats(&cp.k_bits),
-        label: cp.label,
-        tot: floats(&cp.tot_bits),
-        size: cp.size,
-    };
     Some(LoopState {
-        lvl,
+        lvl: RankLevel::singletons(part, in_table, ctx.rank()),
         input_edges: cp.input_edges as usize,
         s: f64::from_bits(cp.s_bits),
-        orig_comm: cp.orig_comm,
         orig_vertices: cp.orig_vertices,
         levels: cp.levels.iter().map(LevelSnapshot::restore).collect(),
         level_orig_comms: cp.level_orig_comms,
-        q_prev_level: f64::from_bits(cp.q_prev_level_bits),
-        cache_invalidations: cp.cache_invalidations,
         frontier_stats: cp.frontier,
         frontier_occupancy: cp.frontier_occupancy,
     })
@@ -103,21 +86,13 @@ pub(super) fn write_level_checkpoint(
     let cp = Checkpoint {
         rank: ctx.rank(),
         ranks: cfg.ranks,
-        next_level: st.levels.len(),
         s_bits: st.s.to_bits(),
         input_edges: st.input_edges as u64,
-        q_prev_level_bits: st.q_prev_level.to_bits(),
-        cache_invalidations: st.cache_invalidations,
         n: lvl.n as u64,
         // The In-Table is persisted as-is: it already is the sorted
         // (key, weight-bits) form the checkpoint stores.
         in_keys: lvl.in_table.iter().map(|&(key, _)| key).collect(),
         in_w_bits: lvl.in_table.iter().map(|&(_, w)| w.to_bits()).collect(),
-        k_bits: lvl.k.iter().map(|x| x.to_bits()).collect(),
-        label: lvl.label.clone(),
-        tot_bits: lvl.tot.iter().map(|x| x.to_bits()).collect(),
-        size: lvl.size.clone(),
-        orig_comm: st.orig_comm.clone(),
         orig_vertices: st.orig_vertices.clone(),
         // The partition must survive the restore without communication:
         // modulo is rebuilt from `(n, ranks)`, balanced from the dense

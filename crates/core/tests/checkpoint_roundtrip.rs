@@ -19,6 +19,7 @@ use louvain_core::checkpoint::{Checkpoint, CheckpointError, LevelSnapshot};
 use louvain_core::parallel::{ParallelConfig, ParallelLouvain};
 use louvain_core::FrontierStats;
 use louvain_graph::edgelist::{EdgeList, EdgeListBuilder};
+use louvain_hash::pack_key;
 use louvain_runtime::FaultPlan;
 use proptest::prelude::*;
 
@@ -43,8 +44,11 @@ fn arb_mixed_graph(n_max: u32, m_max: usize) -> impl Strategy<Value = EdgeList> 
 
 /// A structurally valid checkpoint whose every float field is a fold of
 /// mixed-magnitude weights (bit patterns a real solver run produces).
+/// Rank 0 of 2 holds one arc into vertex `2 * (l mod ⌈n/2⌉)` from each
+/// source `i`, for the `i`-th label `l`.
 fn checkpoint_of(picks: &[usize], labels: &[u8]) -> Checkpoint {
     let n = labels.len();
+    let owned = n.div_ceil(2) as u32;
     let fold = |skip: usize| -> u64 {
         picks
             .iter()
@@ -55,19 +59,15 @@ fn checkpoint_of(picks: &[usize], labels: &[u8]) -> Checkpoint {
     Checkpoint {
         rank: 0,
         ranks: 2,
-        next_level: 1,
         s_bits: fold(0),
         input_edges: picks.len() as u64,
-        q_prev_level_bits: fold(1),
-        cache_invalidations: 3,
         n: n as u64,
-        in_keys: (0..n as u64).collect(),
+        in_keys: labels
+            .iter()
+            .enumerate()
+            .map(|(i, &l)| pack_key(i as u32, 2 * (u32::from(l) % owned)))
+            .collect(),
         in_w_bits: (0..n).map(fold).collect(),
-        k_bits: (0..n).map(|i| fold(i + 1)).collect(),
-        label: labels.iter().map(|&l| u32::from(l)).collect(),
-        tot_bits: (0..n).map(|i| fold(i / 2)).collect(),
-        size: vec![1; n],
-        orig_comm: (0..n as u32).collect(),
         orig_vertices: (0..n as u32).collect(),
         part_kind: "modulo".into(),
         part_owners: vec![],

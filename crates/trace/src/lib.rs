@@ -170,10 +170,9 @@ pub enum Event {
     /// because the destination rank had already been told),
     /// `delta.phase_dedup_hits` (the per-exchange slice of the same),
     /// `delta.state_propagation_messages` (wire volume of the
-    /// delta protocol), `delta.cache_invalidations` (remote-state
-    /// caches retired by graph reconstruction), and the frontier
-    /// scheduler's `frontier.active_vertices` (vertices scanned by the
-    /// find-best sweep), `frontier.reactivations` (vertices woken back
+    /// delta protocol), the frontier scheduler's
+    /// `frontier.active_vertices` (vertices scanned by the find-best
+    /// sweep), `frontier.reactivations` (vertices woken back
     /// onto the frontier after going inactive), and
     /// `frontier.skipped_scans` (vertices the full scan would have
     /// visited but the frontier skipped), the checkpoint subsystem's

@@ -204,7 +204,7 @@ pub const JSON_SCHEMA_VERSION: u32 = 6;
 /// consumers learn about snapshot compatibility from one report. Must
 /// track `louvain_bench::snapshot::SCHEMA_VERSION` (xtask deliberately
 /// has no dependencies, so a source-reading test enforces the match).
-pub const BENCH_SNAPSHOT_SCHEMA_VERSION: u64 = 5;
+pub const BENCH_SNAPSHOT_SCHEMA_VERSION: u64 = 6;
 
 /// Render findings as a JSON report: schema version, rule counts, and
 /// the finding list.
