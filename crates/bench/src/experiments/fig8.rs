@@ -70,7 +70,6 @@ pub fn run(quick: bool) {
         ("loading", cb.loading),
         ("state_propagation", cb.state_propagation),
         ("update", cb.update),
-        ("modularity", cb.modularity),
         ("reconstruction", cb.reconstruction),
     ] {
         msgs.row(&[

@@ -33,8 +33,9 @@ use std::sync::Mutex;
 /// (`orig_vertices`) for the pluggable-partition work (DESIGN.md §15).
 /// v3 dropped every field a restore derives: the singleton state
 /// (`k_bits`, `label`, `tot_bits`, `size`), `next_level`,
-/// `q_prev_level_bits`, `cache_invalidations` and `orig_comm`.
-pub const CHECKPOINT_SCHEMA: u64 = 3;
+/// `q_prev_level_bits`, `cache_invalidations` and `orig_comm`. v4
+/// dropped `n`, the last level's community count.
+pub const CHECKPOINT_SCHEMA: u64 = 4;
 
 /// Why a checkpoint was refused.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -144,16 +145,15 @@ pub struct Checkpoint {
     pub s_bits: u64,
     /// This rank's share of the input edge count.
     pub input_edges: u64,
-    /// Global vertices at the resumed level.
-    pub n: u64,
     /// Sorted In-Table keys.
     pub in_keys: Vec<u64>,
     /// `to_bits()` of the weight for each entry of `in_keys`.
     pub in_w_bits: Vec<u64>,
     /// The originally-local vertices (level-0 ids) — the domain every
     /// `level_orig_comms` entry is indexed by. Under the modulo partition
-    /// this is derivable from `(rank, ranks, n)`; under a balanced
-    /// partition it is genuine state and must travel with the snapshot.
+    /// this is derivable from `(rank, ranks)` and the level-0 vertex
+    /// count; under a balanced partition it is genuine state and must
+    /// travel with the snapshot.
     pub orig_vertices: Vec<u32>,
     /// Partition strategy tag of the resumed level (`"modulo"` or
     /// `"arc_balanced"`), restored without communication.
@@ -253,7 +253,6 @@ impl Checkpoint {
             ("ranks".into(), Json::UInt(self.ranks as u64)),
             ("s_bits".into(), Json::UInt(self.s_bits)),
             ("input_edges".into(), Json::UInt(self.input_edges)),
-            ("n".into(), Json::UInt(self.n)),
             ("in_keys".into(), uints(&self.in_keys)),
             ("in_w_bits".into(), uints(&self.in_w_bits)),
             ("orig_vertices".into(), uints32(&self.orig_vertices)),
@@ -340,7 +339,6 @@ impl Checkpoint {
             ranks: ck_u64(doc, "ranks")? as usize,
             s_bits: ck_u64(doc, "s_bits")?,
             input_edges: ck_u64(doc, "input_edges")?,
-            n: ck_u64(doc, "n")?,
             in_keys: ck_u64s(doc, "in_keys")?,
             in_w_bits: ck_u64s(doc, "in_w_bits")?,
             orig_vertices: ck_u32s(doc, "orig_vertices")?,
@@ -371,7 +369,21 @@ impl Checkpoint {
         Self::from_json(&doc)
     }
 
+    /// Global vertices at the resumed level: the last completed level's
+    /// community count (0 when no level completed, which validation
+    /// refuses).
+    #[must_use]
+    pub fn n(&self) -> u64 {
+        self.levels.last().map_or(0, |l| l.num_communities)
+    }
+
     fn validate(&self) -> Result<(), CheckpointError> {
+        // Checkpoints are taken after a level completes, and that level
+        // fixes `n`, so every check below may read it.
+        if self.levels.is_empty() {
+            return Err(CheckpointError::Corrupt("no completed level"));
+        }
+        let n = self.n();
         if self.rank >= self.ranks {
             return Err(CheckpointError::Corrupt("rank out of range"));
         }
@@ -390,7 +402,7 @@ impl Checkpoint {
                 }
             }
             "arc_balanced" => {
-                if self.part_owners.len() as u64 != self.n {
+                if self.part_owners.len() as u64 != n {
                     return Err(CheckpointError::Corrupt(
                         "balanced partition owner vector length skew",
                     ));
@@ -404,7 +416,7 @@ impl Checkpoint {
         // checkpoint carries owners; modulo ownership is `v mod ranks`.
         for &key in &self.in_keys {
             let (src, dst) = unpack_key(key);
-            if u64::from(src.max(dst)) >= self.n {
+            if u64::from(src.max(dst)) >= n {
                 return Err(CheckpointError::Corrupt(
                     "in_keys name a vertex outside 0..n",
                 ));
@@ -419,9 +431,6 @@ impl Checkpoint {
                 ));
             }
         }
-        if self.levels.is_empty() {
-            return Err(CheckpointError::Corrupt("no completed level"));
-        }
         if self.levels.len() != self.level_orig_comms.len() {
             return Err(CheckpointError::Corrupt(
                 "levels/level_orig_comms length skew",
@@ -434,6 +443,15 @@ impl Checkpoint {
         {
             return Err(CheckpointError::Corrupt(
                 "orig_vertices/level_orig_comms length skew",
+            ));
+        }
+        // Reconstruction reads each original vertex's label at the index
+        // of its entry here, so an entry past the level would take
+        // another vertex's label instead of failing.
+        let last = self.level_orig_comms.last().map_or(&[][..], Vec::as_slice);
+        if last.iter().any(|&v| u64::from(v) >= n) {
+            return Err(CheckpointError::Corrupt(
+                "level_orig_comms names a vertex outside 0..n",
             ));
         }
         Ok(())
@@ -650,7 +668,6 @@ mod tests {
             ranks: 4,
             s_bits: 123.75f64.to_bits(),
             input_edges: 99,
-            n: 10,
             // Rank 1 of 4 owns destinations 1, 5 and 9.
             in_keys: vec![pack_key(0, 5), pack_key(3, 1), pack_key(9, 9)],
             in_w_bits: vec![
@@ -663,16 +680,17 @@ mod tests {
             part_owners: vec![],
             levels: vec![
                 LevelSnapshot {
-                    num_vertices: 10,
-                    num_communities: 4,
+                    num_vertices: 16,
+                    num_communities: 12,
                     modularity_bits: 0.5f64.to_bits(),
                     inner_iterations: 3,
                     move_fraction_bits: vec![0.9f64.to_bits(), 0.1f64.to_bits()],
                     q_trace_bits: vec![0.3f64.to_bits()],
                 },
+                // The resumed level has n = 10 vertices.
                 LevelSnapshot {
-                    num_vertices: 4,
-                    num_communities: 2,
+                    num_vertices: 12,
+                    num_communities: 10,
                     modularity_bits: 0.6f64.to_bits(),
                     inner_iterations: 1,
                     move_fraction_bits: vec![],
@@ -728,15 +746,17 @@ mod tests {
             })
         );
 
-        // A checkpoint of the previous layout is refused, not read.
-        let mut doc = sample_checkpoint().to_json();
-        if let Json::Obj(fields) = &mut doc {
-            fields[0].1 = Json::UInt(2);
+        // Checkpoints of earlier layouts are refused, not read.
+        for old in [2, 3] {
+            let mut doc = sample_checkpoint().to_json();
+            if let Json::Obj(fields) = &mut doc {
+                fields[0].1 = Json::UInt(old);
+            }
+            assert_eq!(
+                Checkpoint::from_json(&doc),
+                Err(CheckpointError::Schema { found: old })
+            );
         }
-        assert_eq!(
-            Checkpoint::from_json(&doc),
-            Err(CheckpointError::Schema { found: 2 })
-        );
 
         let mut doc = sample_checkpoint().to_json();
         if let Json::Obj(fields) = &mut doc {
@@ -780,6 +800,16 @@ mod tests {
                 "orig_vertices/level_orig_comms length skew"
             ))
         );
+
+        // The last dendrogram entry maps into the resumed level, whose
+        // 10 vertices are the last level's communities.
+        assert_eq!(
+            corrupt(&|cp| cp.level_orig_comms[1][2] = 10),
+            Err(CheckpointError::Corrupt(
+                "level_orig_comms names a vertex outside 0..n"
+            ))
+        );
+        assert_eq!(corrupt(&|cp| cp.levels[1].num_communities = 8), outside);
 
         // Checkpoints are taken after a level completes, and the resumed
         // level's vertex map is the last completed level's.

@@ -12,15 +12,16 @@
 //!   with one cached community label per arc, and every reader folds the
 //!   arcs labelled `c`;
 //! * community `c` (a global id) is owned by rank `c mod p`, which keeps
-//!   its `Σ_tot` and `Σ_in`.
+//!   its `Σ_tot` and member count.
 //!
 //! Per inner iteration (REFINE, Algorithm 4): gather a `Σ_tot` snapshot,
 //! scan the Out-Table for each vertex's best gain `m_u` (FIND BEST
 //! COMMUNITY), derive the move threshold `ΔQ̂` from the ε schedule via a
 //! global log-histogram of the gains (Section IV-B), apply the thresholded
 //! moves with `Σ_tot` delta messages (UPDATE COMMUNITY INFORMATION),
-//! re-propagate state, and accumulate `Σ_in` to compute the new
-//! modularity.
+//! re-propagate state, and compute the new modularity. Q reads only
+//! `Σ_c Σ_in(c)`, which is `Σ_u w(u, c_u)`, so each rank sums its own
+//! vertices' own-row weights and no `Σ_in` message is sent.
 //!
 //! STATE PROPAGATION is **delta-compressed** (DESIGN.md §10): the arc
 //! label cache is built once per level from purely local data (every
@@ -32,11 +33,12 @@
 //! weight is a fresh sum under the current labels whenever it is read.
 //! The cache is invalidated (rebuilt) at every GRAPH RECONSTRUCTION. The
 //! announcements ride the UPDATE exchange alongside the `Σ_tot` deltas,
-//! so STATE PROPAGATION adds no superstep of its own, and the global move
-//! count rides the modularity reduction: an inner iteration is six
-//! supersteps. An iteration in which no vertex migrates anywhere sends
-//! zero state-propagation messages, and every rank leaves the inner loop
-//! on the move count of that reduction.
+//! so STATE PROPAGATION adds no superstep of its own, and each rank's
+//! modularity share and move count ride the next `Σ_tot` snapshot
+//! allgather: an inner iteration is four supersteps at most. An
+//! iteration in which no vertex migrates anywhere sends zero
+//! state-propagation messages, and every rank leaves the inner loop on
+//! the move count that allgather sums.
 //!
 //! The FIND BEST / UPDATE sweeps are **frontier-scheduled** (DESIGN.md
 //! §13): each rank keeps a scan frontier over its local vertices
@@ -67,9 +69,9 @@
 //! of the message *multiset* — a delta batch only rewrites labels, each
 //! vertex at most once, so its result is order-free; the Out-Table rows
 //! fold their arcs in ascending source order under those labels; and the
-//! In-Table loading, `Σ_tot` update, `Σ_in`, and reconstruction
-//! accumulations buffer and sort their contributions before folding,
-//! while reductions fold in rank order. Runs are therefore
+//! In-Table loading, `Σ_tot` update and reconstruction accumulations
+//! buffer and sort their contributions before folding, while reductions
+//! fold in rank order. Runs are therefore
 //! bit-reproducible for *arbitrary* weights, not just the
 //! integer-valued ones the generators emit — which is what lets the
 //! frontier/full-scan equivalence (DESIGN.md §13) be asserted bitwise
@@ -748,12 +750,12 @@ fn rank_main(
             sim_first_level_units = ctx.sim_time_units();
         }
 
-        let n_next = next.n;
-        let no_reduction = n_next == st.lvl.n;
+        let n_next = next.n();
+        let no_reduction = n_next == st.lvl.n();
         let q_prev_level = st.levels.last().map_or(f64::NEG_INFINITY, |l| l.modularity);
         let improved = q - q_prev_level > MIN_Q_IMPROVEMENT;
         st.levels.push(LevelInfo {
-            num_vertices: st.lvl.n,
+            num_vertices: st.lvl.n(),
             num_communities: n_next,
             modularity: q,
             inner_iterations: iterations,
@@ -962,7 +964,7 @@ mod tests {
     #[test]
     fn more_ranks_than_vertices() {
         // Five of the eight ranks own no vertex and no community, so
-        // their Σ_in state is empty; they still take part in every
+        // their modularity share is 0.0; they still take part in every
         // exchange and reduction, under either partition.
         let mut b = EdgeListBuilder::new(3);
         b.add_edge(0, 1, 1.0);
@@ -1064,7 +1066,7 @@ mod tests {
         // Out-Table is built from local data and (b) the UPDATE exchange
         // carries no announcement — zero state-propagation messages —
         // and every rank leaves the loop on the move count that rides
-        // the closing modularity reduction.
+        // the closing snapshot allgather.
         let mut b = EdgeListBuilder::new(2);
         b.add_edge(0, 0, 1.0);
         b.add_edge(1, 1, 1.0);

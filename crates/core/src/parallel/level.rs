@@ -11,8 +11,6 @@ use louvain_runtime::RankCtx;
 
 /// Per-rank state of one hierarchy level.
 pub(crate) struct RankLevel {
-    /// Global vertices at this level.
-    pub(super) n: usize,
     pub(crate) part: AnyPartition,
     /// In-edges of local vertices as `(pack_key(src, dst), weight)`,
     /// strictly ascending by key: nothing probes the table by key, so a
@@ -41,7 +39,6 @@ impl RankLevel {
             k[part.local_index(dst)] += w;
         }
         Self {
-            n: part.num_vertices(),
             label: part.local_vertices(rank).collect(),
             tot: k.clone(),
             size: vec![1; local_n],
@@ -49,6 +46,11 @@ impl RankLevel {
             part,
             in_table,
         }
+    }
+
+    /// Global vertices at this level.
+    pub(super) fn n(&self) -> usize {
+        self.part.num_vertices()
     }
 }
 

@@ -403,7 +403,7 @@ mod tests {
     /// vertex`.
     fn live_rows(lvl: &RankLevel, table: &OutTable) -> Vec<(u64, u64)> {
         table
-            .all_rows(lvl.n)
+            .all_rows(lvl.n())
             .into_iter()
             .map(|(li, c, w)| (pack_key(li, c), w.to_bits()))
             .collect()
@@ -491,7 +491,7 @@ mod tests {
                     .filter(|&(d, _)| d as usize == li)
                     .map(|(_, c)| c)
                     .collect();
-                for c in 0..lvl.n as u32 {
+                for c in 0..lvl.n() as u32 {
                     assert_eq!(
                         table.has_external(li, c),
                         cs.iter().any(|&e| e != c),

@@ -50,7 +50,7 @@ pub(super) fn reconstruct(
     //    is *repartitioned* here, before the arcs are routed — the
     //    repartition rides the reconstruction all-to-all instead of
     //    adding a migration round (DESIGN.md §15).
-    let out_table = rows.all_rows(lvl.n);
+    let out_table = rows.all_rows(lvl.n());
     let part_next = build_vertex_partition(ctx, cfg, n_next, || {
         // Arc load of super-vertex `b`: live Out-Table rows landing on
         // it, counted before any duplicate arcs combine — an upper-bound

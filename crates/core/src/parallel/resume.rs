@@ -38,7 +38,7 @@ pub(super) fn take_resume_state(
         })
         .collect();
     ctx.seed_protocol_log(&prefix);
-    let n = cp.n as usize;
+    let n = cp.n() as usize;
     // Restore may not communicate, so the partition is rebuilt from the
     // checkpoint alone: modulo from `(n, ranks)`, balanced from its
     // persisted owner vector, whose length validation has checked
@@ -88,7 +88,6 @@ pub(super) fn write_level_checkpoint(
         ranks: cfg.ranks,
         s_bits: st.s.to_bits(),
         input_edges: st.input_edges as u64,
-        n: lvl.n as u64,
         // The In-Table is persisted as-is: it already is the sorted
         // (key, weight-bits) form the checkpoint stores.
         in_keys: lvl.in_table.iter().map(|&(key, _)| key).collect(),

@@ -51,7 +51,7 @@ pub enum Phase {
     FindBestCommunity,
     /// Applying the thresholded moves and Σ_tot updates.
     UpdateCommunity,
-    /// Σ_in / modularity computation.
+    /// The modularity computation.
     ComputeModularity,
     /// Whole inner loop (REFINE, Algorithm 4).
     Refine,
@@ -141,8 +141,6 @@ pub struct CommBreakdown {
     pub state_propagation: u64,
     /// Messages sent by UPDATE COMMUNITY INFORMATION (Σ_tot deltas).
     pub update: u64,
-    /// Messages sent by the Σ_in/modularity accumulation.
-    pub modularity: u64,
     /// Messages sent by GRAPH RECONSTRUCTION (including id compaction).
     pub reconstruction: u64,
 }
@@ -151,7 +149,7 @@ impl CommBreakdown {
     /// Total messages across phases.
     #[must_use]
     pub fn total(&self) -> u64 {
-        self.loading + self.state_propagation + self.update + self.modularity + self.reconstruction
+        self.loading + self.state_propagation + self.update + self.reconstruction
     }
 
     /// Element-wise sum (aggregation across ranks).
@@ -161,21 +159,20 @@ impl CommBreakdown {
             loading: self.loading + other.loading,
             state_propagation: self.state_propagation + other.state_propagation,
             update: self.update + other.update,
-            modularity: self.modularity + other.modularity,
             reconstruction: self.reconstruction + other.reconstruction,
         }
     }
 
-    /// The cell a [`PhaseMeter::lap`] of `phase` adds to. FIND BEST sends
-    /// no point-to-point messages (its snapshot and threshold traffic are
-    /// collectives), so it has no cell.
+    /// The cell a [`PhaseMeter::lap`] of `phase` adds to. FIND BEST and
+    /// the modularity computation send no point-to-point messages (their
+    /// threshold and snapshot traffic are collectives), so they have no
+    /// cell.
     fn cell(&mut self, phase: Phase) -> Option<&mut u64> {
         match phase {
             Phase::StatePropagation => Some(&mut self.state_propagation),
             Phase::UpdateCommunity => Some(&mut self.update),
-            Phase::ComputeModularity => Some(&mut self.modularity),
             Phase::Reconstruction => Some(&mut self.reconstruction),
-            Phase::FindBestCommunity | Phase::Refine => None,
+            Phase::FindBestCommunity | Phase::ComputeModularity | Phase::Refine => None,
         }
     }
 }
@@ -203,7 +200,7 @@ pub struct SimBreakdown {
     pub find_best: f64,
     /// UPDATE COMMUNITY INFORMATION (move application, Σ_tot deltas).
     pub update: f64,
-    /// Σ_in accumulation / modularity reductions.
+    /// The modularity computation and the snapshot gather that sums it.
     pub modularity: f64,
     /// GRAPH RECONSTRUCTION all-to-all and id compaction.
     pub reconstruction: f64,
@@ -406,12 +403,11 @@ mod tests {
             loading: 1,
             state_propagation: 10,
             update: 2,
-            modularity: 3,
             reconstruction: 4,
         };
-        assert_eq!(a.total(), 20);
+        assert_eq!(a.total(), 17);
         let b = a.sum(&a);
-        assert_eq!(b.total(), 40);
+        assert_eq!(b.total(), 34);
         assert_eq!(b.state_propagation, 20);
     }
 

@@ -61,7 +61,6 @@ fn checkpoint_of(picks: &[usize], labels: &[u8]) -> Checkpoint {
         ranks: 2,
         s_bits: fold(0),
         input_edges: picks.len() as u64,
-        n: n as u64,
         in_keys: labels
             .iter()
             .enumerate()
@@ -73,7 +72,7 @@ fn checkpoint_of(picks: &[usize], labels: &[u8]) -> Checkpoint {
         part_owners: vec![],
         levels: vec![LevelSnapshot {
             num_vertices: n as u64,
-            num_communities: n as u64 / 2 + 1,
+            num_communities: n as u64,
             modularity_bits: fold(2),
             inner_iterations: 2,
             move_fraction_bits: vec![fold(0), fold(3)],

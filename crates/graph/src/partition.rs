@@ -29,7 +29,7 @@
 //!
 //! Community ids live in the same id space as vertex ids (a community
 //! adopts its seed vertex's id), so one map serves both: the owner of
-//! community `c` stores its `Σ_tot`/`Σ_in`/size entries at
+//! community `c` stores its `Σ_tot`/size entries at
 //! `local_index(c)`. Every level starts at the singleton labelling
 //! `c = v`, which under *any* partition means community `c` is owned by
 //! the same rank as vertex `v` — the level-start `tot = k` shortcut in

@@ -180,8 +180,8 @@ fn seed_class(w: &str) -> Option<PayloadClass> {
         // Migration deltas: the PR 4 steady-state currency.
         "migrated" | "deltas" | "moved" => PayloadClass::ODeltas,
         // The active-vertex worklist of the frontier scheduler (§13),
-        // and Σ_in's stale list (§10): every stale vertex is a mover or
-        // has an own row that wake rule W1 marks.
+        // and a stale list of vertices that moved or whose own row wake
+        // rule W1 marked (the own-row cache of §10).
         "frontier" | "worklist" | "stale" => PayloadClass::OFrontier,
         // Arc-shaped collections (In-/Out-Table rows, edge chunks).
         "in_table" | "out_table" | "chunk" | "edges" | "triples" | "pairs" | "out_srcs"
@@ -1420,9 +1420,9 @@ fn rank_main(ctx: &mut Ctx, cfg: &Cfg, table: &Table, local_n: usize) {
 
     #[test]
     fn send_over_the_stale_list_is_frontier_per_iteration() {
-        // Σ_in ships only its stale vertices' contributions, a removal
-        // and an insert each: O(frontier), not the O(n_local) of a walk
-        // over every local vertex.
+        // A send per stale vertex, a removal and an insert each:
+        // O(frontier), not the O(n_local) of a walk over every local
+        // vertex.
         let src = r"
 fn rank_main(ctx: &mut Ctx, cfg: &Cfg, label: &[u32], stale: &[u32]) {
     for iter in 1..=cfg.max_inner_iterations {

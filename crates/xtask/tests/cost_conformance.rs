@@ -84,7 +84,6 @@ fn violations(r: &ParallelResult, ranks: u64, raw_edges: u64, distributed: bool)
         ("comm_breakdown.loading", cb.loading),
         ("comm_breakdown.state_propagation", cb.state_propagation),
         ("comm_breakdown.update", cb.update),
-        ("comm_breakdown.modularity", cb.modularity),
         ("comm_breakdown.reconstruction", cb.reconstruction),
         ("comm.messages", r.comm.messages),
         ("dedup_hits", r.dedup_hits),
@@ -99,18 +98,11 @@ fn violations(r: &ParallelResult, ranks: u64, raw_edges: u64, distributed: bool)
     // here, so `arcs` upper-bounds every O(local_arcs) class.
     let arcs = 2 * raw_edges;
     // Recover the solver quantities the symbolic classes are expressed
-    // in from the per-level result: total migrations (`deltas`), and the
-    // per-iteration sums weighted by level size.
+    // in from the per-level result: total migrations (`deltas`).
     let moves_total = moves_total(r);
-    let mut vertex_iters = 0u64;
-    let mut recon_terms = 0u64;
-    for lvl in &r.result.levels {
-        let n = lvl.num_vertices as u64;
-        vertex_iters += n * lvl.inner_iterations as u64;
-        // reconstruct, per level: one O(local_arcs) edge re-key of the
-        // coarsened tables, its only send site.
-        recon_terms += arcs;
-    }
+    // reconstruct, per level: one O(local_arcs) edge re-key of the
+    // coarsened tables, its only send site.
+    let recon_terms = arcs * r.result.levels.len() as u64;
 
     let mut out = Vec::new();
     let mut check = |phase: &str, observed: u64, bound: u64, class: &str| {
@@ -155,18 +147,6 @@ fn violations(r: &ParallelResult, ranks: u64, raw_edges: u64, distributed: bool)
         cb.update,
         2 * moves_total,
         "O(frontier) per-iteration (2 messages per move)",
-    );
-    // modularity — Σ_in ships from the stale list, O(frontier) per
-    // inner iteration (the closing allreduce is message-free). The class
-    // allows a stale vertex two messages, a removal and an insert; the
-    // check holds the solver to one per vertex and iteration, summed
-    // over ranks and levels: the volume of re-shipping every live
-    // contribution, which shipping only the changed ones must not exceed.
-    check(
-        "modularity",
-        cb.modularity,
-        vertex_iters,
-        "O(n_local) per-iteration",
     );
     // reconstruction — per-level, see `recon_terms`.
     check(
@@ -226,14 +206,14 @@ fn spec_classifies_the_delta_path_and_bans_unbounded() {
         assert_eq!(upd.payload, "O(frontier)");
         assert_eq!(upd.multiplicity, "per_iteration");
     }
-    // Σ_in ships only stale vertices' contributions (DESIGN.md §10).
-    let sigma_in = s
-        .sites
-        .iter()
-        .find(|c| c.site.ends_with("::compute_modularity#0"))
-        .expect("Σ_in send site present");
-    assert_eq!(sigma_in.op, "send");
-    assert_eq!(sigma_in.payload, "O(frontier)");
+    // Modularity sums each rank's own rows (DESIGN.md §10): no Σ_in
+    // message is sent.
+    assert!(
+        s.sites
+            .iter()
+            .all(|c| !c.site.contains("::compute_modularity#")),
+        "compute_modularity sends"
+    );
     for c in &s.sites {
         assert_ne!(
             c.payload, "Unbounded",

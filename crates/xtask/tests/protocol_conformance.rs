@@ -101,16 +101,17 @@ fn level_call<'a>(spec: &'a ProtocolSpec, name: &str) -> &'a [SpecNode] {
         .unwrap_or_else(|| panic!("spec has a {name} call inside the level loop"))
 }
 
-/// One inner iteration of REFINE (Algorithm 4) is five BSP supersteps at
+/// One inner iteration of REFINE (Algorithm 4) is four BSP supersteps at
 /// most: the ε-threshold gather and the histogram reduction it skips
 /// when the budget cannot bind, the UPDATE exchange that also carries
-/// the state-propagation deltas, the Σ_in exchange, and the (Σ_tot, size)
-/// snapshot allgather that also sums the iteration's modularity and move
-/// count and feeds the next iteration's FIND BEST. Each sync costs a
-/// latency on every rank, so a change that adds one fails here by name
-/// before it shows as a lockfile diff.
+/// the state-propagation deltas, and the (Σ_tot, size) snapshot
+/// allgather that also sums the iteration's modularity and move count
+/// and feeds the next iteration's FIND BEST. Modularity needs no
+/// superstep of its own: each rank sums its own vertices' own rows. Each
+/// sync costs a latency on every rank, so a change that adds one fails
+/// here by name before it shows as a lockfile diff.
 #[test]
-fn refine_iteration_closes_five_supersteps() {
+fn refine_iteration_closes_four_supersteps() {
     let spec = spec();
     let iteration = level_call(&spec, "refine")
         .iter()
@@ -119,7 +120,7 @@ fn refine_iteration_closes_five_supersteps() {
             _ => None,
         })
         .expect("refine has an inner iteration loop");
-    assert_eq!(longest_sync_path(iteration), 5);
+    assert_eq!(longest_sync_path(iteration), 4);
 }
 
 /// GRAPH RECONSTRUCTION (Algorithm 5) is at most three supersteps: the

@@ -64,6 +64,11 @@ fn battery() -> Vec<(&'static str, EdgeList)> {
         ("duplicates", graph(10, &duplicates)),
         ("mixed-magnitude", graph(30, &mixed)),
         ("ranks-above-n", graph(3, &[(0, 1, 1.0), (1, 2, 1.0)])),
+        // Live arcs, a self-loop among them, that all weigh 0.0: 2m = 0.
+        (
+            "zero-weight",
+            graph(4, &[(0, 1, 0.0), (1, 2, 0.0), (2, 3, 0.0), (3, 3, 0.0)]),
+        ),
     ]
 }
 
