@@ -111,7 +111,7 @@ pub fn replay(path: &str) -> bool {
     let edges = harness_graph();
     let baseline = ParallelLouvain::new(config_of(&case)).run(&edges);
     let replayed = ParallelLouvain::new(ParallelConfig {
-        fault_plan: Some(case.fault_plan.clone()),
+        fault_plan: case.fault_plan.clone(),
         ..config_of(&case)
     })
     .run(&edges);

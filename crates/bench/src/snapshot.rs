@@ -11,8 +11,9 @@
 //! from the wall clock (lint rule T1) — so two consecutive invocations of
 //! `louvain-bench bench-snapshot` produce **bit-identical** files.  The
 //! solver's own hash tables are deliberately *not* the source of probe
-//! statistics: their insertion order depends on message arrival order, so
-//! their probe counts are schedule-dependent.  Probe statistics come from
+//! statistics: their insertion order follows message delivery order, which
+//! a perturb seed permutes, so their probe counts are schedule-dependent.
+//! Probe statistics come from
 //! [`hash_microbench`], a sequential fill with a fixed key sequence.
 
 use crate::experiments::{run_par, workload};
@@ -313,7 +314,7 @@ fn chaos_entry() -> Json {
     // checkpoint was written on every rank.
     let at_clock = probe.level_boundary_clocks.first().map_or(1.0, |c| c + 0.5);
     let recovered = ParallelLouvain::new(ParallelConfig {
-        fault_plan: Some(FaultPlan::crash(1 % RANKS, at_clock)),
+        fault_plan: FaultPlan::crash(1 % RANKS, at_clock),
         ..cfg
     })
     .run(&g.edges);

@@ -48,7 +48,6 @@ pub enum ScheduleForm {
 /// let s = EpsilonSchedule::default();
 /// assert!(s.epsilon(1) > s.epsilon(2));          // decays
 /// assert!(s.epsilon(10) < 0.01);                 // to (almost) nothing
-/// assert_eq!(EpsilonSchedule::unthrottled().epsilon(5), 1.0);
 /// ```
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct EpsilonSchedule {
@@ -97,17 +96,6 @@ impl EpsilonSchedule {
             ScheduleForm::PaperReciprocal => self.p1 * (1.0 / (self.p2 * it)).exp(),
         };
         raw.clamp(0.0, 1.0)
-    }
-
-    /// A schedule that never throttles (ε ≡ 1) — the "parallel without
-    /// heuristic" ablation.
-    #[must_use]
-    pub fn unthrottled() -> Self {
-        Self {
-            p1: f64::MAX,
-            p2: 1.0,
-            form: ScheduleForm::ExponentialDecay,
-        }
     }
 }
 
@@ -228,14 +216,6 @@ mod tests {
         let e100 = s.epsilon(100);
         assert!(e1 > e10 && e10 > e100);
         assert!(e100 > 0.3 && e100 < 0.31);
-    }
-
-    #[test]
-    fn unthrottled_is_always_one() {
-        let s = EpsilonSchedule::unthrottled();
-        for iter in 1..50 {
-            assert_eq!(s.epsilon(iter), 1.0);
-        }
     }
 
     #[test]

@@ -64,9 +64,10 @@
 //! to the owner of `c_new` — "transforming the graph relabeling problem
 //! into an all-to-all communication with hashing".
 //!
-//! Determinism note: packet arrival order varies between runs, so every
-//! floating-point accumulation over received messages is made a function
-//! of the message *multiset* — a delta batch only rewrites labels, each
+//! Determinism note: a perturb seed permutes message delivery at will
+//! (DESIGN.md §8), so every floating-point accumulation over received
+//! messages is made a function of the message *multiset* — a delta
+//! batch only rewrites labels, each
 //! vertex at most once, so its result is order-free; the Out-Table rows
 //! fold their arcs in ascending source order under those labels; and the
 //! In-Table loading, `Σ_tot` update and reconstruction accumulations
@@ -107,8 +108,8 @@ use louvain_graph::partition::{load_imbalance, AnyPartition, PartitionStrategy};
 use louvain_graph::partition1d::ModuloPartition;
 use louvain_metrics::Partition;
 use louvain_runtime::{
-    run_with_config_faulted, run_with_config_logged, CollectiveKind, CommStats, FaultPlan,
-    FaultStats, RankCtx, RunOutcome, RuntimeConfig,
+    run_with_config_faulted, CollectiveKind, CommStats, FaultPlan, FaultStats, RankCtx, RunOutcome,
+    RuntimeConfig,
 };
 use louvain_trace::{Event, RankTrace};
 use reconstruct::reconstruct;
@@ -193,9 +194,9 @@ pub struct ParallelConfig {
     /// scheduled rank crashes keyed on the simulated clock. On a crash
     /// the driver rewinds every rank to the last checkpoint, disarms the
     /// fired crash, and re-executes; [`ParallelResult::recovery_replays`]
-    /// counts the restarts. `None` (the default) takes exactly the
-    /// fault-free code path.
-    pub fault_plan: Option<FaultPlan>,
+    /// counts the restarts. The empty plan (the default) is the
+    /// fault-free path: the runtime builds no fault state for it.
+    pub fault_plan: FaultPlan,
     /// Vertex-ownership strategy (DESIGN.md §15). The default
     /// [`PartitionStrategy::Modulo`] is the paper's 1D modulo
     /// decomposition and adds **zero** collectives — results are
@@ -227,7 +228,7 @@ impl Default for ParallelConfig {
             #[cfg(test)]
             full_rescan: false,
             checkpoint_every_level: 0,
-            fault_plan: None,
+            fault_plan: FaultPlan::default(),
             partition: PartitionStrategy::default(),
         }
     }
@@ -314,7 +315,8 @@ pub struct ParallelResult {
     pub frontier_occupancy: Vec<u64>,
     /// How many times the driver restarted the world from the last
     /// checkpoint after a scheduled rank crash (DESIGN.md §14). Always 0
-    /// without a [`ParallelConfig::fault_plan`].
+    /// when [`ParallelConfig::fault_plan`] schedules no crash, as the
+    /// empty plan does.
     pub recovery_replays: u64,
     /// Per-rank checkpoints written across all attempts (0 when
     /// [`ParallelConfig::checkpoint_every_level`] is 0).
@@ -327,7 +329,7 @@ pub struct ParallelResult {
     /// fires in level `i + 1`. Identical on every rank; rank 0's reading.
     pub level_boundary_clocks: Vec<f64>,
     /// Fault-injection counters summed over every attempt (all zero
-    /// without a fault plan).
+    /// under the empty plan).
     pub faults: FaultStats,
     /// Per-rank per-phase **charged work** in simulated units, in rank
     /// order (DESIGN.md §15). Unlike [`ParallelResult::sim_breakdown`]
@@ -508,41 +510,36 @@ impl ParallelLouvain {
         let store = &store;
         let mut recovery_replays = 0u64;
         let mut faults = FaultStats::default();
-        let (mut rank_outputs, comm, protocol_logs) = match cfg.fault_plan.clone() {
-            // No fault plan: exactly the fault-free code path (the
-            // checkpoint hooks still run if the cadence knob is set).
-            None => run_with_config_logged::<Msg, RankOutput, _>(rt_cfg, |ctx| {
+        // Run until the plan is exhausted (the empty plan completes on
+        // the first attempt). Each crash is disarmed after it fires (the
+        // machine "comes back"), and the next attempt resumes every rank
+        // from its checkpoint slot — or from scratch if no checkpoint was
+        // taken yet.
+        let mut plan = cfg.fault_plan.clone();
+        let (mut rank_outputs, comm, protocol_logs) = loop {
+            let outcome = run_with_config_faulted::<Msg, RankOutput, _>(rt_cfg, &plan, |ctx| {
                 rank_main(ctx, input, &cfg, store)
-            }),
-            // Chaos path: run until the plan is exhausted. Each crash is
-            // disarmed after it fires (the machine "comes back"), and the
-            // next attempt resumes every rank from its checkpoint slot —
-            // or from scratch if no checkpoint was taken yet.
-            Some(mut plan) => loop {
-                let outcome = run_with_config_faulted::<Msg, RankOutput, _>(rt_cfg, &plan, |ctx| {
-                    rank_main(ctx, input, &cfg, store)
-                });
-                match outcome {
-                    RunOutcome::Completed {
-                        results,
-                        stats,
-                        logs,
-                        faults: attempt,
-                    } => {
-                        faults = faults.sum(&attempt);
-                        break (results, stats, logs);
-                    }
-                    RunOutcome::Crashed {
-                        rank,
-                        at_clock,
-                        faults: attempt,
-                    } => {
-                        faults = faults.sum(&attempt);
-                        recovery_replays += 1;
-                        plan.disarm_crash(rank, at_clock);
-                    }
+            });
+            match outcome {
+                RunOutcome::Completed {
+                    results,
+                    stats,
+                    logs,
+                    faults: attempt,
+                } => {
+                    faults = faults.sum(&attempt);
+                    break (results, stats, logs);
                 }
-            },
+                RunOutcome::Crashed {
+                    rank,
+                    at_clock,
+                    faults: attempt,
+                } => {
+                    faults = faults.sum(&attempt);
+                    recovery_replays += 1;
+                    plan.disarm_crash(rank, at_clock);
+                }
+            }
         };
         let total_time = t0.elapsed();
 
@@ -940,6 +937,50 @@ mod tests {
             a.result.final_partition.labels(),
             b.result.final_partition.labels()
         );
+    }
+
+    #[test]
+    fn an_empty_fault_plan_is_the_fault_free_path() {
+        // The default plan and a seeded plan with every rate at zero both
+        // inject nothing, so each run must equal the default run bit for
+        // bit — traces included, which carry no `fault.*` counter.
+        let (el, _) = planted_graph(23);
+        let base = ParallelLouvain::new(ParallelConfig::with_ranks(4)).run(&el);
+        let is_fault_count =
+            |e: &Event| matches!(e, Event::Count { name, .. } if name.starts_with("fault."));
+        assert!(!base.traces.is_empty(), "traces record by default");
+        assert!(!base
+            .traces
+            .iter()
+            .any(|t| t.events.iter().any(is_fault_count)));
+        let seeded = FaultPlan {
+            seed: 0xC0FFEE,
+            ..FaultPlan::default()
+        };
+        for plan in [FaultPlan::default(), seeded] {
+            let r = ParallelLouvain::new(ParallelConfig {
+                fault_plan: plan.clone(),
+                ..ParallelConfig::with_ranks(4)
+            })
+            .run(&el);
+            let q_bits = |r: &ParallelResult| {
+                r.result
+                    .levels
+                    .iter()
+                    .map(|l| l.modularity.to_bits())
+                    .collect::<Vec<_>>()
+            };
+            assert_eq!(q_bits(&r), q_bits(&base), "{plan:?}");
+            assert_eq!(r.result.level_partitions, base.result.level_partitions);
+            assert_eq!(r.traces, base.traces, "{plan:?}");
+            assert_eq!(r.sim_total_units.to_bits(), base.sim_total_units.to_bits());
+            assert_eq!(
+                (r.comm, r.syncs, r.bytes_sent),
+                (base.comm, base.syncs, base.bytes_sent)
+            );
+            assert_eq!(r.faults, FaultStats::default());
+            assert_eq!(r.recovery_replays, 0);
+        }
     }
 
     #[test]

@@ -173,7 +173,7 @@ fn recovery_is_bit_identical_at_every_crash_point() {
                     seed.map_or("none".to_string(), |s| s.to_string())
                 );
                 let recovered = ParallelLouvain::new(ParallelConfig {
-                    fault_plan: Some(plan),
+                    fault_plan: plan,
                     ..chaos_config(ranks, seed)
                 })
                 .run(&edges);
@@ -227,7 +227,7 @@ fn masked_transport_faults_leave_solver_output_bit_identical() {
             fault_plan: plan.clone(),
         };
         let faulted = ParallelLouvain::new(ParallelConfig {
-            fault_plan: Some(plan),
+            fault_plan: plan,
             ..ParallelConfig::with_ranks(ranks)
         })
         .run(&edges);

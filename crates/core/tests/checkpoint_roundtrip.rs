@@ -154,7 +154,7 @@ proptest! {
             .first()
             .map_or(1.0, |c| c + 0.5);
         let recovered = ParallelLouvain::new(ParallelConfig {
-            fault_plan: Some(FaultPlan::crash(1, at_clock)),
+            fault_plan: FaultPlan::crash(1, at_clock),
             ..cfg()
         })
         .run(&el);

@@ -50,36 +50,6 @@ pub fn degree_stats(g: &CsrGraph) -> DegreeStats {
     }
 }
 
-/// Log-binned (powers of two) degree histogram: bin `i` counts vertices
-/// with unweighted degree in `[2^i, 2^(i+1))`; degree-0 vertices are
-/// reported separately. Returns `(isolated, bin_lower_bounds, counts)`.
-#[must_use]
-pub fn degree_histogram(g: &CsrGraph) -> (usize, Vec<usize>, Vec<usize>) {
-    let mut isolated = 0usize;
-    let mut max_deg = 0usize;
-    let n = g.num_vertices();
-    for u in 0..n as u32 {
-        let d = g.arc_count(u);
-        if d == 0 {
-            isolated += 1;
-        }
-        max_deg = max_deg.max(d);
-    }
-    if max_deg == 0 {
-        return (isolated, Vec::new(), Vec::new());
-    }
-    let bins = (usize::BITS - max_deg.leading_zeros()) as usize;
-    let mut counts = vec![0usize; bins];
-    for u in 0..n as u32 {
-        let d = g.arc_count(u);
-        if d > 0 {
-            counts[(usize::BITS - 1 - d.leading_zeros()) as usize] += 1;
-        }
-    }
-    let bounds = (0..bins).map(|i| 1usize << i).collect();
-    (isolated, bounds, counts)
-}
-
 /// Estimates the global clustering coefficient by uniform wedge sampling:
 /// pick a center vertex with probability proportional to `C(deg, 2)`, pick
 /// two distinct neighbors, and test whether they are adjacent. The
@@ -155,33 +125,6 @@ mod tests {
         assert_eq!(s.max, 5);
         assert_eq!(s.isolated, 1);
         assert!((s.mean - 10.0 / 7.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn degree_histogram_bins() {
-        // Star: center degree 5 (bin [4,8)), leaves degree 1 (bin [1,2)),
-        // one isolated vertex.
-        let mut b = EdgeListBuilder::new(7);
-        for v in 1..=5 {
-            b.add_edge(0, v, 1.0);
-        }
-        let g = b.build_csr();
-        let (isolated, bounds, counts) = degree_histogram(&g);
-        assert_eq!(isolated, 1);
-        assert_eq!(bounds, vec![1, 2, 4]);
-        assert_eq!(counts, vec![5, 0, 1]);
-    }
-
-    #[test]
-    fn degree_histogram_detects_heavy_tails() {
-        use crate::gen::rmat::{generate_rmat, RmatConfig};
-        let g = generate_rmat(&RmatConfig::graph500(12), 3).to_csr();
-        let (_, bounds, counts) = degree_histogram(&g);
-        // Heavy tail: occupied bins span at least 6 octaves and the top
-        // octave is sparsely populated.
-        let occupied = counts.iter().filter(|&&c| c > 0).count();
-        assert!(occupied >= 6, "only {occupied} octaves: {counts:?}");
-        assert!(*counts.last().unwrap() < counts[2], "{bounds:?} {counts:?}");
     }
 
     #[test]

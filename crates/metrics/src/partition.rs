@@ -108,20 +108,6 @@ impl Partition {
         }
         seen.iter().all(|&b| b) || self.labels.is_empty()
     }
-
-    /// Composes with a coarser partition over the communities: vertex `v`
-    /// gets `coarser.community(self.community(v))`. This is how a
-    /// hierarchy level's labels are projected back to original vertices.
-    #[must_use]
-    pub fn project_through(&self, coarser: &Partition) -> Partition {
-        assert_eq!(
-            coarser.num_vertices(),
-            self.num_communities,
-            "coarser partition must cover this partition's communities"
-        );
-        let raw: Vec<u32> = self.labels.iter().map(|&l| coarser.community(l)).collect();
-        Partition::from_labels(&raw)
-    }
 }
 
 #[cfg(test)]
@@ -161,23 +147,5 @@ mod tests {
         assert_eq!(p.num_vertices(), 0);
         assert_eq!(p.num_communities(), 0);
         assert!(p.is_valid());
-    }
-
-    #[test]
-    fn project_through_composes() {
-        // 5 vertices -> 3 communities -> 2 super-communities.
-        let fine = Partition::from_labels(&[0, 0, 1, 2, 2]);
-        let coarse = Partition::from_labels(&[0, 0, 1]);
-        let projected = fine.project_through(&coarse);
-        assert_eq!(projected.labels(), &[0, 0, 0, 1, 1]);
-        assert_eq!(projected.num_communities(), 2);
-    }
-
-    #[test]
-    #[should_panic(expected = "coarser partition")]
-    fn project_through_size_mismatch_panics() {
-        let fine = Partition::from_labels(&[0, 1]);
-        let coarse = Partition::from_labels(&[0, 0, 1]);
-        let _ = fine.project_through(&coarse);
     }
 }

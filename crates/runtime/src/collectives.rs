@@ -16,21 +16,31 @@ impl<'w, M: Send> RankCtx<'w, M> {
     #[must_use]
     #[track_caller]
     pub fn allreduce_sum(&self, x: f64) -> f64 {
-        self.reduce_f64(x, |acc, v| acc + v, 0.0, Location::caller())
-    }
-
-    /// Maximum of every rank's `x`.
-    #[must_use]
-    #[track_caller]
-    pub fn allreduce_max(&self, x: f64) -> f64 {
-        self.reduce_f64(x, f64::max, f64::NEG_INFINITY, Location::caller())
+        {
+            let mut slots = self.world.f64_slots.lock();
+            slots[self.rank] = x;
+        }
+        self.enter_collective(CollectiveKind::ReduceF64, Location::caller());
+        let out = {
+            let slots = self.world.f64_slots.lock();
+            slots.iter().fold(0.0, |acc, v| acc + v)
+        };
+        self.sim_sync();
+        out
     }
 
     /// Sum of every rank's `x` (integer).
     #[must_use]
     #[track_caller]
     pub fn allreduce_sum_u64(&self, x: u64) -> u64 {
-        self.reduce_u64(x, |acc, v| acc + v, 0, Location::caller())
+        {
+            let mut slots = self.world.u64_slots.lock();
+            slots[self.rank] = x;
+        }
+        self.enter_collective(CollectiveKind::ReduceU64, Location::caller());
+        let out = self.world.u64_slots.lock().iter().sum();
+        self.sim_sync();
+        out
     }
 
     /// Element-wise sum of equal-length vectors across ranks. Every rank
@@ -91,46 +101,6 @@ impl<'w, M: Send> RankCtx<'w, M> {
         self.sim_sync();
         out
     }
-
-    fn reduce_f64(
-        &self,
-        x: f64,
-        fold: impl Fn(f64, f64) -> f64,
-        init: f64,
-        loc: &'static Location<'static>,
-    ) -> f64 {
-        {
-            let mut slots = self.world.f64_slots.lock();
-            slots[self.rank] = x;
-        }
-        self.enter_collective(CollectiveKind::ReduceF64, loc);
-        let out = {
-            let slots = self.world.f64_slots.lock();
-            slots.iter().copied().fold(init, fold)
-        };
-        self.sim_sync();
-        out
-    }
-
-    fn reduce_u64(
-        &self,
-        x: u64,
-        fold: impl Fn(u64, u64) -> u64,
-        init: u64,
-        loc: &'static Location<'static>,
-    ) -> u64 {
-        {
-            let mut slots = self.world.u64_slots.lock();
-            slots[self.rank] = x;
-        }
-        self.enter_collective(CollectiveKind::ReduceU64, loc);
-        let out = {
-            let slots = self.world.u64_slots.lock();
-            slots.iter().copied().fold(init, fold)
-        };
-        self.sim_sync();
-        out
-    }
 }
 
 #[cfg(test)]
@@ -145,13 +115,9 @@ mod tests {
     }
 
     #[test]
-    fn allreduce_max_and_u64_sum() {
-        let out = run::<(), _, _>(5, |ctx| {
-            let max = ctx.allreduce_max(ctx.rank() as f64);
-            let sum = ctx.allreduce_sum_u64(ctx.rank() as u64);
-            (max, sum)
-        });
-        assert!(out.iter().all(|&(hi, s)| hi == 4.0 && s == 10));
+    fn allreduce_u64_sum() {
+        let out = run::<(), _, _>(5, |ctx| ctx.allreduce_sum_u64(ctx.rank() as u64));
+        assert!(out.iter().all(|&s| s == 10), "{out:?}");
     }
 
     #[test]

@@ -11,8 +11,11 @@
 //! 2. [`Exchange::finish`] flushes the remaining partial packets, posts
 //!    this rank's per-destination send counts to the shared count matrix,
 //!    and — after a barrier — drains its own channel until it has received
-//!    exactly the number of messages addressed to it, invoking the handler
-//!    on each;
+//!    exactly the number of messages addressed to it, then invokes the
+//!    handler on each in one canonical order: self-sends first, then the
+//!    remote packets by ascending `(sender, transmit ordinal)`, each
+//!    packet's messages in send order. A perturb seed shuffles that order
+//!    (the race harness); nothing ever depends on channel arrival order;
 //! 3. a final barrier guarantees no rank starts the next phase while
 //!    others are still draining this one.
 //!
@@ -255,10 +258,7 @@ impl<'a, 'w, M: Send> Exchange<'a, 'w, M> {
                 .sum::<u64>()
         };
         let sent_total = self.sent_count();
-        let received = match self.ctx.world.perturb_seed {
-            Some(seed) => self.drain_perturbed(expected, seed, &mut handler),
-            None => self.drain_in_arrival_order(expected, &mut handler),
-        };
+        let received = self.drain(expected, &mut handler);
         debug_assert_eq!(received, expected, "over-delivery detected");
         // Delivery cost (self and remote alike), then close the BSP
         // superstep — sim_sync's barriers double as the phase exit
@@ -279,55 +279,36 @@ impl<'a, 'w, M: Send> Exchange<'a, 'w, M> {
         received
     }
 
-    /// The production delivery path: self-sends first, then remote
-    /// packets in channel arrival order.
-    fn drain_in_arrival_order<F: FnMut(M)>(&mut self, expected: u64, handler: &mut F) -> u64 {
-        let mut received = self.self_buf.len() as u64;
-        for m in std::mem::take(&mut self.self_buf) {
-            handler(m);
-        }
-        while received < expected {
-            let packet = self.recv_packet();
-            received += packet.msgs.len() as u64;
-            for m in packet.msgs {
-                handler(m);
-            }
-        }
-        received
-    }
-
-    /// The adversarial delivery path: collects every inbound packet
-    /// (treating the self-send buffer as one more packet), then invokes
-    /// the handler in a seeded pseudo-random packet order with a
-    /// pseudo-random message order inside each packet. The packets are
-    /// first put in their canonical `(src, seq)` order, so the shuffle —
-    /// and hence the handler order — is a function of the seed alone,
-    /// not of channel arrival order. The simulated clock is untouched —
-    /// only the interleaving observable to the handler changes.
-    fn drain_perturbed<F: FnMut(M)>(&mut self, expected: u64, seed: u64, handler: &mut F) -> u64 {
-        let mut received = self.self_buf.len() as u64;
-        let mut packets: Vec<Packet<M>> = Vec::new();
-        let self_packet = std::mem::take(&mut self.self_buf);
-        if !self_packet.is_empty() {
-            // Self-sends never touch the channel, so `src` alone keys
-            // this packet uniquely.
-            packets.push(Packet {
-                redundant: false,
-                src: self.self_rank,
-                seq: 0,
-                msgs: self_packet,
-            });
-        }
+    /// Delivers the phase's `expected` messages. Collects every inbound
+    /// packet behind the self-send buffer (treated as one more packet) and
+    /// puts the remote ones in their canonical `(src, seq)` order, so the
+    /// handler order is a function of the program alone, not of channel
+    /// arrival order. Under a perturb seed the packets, and the messages
+    /// inside each, are then shuffled by an RNG seeded from `(seed, rank,
+    /// phase)`. The simulated clock is untouched — only the interleaving
+    /// observable to the handler changes.
+    fn drain<F: FnMut(M)>(&mut self, expected: u64, handler: &mut F) -> u64 {
+        let mut packets = vec![Packet {
+            redundant: false,
+            src: self.self_rank,
+            seq: 0,
+            msgs: std::mem::take(&mut self.self_buf),
+        }];
+        let mut received = packets[0].msgs.len() as u64;
         while received < expected {
             let packet = self.recv_packet();
             received += packet.msgs.len() as u64;
             packets.push(packet);
         }
-        packets.sort_unstable_by_key(|p| (p.src, p.seq));
-        let mut rng = PerturbRng::new(seed, self.self_rank as u64, self.phase);
-        rng.shuffle(&mut packets);
-        for packet in &mut packets {
-            rng.shuffle(&mut packet.msgs);
+        // Self-sends never touch the channel: no remote packet shares
+        // the first packet's `src`.
+        packets[1..].sort_unstable_by_key(|p| (p.src, p.seq));
+        if let Some(seed) = self.ctx.world.perturb_seed {
+            let mut rng = PerturbRng::new(seed, self.self_rank as u64, self.phase);
+            rng.shuffle(&mut packets);
+            for packet in &mut packets {
+                rng.shuffle(&mut packet.msgs);
+            }
         }
         for packet in packets {
             for m in packet.msgs {
@@ -580,6 +561,43 @@ mod tests {
                 remote.iter().all(|&(r, v)| r == rank && v >= 100),
                 "{order:?}"
             );
+        }
+    }
+
+    #[test]
+    fn unperturbed_delivery_is_canonical() {
+        // Four ranks, packets of four: each rank receives several packets
+        // from each of three senders, so arrival order interleaves them.
+        // The handler must still see the self-sends first, then the
+        // remote packets by ascending (sender, transmit ordinal), each in
+        // send order — which here is every remote message sorted by
+        // (sender, index).
+        let cfg = RuntimeConfig {
+            coalesce_capacity: 4,
+            check_protocol: true,
+            ..RuntimeConfig::new(4)
+        };
+        let (out, _) = run_with_config::<(usize, u64), _, _>(cfg, |ctx| {
+            let p = ctx.num_ranks();
+            let rank = ctx.rank();
+            let mut ex = ctx.exchange();
+            for i in 0..40u64 {
+                ex.send((rank + i as usize) % p, (rank, i));
+            }
+            let mut order = Vec::new();
+            ex.finish(|m| order.push(m));
+            order
+        });
+        for (rank, order) in out.iter().enumerate() {
+            let senders = std::iter::once(rank).chain((0..4).filter(|&s| s != rank));
+            let expected: Vec<(usize, u64)> = senders
+                .flat_map(|src| {
+                    (0..40u64)
+                        .filter(move |&i| (src + i as usize) % 4 == rank)
+                        .map(move |i| (src, i))
+                })
+                .collect();
+            assert_eq!(*order, expected, "rank {rank}");
         }
     }
 

@@ -54,6 +54,8 @@ pub struct CrashPoint {
 /// `0` disables that fault entirely. Crashes are explicit
 /// [`CrashPoint`]s; at most one fires per world (the earliest by
 /// `(at_clock, rank)`), because the first crash tears the world down.
+/// The empty plan ([`FaultPlan::is_empty`], e.g. the default) is the
+/// fault-free path: the world builds no fault state for it.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct FaultPlan {
     /// Seed decorrelating the per-packet fault decisions.
@@ -202,7 +204,7 @@ impl FaultStats {
     }
 }
 
-/// The result of a fault-injected run
+/// The result of a run under a fault plan, empty or not
 /// ([`run_with_config_faulted`](crate::run_with_config_faulted)).
 #[derive(Debug)]
 pub enum RunOutcome<R> {
@@ -242,8 +244,8 @@ pub(crate) struct Packet<M> {
     pub(crate) redundant: bool,
     /// Sending rank and that rank's transmit ordinal within the phase:
     /// a canonical order over one phase's packets that does not depend
-    /// on channel arrival order (or on fault-layer delays), so perturbed
-    /// delivery can replay a seed exactly.
+    /// on channel arrival order (or on fault-layer delays), so delivery,
+    /// perturbed or not, is a function of the program and the seed.
     pub(crate) src: usize,
     pub(crate) seq: u64,
     pub(crate) msgs: Vec<M>,

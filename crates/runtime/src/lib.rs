@@ -22,12 +22,18 @@
 //! * **Quiescence** of a communication phase is detected with
 //!   per-destination message counts exchanged through a shared count
 //!   matrix — the standard termination protocol for irregular all-to-all
-//!   phases.
+//!   phases. A phase hands its messages to the receiver's handler in one
+//!   canonical order (self-sends first, then remote packets by sender and
+//!   transmit ordinal), which a perturb seed shuffles for the race
+//!   harness.
 //! * **Collectives** (barrier, allreduce, element-wise vector reduction,
 //!   allgather) are deterministic: reductions fold rank contributions in
 //!   rank order, so every run with the same seed is bit-identical.
 //! * **Counters** record messages and packets so benchmarks can report
 //!   communication volume alongside time.
+//! * **Faults** come from one [`FaultPlan`] value per run, passed to the
+//!   one launcher, [`run_with_config_faulted`]; the empty plan (what
+//!   [`run`] and [`run_with_config`] pass) is the fault-free path.
 //!
 //! See `DESIGN.md` §2 for why this substitution preserves the paper's
 //! observable behavior (per-rank work, message volume, stale-state
@@ -44,6 +50,6 @@ pub use envflag::env_flag;
 pub use exchange::Exchange;
 pub use fault::{CrashPoint, FaultPlan, FaultStats, RunOutcome};
 pub use world::{
-    run, run_with_config, run_with_config_faulted, run_with_config_logged, CollectiveKind,
-    CommStats, RankCtx, RuntimeConfig,
+    run, run_with_config, run_with_config_faulted, CollectiveKind, CommStats, RankCtx,
+    RuntimeConfig,
 };

@@ -34,7 +34,8 @@ pub struct RuntimeConfig {
     pub perturb_seed: Option<u64>,
     /// Records the sequence of [`CollectiveKind`]s each rank enters (in
     /// program order, including the implicit final `Shutdown`), returned
-    /// by [`run_with_config_logged`]. The conformance tests replay these
+    /// in [`RunOutcome::Completed`]'s `logs` by
+    /// [`run_with_config_faulted`]. The conformance tests replay these
     /// observed sequences against the static protocol spec extracted by
     /// `xtask protocol`. Off by default: recording appends to a per-rank
     /// log on every collective.
@@ -64,8 +65,7 @@ pub enum CollectiveKind {
     Idle,
     /// [`RankCtx::barrier`].
     Barrier,
-    /// [`RankCtx::allreduce_sum`] / [`RankCtx::allreduce_max`] (scalar
-    /// f64 reductions).
+    /// [`RankCtx::allreduce_sum`] (scalar f64 reduction).
     ReduceF64,
     /// [`RankCtx::allreduce_sum_u64`].
     ReduceU64,
@@ -252,8 +252,8 @@ pub(crate) struct World<M: Send> {
     pub(crate) packet_counter: AtomicU64,
     /// BSP simulated clock (see [`crate::sim`]).
     pub(crate) sim: Mutex<SimState>,
-    /// Fault-injection state, present only under
-    /// [`run_with_config_faulted`].
+    /// Fault-injection state, present only when the world runs under a
+    /// non-empty [`FaultPlan`].
     pub(crate) fault: Option<FaultState>,
 }
 
@@ -327,8 +327,9 @@ impl<'w, M: Send> RankCtx<'w, M> {
         self.bytes_sent.get()
     }
 
-    /// `true` when this world runs under fault injection
-    /// ([`run_with_config_faulted`]) with a non-empty plan.
+    /// `true` when this world runs under a non-empty [`FaultPlan`]
+    /// ([`run_with_config_faulted`]); the empty plan is the fault-free
+    /// path.
     #[must_use]
     pub fn fault_injection_active(&self) -> bool {
         self.world.fault.is_some()
@@ -501,45 +502,24 @@ where
     R: Send,
     F: Fn(&mut RankCtx<'_, M>) -> R + Sync,
 {
-    let (results, stats, _) = run_with_config_logged(cfg, f);
-    (results, stats)
-}
-
-/// [`run_with_config`] that additionally returns the per-rank observed
-/// collective sequences (empty vectors unless
-/// [`RuntimeConfig::record_protocol`] is set).
-pub fn run_with_config_logged<M, R, F>(
-    cfg: RuntimeConfig,
-    f: F,
-) -> (Vec<R>, CommStats, Vec<Vec<CollectiveKind>>)
-where
-    M: Send,
-    R: Send,
-    F: Fn(&mut RankCtx<'_, M>) -> R + Sync,
-{
-    match run_world(cfg, None, f) {
-        RunOutcome::Completed {
-            results,
-            stats,
-            logs,
-            ..
-        } => (results, stats, logs),
-        // No fault plan means no scheduled crashes.
+    match run_with_config_faulted(cfg, &FaultPlan::default(), f) {
+        RunOutcome::Completed { results, stats, .. } => (results, stats),
+        // The empty plan schedules no crash.
         RunOutcome::Crashed { .. } => unreachable!("crash without a fault plan"),
     }
 }
 
-/// [`run_with_config`] under deterministic fault injection: transport
-/// faults from `plan` are injected (and masked) by the messaging layer,
-/// and a scheduled rank crash tears the world down into
-/// [`RunOutcome::Crashed`] instead of completing. Crash detection rides
-/// on the collective protocol shadow, so `check_protocol` is forced on
-/// whenever the plan schedules crashes.
+/// The launcher: builds the world, runs one closure per rank thread, and
+/// classifies the outcome. Under a non-empty `plan` the messaging layer
+/// injects (and masks) its transport faults, and a scheduled rank crash
+/// tears the world down into [`RunOutcome::Crashed`] instead of
+/// completing; the empty plan builds no fault state at all. Crash
+/// detection rides on the collective protocol shadow, so `check_protocol`
+/// is forced on whenever the plan schedules crashes.
 ///
 /// Panics that are *not* injected faults (genuine bugs, protocol
-/// mismatches unrelated to the crash) poison the world as in
-/// [`run_with_config`] and reach the caller with the panicking rank's
-/// own payload.
+/// mismatches unrelated to the crash) poison the world and reach the
+/// caller with the panicking rank's own payload.
 pub fn run_with_config_faulted<M, R, F>(
     mut cfg: RuntimeConfig,
     plan: &FaultPlan,
@@ -554,39 +534,6 @@ where
         cfg.check_protocol = true;
         install_panic_silencer();
     }
-    run_world(cfg, Some(plan), f)
-}
-
-/// Installs (once per process) a delegating panic hook that suppresses
-/// the default stderr report for the runtime's own panic payloads —
-/// [`SimulatedCrash`] and [`RankLost`] are caught and handled by the
-/// rank-thread wrappers, so printing them would spam every chaos test,
-/// and a [`WorldPoisoned`] peer would bury the panic that poisoned the
-/// world — while every other panic keeps the previous hook's behavior.
-fn install_panic_silencer() {
-    static ONCE: std::sync::Once = std::sync::Once::new();
-    ONCE.call_once(|| {
-        let prev = std::panic::take_hook();
-        std::panic::set_hook(Box::new(move |info| {
-            let p = info.payload();
-            if p.is::<SimulatedCrash>() || p.is::<RankLost>() || p.is::<WorldPoisoned>() {
-                return;
-            }
-            prev(info);
-        }));
-    });
-}
-
-/// The shared launcher behind [`run_with_config_logged`] and
-/// [`run_with_config_faulted`]: builds the world (with fault state iff a
-/// plan is given), runs one closure per rank thread, and classifies the
-/// outcome.
-fn run_world<M, R, F>(cfg: RuntimeConfig, plan: Option<&FaultPlan>, f: F) -> RunOutcome<R>
-where
-    M: Send,
-    R: Send,
-    F: Fn(&mut RankCtx<'_, M>) -> R + Sync,
-{
     assert!(cfg.ranks >= 1, "at least one rank required");
     assert!(cfg.coalesce_capacity >= 1, "coalesce capacity must be >= 1");
     let p = cfg.ranks;
@@ -622,7 +569,7 @@ where
             clock: 0.0,
             pending: vec![0.0; p],
         }),
-        fault: plan.map(|plan| FaultState {
+        fault: (!plan.is_empty()).then(|| FaultState {
             plan: plan.clone(),
             crashed: Mutex::new(None),
             drops: AtomicU64::new(0),
@@ -734,6 +681,26 @@ where
     }
 }
 
+/// Installs (once per process) a delegating panic hook that suppresses
+/// the default stderr report for the runtime's own panic payloads —
+/// [`SimulatedCrash`] and [`RankLost`] are caught and handled by the
+/// rank-thread wrappers, so printing them would spam every chaos test,
+/// and a [`WorldPoisoned`] peer would bury the panic that poisoned the
+/// world — while every other panic keeps the previous hook's behavior.
+fn install_panic_silencer() {
+    static ONCE: std::sync::Once = std::sync::Once::new();
+    ONCE.call_once(|| {
+        let prev = std::panic::take_hook();
+        std::panic::set_hook(Box::new(move |info| {
+            let p = info.payload();
+            if p.is::<SimulatedCrash>() || p.is::<RankLost>() || p.is::<WorldPoisoned>() {
+                return;
+            }
+            prev(info);
+        }));
+    });
+}
+
 /// One rank's execution. Injected fault panics resolve to `None`: the
 /// crash victim ([`SimulatedCrash`]) first joins one more rendezvous —
 /// the implicit `Shutdown` entry — so the survivors' next collective
@@ -840,14 +807,14 @@ mod tests {
     fn a_rank_panic_poisons_the_world_instead_of_hanging() {
         use std::sync::mpsc::channel;
         use std::time::Duration;
-        // The launchers: fault-free, a transport-only fault plan, and a
-        // crash scheduled past the end of the run.
+        // The plans: fault-free, transport faults only, and a crash
+        // scheduled past the end of the run.
         let transport = FaultPlan {
             drop_one_in: 3,
             delay_one_in: 5,
             ..FaultPlan::default()
         };
-        let plans = [None, Some(transport), Some(FaultPlan::crash(0, 1e18))];
+        let plans = [FaultPlan::default(), transport, FaultPlan::crash(0, 1e18)];
         for plan in plans {
             for ranks in [2usize, 4] {
                 let victim = ranks - 1;
@@ -864,15 +831,12 @@ mod tests {
                         ex.finish(|_| ());
                         ctx.barrier();
                     };
-                    let run = std::panic::catch_unwind(|| match &plan {
-                        None => drop(run::<u32, _, _>(ranks, body)),
-                        Some(plan) => {
-                            drop(run_with_config_faulted(
-                                RuntimeConfig::new(ranks),
-                                plan,
-                                body,
-                            ));
-                        }
+                    let run = std::panic::catch_unwind(|| {
+                        drop(run_with_config_faulted(
+                            RuntimeConfig::new(ranks),
+                            &plan,
+                            body,
+                        ));
                     });
                     let message = run.map_err(|p| p.downcast_ref::<String>().cloned());
                     let _ = tx.send(message);

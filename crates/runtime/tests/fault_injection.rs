@@ -168,7 +168,7 @@ fn recorded_protocol_log_is_seedable() {
         record_protocol: true,
         ..RuntimeConfig::new(2)
     };
-    let (_, _, logs) = louvain_runtime::run_with_config_logged::<u64, _, _>(cfg, |ctx| {
+    let outcome = run_with_config_faulted::<u64, _, _>(cfg, &FaultPlan::default(), |ctx| {
         ctx.seed_protocol_log(&[CollectiveKind::Barrier, CollectiveKind::SimSync]);
         ctx.barrier();
         assert_eq!(
@@ -180,6 +180,9 @@ fn recorded_protocol_log_is_seedable() {
             ]
         );
     });
+    let RunOutcome::Completed { logs, .. } = outcome else {
+        panic!("the empty plan schedules no crash");
+    };
     for log in logs {
         assert_eq!(
             log,

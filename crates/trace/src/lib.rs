@@ -224,11 +224,6 @@ mod record {
         BUF.with(|b| b.borrow_mut().take())
     }
 
-    /// Whether a trace buffer is installed on the current thread.
-    pub fn is_active() -> bool {
-        BUF.with(|b| b.borrow().is_some())
-    }
-
     /// Appends the event produced by `f` to the current thread's buffer,
     /// if one is installed; otherwise `f` is never called.
     #[inline]
@@ -242,7 +237,7 @@ mod record {
 }
 
 #[cfg(feature = "record")]
-pub use record::{emit_with, install, is_active, take};
+pub use record::{emit_with, install, take};
 
 /// Installs an empty trace buffer for `rank` on the current thread,
 /// discarding any previous buffer. No-op with the `record` feature off.
@@ -256,14 +251,6 @@ pub fn install(_rank: usize) {}
 #[inline(always)]
 pub fn take() -> Option<RankTrace> {
     None
-}
-
-/// Whether a trace buffer is installed on the current thread. Always
-/// `false` with the `record` feature off.
-#[cfg(not(feature = "record"))]
-#[inline(always)]
-pub fn is_active() -> bool {
-    false
 }
 
 /// Appends the event produced by `f` to the current thread's buffer, if
@@ -327,7 +314,6 @@ mod tests {
             name: "orphan",
             value: 1,
         });
-        assert!(!is_active());
         assert!(take().is_none());
     }
 
@@ -335,7 +321,6 @@ mod tests {
     #[test]
     fn install_emit_take_roundtrip() {
         install(3);
-        assert!(is_active());
         emit_with(|| Event::Enter {
             phase: "p",
             clock: 1.0,
@@ -353,7 +338,7 @@ mod tests {
                 Event::Sync { seq: 1, clock: 2.0 },
             ]
         );
-        assert!(!is_active(), "take() uninstalls the buffer");
+        assert!(take().is_none(), "take() uninstalls the buffer");
     }
 
     #[cfg(feature = "record")]
@@ -374,7 +359,6 @@ mod tests {
     #[test]
     fn disabled_recording_is_inert() {
         install(0);
-        assert!(!is_active());
         emit_with(|| unreachable!("closure must not run with recording off"));
         assert!(take().is_none());
     }

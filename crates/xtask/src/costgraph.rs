@@ -179,10 +179,8 @@ fn seed_class(w: &str) -> Option<PayloadClass> {
     Some(match w {
         // Migration deltas: the PR 4 steady-state currency.
         "migrated" | "deltas" | "moved" => PayloadClass::ODeltas,
-        // The active-vertex worklist of the frontier scheduler (§13),
-        // and a stale list of vertices that moved or whose own row wake
-        // rule W1 marked (the own-row cache of §10).
-        "frontier" | "worklist" | "stale" => PayloadClass::OFrontier,
+        // The active-vertex worklist of the frontier scheduler (§13).
+        "frontier" | "worklist" => PayloadClass::OFrontier,
         // Arc-shaped collections (In-/Out-Table rows, edge chunks).
         "in_table" | "out_table" | "chunk" | "edges" | "triples" | "pairs" | "out_srcs"
         | "arcs" => PayloadClass::OLocalArcs,
@@ -1416,32 +1414,6 @@ fn rank_main(ctx: &mut Ctx, cfg: &Cfg, table: &Table, local_n: usize) {
                 "per_iteration"
             )]
         );
-    }
-
-    #[test]
-    fn send_over_the_stale_list_is_frontier_per_iteration() {
-        // A send per stale vertex, a removal and an insert each:
-        // O(frontier), not the O(n_local) of a walk over every local
-        // vertex.
-        let src = r"
-fn rank_main(ctx: &mut Ctx, cfg: &Cfg, label: &[u32], stale: &[u32]) {
-    for iter in 1..=cfg.max_inner_iterations {
-        let mut ex = ctx.exchange();
-        for &li in stale.iter() {
-            let c = label[li];
-            for b in 0..2u32 {
-                ex.send(owner(c), b);
-            }
-        }
-        ex.finish(|_| {});
-    }
-}
-";
-        assert_eq!(
-            spec_sites("stale", src),
-            vec![site("rank_main#0", "send", "O(frontier)", "per_iteration")]
-        );
-        assert_eq!(findings_of(src), Vec::new());
     }
 
     #[test]
